@@ -88,16 +88,6 @@ impl SimRng {
         }
     }
 
-    /// A uniform draw in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// A uniform integer in `[0, n)`.
     ///
     /// # Panics

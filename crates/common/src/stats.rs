@@ -2,11 +2,9 @@
 //!
 //! The simulator reports tail latency (p95/p99), mean throughput, utilization,
 //! and power. [`StreamingStats`] tracks moments online (Welford),
-//! [`PercentileTracker`] keeps samples for exact quantiles (with optional
-//! reservoir subsampling for very long runs), and [`Histogram`] provides
-//! log-spaced buckets for printing paper-style distributions.
-
-use crate::rng::SimRng;
+//! [`PercentileTracker`] keeps samples for exact quantiles, and
+//! [`Histogram`] provides log-spaced buckets for printing paper-style
+//! distributions.
 
 /// Online mean/variance/min/max via Welford's algorithm.
 ///
@@ -107,84 +105,40 @@ impl StreamingStats {
     }
 }
 
-/// Exact-quantile tracker with optional bounded-memory reservoir mode.
-///
-/// In exact mode every sample is retained; [`PercentileTracker::with_reservoir`]
-/// caps memory by uniform reservoir sampling (Vitter's Algorithm R), which
-/// keeps quantiles unbiased for long simulations.
+/// Exact-quantile tracker: every sample is retained.
 #[derive(Debug, Clone)]
 pub struct PercentileTracker {
     samples: Vec<f64>,
-    capacity: Option<usize>,
-    seen: u64,
-    rng: Option<SimRng>,
     sorted: bool,
 }
 
 impl PercentileTracker {
-    /// Creates an exact tracker (keeps all samples).
+    /// Creates an empty tracker.
     pub fn new() -> Self {
         PercentileTracker {
             samples: Vec::new(),
-            capacity: None,
-            seen: 0,
-            rng: None,
-            sorted: true,
-        }
-    }
-
-    /// Creates a reservoir tracker with at most `capacity` retained samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_reservoir(capacity: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        PercentileTracker {
-            samples: Vec::with_capacity(capacity),
-            capacity: Some(capacity),
-            seen: 0,
-            rng: Some(SimRng::seed_from(seed)),
             sorted: true,
         }
     }
 
     /// Records one observation.
     pub fn record(&mut self, x: f64) {
-        self.seen += 1;
-        match self.capacity {
-            None => {
-                self.samples.push(x);
-                self.sorted = false;
-            }
-            Some(cap) => {
-                if self.samples.len() < cap {
-                    self.samples.push(x);
-                    self.sorted = false;
-                } else {
-                    let rng = self.rng.as_mut().expect("reservoir tracker has rng");
-                    let j = rng.int_range(0, self.seen - 1) as usize;
-                    if j < cap {
-                        self.samples[j] = x;
-                        self.sorted = false;
-                    }
-                }
-            }
-        }
+        self.samples.push(x);
+        self.sorted = false;
     }
 
-    /// Total number of observations recorded (not retained).
+    /// Total number of observations recorded.
     pub fn count(&self) -> u64 {
-        self.seen
+        self.samples.len() as u64
     }
 
     /// Whether no observations were recorded.
     pub fn is_empty(&self) -> bool {
-        self.seen == 0
+        self.samples.is_empty()
     }
 
-    /// The `p`-quantile (`p` in `[0, 1]`) using nearest-rank on retained
-    /// samples; `None` if empty.
+    /// The `p`-quantile (`p` in `[0, 1]`) using nearest-rank; `None` if
+    /// empty.
     ///
     /// # Panics
     ///
@@ -219,7 +173,8 @@ impl PercentileTracker {
         self.quantile(0.99)
     }
 
-    /// Mean of retained samples (equals true mean in exact mode).
+    /// Mean of the samples, summed in recording order until a quantile
+    /// sorts them.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             0.0
@@ -240,11 +195,11 @@ impl Default for PercentileTracker {
 /// Built for cross-thread aggregation: every worker records into its own
 /// histogram with **no allocation on the record path** (buckets are sized at
 /// construction), and per-worker histograms [`merge`](LatencyHistogram::merge)
-/// into one population afterwards. Unlike [`PercentileTracker`]'s sampling
-/// reservoir — whose merged quantiles are biased by whichever reservoir
-/// happened to keep which samples — bucket counts merge exactly: a merged
-/// histogram's counts, quantiles, and extrema are bit-identical to one
-/// that saw every observation directly, in any merge order. (The running
+/// into one population afterwards. Unlike [`PercentileTracker`], whose
+/// memory grows with every sample, it has a fixed size, and bucket counts
+/// merge exactly: a merged histogram's counts, quantiles, and extrema are
+/// bit-identical to one that saw every observation directly, in any merge
+/// order. (The running
 /// `sum` behind [`mean`](LatencyHistogram::mean) commutes pairwise but,
 /// like any float accumulation, is not associative across 3+ merges.)
 ///
@@ -619,23 +574,6 @@ impl TimeSeries {
             Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
         }
     }
-
-    /// Point-wise binary operation with another series of identical times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn zip_with<F: Fn(f64, f64) -> f64>(&self, other: &TimeSeries, f: F) -> TimeSeries {
-        assert_eq!(self.len(), other.len(), "series length mismatch");
-        TimeSeries {
-            points: self
-                .points
-                .iter()
-                .zip(&other.points)
-                .map(|(&(t, a), &(_, b))| (t, f(a, b)))
-                .collect(),
-        }
-    }
 }
 
 impl FromIterator<(f64, f64)> for TimeSeries {
@@ -705,17 +643,6 @@ mod tests {
         assert_eq!(t.p99(), Some(99.0));
         assert_eq!(t.quantile(1.0), Some(100.0));
         assert_eq!(t.count(), 100);
-    }
-
-    #[test]
-    fn reservoir_tracks_quantiles_approximately() {
-        let mut t = PercentileTracker::with_reservoir(1_000, 42);
-        for i in 0..100_000 {
-            t.record((i % 1000) as f64);
-        }
-        assert_eq!(t.count(), 100_000);
-        let p50 = t.p50().unwrap();
-        assert!((p50 - 500.0).abs() < 60.0, "p50 {p50}");
     }
 
     #[test]
@@ -816,17 +743,12 @@ mod tests {
     }
 
     #[test]
-    fn time_series_peak_mean_zip() {
+    fn time_series_peak_mean() {
         let a: TimeSeries = vec![(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)]
             .into_iter()
             .collect();
         assert_eq!(a.peak(), Some(3.0));
         assert_eq!(a.mean(), Some(2.0));
-        let b: TimeSeries = vec![(0.0, 1.0), (1.0, 1.0), (2.0, 2.0)]
-            .into_iter()
-            .collect();
-        let sum = a.zip_with(&b, |x, y| x + y);
-        assert_eq!(sum.points()[1], (1.0, 4.0));
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
     }

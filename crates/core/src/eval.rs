@@ -14,27 +14,9 @@ use hercules_common::parallel_map;
 use hercules_common::units::{Qps, Watts};
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
-use hercules_runtime::{max_qps_under_sla_live, RuntimeConfig};
 use hercules_sim::{
     max_qps_under_sla, NmpLutCache, PlacementPlan, SearchOptions, SimConfig, SimReport, SlaSpec,
 };
-
-/// Which execution backend measures a candidate configuration.
-///
-/// The discrete-event simulator and the live serving runtime take the same
-/// inputs and emit the same [`SimReport`] shape, so `max_qps_under_sla`-
-/// style searches can target either: the simulator for speed, the runtime
-/// (virtual clock) to validate a schedule against the executable serving
-/// path — queues, dynamic batching, and admission included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalBackend {
-    /// The discrete-event simulator (`hercules_sim::engine`).
-    #[default]
-    Sim,
-    /// The live serving runtime on its deterministic virtual clock
-    /// (`hercules_runtime`).
-    Runtime,
-}
 
 /// The outcome of evaluating one scheduling configuration at its
 /// latency-bounded operating point.
@@ -79,8 +61,6 @@ pub struct EvalContext {
     pub sim: SimConfig,
     /// Rate-search controls.
     pub search: SearchOptions,
-    /// Which execution backend measures candidates (simulator by default).
-    pub backend: EvalBackend,
     /// NMP LUT reuse for every topology this context builds. Cloning the
     /// context shares the cache; [`EvalContext::with_nmp_cache`] substitutes
     /// a cache shared wider (e.g. across a whole profiling run).
@@ -98,7 +78,6 @@ impl EvalContext {
             power_cap: None,
             sim: SimConfig::default(),
             search: SearchOptions::default(),
-            backend: EvalBackend::default(),
             nmp_luts: Arc::new(NmpLutCache::new()),
         }
     }
@@ -117,12 +96,6 @@ impl EvalContext {
         self.nmp_luts = luts;
         self
     }
-
-    /// Same context measured by `backend` (builder style).
-    pub fn with_backend(mut self, backend: EvalBackend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// Evaluates one plan against a context, with no memoization.
@@ -131,26 +104,15 @@ impl EvalContext {
 /// context by shared reference, so batch evaluation can fan it out across
 /// scoped worker threads.
 pub fn evaluate_plan(ctx: &EvalContext, plan: &PlacementPlan) -> Option<Evaluation> {
-    let outcome = match ctx.backend {
-        EvalBackend::Sim => max_qps_under_sla(
-            &ctx.model,
-            &ctx.server,
-            plan,
-            &ctx.sla,
-            &ctx.sim,
-            &ctx.search,
-            &ctx.nmp_luts,
-        ),
-        EvalBackend::Runtime => max_qps_under_sla_live(
-            &ctx.model,
-            &ctx.server,
-            plan,
-            &ctx.sla,
-            &RuntimeConfig::from_sim(&ctx.sim),
-            &ctx.search,
-            &ctx.nmp_luts,
-        ),
-    }
+    let outcome = max_qps_under_sla(
+        &ctx.model,
+        &ctx.server,
+        plan,
+        &ctx.sla,
+        &ctx.sim,
+        &ctx.search,
+        &ctx.nmp_luts,
+    )
     .ok()??;
     let power = outcome.report.peak_power;
     if let Some(cap) = ctx.power_cap {
@@ -342,30 +304,6 @@ mod tests {
                 other => panic!("feasibility mismatch: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn runtime_backend_agrees_with_sim_backend() {
-        let plan = PlacementPlan::CpuModel {
-            threads: 10,
-            workers: 2,
-            batch: 256,
-        };
-        let sim_eval = evaluate_plan(&quick_ctx(), &plan).expect("sim backend feasible");
-        let rt_eval = evaluate_plan(&quick_ctx().with_backend(EvalBackend::Runtime), &plan)
-            .expect("runtime backend feasible");
-        // Same oracle, same streams, same knee finder: the two backends
-        // must land on the same operating point within the runtime's
-        // histogram resolution and batching differences.
-        let ratio = rt_eval.qps.value() / sim_eval.qps.value();
-        assert!(
-            (0.75..=1.33).contains(&ratio),
-            "backends diverge: runtime {} vs sim {} ({}x)",
-            rt_eval.qps,
-            sim_eval.qps,
-            ratio
-        );
-        assert!(rt_eval.power.value() > 0.0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use cluster::{
     Allocation, ColocatedAllocation, ProvisionError, ProvisionRequest, Provisioner, SharedServer,
     TenantShare,
 };
-pub use eval::{evaluate_plan, CachedEvaluator, EvalBackend, EvalContext, Evaluation};
+pub use eval::{evaluate_plan, CachedEvaluator, EvalContext, Evaluation};
 pub use profiler::{
     profile, EfficiencyEntry, EfficiencyTable, ProfilerConfig, RankMetric, Searcher,
 };

@@ -172,12 +172,6 @@ impl ProfilerConfig {
         self.parallelism = n.max(1);
         self
     }
-
-    /// Builder: substitute the gradient-search knobs.
-    pub fn with_gradient(mut self, gradient: GradientOptions) -> Self {
-        self.gradient = gradient;
-        self
-    }
 }
 
 /// Profiles one (model, server) pair against `luts`, the NMP LUT cache

@@ -1,18 +1,17 @@
 //! Latency-bounded throughput measurement against the *live runtime*:
-//! the same geometric-ramp + binary-search knee finder as
-//! `hercules_sim::search::max_qps_under_sla`, but every probe executes the
-//! placement plan on the runtime instead of the discrete-event engine.
+//! the simulator's knee finder ([`hercules_sim::find_knee`]), with every
+//! probe executing the placement plan on the runtime instead of the
+//! discrete-event engine.
 //!
 //! Probes should use the virtual clock (the default of
 //! [`RuntimeConfig::from_sim`]): deterministic, and orders of magnitude
 //! faster than real time. The wall clock works too, but every probe then
 //! costs its simulated duration in wall time.
 
-use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
-use hercules_sim::{PlacementPlan, PlanError, SearchOptions, SlaSearchOutcome, SlaSpec};
+use hercules_sim::{find_knee, PlacementPlan, PlanError, SearchOptions, SlaSearchOutcome, SlaSpec};
 
 use crate::config::RuntimeConfig;
 use crate::serve::ServingRuntime;
@@ -37,65 +36,18 @@ pub fn max_qps_under_sla_live(
     luts: &NmpLutCache,
 ) -> Result<Option<SlaSearchOutcome>, PlanError> {
     let rt = ServingRuntime::build(model, server.clone(), plan, *cfg, luts)?;
-    let eval = |rate: Qps| {
-        let mut run_cfg = *cfg;
-        if let Some(target) = opts.target_queries {
-            // Size the run by query count, not wall time, exactly like the
-            // simulator's search: low-rate probes stretch their horizon.
-            run_cfg.duration =
-                SimDuration::from_secs_f64((target as f64 / rate.value()).clamp(0.4, 900.0));
-        }
-        run_cfg.drain_margin = run_cfg.drain_margin.max(sla.target * 2);
-        rt.serve_with(rate, &run_cfg).sim
-    };
-
-    // Geometric ramp to bracket the knee.
-    let mut lo_rate = opts.start;
-    let mut lo_report = eval(lo_rate);
-    if !lo_report.meets(sla) {
-        let tiny = Qps(opts.start.value() / 8.0);
-        let tiny_report = eval(tiny);
-        if !tiny_report.meets(sla) {
-            return Ok(None);
-        }
-        lo_rate = tiny;
-        lo_report = tiny_report;
-    }
-
-    let mut hi_rate = None;
-    let mut probe = Qps(lo_rate.value() * 2.0);
-    while probe.value() <= opts.ceiling.value() {
-        let r = eval(probe);
-        if r.meets(sla) {
-            lo_rate = probe;
-            lo_report = r;
-            probe = Qps(probe.value() * 2.0);
-        } else {
-            hi_rate = Some(probe);
-            break;
-        }
-    }
-    let Some(mut hi) = hi_rate else {
-        return Ok(Some(SlaSearchOutcome {
-            qps: lo_rate,
-            report: lo_report,
-        }));
-    };
-
-    // Binary refinement.
-    for _ in 0..opts.refine_iters {
-        let mid = Qps((lo_rate.value() + hi.value()) / 2.0);
-        let r = eval(mid);
-        if r.meets(sla) {
-            lo_rate = mid;
-            lo_report = r;
-        } else {
-            hi = mid;
-        }
-    }
-
-    Ok(Some(SlaSearchOutcome {
-        qps: lo_rate,
-        report: lo_report,
-    }))
+    Ok(find_knee(
+        sla,
+        opts,
+        cfg.duration,
+        cfg.drain_margin,
+        |rate, duration, drain_margin| {
+            let run_cfg = RuntimeConfig {
+                duration,
+                drain_margin,
+                ..*cfg
+            };
+            rt.serve_with(rate, &run_cfg).sim
+        },
+    ))
 }

@@ -58,16 +58,6 @@ impl ServingRuntime {
         })
     }
 
-    /// Wraps a pre-built topology.
-    pub fn from_topology(topo: Topology, server: ServerSpec, cfg: RuntimeConfig) -> Self {
-        ServingRuntime {
-            topo,
-            server,
-            cfg,
-            arena: OnceLock::new(),
-        }
-    }
-
     /// The execution topology.
     pub fn topology(&self) -> &Topology {
         &self.topo

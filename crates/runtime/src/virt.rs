@@ -8,14 +8,13 @@
 //! searches and tests use, and the one cross-validated against
 //! `sim::engine` (`tests/runtime_props.rs`).
 
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::cost::pcie_transfer_time;
 use hercules_hw::server::ServerSpec;
-use hercules_sim::{split_sizes, Topology};
+use hercules_sim::{split_iter, HeapEntry, Topology};
 use hercules_workload::query::Query;
 
 use crate::admission::AdmissionController;
@@ -51,33 +50,6 @@ enum Ev {
     },
 }
 
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap: earliest time, then insertion order.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 struct Batch {
     subs: Vec<Sub>,
     items: u32,
@@ -92,7 +64,7 @@ struct Exec<'a> {
     window: RunWindow,
     table: QueryTable,
     sizes: Vec<u32>,
-    heap: BinaryHeap<Entry>,
+    heap: BinaryHeap<HeapEntry<Ev>>,
     seq: u64,
     admission: AdmissionController,
     // Front pool.
@@ -213,7 +185,7 @@ impl<'a> Exec<'a> {
 
     fn push(&mut self, time: SimTime, ev: Ev) {
         self.seq += 1;
-        self.heap.push(Entry {
+        self.heap.push(HeapEntry {
             time,
             seq: self.seq,
             ev,
@@ -238,7 +210,7 @@ impl<'a> Exec<'a> {
         if !self.admission.admit(self.ingress_depth()) {
             return;
         }
-        let sizes = split_sizes(self.sizes[query as usize], self.stages.split_batch);
+        let sizes = split_iter(self.sizes[query as usize], self.stages.split_batch);
         if self.ingress_depth() + sizes.len() > self.cfg.queue_depth {
             self.admission.shed_backpressure();
             return;
@@ -256,7 +228,7 @@ impl<'a> Exec<'a> {
                 });
             }
         }
-        let subs = sizes.into_iter().map(|items| Sub {
+        let subs = sizes.map(|items| Sub {
             query,
             items,
             n_subs,
@@ -841,7 +813,7 @@ impl<'a> VirtStepper<'a> {
         let idx = self.exec.table.push(q.arrival);
         self.exec.sizes.push(q.size);
         self.arrival_seq += 1;
-        self.exec.heap.push(Entry {
+        self.exec.heap.push(HeapEntry {
             time: q.arrival,
             seq: self.arrival_seq,
             ev: Ev::Arrival(idx),

@@ -3,84 +3,49 @@
 //!
 //! The paper provisions whole servers per workload; Hera-style multi-tenant
 //! serving recovers the stranded capacity by packing tenants onto shared
-//! servers at bounded tail-latency cost. This module generalizes the
-//! dedicated discrete-event engine (`crate::engine`): per-tenant dispatch
-//! queues feed the shared front/back/GPU pools through share-weighted
-//! deficit round-robin, and every tenant's service time is derated by
-//! [`hercules_hw::cost::colocation_derate`] to model LLC and
-//! memory-bandwidth interference between co-located models. The derate is
-//! **load-dependent**: each dispatch measures the co-runners' aggregate
-//! DRAM-channel intensity (their cumulative `channel_bytes` over elapsed
-//! simulated time, as a fraction of peak channel bandwidth), so an idle
-//! co-tenant costs only the LLC-pollution floor while a bandwidth-saturating
-//! one charges the full per-tenant penalty.
+//! servers at bounded tail-latency cost. The simulator's event loop
+//! (`crate::engine`) serves any number of tenants; this module holds what
+//! only matters once there are several: per-tenant dispatch queues feed
+//! the shared front/back/GPU pools through share-weighted deficit
+//! round-robin ([`WeightedRr`]), and every tenant's service time is derated
+//! by [`hercules_hw::cost::colocation_derate`] to model LLC and
+//! memory-bandwidth interference between co-located models
+//! ([`Interference`]). The derate is **load-dependent**: each dispatch
+//! measures the co-runners' aggregate DRAM-channel intensity (their
+//! cumulative `channel_bytes` over elapsed simulated time, as a fraction of
+//! peak channel bandwidth), so an idle co-tenant costs only the
+//! LLC-pollution floor while a bandwidth-saturating one charges the full
+//! per-tenant penalty.
 //!
-//! **Dedicated-path equivalence.** A single-tenant config is bit-identical
-//! to [`crate::engine::simulate`]: the derating factor is exactly `1.0`,
-//! tenant 0's query stream is the dedicated stream
-//! ([`QueryStream::tenant`] with index 0), and round-robin over one queue
-//! is FIFO. `crates/sim/tests/colocation_props.rs` asserts this bitwise.
+//! A single tenant is a dedicated server: it is never derated, its picker
+//! is FIFO, and tenant 0's query stream is the dedicated stream
+//! ([`QueryStream::tenant`](hercules_workload::generator::QueryStream::tenant)
+//! with index 0).
 
-use std::collections::{BinaryHeap, VecDeque};
-
-use hercules_common::stats::PercentileTracker;
-use hercules_common::units::{Joules, Qps, SimDuration, SimTime};
-use hercules_hw::cost::{colocation_derate, pcie_transfer_time};
+use hercules_common::units::SimTime;
+use hercules_hw::cost::colocation_derate;
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
-use hercules_workload::generator::QueryStream;
 
 use crate::config::{ColocationConfig, PlacementPlan, PlanError};
-use crate::engine::{split_sizes, summarize_load, Buckets, HeapEntry, LoadSummary, QueryRec};
-use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
+use crate::engine::{run, TenantRun};
+use crate::metrics::ColocationReport;
 use crate::service::{build_topology, BackStage, Topology};
-
-/// A sub-query tagged with its tenant.
-#[derive(Debug, Clone, Copy)]
-struct CoSub {
-    tenant: u32,
-    query: u32,
-    items: u32,
-    ready: SimTime,
-}
-
-#[derive(Debug)]
-struct CoBatch {
-    tenant: u32,
-    subs: Vec<CoSub>,
-    items: u32,
-    load_start: SimTime,
-    load_dur: SimDuration,
-    /// Derated GPU compute time, fixed at launch: the load-dependent
-    /// interference factor evolves between `LoadDone` and `GpuDone`, so the
-    /// completion handler must attribute the duration that was actually
-    /// scheduled, not recompute it.
-    compute: SimDuration,
-}
-
-#[derive(Debug)]
-enum Ev {
-    Arrival { tenant: u32, query: u32 },
-    FrontDone { thread: u32, sub: CoSub },
-    BackDone { thread: u32, sub: CoSub },
-    LoadDone { ctx: u32, batch: usize },
-    GpuDone { ctx: u32, batch: usize },
-}
 
 /// Share-weighted deficit round-robin over tenant queues.
 ///
 /// Each dispatch consumes one credit; credits refill in proportion to
 /// tenant shares once every backlogged tenant is out of credit, so over a
 /// busy period tenant `i` receives `share_i / sum(shares)` of the dispatch
-/// slots. A single tenant degenerates to plain FIFO.
+/// slots. A single tenant is plain FIFO and skips the credit scan.
 #[derive(Debug)]
-struct WeightedRr {
+pub(crate) struct WeightedRr {
     credit: Vec<f64>,
     refill: Vec<f64>,
 }
 
 impl WeightedRr {
-    fn new(shares: &[f64]) -> Self {
+    pub(crate) fn new(shares: &[f64]) -> Self {
         let mean = shares.iter().sum::<f64>() / shares.len() as f64;
         // Floor the normalized weights at a positive epsilon so even a
         // tenant with a vanishing share makes progress on every refill.
@@ -94,7 +59,10 @@ impl WeightedRr {
     /// Picks the backlogged tenant with the most credit (ties to the lowest
     /// index), refilling when every backlogged tenant is spent. Returns
     /// `None` when nothing is backlogged.
-    fn pick(&mut self, backlogged: impl Fn(usize) -> bool) -> Option<usize> {
+    pub(crate) fn pick(&mut self, backlogged: impl Fn(usize) -> bool) -> Option<usize> {
+        if self.credit.len() == 1 {
+            return backlogged(0).then_some(0);
+        }
         if !(0..self.credit.len()).any(&backlogged) {
             return None;
         }
@@ -147,357 +115,50 @@ impl WeightedRr {
     }
 }
 
-/// Per-tenant measurement state.
+/// Load-dependent interference among co-located tenants: each tenant's
+/// cumulative host DRAM channel bytes, the basis of its co-runners'
+/// derate.
 #[derive(Debug)]
-struct TenantStats {
-    latency: PercentileTracker,
-    completed: u64,
-    completed_total: u64,
-    measured_arrivals: u64,
-    total_arrivals: u64,
-    sum_queuing: f64,
-    sum_loading: f64,
-    sum_inference: f64,
-}
-
-impl TenantStats {
-    fn new() -> Self {
-        TenantStats {
-            latency: PercentileTracker::new(),
-            completed: 0,
-            completed_total: 0,
-            measured_arrivals: 0,
-            total_arrivals: 0,
-            sum_queuing: 0.0,
-            sum_loading: 0.0,
-            sum_inference: 0.0,
-        }
-    }
-}
-
-struct CoEngine<'a> {
-    topos: &'a [Topology],
-    server: &'a ServerSpec,
-    /// Number of co-located tenants (1 disables derating entirely).
-    n_tenants: u32,
+pub(crate) struct Interference {
+    /// Number of co-located tenants.
+    tenants: u32,
     /// Peak DRAM channel bandwidth in bytes/s, the normalizer for the
     /// co-runner memory-intensity estimate.
     peak_chan_bw: f64,
-    /// Cumulative host DRAM channel bytes issued per tenant, the basis of
-    /// the load-dependent interference estimate.
-    chan_bytes_cum: Vec<f64>,
-    horizon: SimTime,
-    warmup_start: SimTime,
-    measure_end: SimTime,
-    heap: BinaryHeap<HeapEntry<Ev>>,
-    seq: u64,
-    queries: Vec<Vec<QueryRec>>,
-    sizes: Vec<Vec<u32>>,
-    // Shared host front pool over per-tenant dispatch queues.
-    front_queues: Vec<VecDeque<CoSub>>,
-    front_free: Vec<u32>,
-    front_rr: WeightedRr,
-    // Shared host back pool (S-D dense stage).
-    back_queues: Vec<VecDeque<CoSub>>,
-    back_free: Vec<u32>,
-    back_rr: WeightedRr,
-    // Shared GPU stage: per-tenant fusion buffers (fusion never crosses
-    // tenants — the batches run different models), shared contexts + link.
-    fusion_bufs: Vec<VecDeque<CoSub>>,
-    gpu_free: Vec<u32>,
-    gpu_rr: WeightedRr,
-    pcie_free: SimTime,
-    batches: Vec<CoBatch>,
-    // Metrics.
-    tenants: Vec<TenantStats>,
-    agg_latency: PercentileTracker,
-    buckets: Buckets,
-    front_idle_weighted: f64,
-    front_busy_weight: f64,
-    total_nmp_j: f64,
+    /// Cumulative channel bytes issued per tenant.
+    chan_bytes: Vec<f64>,
 }
 
-impl<'a> CoEngine<'a> {
-    fn push(&mut self, time: SimTime, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            ev,
-        });
+impl Interference {
+    /// Interference among `tenants` sharing `server`; `None` for a lone
+    /// tenant, which is never derated.
+    pub(crate) fn among(tenants: usize, server: &ServerSpec) -> Option<Self> {
+        (tenants > 1).then(|| Interference {
+            tenants: tenants as u32,
+            peak_chan_bw: server.mem.peak_bw_gbs * 1e9,
+            chan_bytes: vec![0.0; tenants],
+        })
     }
 
-    /// The load-dependent interference factor for a batch of `tenant`
-    /// dispatched at `now`: co-runner intensity is the *other* tenants'
-    /// cumulative channel traffic averaged over elapsed simulated time, as
-    /// a fraction of peak channel bandwidth. Exactly 1.0 for one tenant.
-    fn derate_for(&self, tenant: usize, now: SimTime) -> f64 {
-        if self.n_tenants <= 1 {
-            return 1.0;
-        }
+    /// The interference factor for a batch of `tenant` dispatched at
+    /// `now`: co-runner intensity is the *other* tenants' cumulative
+    /// channel traffic averaged over elapsed simulated time, as a fraction
+    /// of peak channel bandwidth.
+    pub(crate) fn factor(&self, tenant: usize, now: SimTime) -> f64 {
         let others: f64 = self
-            .chan_bytes_cum
+            .chan_bytes
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != tenant)
             .map(|(_, b)| b)
             .sum();
         let intensity = others / now.as_secs_f64().max(1e-9) / self.peak_chan_bw;
-        colocation_derate(self.n_tenants, intensity)
+        colocation_derate(self.tenants, intensity)
     }
 
-    /// Service duration under multi-tenant interference. Guarded so the
-    /// single-tenant path never round-trips through floats.
-    fn derated(d: SimDuration, factor: f64) -> SimDuration {
-        if factor > 1.0 {
-            d.mul_f64(factor)
-        } else {
-            d
-        }
-    }
-
-    fn split(&self, tenant: usize, query_idx: u32, now: SimTime) -> Vec<CoSub> {
-        let size = self.sizes[tenant][query_idx as usize];
-        split_sizes(size, self.topos[tenant].split_batch)
-            .into_iter()
-            .map(|items| CoSub {
-                tenant: tenant as u32,
-                query: query_idx,
-                items,
-                ready: now,
-            })
-            .collect()
-    }
-
-    fn schedule_front(&mut self, now: SimTime) {
-        if self.topos[0].front.is_none() {
-            return;
-        }
-        while !self.front_free.is_empty() {
-            let queues = &self.front_queues;
-            let Some(t) = self.front_rr.pick(|i| !queues[i].is_empty()) else {
-                break;
-            };
-            let thread = self.front_free.pop().expect("non-empty");
-            let sub = self.front_queues[t].pop_front().expect("backlogged");
-            let front = self.topos[t].front.as_ref().expect("uniform tenant shape");
-            let cost = front.svc.cost(sub.items);
-            let factor = self.derate_for(t, now);
-            let svc_latency = Self::derated(cost.latency, factor);
-            let wait = now.saturating_since(sub.ready);
-            let rec = &mut self.queries[t][sub.query as usize];
-            let nsubs = rec.n_subs.max(1) as u64;
-            rec.queuing += wait / nsubs;
-            rec.inference += svc_latency / nsubs;
-            let busy_s = cost.busy_core_time.as_secs_f64() * factor;
-            let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += busy_s;
-            self.buckets.chan_bytes[b] += cost.channel_bytes;
-            self.buckets.nmp_j[b] += cost.nmp_energy.value();
-            self.total_nmp_j += cost.nmp_energy.value();
-            self.front_idle_weighted += cost.idle_fraction * busy_s;
-            self.front_busy_weight += busy_s;
-            self.chan_bytes_cum[t] += cost.channel_bytes;
-            self.push(now + svc_latency, Ev::FrontDone { thread, sub });
-        }
-    }
-
-    fn schedule_back(&mut self, now: SimTime) {
-        let BackStage::HostPool { .. } = &self.topos[0].back else {
-            return;
-        };
-        while !self.back_free.is_empty() {
-            let queues = &self.back_queues;
-            let Some(t) = self.back_rr.pick(|i| !queues[i].is_empty()) else {
-                break;
-            };
-            let thread = self.back_free.pop().expect("non-empty");
-            let sub = self.back_queues[t].pop_front().expect("backlogged");
-            let BackStage::HostPool { svc, .. } = &self.topos[t].back else {
-                unreachable!("uniform tenant shapes");
-            };
-            let cost = svc.cost(sub.items);
-            let factor = self.derate_for(t, now);
-            let svc_latency = Self::derated(cost.latency, factor);
-            let wait = now.saturating_since(sub.ready);
-            let nsubs = self.queries[t][sub.query as usize].n_subs.max(1) as u64;
-            self.queries[t][sub.query as usize].queuing += wait / nsubs;
-            self.queries[t][sub.query as usize].inference += svc_latency / nsubs;
-            let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64() * factor;
-            self.buckets.chan_bytes[b] += cost.channel_bytes;
-            self.chan_bytes_cum[t] += cost.channel_bytes;
-            self.push(now + svc_latency, Ev::BackDone { thread, sub });
-        }
-    }
-
-    fn try_launch_gpu(&mut self, now: SimTime) {
-        let BackStage::Gpu { .. } = &self.topos[0].back else {
-            return;
-        };
-        while !self.gpu_free.is_empty() {
-            let bufs = &self.fusion_bufs;
-            let Some(t) = self.gpu_rr.pick(|i| !bufs[i].is_empty()) else {
-                break;
-            };
-            let BackStage::Gpu {
-                fusion_limit,
-                bytes_per_item,
-                ..
-            } = &self.topos[t].back
-            else {
-                unreachable!("uniform tenant shapes");
-            };
-            let fusion_limit = *fusion_limit;
-            let bytes_per_item = *bytes_per_item;
-            let ctx = self.gpu_free.pop().expect("non-empty");
-            let buf = &mut self.fusion_bufs[t];
-            let mut subs = Vec::new();
-            let mut items = 0u32;
-            match fusion_limit {
-                None => {
-                    let sub = buf.pop_front().expect("backlogged");
-                    items = sub.items;
-                    subs.push(sub);
-                }
-                Some(limit) => {
-                    while let Some(next) = buf.front() {
-                        if !subs.is_empty() && items + next.items > limit {
-                            break;
-                        }
-                        let sub = buf.pop_front().expect("non-empty");
-                        items += sub.items;
-                        subs.push(sub);
-                    }
-                }
-            }
-            let gpu = self
-                .server
-                .gpu
-                .as_ref()
-                .expect("gpu topology on gpu server");
-            let bytes = bytes_per_item * items as f64;
-            // The PCIe link is shared across tenants: transfers serialize.
-            let load_start = now.max(self.pcie_free);
-            let load_dur = pcie_transfer_time(bytes, gpu, 1);
-            self.pcie_free = load_start + load_dur;
-            let b = self.buckets.index(load_start);
-            self.buckets.pcie_s[b] += load_dur.as_secs_f64();
-            let batch_id = self.batches.len();
-            self.batches.push(CoBatch {
-                tenant: t as u32,
-                subs,
-                items,
-                load_start,
-                load_dur,
-                compute: SimDuration::ZERO,
-            });
-            self.push(
-                load_start + load_dur,
-                Ev::LoadDone {
-                    ctx,
-                    batch: batch_id,
-                },
-            );
-        }
-    }
-
-    fn complete_sub(&mut self, sub: &CoSub, now: SimTime) {
-        let t = sub.tenant as usize;
-        let rec = &mut self.queries[t][sub.query as usize];
-        rec.remaining -= 1;
-        if rec.remaining == 0 {
-            let stats = &mut self.tenants[t];
-            stats.completed_total += 1;
-            let lat = now.saturating_since(rec.arrival);
-            if rec.arrival >= self.warmup_start && rec.arrival < self.measure_end {
-                stats.completed += 1;
-                let lat_s = lat.as_secs_f64();
-                stats.latency.record(lat_s);
-                self.agg_latency.record(lat_s);
-                stats.sum_queuing += rec.queuing.as_secs_f64();
-                stats.sum_loading += rec.loading.as_secs_f64();
-                stats.sum_inference += rec.inference.as_secs_f64();
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        while let Some(entry) = self.heap.pop() {
-            let now = entry.time;
-            if now > self.horizon {
-                break;
-            }
-            match entry.ev {
-                Ev::Arrival { tenant, query } => {
-                    let t = tenant as usize;
-                    let subs = self.split(t, query, now);
-                    self.queries[t][query as usize].remaining = subs.len() as u32;
-                    self.queries[t][query as usize].n_subs = subs.len() as u32;
-                    if self.topos[t].front.is_some() {
-                        self.front_queues[t].extend(subs);
-                        self.schedule_front(now);
-                    } else {
-                        self.fusion_bufs[t].extend(subs);
-                        self.try_launch_gpu(now);
-                    }
-                }
-                Ev::FrontDone { thread, sub } => {
-                    self.front_free.push(thread);
-                    let forwarded = CoSub { ready: now, ..sub };
-                    match &self.topos[sub.tenant as usize].back {
-                        BackStage::None => self.complete_sub(&sub, now),
-                        BackStage::HostPool { .. } => {
-                            self.back_queues[sub.tenant as usize].push_back(forwarded);
-                            self.schedule_back(now);
-                        }
-                        BackStage::Gpu { .. } => {
-                            self.fusion_bufs[sub.tenant as usize].push_back(forwarded);
-                            self.try_launch_gpu(now);
-                        }
-                    }
-                    self.schedule_front(now);
-                }
-                Ev::BackDone { thread, sub } => {
-                    self.back_free.push(thread);
-                    self.complete_sub(&sub, now);
-                    self.schedule_back(now);
-                }
-                Ev::LoadDone { ctx, batch } => {
-                    let t = self.batches[batch].tenant as usize;
-                    let items = self.batches[batch].items;
-                    let BackStage::Gpu { svc, colocated, .. } = &self.topos[t].back else {
-                        unreachable!("LoadDone only fires with a GPU stage");
-                    };
-                    let cost = svc.cost(items);
-                    let factor = self.derate_for(t, now);
-                    let svc_latency = Self::derated(cost.latency, factor);
-                    let b = self.buckets.index(now);
-                    self.buckets.gpu_s[b] +=
-                        svc_latency.as_secs_f64() * cost.gpu_util / *colocated as f64;
-                    self.batches[batch].compute = svc_latency;
-                    self.push(now + svc_latency, Ev::GpuDone { ctx, batch });
-                }
-                Ev::GpuDone { ctx, batch } => {
-                    self.gpu_free.push(ctx);
-                    let t = self.batches[batch].tenant as usize;
-                    let compute = self.batches[batch].compute;
-                    let load_start = self.batches[batch].load_start;
-                    let load_dur = self.batches[batch].load_dur;
-                    let subs = std::mem::take(&mut self.batches[batch].subs);
-                    for sub in &subs {
-                        let rec = &mut self.queries[t][sub.query as usize];
-                        let nsubs = rec.n_subs.max(1) as u64;
-                        let wait = load_start.saturating_since(sub.ready);
-                        rec.queuing += wait / nsubs;
-                        rec.loading += load_dur / nsubs;
-                        rec.inference += compute / nsubs;
-                        self.complete_sub(sub, now);
-                    }
-                    self.try_launch_gpu(now);
-                }
-            }
-        }
+    /// Records `bytes` of channel traffic issued by `tenant`.
+    pub(crate) fn charge(&mut self, tenant: usize, bytes: f64) {
+        self.chan_bytes[tenant] += bytes;
     }
 }
 
@@ -515,9 +176,9 @@ fn topo_shape(t: &Topology) -> (bool, u8) {
 /// Simulates `cfg.tenants` co-located on `server` under the shared `plan`.
 ///
 /// Every tenant's topology is built from its own model against the same
-/// placement plan; the engine then runs per-tenant dispatch queues over the
-/// shared thread pools with interference-derated service times. Returns one
-/// report per tenant plus the aggregate server view.
+/// placement plan; the event loop then runs per-tenant dispatch queues over
+/// the shared thread pools with interference-derated service times. Returns
+/// one report per tenant plus the aggregate server view.
 ///
 /// # Errors
 ///
@@ -542,207 +203,23 @@ pub fn simulate_colocated(
         return Err(PlanError::TenantShapeMismatch);
     }
 
-    let n = cfg.tenants.len();
-    let sim = &cfg.sim;
-    let horizon = SimTime::ZERO + sim.duration;
-    let warmup_start = SimTime::ZERO + sim.duration.mul_f64(sim.warmup_fraction.clamp(0.0, 0.9));
-    let margin = sim.drain_margin.min(sim.duration.mul_f64(0.4));
-    let measure_end = SimTime::ZERO + (sim.duration.saturating_sub(margin));
-    let measure_end = measure_end.max(warmup_start);
-
-    // Per-tenant arrival streams: tenant 0 is the dedicated stream.
-    let mut queries: Vec<Vec<QueryRec>> = Vec::with_capacity(n);
-    let mut sizes: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut stats: Vec<TenantStats> = Vec::with_capacity(n);
-    let mut arrivals: Vec<Vec<SimTime>> = Vec::with_capacity(n);
-    for (i, tenant) in cfg.tenants.iter().enumerate() {
-        let mut stream = QueryStream::tenant(tenant.offered, sim.seed, i as u32);
-        let qs = stream.take_until(horizon);
-        let mut st = TenantStats::new();
-        st.total_arrivals = qs.len() as u64;
-        st.measured_arrivals = qs
-            .iter()
-            .filter(|q| q.arrival >= warmup_start && q.arrival < measure_end)
-            .count() as u64;
-        stats.push(st);
-        queries.push(
-            qs.iter()
-                .map(|q| QueryRec {
-                    arrival: q.arrival,
-                    ..QueryRec::default()
-                })
-                .collect(),
-        );
-        sizes.push(qs.iter().map(|q| q.size).collect());
-        arrivals.push(qs.iter().map(|q| q.arrival).collect());
-    }
-
-    // Shared pools sized by the plan (identical across tenants by the
-    // shape check above).
-    let front_threads = topos[0].front.as_ref().map_or(0, |f| f.threads);
-    let (back_threads, gpu_ctxs) = match &topos[0].back {
-        BackStage::None => (0, 0),
-        BackStage::HostPool { threads, .. } => (*threads, 0),
-        BackStage::Gpu { colocated, .. } => (0, *colocated),
-    };
-    let shares: Vec<f64> = cfg.tenants.iter().map(|t| t.share).collect();
-
-    let mut engine = CoEngine {
-        topos: &topos,
-        server,
-        n_tenants: n as u32,
-        peak_chan_bw: server.mem.peak_bw_gbs * 1e9,
-        chan_bytes_cum: vec![0.0; n],
-        horizon,
-        warmup_start,
-        measure_end,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        queries,
-        sizes,
-        front_queues: (0..n).map(|_| VecDeque::new()).collect(),
-        front_free: (0..front_threads).collect(),
-        front_rr: WeightedRr::new(&shares),
-        back_queues: (0..n).map(|_| VecDeque::new()).collect(),
-        back_free: (0..back_threads).collect(),
-        back_rr: WeightedRr::new(&shares),
-        fusion_bufs: (0..n).map(|_| VecDeque::new()).collect(),
-        gpu_free: (0..gpu_ctxs).collect(),
-        gpu_rr: WeightedRr::new(&shares),
-        pcie_free: SimTime::ZERO,
-        batches: Vec::new(),
-        tenants: stats,
-        agg_latency: PercentileTracker::new(),
-        buckets: Buckets::new(sim.duration),
-        front_idle_weighted: 0.0,
-        front_busy_weight: 0.0,
-        total_nmp_j: 0.0,
-    };
-
-    for (t, list) in arrivals.into_iter().enumerate() {
-        for (q, time) in list.into_iter().enumerate() {
-            engine.push(
-                time,
-                Ev::Arrival {
-                    tenant: t as u32,
-                    query: q as u32,
-                },
-            );
-        }
-    }
-    engine.run();
-
-    // Server-level power and activity (shared across per-tenant reports).
-    let duration_s = sim.duration.as_secs_f64();
-    let window_s = (measure_end - warmup_start).as_secs_f64().max(1e-9);
-    let LoadSummary {
-        cpu_activity,
-        mem_activity,
-        gpu_activity,
-        pcie_activity,
-        mean_power,
-        peak_power,
-    } = summarize_load(&engine.buckets, server, duration_s, engine.total_nmp_j);
-
-    let front_idle_fraction = if engine.front_busy_weight > 0.0 {
-        engine.front_idle_weighted / engine.front_busy_weight
-    } else {
-        0.0
-    };
-
-    // Whole-server energy is attributed to queries evenly: every tenant's
-    // energy_per_query is server energy over *aggregate* completions, so
-    // summing `energy_per_query * completed` across tenants recovers the
-    // server's actual energy exactly (and a single tenant reproduces the
-    // dedicated figure bit-for-bit).
-    let agg_completed: u64 = engine.tenants.iter().map(|s| s.completed).sum();
-    let energy_per_query = if agg_completed == 0 {
-        Joules::ZERO
-    } else {
-        Joules(mean_power.value() * window_s / agg_completed as f64)
-    };
-
-    let assemble = |offered: Qps, in_flight: u64, st: &mut TenantStats| -> SimReport {
-        let completed = st.completed;
-        let achieved = Qps(completed as f64 / window_s);
-        let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
-        let mean_latency = SimDuration::from_secs_f64(st.latency.mean());
-        let (p50, p95, p99) = (
-            to_dur(st.latency.p50()),
-            to_dur(st.latency.p95()),
-            to_dur(st.latency.p99()),
-        );
-        let per = |sum: f64| {
-            if completed == 0 {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_secs_f64(sum / completed as f64)
-            }
-        };
-        SimReport {
-            offered,
-            achieved,
-            measured_arrivals: st.measured_arrivals,
-            completed,
-            total_arrivals: st.total_arrivals,
-            completed_total: st.completed_total,
-            in_flight_at_horizon: in_flight,
-            mean_latency,
-            p50,
-            p95,
-            p99,
-            mean_power,
-            peak_power,
-            energy_per_query,
-            cpu_activity,
-            mem_activity,
-            gpu_activity,
-            pcie_activity,
-            front_idle_fraction,
-            breakdown: LatencyBreakdown {
-                queuing: per(st.sum_queuing),
-                loading: per(st.sum_loading),
-                inference: per(st.sum_inference),
-            },
-        }
-    };
-
-    let in_flight_of = |recs: &[QueryRec]| recs.iter().filter(|q| q.remaining > 0).count() as u64;
-
-    // Aggregate counters fold over the per-tenant stats; the latency
-    // population was recorded separately (quantiles cannot be merged).
-    let mut agg = TenantStats::new();
-    agg.latency = std::mem::replace(&mut engine.agg_latency, PercentileTracker::new());
-    for st in &engine.tenants {
-        agg.completed += st.completed;
-        agg.completed_total += st.completed_total;
-        agg.measured_arrivals += st.measured_arrivals;
-        agg.total_arrivals += st.total_arrivals;
-        agg.sum_queuing += st.sum_queuing;
-        agg.sum_loading += st.sum_loading;
-        agg.sum_inference += st.sum_inference;
-    }
-
-    let mut per_tenant = Vec::with_capacity(n);
-    for (i, tenant) in cfg.tenants.iter().enumerate() {
-        let in_flight = in_flight_of(&engine.queries[i]);
-        per_tenant.push(assemble(tenant.offered, in_flight, &mut engine.tenants[i]));
-    }
-
-    let agg_offered = Qps(cfg.tenants.iter().map(|t| t.offered.value()).sum());
-    let agg_in_flight: u64 = engine.queries.iter().map(|q| in_flight_of(q)).sum();
-    let aggregate = assemble(agg_offered, agg_in_flight, &mut agg);
-
-    Ok(ColocationReport {
-        per_tenant,
-        aggregate,
-    })
+    let tenants: Vec<TenantRun<'_>> = topos
+        .iter()
+        .zip(&cfg.tenants)
+        .map(|(topo, t)| TenantRun {
+            topo,
+            offered: t.offered,
+            share: t.share,
+        })
+        .collect();
+    Ok(run(server, &tenants, &cfg.sim))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{SimConfig, TenantSpec};
+    use hercules_common::units::{Qps, SimDuration};
     use hercules_hw::server::ServerType;
     use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 

@@ -387,12 +387,6 @@ impl TenantSpec {
         self.share = share;
         self
     }
-
-    /// Builder: overrides the SLA.
-    pub fn with_sla(mut self, sla: SlaSpec) -> Self {
-        self.sla = sla;
-        self
-    }
 }
 
 /// Simulation controls for a multi-tenant run: the shared [`SimConfig`]

@@ -7,6 +7,14 @@
 //! S-D pipeline forwards pooled sparse outputs through a queue; PCIe loading
 //! is a serialized shared link. Tail latency, throughput, utilization, and
 //! power are measured over a post-warm-up window.
+//!
+//! One event loop serves every run. It takes N ≥ 1 tenants over the
+//! shared pools: each tenant has its own dispatch queues, the pools pick
+//! among backlogged tenants by share-weighted deficit round-robin, and
+//! co-located tenants' service times are derated for interference
+//! (`crate::colocation`). A dedicated server ([`simulate_with_topology`])
+//! is the one-tenant case, which takes neither the picker's scan nor the
+//! derate's arithmetic and keeps no second latency population.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -20,43 +28,24 @@ use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
 use hercules_workload::generator::QueryStream;
 
+use crate::colocation::{Interference, WeightedRr};
 use crate::config::{PlacementPlan, PlanError, SimConfig};
-use crate::metrics::{LatencyBreakdown, SimReport};
+use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
 use crate::service::{build_topology, BackStage, Topology};
 
 /// Number of coarse accounting buckets used for peak-power estimation.
 pub const POWER_BUCKETS: usize = 32;
 
-#[derive(Debug, Clone, Copy)]
-struct SubQuery {
-    query: u32,
-    items: u32,
-    ready: SimTime,
-}
-
-#[derive(Debug)]
-struct FusedBatch {
-    subs: Vec<SubQuery>,
-    items: u32,
-    load_start: SimTime,
-    load_dur: SimDuration,
-}
-
-#[derive(Debug)]
-enum Ev {
-    Arrival(u32),
-    FrontDone { thread: u32, sub: SubQuery },
-    BackDone { thread: u32, sub: SubQuery },
-    LoadDone { ctx: u32, batch: usize },
-    GpuDone { ctx: u32, batch: usize },
-}
-
-// Shared with the multi-tenant engine (`crate::colocation`), which queues
-// its own event type with identical (time, seq) ordering.
-pub(crate) struct HeapEntry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) ev: E,
+/// An entry of a discrete-event queue: pops earliest `time` first, then
+/// lowest `seq` (insertion order), so simultaneous events keep the order
+/// they were scheduled in. Shared with the runtime's virtual clock.
+pub struct HeapEntry<E> {
+    /// When the event fires.
+    pub time: SimTime,
+    /// Insertion sequence number, the tie-breaker.
+    pub seq: u64,
+    /// The event.
+    pub ev: E,
 }
 
 impl<E> PartialEq for HeapEntry<E> {
@@ -83,15 +72,10 @@ impl<E> Ord for HeapEntry<E> {
 /// Splits a query of `size` items into sub-query sizes under the plan's
 /// data-parallel split batch (`None`: the whole query flows as one unit).
 ///
-/// Shared by the dedicated engine, the multi-tenant engine, and the live
-/// serving runtime, so every execution backend forms identical sub-queries.
-pub fn split_sizes(size: u32, split_batch: Option<u32>) -> Vec<u32> {
-    split_iter(size, split_batch).collect()
-}
-
-/// Allocation-free form of [`split_sizes`]: yields the identical sub-query
-/// sizes as a `Copy` exact-size iterator, so the wall-clock dispatcher can
-/// form sub-queries on its hot path without touching the heap.
+/// Shared by the simulator and the live serving runtime, so every
+/// execution backend forms identical sub-queries. The iterator is `Copy`
+/// and exact-size, so dispatchers form sub-queries without touching the
+/// heap.
 pub fn split_iter(size: u32, split_batch: Option<u32>) -> SplitIter {
     let chunk = match split_batch {
         None => size.max(1),
@@ -127,22 +111,10 @@ impl Iterator for SplitIter {
 
 impl ExactSizeIterator for SplitIter {}
 
-// `pub(crate)` so the multi-tenant engine (`crate::colocation`) shares the
-// exact per-query record and power-bucket accounting of the dedicated path.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QueryRec {
-    pub(crate) arrival: SimTime,
-    pub(crate) remaining: u32,
-    pub(crate) n_subs: u32,
-    pub(crate) queuing: SimDuration,
-    pub(crate) loading: SimDuration,
-    pub(crate) inference: SimDuration,
-}
-
 /// Coarse time-bucketed resource accounting: busy core-seconds, channel
 /// bytes, GPU-seconds, PCIe-seconds, and NMP energy per bucket. Feeds
-/// [`summarize_load`]; shared by the simulation engines and the live
-/// serving runtime so every backend derives power and activity identically.
+/// [`summarize_load`]; shared by the simulator and the live serving
+/// runtime so every backend derives power and activity identically.
 #[derive(Debug, Clone)]
 pub struct Buckets {
     /// Bucket width in seconds (`duration / POWER_BUCKETS`).
@@ -202,9 +174,8 @@ impl Buckets {
 }
 
 /// Server-level activity and power derived from the bucketed accounting —
-/// shared by the dedicated engine, the multi-tenant engine, and the live
-/// serving runtime so the report-assembly paths can never drift (the
-/// single-tenant bitwise-equivalence property depends on it).
+/// shared by the simulator and the live serving runtime so their
+/// report-assembly paths can never drift.
 pub struct LoadSummary {
     /// Mean fraction of CPU cores busy.
     pub cpu_activity: f64,
@@ -264,35 +235,120 @@ pub fn summarize_load(
     }
 }
 
-struct Engine<'a> {
-    topo: &'a Topology,
-    server: &'a ServerSpec,
-    horizon: SimTime,
-    warmup_start: SimTime,
-    measure_end: SimTime,
-    heap: BinaryHeap<HeapEntry<Ev>>,
-    seq: u64,
-    queries: Vec<QueryRec>,
-    all_queries: Vec<hercules_workload::query::Query>,
-    // Host front pool.
-    front_queue: VecDeque<SubQuery>,
-    front_free: Vec<u32>,
-    // Host back pool (S-D dense stage).
-    back_queue: VecDeque<SubQuery>,
-    back_free: Vec<u32>,
-    // GPU stage.
-    fusion_buf: VecDeque<SubQuery>,
-    gpu_free: Vec<u32>,
-    pcie_free: SimTime,
-    batches: Vec<FusedBatch>,
-    // Metrics.
+/// One tenant of a run: the topology its model was built into, its
+/// offered load, and its scheduling share.
+pub(crate) struct TenantRun<'a> {
+    pub(crate) topo: &'a Topology,
+    pub(crate) offered: Qps,
+    pub(crate) share: f64,
+}
+
+/// A query's arrival, in the order the event loop serves arrivals.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    time: SimTime,
+    tenant: u32,
+    query: u32,
+    size: u32,
+}
+
+/// A sub-query of `tenant`'s `query` (a run-wide index), queued since
+/// `ready`.
+#[derive(Debug, Clone, Copy)]
+struct Sub {
+    tenant: u32,
+    query: u32,
+    items: u32,
+    ready: SimTime,
+}
+
+/// A fused accelerator batch.
+#[derive(Debug)]
+struct FusedBatch {
+    tenant: u32,
+    subs: Vec<Sub>,
+    items: u32,
+    load_start: SimTime,
+    load_dur: SimDuration,
+    /// GPU compute time, fixed when the load completes: a load-dependent
+    /// interference factor evolves while the batch computes, so completion
+    /// attributes the duration that was actually scheduled.
+    compute: SimDuration,
+}
+
+/// A completion on the event heap; arrivals are served in time order
+/// beside it ([`Engine::run`]).
+#[derive(Debug)]
+enum Done {
+    Front { thread: u32, sub: Sub },
+    Back { thread: u32, sub: Sub },
+    Load { ctx: u32, batch: usize },
+    Gpu { ctx: u32, batch: usize },
+}
+
+#[derive(Debug, Clone, Default)]
+struct QueryRec {
+    arrival: SimTime,
+    remaining: u32,
+    n_subs: u32,
+    queuing: SimDuration,
+    loading: SimDuration,
+    inference: SimDuration,
+}
+
+/// Per-tenant measurement state.
+#[derive(Debug, Default)]
+struct TenantStats {
     latency: PercentileTracker,
     completed: u64,
     completed_total: u64,
     measured_arrivals: u64,
+    total_arrivals: u64,
     sum_queuing: f64,
     sum_loading: f64,
     sum_inference: f64,
+}
+
+/// `d` stretched by an interference factor; untouched without one (a
+/// lone tenant) and never round-tripped through floats at factor 1.
+fn stretch(d: SimDuration, factor: Option<f64>) -> SimDuration {
+    match factor {
+        Some(f) if f > 1.0 => d.mul_f64(f),
+        _ => d,
+    }
+}
+
+struct Engine<'a> {
+    topos: Vec<&'a Topology>,
+    server: &'a ServerSpec,
+    horizon: SimTime,
+    warmup_start: SimTime,
+    measure_end: SimTime,
+    heap: BinaryHeap<HeapEntry<Done>>,
+    seq: u64,
+    queries: Vec<QueryRec>,
+    /// Co-runner interference; `None` with one tenant.
+    interference: Option<Interference>,
+    // Shared host front pool over per-tenant dispatch queues.
+    front_queues: Vec<VecDeque<Sub>>,
+    front_free: Vec<u32>,
+    front_rr: WeightedRr,
+    // Shared host back pool (S-D dense stage).
+    back_queues: Vec<VecDeque<Sub>>,
+    back_free: Vec<u32>,
+    back_rr: WeightedRr,
+    // Shared GPU stage: per-tenant fusion buffers (fusion never crosses
+    // tenants — the batches run different models), shared contexts + link.
+    fusion_bufs: Vec<VecDeque<Sub>>,
+    gpu_free: Vec<u32>,
+    gpu_rr: WeightedRr,
+    pcie_free: SimTime,
+    batches: Vec<FusedBatch>,
+    // Metrics.
+    stats: Vec<TenantStats>,
+    /// The merged latency population across tenants; `None` with one
+    /// tenant, whose own population is the aggregate.
+    agg_latency: Option<PercentileTracker>,
     buckets: Buckets,
     front_idle_weighted: f64,
     front_busy_weight: f64,
@@ -300,7 +356,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn push(&mut self, time: SimTime, ev: Ev) {
+    fn push(&mut self, time: SimTime, ev: Done) {
         self.seq += 1;
         self.heap.push(HeapEntry {
             time,
@@ -309,90 +365,139 @@ impl<'a> Engine<'a> {
         });
     }
 
-    fn split(&self, query_idx: u32, now: SimTime) -> Vec<SubQuery> {
-        let size = self.all_queries[query_idx as usize].size;
-        split_sizes(size, self.topo.split_batch)
-            .into_iter()
-            .map(|items| SubQuery {
-                query: query_idx,
-                items,
-                ready: now,
-            })
-            .collect()
+    /// The interference factor for `tenant`'s batch dispatched at `now`.
+    fn derate(&self, tenant: usize, now: SimTime) -> Option<f64> {
+        self.interference.as_ref().map(|i| i.factor(tenant, now))
+    }
+
+    fn arrive(&mut self, a: Arrival, now: SimTime) {
+        let t = a.tenant as usize;
+        let topo = self.topos[t];
+        let sizes = split_iter(a.size, topo.split_batch);
+        let rec = &mut self.queries[a.query as usize];
+        rec.remaining = sizes.len() as u32;
+        rec.n_subs = sizes.len() as u32;
+        let subs = sizes.map(|items| Sub {
+            tenant: a.tenant,
+            query: a.query,
+            items,
+            ready: now,
+        });
+        if topo.front.is_some() {
+            self.front_queues[t].extend(subs);
+            self.schedule_front(now);
+        } else {
+            self.fusion_bufs[t].extend(subs);
+            self.try_launch_gpu(now);
+        }
+    }
+
+    /// Charges a dispatched sub-query's queue wait and service time to its
+    /// query, split evenly over the query's sub-queries.
+    fn charge_dispatch(&mut self, sub: &Sub, now: SimTime, service: SimDuration) {
+        let rec = &mut self.queries[sub.query as usize];
+        let nsubs = rec.n_subs.max(1) as u64;
+        rec.queuing += now.saturating_since(sub.ready) / nsubs;
+        rec.inference += service / nsubs;
     }
 
     fn schedule_front(&mut self, now: SimTime) {
-        let Some(front) = &self.topo.front else {
+        if self.topos[0].front.is_none() {
             return;
-        };
-        while !self.front_free.is_empty() && !self.front_queue.is_empty() {
+        }
+        while !self.front_free.is_empty() {
+            let queues = &self.front_queues;
+            let Some(t) = self.front_rr.pick(|i| !queues[i].is_empty()) else {
+                break;
+            };
             let thread = self.front_free.pop().expect("non-empty");
-            let sub = self.front_queue.pop_front().expect("non-empty");
-            let cost = front.svc.cost(sub.items);
-            let wait = now.saturating_since(sub.ready);
-            let rec = &mut self.queries[sub.query as usize];
-            let nsubs = rec.n_subs.max(1) as u64;
-            rec.queuing += wait / nsubs;
-            rec.inference += cost.latency / nsubs;
+            let sub = self.front_queues[t].pop_front().expect("backlogged");
+            let topo = self.topos[t];
+            let front = topo.front.as_ref().expect("uniform tenant shapes");
+            let cost = front.svc.cost_shared(sub.items);
+            let factor = self.derate(t, now);
+            let latency = stretch(cost.latency, factor);
+            let busy_s = cost.busy_core_time.as_secs_f64();
+            let busy_s = factor.map_or(busy_s, |f| busy_s * f);
+            self.charge_dispatch(&sub, now, latency);
             let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64();
+            self.buckets.cpu_core_s[b] += busy_s;
             self.buckets.chan_bytes[b] += cost.channel_bytes;
             self.buckets.nmp_j[b] += cost.nmp_energy.value();
             self.total_nmp_j += cost.nmp_energy.value();
-            self.front_idle_weighted += cost.idle_fraction * cost.busy_core_time.as_secs_f64();
-            self.front_busy_weight += cost.busy_core_time.as_secs_f64();
-            let done = now + cost.latency;
-            self.push(done, Ev::FrontDone { thread, sub });
+            self.front_idle_weighted += cost.idle_fraction * busy_s;
+            self.front_busy_weight += busy_s;
+            if let Some(i) = &mut self.interference {
+                i.charge(t, cost.channel_bytes);
+            }
+            self.push(now + latency, Done::Front { thread, sub });
         }
     }
 
     fn schedule_back(&mut self, now: SimTime) {
-        let BackStage::HostPool { svc, .. } = &self.topo.back else {
+        let BackStage::HostPool { .. } = &self.topos[0].back else {
             return;
         };
-        while !self.back_free.is_empty() && !self.back_queue.is_empty() {
+        while !self.back_free.is_empty() {
+            let queues = &self.back_queues;
+            let Some(t) = self.back_rr.pick(|i| !queues[i].is_empty()) else {
+                break;
+            };
             let thread = self.back_free.pop().expect("non-empty");
-            let sub = self.back_queue.pop_front().expect("non-empty");
-            let cost = svc.cost(sub.items);
-            let wait = now.saturating_since(sub.ready);
-            let nsubs = self.queries[sub.query as usize].n_subs.max(1) as u64;
-            self.queries[sub.query as usize].queuing += wait / nsubs;
-            self.queries[sub.query as usize].inference += cost.latency / nsubs;
+            let sub = self.back_queues[t].pop_front().expect("backlogged");
+            let topo = self.topos[t];
+            let BackStage::HostPool { svc, .. } = &topo.back else {
+                unreachable!("uniform tenant shapes");
+            };
+            let cost = svc.cost_shared(sub.items);
+            let factor = self.derate(t, now);
+            let latency = stretch(cost.latency, factor);
+            let busy_s = cost.busy_core_time.as_secs_f64();
+            self.charge_dispatch(&sub, now, latency);
             let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64();
+            self.buckets.cpu_core_s[b] += factor.map_or(busy_s, |f| busy_s * f);
             self.buckets.chan_bytes[b] += cost.channel_bytes;
-            let done = now + cost.latency;
-            self.push(done, Ev::BackDone { thread, sub });
+            if let Some(i) = &mut self.interference {
+                i.charge(t, cost.channel_bytes);
+            }
+            self.push(now + latency, Done::Back { thread, sub });
         }
     }
 
     fn try_launch_gpu(&mut self, now: SimTime) {
-        let BackStage::Gpu {
-            fusion_limit,
-            bytes_per_item,
-            ..
-        } = &self.topo.back
-        else {
+        let BackStage::Gpu { .. } = &self.topos[0].back else {
             return;
         };
-        let fusion_limit = *fusion_limit;
-        let bytes_per_item = *bytes_per_item;
-        while !self.gpu_free.is_empty() && !self.fusion_buf.is_empty() {
+        while !self.gpu_free.is_empty() {
+            let bufs = &self.fusion_bufs;
+            let Some(t) = self.gpu_rr.pick(|i| !bufs[i].is_empty()) else {
+                break;
+            };
+            let topo = self.topos[t];
+            let BackStage::Gpu {
+                fusion_limit,
+                bytes_per_item,
+                ..
+            } = &topo.back
+            else {
+                unreachable!("uniform tenant shapes");
+            };
             let ctx = self.gpu_free.pop().expect("non-empty");
+            let buf = &mut self.fusion_bufs[t];
             let mut subs = Vec::new();
             let mut items = 0u32;
             match fusion_limit {
                 None => {
-                    let sub = self.fusion_buf.pop_front().expect("non-empty");
+                    let sub = buf.pop_front().expect("backlogged");
                     items = sub.items;
                     subs.push(sub);
                 }
                 Some(limit) => {
-                    while let Some(next) = self.fusion_buf.front() {
-                        if !subs.is_empty() && items + next.items > limit {
+                    while let Some(next) = buf.front() {
+                        if !subs.is_empty() && items + next.items > *limit {
                             break;
                         }
-                        let sub = self.fusion_buf.pop_front().expect("non-empty");
+                        let sub = buf.pop_front().expect("non-empty");
                         items += sub.items;
                         subs.push(sub);
                     }
@@ -403,118 +508,345 @@ impl<'a> Engine<'a> {
                 .gpu
                 .as_ref()
                 .expect("gpu topology on gpu server");
-            let bytes = bytes_per_item * items as f64;
+            // The PCIe link is shared across tenants: transfers serialize.
             let load_start = now.max(self.pcie_free);
-            let load_dur = pcie_transfer_time(bytes, gpu, 1);
+            let load_dur = pcie_transfer_time(bytes_per_item * items as f64, gpu, 1);
             self.pcie_free = load_start + load_dur;
             let b = self.buckets.index(load_start);
             self.buckets.pcie_s[b] += load_dur.as_secs_f64();
-            let batch_id = self.batches.len();
+            let batch = self.batches.len();
             self.batches.push(FusedBatch {
+                tenant: t as u32,
                 subs,
                 items,
                 load_start,
                 load_dur,
+                compute: SimDuration::ZERO,
             });
-            self.push(
-                load_start + load_dur,
-                Ev::LoadDone {
-                    ctx,
-                    batch: batch_id,
-                },
-            );
+            self.push(load_start + load_dur, Done::Load { ctx, batch });
         }
     }
 
-    fn complete_sub(&mut self, sub: &SubQuery, now: SimTime) {
+    fn complete_sub(&mut self, sub: &Sub, now: SimTime) {
         let rec = &mut self.queries[sub.query as usize];
         rec.remaining -= 1;
         if rec.remaining == 0 {
-            self.completed_total += 1;
-            let lat = now.saturating_since(rec.arrival);
+            let stats = &mut self.stats[sub.tenant as usize];
+            stats.completed_total += 1;
             if rec.arrival >= self.warmup_start && rec.arrival < self.measure_end {
-                self.completed += 1;
-                self.latency.record(lat.as_secs_f64());
-                self.sum_queuing += rec.queuing.as_secs_f64();
-                self.sum_loading += rec.loading.as_secs_f64();
-                self.sum_inference += rec.inference.as_secs_f64();
+                stats.completed += 1;
+                let lat_s = now.saturating_since(rec.arrival).as_secs_f64();
+                stats.latency.record(lat_s);
+                if let Some(agg) = &mut self.agg_latency {
+                    agg.record(lat_s);
+                }
+                stats.sum_queuing += rec.queuing.as_secs_f64();
+                stats.sum_loading += rec.loading.as_secs_f64();
+                stats.sum_inference += rec.inference.as_secs_f64();
             }
         }
     }
 
-    fn run(&mut self) {
-        while let Some(entry) = self.heap.pop() {
-            let now = entry.time;
-            if now > self.horizon {
-                break;
-            }
-            match entry.ev {
-                Ev::Arrival(q) => {
-                    let subs = self.split(q, now);
-                    self.queries[q as usize].remaining = subs.len() as u32;
-                    self.queries[q as usize].n_subs = subs.len() as u32;
-                    if self.topo.front.is_some() {
-                        self.front_queue.extend(subs);
-                        self.schedule_front(now);
-                    } else {
-                        self.fusion_buf.extend(subs);
+    fn handle(&mut self, done: Done, now: SimTime) {
+        match done {
+            Done::Front { thread, sub } => {
+                self.front_free.push(thread);
+                let forwarded = Sub { ready: now, ..sub };
+                let t = sub.tenant as usize;
+                let topo = self.topos[t];
+                match &topo.back {
+                    BackStage::None => self.complete_sub(&sub, now),
+                    BackStage::HostPool { .. } => {
+                        self.back_queues[t].push_back(forwarded);
+                        self.schedule_back(now);
+                    }
+                    BackStage::Gpu { .. } => {
+                        self.fusion_bufs[t].push_back(forwarded);
                         self.try_launch_gpu(now);
                     }
                 }
-                Ev::FrontDone { thread, sub } => {
-                    self.front_free.push(thread);
-                    let forwarded = SubQuery { ready: now, ..sub };
-                    match &self.topo.back {
-                        BackStage::None => self.complete_sub(&sub, now),
-                        BackStage::HostPool { .. } => {
-                            self.back_queue.push_back(forwarded);
-                            self.schedule_back(now);
-                        }
-                        BackStage::Gpu { .. } => {
-                            self.fusion_buf.push_back(forwarded);
-                            self.try_launch_gpu(now);
-                        }
-                    }
-                    self.schedule_front(now);
+                self.schedule_front(now);
+            }
+            Done::Back { thread, sub } => {
+                self.back_free.push(thread);
+                self.complete_sub(&sub, now);
+                self.schedule_back(now);
+            }
+            Done::Load { ctx, batch } => {
+                let (t, items) = (
+                    self.batches[batch].tenant as usize,
+                    self.batches[batch].items,
+                );
+                let topo = self.topos[t];
+                let BackStage::Gpu { svc, colocated, .. } = &topo.back else {
+                    unreachable!("loads only run with a GPU stage");
+                };
+                let cost = svc.cost_shared(items);
+                let compute = stretch(cost.latency, self.derate(t, now));
+                let b = self.buckets.index(now);
+                self.buckets.gpu_s[b] += compute.as_secs_f64() * cost.gpu_util / *colocated as f64;
+                self.batches[batch].compute = compute;
+                self.push(now + compute, Done::Gpu { ctx, batch });
+            }
+            Done::Gpu { ctx, batch } => {
+                self.gpu_free.push(ctx);
+                let fused = &mut self.batches[batch];
+                let (load_start, load_dur, compute) =
+                    (fused.load_start, fused.load_dur, fused.compute);
+                let subs = std::mem::take(&mut fused.subs);
+                for sub in &subs {
+                    let rec = &mut self.queries[sub.query as usize];
+                    let nsubs = rec.n_subs.max(1) as u64;
+                    rec.queuing += load_start.saturating_since(sub.ready) / nsubs;
+                    rec.loading += load_dur / nsubs;
+                    rec.inference += compute / nsubs;
+                    self.complete_sub(sub, now);
                 }
-                Ev::BackDone { thread, sub } => {
-                    self.back_free.push(thread);
-                    self.complete_sub(&sub, now);
-                    self.schedule_back(now);
+                self.try_launch_gpu(now);
+            }
+        }
+    }
+
+    /// Serves `arrivals` (in time order, all before the horizon) and every
+    /// event they cause, up to the horizon. Arrivals stay out of the heap:
+    /// one due no later than the earliest pending event goes first, which
+    /// is the order a heap pre-loaded with every arrival would pop them in.
+    fn run(&mut self, arrivals: &[Arrival]) {
+        let mut next = 0;
+        loop {
+            let due = self.heap.peek().map(|e| e.time);
+            match arrivals.get(next) {
+                Some(a) if due.map_or(true, |t| a.time <= t) => {
+                    next += 1;
+                    self.arrive(*a, a.time);
                 }
-                Ev::LoadDone { ctx, batch } => {
-                    let items = self.batches[batch].items;
-                    let BackStage::Gpu { svc, colocated, .. } = &self.topo.back else {
-                        unreachable!("LoadDone only fires with a GPU stage");
+                _ => {
+                    let Some(entry) = self.heap.pop() else {
+                        break;
                     };
-                    let cost = svc.cost(items);
-                    let b = self.buckets.index(now);
-                    self.buckets.gpu_s[b] +=
-                        cost.latency.as_secs_f64() * cost.gpu_util / *colocated as f64;
-                    self.push(now + cost.latency, Ev::GpuDone { ctx, batch });
-                }
-                Ev::GpuDone { ctx, batch } => {
-                    self.gpu_free.push(ctx);
-                    let BackStage::Gpu { svc, .. } = &self.topo.back else {
-                        unreachable!("GpuDone only fires with a GPU stage");
-                    };
-                    let items = self.batches[batch].items;
-                    let compute = svc.cost(items).latency;
-                    let load_start = self.batches[batch].load_start;
-                    let load_dur = self.batches[batch].load_dur;
-                    let subs = std::mem::take(&mut self.batches[batch].subs);
-                    for sub in &subs {
-                        let nsubs = self.queries[sub.query as usize].n_subs.max(1) as u64;
-                        let wait = load_start.saturating_since(sub.ready);
-                        self.queries[sub.query as usize].queuing += wait / nsubs;
-                        self.queries[sub.query as usize].loading += load_dur / nsubs;
-                        self.queries[sub.query as usize].inference += compute / nsubs;
-                        self.complete_sub(sub, now);
+                    if entry.time > self.horizon {
+                        break;
                     }
-                    self.try_launch_gpu(now);
+                    self.handle(entry.ev, entry.time);
                 }
             }
         }
+    }
+}
+
+/// Server-wide quantities every report of one run shares.
+struct Shared {
+    load: LoadSummary,
+    window_s: f64,
+    front_idle_fraction: f64,
+    energy_per_query: Joules,
+}
+
+fn report(st: &mut TenantStats, offered: Qps, in_flight: u64, shared: &Shared) -> SimReport {
+    let completed = st.completed;
+    let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
+    // The mean first: the quantiles sort the samples, which would change
+    // the mean's summation order.
+    let mean_latency = SimDuration::from_secs_f64(st.latency.mean());
+    let (p50, p95, p99) = (
+        to_dur(st.latency.p50()),
+        to_dur(st.latency.p95()),
+        to_dur(st.latency.p99()),
+    );
+    let per = |sum: f64| {
+        if completed == 0 {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_secs_f64(sum / completed as f64)
+        }
+    };
+    let load = &shared.load;
+    SimReport {
+        offered,
+        achieved: Qps(completed as f64 / shared.window_s),
+        measured_arrivals: st.measured_arrivals,
+        completed,
+        total_arrivals: st.total_arrivals,
+        completed_total: st.completed_total,
+        in_flight_at_horizon: in_flight,
+        mean_latency,
+        p50,
+        p95,
+        p99,
+        mean_power: load.mean_power,
+        peak_power: load.peak_power,
+        energy_per_query: shared.energy_per_query,
+        cpu_activity: load.cpu_activity,
+        mem_activity: load.mem_activity,
+        gpu_activity: load.gpu_activity,
+        pcie_activity: load.pcie_activity,
+        front_idle_fraction: shared.front_idle_fraction,
+        breakdown: LatencyBreakdown {
+            queuing: per(st.sum_queuing),
+            loading: per(st.sum_loading),
+            inference: per(st.sum_inference),
+        },
+    }
+}
+
+/// Runs `tenants` over `server`'s shared pools, sized by the first
+/// tenant's topology (all tenants must share its shape). Returns one
+/// report per tenant plus the whole-server view; with one tenant the two
+/// are the same report.
+pub(crate) fn run(
+    server: &ServerSpec,
+    tenants: &[TenantRun<'_>],
+    cfg: &SimConfig,
+) -> ColocationReport {
+    let n = tenants.len();
+    let horizon = SimTime::ZERO + cfg.duration;
+    let warmup_start = SimTime::ZERO + cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
+    // Queries arriving after this instant are served but not measured; they
+    // could not complete before the horizon even when meeting the SLA.
+    let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
+    let measure_end = SimTime::ZERO + (cfg.duration.saturating_sub(margin));
+    let measure_end = measure_end.max(warmup_start);
+
+    // Per-tenant arrival streams (tenant 0's is the dedicated stream),
+    // indexed run-wide in tenant order.
+    let mut queries = Vec::new();
+    let mut arrivals = Vec::new();
+    let mut stats: Vec<TenantStats> = Vec::with_capacity(n);
+    for (i, tenant) in tenants.iter().enumerate() {
+        let mut st = TenantStats::default();
+        for q in QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(horizon) {
+            if q.arrival >= warmup_start && q.arrival < measure_end {
+                st.measured_arrivals += 1;
+            }
+            st.total_arrivals += 1;
+            arrivals.push(Arrival {
+                time: q.arrival,
+                tenant: i as u32,
+                query: queries.len() as u32,
+                size: q.size,
+            });
+            queries.push(QueryRec {
+                arrival: q.arrival,
+                ..QueryRec::default()
+            });
+        }
+        stats.push(st);
+    }
+    // Simultaneous arrivals go in tenant order, then stream order (the
+    // sort is stable); one tenant's stream is already in time order.
+    arrivals.sort_by_key(|a| a.time);
+
+    let topo = tenants[0].topo;
+    let front_threads = topo.front.as_ref().map_or(0, |f| f.threads);
+    let (back_threads, gpu_ctxs) = match &topo.back {
+        BackStage::None => (0, 0),
+        BackStage::HostPool { threads, .. } => (*threads, 0),
+        BackStage::Gpu { colocated, .. } => (0, *colocated),
+    };
+    let shares: Vec<f64> = tenants.iter().map(|t| t.share).collect();
+    let queues = || (0..n).map(|_| VecDeque::new()).collect::<Vec<_>>();
+
+    let mut engine = Engine {
+        topos: tenants.iter().map(|t| t.topo).collect(),
+        server,
+        horizon,
+        warmup_start,
+        measure_end,
+        heap: BinaryHeap::new(),
+        seq: 0,
+        queries,
+        interference: Interference::among(n, server),
+        front_queues: queues(),
+        front_free: (0..front_threads).collect(),
+        front_rr: WeightedRr::new(&shares),
+        back_queues: queues(),
+        back_free: (0..back_threads).collect(),
+        back_rr: WeightedRr::new(&shares),
+        fusion_bufs: queues(),
+        gpu_free: (0..gpu_ctxs).collect(),
+        gpu_rr: WeightedRr::new(&shares),
+        pcie_free: SimTime::ZERO,
+        batches: Vec::new(),
+        stats,
+        agg_latency: (n > 1).then(PercentileTracker::new),
+        buckets: Buckets::new(cfg.duration),
+        front_idle_weighted: 0.0,
+        front_busy_weight: 0.0,
+        total_nmp_j: 0.0,
+    };
+    engine.run(&arrivals);
+
+    // Assemble the reports.
+    let window_s = (measure_end - warmup_start).as_secs_f64().max(1e-9);
+    let load = summarize_load(
+        &engine.buckets,
+        server,
+        cfg.duration.as_secs_f64(),
+        engine.total_nmp_j,
+    );
+    // Whole-server energy is attributed to queries evenly: every tenant's
+    // energy_per_query is server energy over *aggregate* completions, so
+    // summing `energy_per_query * completed` across tenants recovers the
+    // server's energy exactly.
+    let agg_completed: u64 = engine.stats.iter().map(|s| s.completed).sum();
+    let energy_per_query = if agg_completed == 0 {
+        Joules::ZERO
+    } else {
+        Joules(load.mean_power.value() * window_s / agg_completed as f64)
+    };
+    let shared = Shared {
+        front_idle_fraction: if engine.front_busy_weight > 0.0 {
+            engine.front_idle_weighted / engine.front_busy_weight
+        } else {
+            0.0
+        },
+        load,
+        window_s,
+        energy_per_query,
+    };
+
+    // Every arrival was split (arrivals precede the horizon), so a query
+    // with outstanding sub-queries is exactly one still in flight.
+    let mut in_flight = Vec::with_capacity(n);
+    let mut start = 0;
+    for st in &engine.stats {
+        let end = start + st.total_arrivals as usize;
+        let recs = &engine.queries[start..end];
+        in_flight.push(recs.iter().filter(|q| q.remaining > 0).count() as u64);
+        start = end;
+    }
+    let per_tenant: Vec<SimReport> = tenants
+        .iter()
+        .zip(&mut engine.stats)
+        .zip(&in_flight)
+        .map(|((t, st), &inf)| report(st, t.offered, inf, &shared))
+        .collect();
+
+    let aggregate = match engine.agg_latency.take() {
+        None => per_tenant[0].clone(),
+        Some(latency) => {
+            // Counters fold over the tenants; the latency population was
+            // recorded separately (quantiles cannot be merged).
+            let mut agg = TenantStats {
+                latency,
+                ..TenantStats::default()
+            };
+            for st in &engine.stats {
+                agg.completed += st.completed;
+                agg.completed_total += st.completed_total;
+                agg.measured_arrivals += st.measured_arrivals;
+                agg.total_arrivals += st.total_arrivals;
+                agg.sum_queuing += st.sum_queuing;
+                agg.sum_loading += st.sum_loading;
+                agg.sum_inference += st.sum_inference;
+            }
+            let offered = Qps(tenants.iter().map(|t| t.offered.value()).sum());
+            report(&mut agg, offered, in_flight.iter().sum(), &shared)
+        }
+    };
+    ColocationReport {
+        per_tenant,
+        aggregate,
     }
 }
 
@@ -557,150 +889,20 @@ pub fn simulate_cached(
 }
 
 /// Simulates a pre-built topology (lets searchers reuse cost caches across
-/// load levels).
+/// load levels): the event loop with one tenant.
 pub fn simulate_with_topology(
     topo: &Topology,
     server: &ServerSpec,
     offered: Qps,
     cfg: &SimConfig,
 ) -> Result<SimReport, PlanError> {
-    let horizon = SimTime::ZERO + cfg.duration;
-    let warmup_start = SimTime::ZERO + cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-    // Queries arriving after this instant are served but not measured; they
-    // could not complete before the horizon even when meeting the SLA.
-    let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-    let measure_end = SimTime::ZERO + (cfg.duration.saturating_sub(margin));
-    let measure_end = measure_end.max(warmup_start);
-
-    let mut stream = QueryStream::paper(offered, cfg.seed);
-    let all_queries = stream.take_until(horizon);
-    let queries: Vec<QueryRec> = all_queries
-        .iter()
-        .map(|q| QueryRec {
-            arrival: q.arrival,
-            ..QueryRec::default()
-        })
-        .collect();
-    let measured_arrivals = all_queries
-        .iter()
-        .filter(|q| q.arrival >= warmup_start && q.arrival < measure_end)
-        .count() as u64;
-
-    let front_threads = topo.front.as_ref().map_or(0, |f| f.threads);
-    let (back_threads, gpu_ctxs) = match &topo.back {
-        BackStage::None => (0, 0),
-        BackStage::HostPool { threads, .. } => (*threads, 0),
-        BackStage::Gpu { colocated, .. } => (0, *colocated),
-    };
-
-    let mut engine = Engine {
+    let tenant = TenantRun {
         topo,
-        server,
-        horizon,
-        warmup_start,
-        measure_end,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        queries,
-        all_queries,
-        front_queue: VecDeque::new(),
-        front_free: (0..front_threads).collect(),
-        back_queue: VecDeque::new(),
-        back_free: (0..back_threads).collect(),
-        fusion_buf: VecDeque::new(),
-        gpu_free: (0..gpu_ctxs).collect(),
-        pcie_free: SimTime::ZERO,
-        batches: Vec::new(),
-        latency: PercentileTracker::new(),
-        completed: 0,
-        completed_total: 0,
-        measured_arrivals,
-        sum_queuing: 0.0,
-        sum_loading: 0.0,
-        sum_inference: 0.0,
-        buckets: Buckets::new(cfg.duration),
-        front_idle_weighted: 0.0,
-        front_busy_weight: 0.0,
-        total_nmp_j: 0.0,
-    };
-
-    let arrivals: Vec<SimTime> = engine.all_queries.iter().map(|q| q.arrival).collect();
-    for (i, t) in arrivals.into_iter().enumerate() {
-        engine.push(t, Ev::Arrival(i as u32));
-    }
-    engine.run();
-
-    // Assemble the report.
-    let duration_s = cfg.duration.as_secs_f64();
-    let window_s = (measure_end - warmup_start).as_secs_f64().max(1e-9);
-    let LoadSummary {
-        cpu_activity,
-        mem_activity,
-        gpu_activity,
-        pcie_activity,
-        mean_power,
-        peak_power,
-    } = summarize_load(&engine.buckets, server, duration_s, engine.total_nmp_j);
-
-    let completed = engine.completed;
-    let total_arrivals = engine.queries.len() as u64;
-    let completed_total = engine.completed_total;
-    // Every arrival was split (arrival events precede the horizon), so a
-    // query with outstanding sub-queries is exactly one still in flight.
-    let in_flight_at_horizon = engine.queries.iter().filter(|q| q.remaining > 0).count() as u64;
-    let achieved = Qps(completed as f64 / window_s);
-    let mut lat = engine.latency;
-    let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
-    let mean_latency = SimDuration::from_secs_f64(lat.mean());
-    let (p50, p95, p99) = (to_dur(lat.p50()), to_dur(lat.p95()), to_dur(lat.p99()));
-
-    let per = |sum: f64| {
-        if completed == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(sum / completed as f64)
-        }
-    };
-    let breakdown = LatencyBreakdown {
-        queuing: per(engine.sum_queuing),
-        loading: per(engine.sum_loading),
-        inference: per(engine.sum_inference),
-    };
-    let front_idle_fraction = if engine.front_busy_weight > 0.0 {
-        engine.front_idle_weighted / engine.front_busy_weight
-    } else {
-        0.0
-    };
-    let energy_per_query = if completed == 0 {
-        Joules::ZERO
-    } else {
-        Joules(mean_power.value() * window_s / completed as f64)
-    };
-
-    Ok(SimReport {
         offered,
-        achieved,
-        measured_arrivals: engine.measured_arrivals,
-        completed,
-        total_arrivals,
-        completed_total,
-        in_flight_at_horizon,
-        mean_latency,
-        p50,
-        p95,
-        p99,
-        mean_power,
-        peak_power,
-        energy_per_query,
-        cpu_activity,
-        mem_activity,
-        gpu_activity,
-        pcie_activity,
-        front_idle_fraction,
-        breakdown,
-    })
+        share: 1.0,
+    };
+    Ok(run(server, &[tenant], cfg).aggregate)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,12 +30,12 @@ pub mod service;
 pub use colocation::simulate_colocated;
 pub use config::{ColocationConfig, PlacementPlan, PlanError, SimConfig, SlaSpec, TenantSpec};
 pub use engine::{
-    simulate, simulate_cached, simulate_with_topology, split_iter, split_sizes, summarize_load,
-    Buckets, LoadSummary, SplitIter, POWER_BUCKETS,
+    simulate, simulate_cached, simulate_with_topology, split_iter, summarize_load, Buckets,
+    HeapEntry, LoadSummary, SplitIter, POWER_BUCKETS,
 };
 // Re-exported so evaluation layers can own a LUT cache without depending on
 // `hercules-hw` directly.
 pub use hercules_hw::nmp::NmpLutCache;
 pub use metrics::{ColocationReport, LatencyBreakdown, SimReport};
-pub use search::{max_qps_under_sla, SearchOptions, SlaSearchOutcome};
+pub use search::{find_knee, max_qps_under_sla, SearchOptions, SlaSearchOutcome};
 pub use service::{build_topology, BackStage, FrontStage, StageService, Topology};

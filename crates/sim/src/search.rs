@@ -2,9 +2,11 @@
 //! efficiency tuple (paper Fig. 9b).
 //!
 //! Finds the highest Poisson arrival rate a configuration sustains while
-//! meeting the SLA, by geometric ramp + binary search over simulations.
+//! meeting the SLA, by geometric ramp + binary search over probes: runs of
+//! the simulator here, runs of the serving runtime in
+//! `hercules_runtime::max_qps_under_sla_live`.
 
-use hercules_common::units::Qps;
+use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
@@ -23,7 +25,7 @@ pub struct SlaSearchOutcome {
     pub report: SimReport,
 }
 
-/// Options for [`max_qps_under_sla`].
+/// Options for [`find_knee`] and the searches built on it.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
     /// Starting probe rate.
@@ -72,22 +74,51 @@ pub fn max_qps_under_sla(
     luts: &NmpLutCache,
 ) -> Result<Option<SlaSearchOutcome>, PlanError> {
     let topo = build_topology(model, server, plan, luts)?;
-    let eval = |rate: Qps| {
-        let mut run_cfg = *cfg;
-        if let Some(target) = opts.target_queries {
-            // Size the run by query count, not wall time: low-rate probes
-            // stretch their horizon (they are cheap — few events), keeping
-            // tail-percentile estimates equally sampled at every rate.
-            let want = hercules_common::units::SimDuration::from_secs_f64(
-                (target as f64 / rate.value()).clamp(0.4, 900.0),
-            );
-            run_cfg.duration = want;
-        }
+    Ok(find_knee(
+        sla,
+        opts,
+        cfg.duration,
+        cfg.drain_margin,
+        |rate, duration, drain_margin| {
+            let run_cfg = SimConfig {
+                duration,
+                drain_margin,
+                ..*cfg
+            };
+            simulate_with_topology(&topo, server, rate, &run_cfg).expect("topology built")
+        },
+    ))
+}
+
+/// The knee finder behind every latency-bounded throughput search: a
+/// geometric ramp from `opts.start` brackets the highest rate that meets
+/// `sla`, then `opts.refine_iters` bisection steps refine it.
+///
+/// `measure(rate, duration, drain_margin)` probes one rate, by simulation
+/// or on a serving runtime. Each probe runs for `duration` (or, with
+/// `opts.target_queries`, long enough for about that many queries) and
+/// leaves at least two SLA targets of drain margin unmeasured.
+///
+/// Returns `None` when even a whisper of load (`opts.start / 8`) violates
+/// the SLA.
+pub fn find_knee(
+    sla: &SlaSpec,
+    opts: &SearchOptions,
+    duration: SimDuration,
+    drain_margin: SimDuration,
+    mut measure: impl FnMut(Qps, SimDuration, SimDuration) -> SimReport,
+) -> Option<SlaSearchOutcome> {
+    let mut eval = |rate: Qps| {
+        // Size the run by query count, not wall time: low-rate probes
+        // stretch their horizon (they are cheap — few events), keeping
+        // tail-percentile estimates equally sampled at every rate.
+        let duration = opts.target_queries.map_or(duration, |target| {
+            SimDuration::from_secs_f64((target as f64 / rate.value()).clamp(0.4, 900.0))
+        });
         // SLA-compliant queries arriving within ~2 targets of the horizon
         // could not drain in time; exclude them from measurement so low-rate
         // probes are not penalized for end-of-run truncation.
-        run_cfg.drain_margin = run_cfg.drain_margin.max(sla.target * 2);
-        simulate_with_topology(&topo, server, rate, &run_cfg).expect("topology built")
+        measure(rate, duration, drain_margin.max(sla.target * 2))
     };
 
     // Geometric ramp to bracket the knee.
@@ -99,7 +130,7 @@ pub fn max_qps_under_sla(
         let tiny = Qps(opts.start.value() / 8.0);
         let tiny_report = eval(tiny);
         if !tiny_report.meets(sla) {
-            return Ok(None);
+            return None;
         }
         lo_rate = tiny;
         lo_report = tiny_report;
@@ -120,10 +151,10 @@ pub fn max_qps_under_sla(
     }
     let Some(mut hi) = hi_rate else {
         // Never violated up to the ceiling.
-        return Ok(Some(SlaSearchOutcome {
+        return Some(SlaSearchOutcome {
             qps: lo_rate,
             report: lo_report,
-        }));
+        });
     };
 
     // Binary refinement.
@@ -138,16 +169,15 @@ pub fn max_qps_under_sla(
         }
     }
 
-    Ok(Some(SlaSearchOutcome {
+    Some(SlaSearchOutcome {
         qps: lo_rate,
         report: lo_report,
-    }))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hercules_common::units::SimDuration;
     use hercules_hw::server::ServerType;
     use hercules_model::zoo::{ModelKind, ModelScale};
 
