@@ -199,9 +199,9 @@ impl Default for PercentileTracker {
 /// memory grows with every sample, it has a fixed size, and bucket counts
 /// merge exactly: a merged histogram's counts, quantiles, and extrema are
 /// bit-identical to one that saw every observation directly, in any merge
-/// order. (The running
-/// `sum` behind [`mean`](LatencyHistogram::mean) commutes pairwise but,
-/// like any float accumulation, is not associative across 3+ merges.)
+/// order. (The running `sum` behind [`mean`](LatencyHistogram::mean)
+/// commutes pairwise but, like any float accumulation, is not associative
+/// across 3+ merges.)
 ///
 /// Buckets are geometric: bucket `i` spans `[lo * ratio^i, lo * ratio^(i+1))`.
 /// Values below `lo` clamp into bucket 0 and values past `hi` land in a
