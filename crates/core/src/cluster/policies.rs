@@ -471,15 +471,54 @@ impl ColocationScheduler {
 /// LP/ILP engine for [`HerculesScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Branch-and-bound over the simplex relaxation (exact integral optimum).
+    /// Warm-started branch and bound over the presolved simplex relaxation,
+    /// seeded with the rounding heuristic's allocation. The result is the
+    /// exact integral optimum whenever the tree is exhausted, which every
+    /// Day-D2 interval of the paper's setup does well inside the node cap;
+    /// at the cap the scheduler returns the best allocation found so far,
+    /// which is never worse than the heuristic's.
     BranchAndBound,
     /// Interior-point relaxation (the paper's solver [12]) with ceil
     /// rounding and greedy repair/trim.
     InteriorPointRounded,
 }
 
+/// Branch-and-bound nodes one provisioning call may explore. The largest
+/// Day-D2 tree of the paper's setup needs about 24k nodes. Programs of its
+/// size take 2–5 µs per node on a 2-vCPU x86-64 host, so the cap stops a
+/// pathological call after about half a second.
+const NODE_CAP: usize = 100_000;
+
+/// The error for a program with no feasible allocation: it names the first
+/// workload whose target exceeds what the whole fleet could serve it alone,
+/// or workload 0 when every workload fits on its own and only their joint
+/// demand does not.
+fn capacity_error(req: &ProvisionRequest<'_>) -> ProvisionError {
+    let alone = |w: usize| -> f64 {
+        req.fleet
+            .iter()
+            .filter_map(|(s, cap)| {
+                req.table
+                    .get(req.workloads[w], s)
+                    .map(|e| e.qps.value() * f64::from(cap))
+            })
+            .sum()
+    };
+    let w = (0..req.workloads.len())
+        .find(|&w| req.target(w) > alone(w))
+        .unwrap_or(0);
+    ProvisionError::InsufficientCapacity {
+        workload: req.workloads[w],
+    }
+}
+
 /// The Hercules provisioner: minimizes total provisioned power subject to
 /// per-workload load satisfaction and per-type capacity (Eq. 1–3).
+///
+/// When no allocation meets every target, provisioning fails with
+/// [`ProvisionError::InsufficientCapacity`] naming the first workload whose
+/// target exceeds what the whole fleet could serve it alone; only a joint
+/// shortfall, where every workload fits on its own, names workload 0.
 #[derive(Debug)]
 pub struct HerculesScheduler {
     solver: SolverChoice,
@@ -551,6 +590,13 @@ impl HerculesScheduler {
             }
         }
         Ok((lp, vars))
+    }
+
+    /// The program's point for `alloc`, in the order of `vars`.
+    fn point_of(alloc: &Allocation, vars: &[(ServerType, usize)]) -> Vec<f64> {
+        vars.iter()
+            .map(|&(s, w)| f64::from(alloc.count(s, w)))
+            .collect()
     }
 
     fn allocation_from(x: &[f64], vars: &[(ServerType, usize)]) -> Allocation {
@@ -631,7 +677,7 @@ impl HerculesScheduler {
                 }
                 match best {
                     Some((j, _)) => counts[j] += 1,
-                    None => return Err(ProvisionError::InsufficientCapacity { workload: model }),
+                    None => return Err(capacity_error(req)),
                 }
             }
         }
@@ -682,9 +728,7 @@ impl HerculesScheduler {
         if alloc.satisfies(req) {
             Ok(alloc)
         } else {
-            Err(ProvisionError::InsufficientCapacity {
-                workload: req.workloads[0],
-            })
+            Err(capacity_error(req))
         }
     }
 }
@@ -698,46 +742,30 @@ impl Provisioner for HerculesScheduler {
         let (lp, vars) = Self::build_lp(req)?;
         match self.solver {
             SolverChoice::BranchAndBound => {
-                // Seed branch-and-bound with the rounding heuristic: its
-                // objective becomes the initial upper bound (collapsing the
-                // tree on 60-variable Day-D2 instances) and its allocation
-                // the fallback if the node cap trips first.
+                // Seed branch and bound with the rounding heuristic: its
+                // allocation is the first incumbent, which prunes the tree
+                // from the root and is the answer if nothing beats it.
                 let relax = solve_simplex(&lp);
                 if relax.status == LpStatus::Infeasible {
-                    return Err(ProvisionError::InsufficientCapacity {
-                        workload: req.workloads[0],
-                    });
+                    return Err(capacity_error(req));
                 }
-                let heuristic = if relax.status == LpStatus::Optimal {
-                    Self::round_and_repair(req, &relax.x, &vars).ok()
+                let incumbent = if relax.status == LpStatus::Optimal {
+                    Self::round_and_repair(req, &relax.x, &vars)
+                        .ok()
+                        .map(|a| Self::point_of(&a, &vars))
                 } else {
                     None
                 };
                 let opts = IlpOptions {
-                    max_nodes: 8_000,
-                    upper_bound: heuristic
-                        .as_ref()
-                        .map(|a| a.provisioned_power(req.table, req.workloads).value()),
+                    max_nodes: NODE_CAP,
+                    incumbent,
                 };
                 let sol = solve_ilp(&lp, &opts);
-                let exact = match sol.status {
-                    LpStatus::Optimal | LpStatus::IterationLimit if !sol.x.is_empty() => {
-                        let alloc = Self::allocation_from(&sol.x, &vars);
-                        alloc.satisfies(req).then_some(alloc)
-                    }
-                    _ => None,
-                };
-                let best = match (exact, heuristic) {
-                    (Some(a), Some(b)) => {
-                        let pa = a.provisioned_power(req.table, req.workloads);
-                        let pb = b.provisioned_power(req.table, req.workloads);
-                        Some(if pa.value() <= pb.value() { a } else { b })
-                    }
-                    (a, b) => a.or(b),
-                };
-                best.ok_or(ProvisionError::InsufficientCapacity {
-                    workload: req.workloads[0],
-                })
+                match sol.status {
+                    LpStatus::Infeasible => Err(capacity_error(req)),
+                    _ if sol.x.is_empty() => Err(ProvisionError::SolverFailure),
+                    _ => Ok(Self::allocation_from(&sol.x, &vars)),
+                }
             }
             SolverChoice::InteriorPointRounded => {
                 let relax = solve_interior_point(&lp);
@@ -749,9 +777,7 @@ impl Provisioner for HerculesScheduler {
                     let s = solve_simplex(&lp);
                     if s.status != LpStatus::Optimal {
                         return Err(match s.status {
-                            LpStatus::Infeasible => ProvisionError::InsufficientCapacity {
-                                workload: req.workloads[0],
-                            },
+                            LpStatus::Infeasible => capacity_error(req),
                             _ => ProvisionError::SolverFailure,
                         });
                     }
@@ -917,6 +943,43 @@ mod tests {
             &mut HerculesScheduler::new(SolverChoice::BranchAndBound),
         ] {
             assert!(p.provision(&req).is_err(), "{} must fail", p.name());
+        }
+    }
+
+    #[test]
+    fn capacity_errors_name_the_workload_the_fleet_cannot_serve() {
+        let mut fleet = Fleet::empty();
+        fleet.set(ServerType::T2, 10);
+        let table = EfficiencyTable::from_entries([
+            ((ModelKind::DlrmRmc1, ServerType::T2), entry(1000.0, 250.0)),
+            ((ModelKind::DlrmRmc2, ServerType::T2), entry(100.0, 250.0)),
+        ]);
+        let workloads = [ModelKind::DlrmRmc1, ModelKind::DlrmRmc2];
+        for solver in [
+            SolverChoice::BranchAndBound,
+            SolverChoice::InteriorPointRounded,
+        ] {
+            // RMC2 alone needs 50 servers of the 10.
+            let loads = [500.0, 5000.0];
+            let req = request(&fleet, &table, &workloads, &loads);
+            assert_eq!(
+                HerculesScheduler::new(solver).provision(&req).unwrap_err(),
+                ProvisionError::InsufficientCapacity {
+                    workload: ModelKind::DlrmRmc2
+                },
+                "{solver:?}"
+            );
+            // Each fits alone (6 and 5 servers), not both: a joint
+            // shortfall names workload 0.
+            let loads = [6000.0, 500.0];
+            let req = request(&fleet, &table, &workloads, &loads);
+            assert_eq!(
+                HerculesScheduler::new(solver).provision(&req).unwrap_err(),
+                ProvisionError::InsufficientCapacity {
+                    workload: ModelKind::DlrmRmc1
+                },
+                "{solver:?}"
+            );
         }
     }
 

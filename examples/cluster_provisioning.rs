@@ -1,6 +1,6 @@
 //! Cluster provisioning: serve two diurnal workloads on a heterogeneous
-//! fleet and compare the NH, greedy, and Hercules schedulers on provisioned
-//! power — the paper's online-serving stage in miniature.
+//! fleet and compare the NH, greedy, and Hercules schedulers (both solvers)
+//! on provisioned power — the paper's online-serving stage in miniature.
 //!
 //! Run with: `cargo run --release --example cluster_provisioning`
 
@@ -62,26 +62,46 @@ fn main() {
     println!("loads: RMC1 peaks 60K QPS, RMC2 peaks 2.5K QPS, both diurnal");
     println!();
     println!(
-        "{:<10} {:>12} {:>12} {:>9} {:>9}",
+        "{:<18} {:>12} {:>12} {:>9} {:>9}",
         "policy", "peak pwr(kW)", "avg pwr(kW)", "peak srv", "avg srv"
     );
 
     let mut nh = NhScheduler::new(7);
     let mut greedy = GreedyScheduler::new(7, RankMetric::QpsPerWatt);
-    let mut hercules = HerculesScheduler::new(SolverChoice::InteriorPointRounded);
-    let policies: Vec<&mut dyn Provisioner> = vec![&mut nh, &mut greedy, &mut hercules];
-    for p in policies {
+    let mut rounded = HerculesScheduler::new(SolverChoice::InteriorPointRounded);
+    let mut exact = HerculesScheduler::new(SolverChoice::BranchAndBound);
+    let policies: [(&str, &mut dyn Provisioner); 4] = [
+        ("NH", &mut nh),
+        ("greedy", &mut greedy),
+        ("Hercules (IPM)", &mut rounded),
+        ("Hercules (B&B)", &mut exact),
+    ];
+    let mut runs = Vec::new();
+    for (label, p) in policies {
         let run = run_online(&fleet, &table, &traces, p, None);
         println!(
-            "{:<10} {:>12.2} {:>12.2} {:>9.0} {:>9.0}",
-            run.policy,
+            "{:<18} {:>12.2} {:>12.2} {:>9.0} {:>9.0}",
+            label,
             run.peak_power() / 1000.0,
             run.avg_power() / 1000.0,
             run.peak_activated(),
             run.avg_activated()
         );
+        runs.push(run);
     }
     println!();
-    println!("Hercules solves Eq. (1)-(3) each interval (interior point + rounding);");
-    println!("the savings over greedy come from arbitrating the contended NMP servers.");
+    println!("Hercules solves Eq. (1)-(3) each interval: interior point + rounding");
+    println!("repair, or branch and bound to the exact integral optimum; the savings");
+    println!("over greedy come from arbitrating the contended NMP servers.");
+
+    // The exact optimum is never above a feasible plan: greedy's or the
+    // rounded relaxation's.
+    let exact = &runs[3];
+    for other in [&runs[1], &runs[2]] {
+        assert!(
+            exact.peak_power() <= other.peak_power() + 1e-6
+                && exact.avg_power() <= other.avg_power() + 1e-6,
+            "branch and bound above a feasible plan"
+        );
+    }
 }

@@ -137,4 +137,37 @@ proptest! {
             None => prop_assert_eq!(ilp.status, LpStatus::Infeasible),
         }
     }
+
+    /// Branch and bound's presolve keeps every integer optimum. Two
+    /// workloads share three server types: one type alone covers workload
+    /// 0's demand (so its coefficient is clamped), workload 1 needs at
+    /// least two servers (so it gains a cardinality row), and a coupling
+    /// row with a negative coefficient, where type-1 servers need type-0
+    /// ones, must pass through presolve unchanged.
+    #[test]
+    fn presolve_keeps_coupled_integer_optimum(
+        q0 in prop::collection::vec(50.0f64..150.0, 2),
+        cover in 1.2f64..3.0,
+        q1 in prop::collection::vec(60.0f64..150.0, 3),
+        p in prop::collection::vec(100.0f64..500.0, 3),
+        caps in prop::collection::vec(2u32..5, 3),
+        d0 in 160.0f64..300.0,
+        d1 in 160.0f64..450.0,
+        ratio in 2u32..4,
+    ) {
+        let qps0 = vec![q0[0], q0[1], cover * d0];
+        let mut lp = provisioning_lp(vec![qps0, q1], p, caps, vec![d0, d1]);
+        let k = f64::from(ratio);
+        lp.constrain(vec![k, -1.0, 0.0, k, -1.0, 0.0], Relation::Ge, 1.0);
+        let ilp = solve_ilp(&lp, &IlpOptions::default());
+        match brute_force(&lp, 4) {
+            Some(best) => {
+                prop_assert_eq!(ilp.status, LpStatus::Optimal);
+                prop_assert!((ilp.objective - best).abs() < 1e-6,
+                    "ilp {} vs brute {}", ilp.objective, best);
+                prop_assert!(lp.is_feasible(&ilp.x, 1e-9));
+            }
+            None => prop_assert_eq!(ilp.status, LpStatus::Infeasible),
+        }
+    }
 }
