@@ -9,13 +9,23 @@
 //! `rand`'s 64-bit `SmallRng`) with SplitMix64 state expansion, so the crate
 //! carries no external dependency and the stream is stable across toolchains.
 
-/// SplitMix64 avalanche step, used for state expansion and fork derivation.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// SplitMix64's increment (the golden-ratio gamma).
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's finalizer: a bijective avalanche of `z`. Every seeded hash
+/// in the workspace (fork derivation, fault scenarios, trace sampling,
+/// shard routing, arena fill) is this mix of some keyed input.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One SplitMix64 step: advances `state` by [`GOLDEN_GAMMA`] and returns
+/// the mixed new state.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 /// A seeded, splittable random number generator for simulations.
@@ -61,14 +71,11 @@ impl SimRng {
     /// from the parent do not depend on how many children were forked.
     pub fn fork(&mut self) -> SimRng {
         self.forks += 1;
-        // SplitMix64-style avalanche over (seed, fork index).
-        let mut z = self
-            .seed
-            .wrapping_add(self.forks.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed_from(z)
+        // SplitMix64 avalanche over (seed, fork index).
+        SimRng::seed_from(mix64(
+            self.seed
+                .wrapping_add(self.forks.wrapping_mul(GOLDEN_GAMMA)),
+        ))
     }
 
     /// A uniform draw in `[0, 1)`.

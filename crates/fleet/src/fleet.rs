@@ -183,8 +183,7 @@ fn active_list(slots: &[Option<Slot<'_>>]) -> Vec<usize> {
         .collect()
 }
 
-/// Runs the deterministic virtual fleet over `pool`, routing `queries`
-/// (non-decreasing arrivals within the pool's shared horizon).
+/// Runs the deterministic virtual fleet over `pool`, routing `queries`.
 ///
 /// `cache` feeds shard placement: shards standing for hot embedding
 /// tables weigh more, so placement balances cache value, not raw shard
@@ -195,7 +194,8 @@ fn active_list(slots: &[Option<Slot<'_>>]) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics when the pool is empty, `initial_replicas` is out of range, the
-/// pool members disagree on the run window, or arrivals decrease.
+/// pool members disagree on the run window, or arrivals decrease or lie
+/// past the horizon.
 pub fn run_virtual_fleet(
     pool: &[ServingRuntime],
     cache: Option<&CacheModel>,
@@ -215,9 +215,11 @@ pub fn run_virtual_fleet(
             && rt.config().drain_margin == first.drain_margin),
         "fleet replicas must share one run window"
     );
+    let horizon = SimTime::ZERO + first.duration;
     assert!(
-        queries.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "fleet arrivals must be non-decreasing"
+        queries.windows(2).all(|w| w[0].arrival <= w[1].arrival)
+            && queries.last().map_or(true, |q| q.arrival <= horizon),
+        "fleet arrivals must be non-decreasing and lie within the horizon"
     );
 
     let mut map = ShardMap::place(cache, cfg.shards, cfg.initial_replicas);
@@ -225,7 +227,6 @@ pub fn run_virtual_fleet(
     for i in 0..cfg.initial_replicas {
         activate(pool, cfg.epoch, &mut slots, i, SimTime::ZERO, 0);
     }
-    let horizon = slots[0].as_ref().expect("just activated").stepper.horizon();
 
     let mut scaler = cfg.autoscaler.map(Autoscaler::new);
     // Rebalances deferred by the migration cost: (epoch due, replica).

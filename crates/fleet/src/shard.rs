@@ -8,17 +8,15 @@
 //! placement balances *weighted* load across replicas (deterministic LPT),
 //! not raw shard counts.
 
+use hercules_common::rng::splitmix64;
 use hercules_hw::cost::CacheModel;
 use hercules_workload::query::{Query, QueryId};
 
 /// The router's id hash (splitmix64): uniform, cheap, and stable across
 /// runs, so a query's shard is a pure function of its id.
 pub fn shard_of(id: QueryId, shards: u32) -> u32 {
-    let mut x = id.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x % shards as u64) as u32
+    let mut state = id.0;
+    (splitmix64(&mut state) % shards as u64) as u32
 }
 
 /// Shard-to-replica ownership, with the original (home) placement kept so

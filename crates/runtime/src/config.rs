@@ -2,7 +2,7 @@
 //! admission, and queue bounds.
 
 use hercules_common::units::{MemBytes, SimDuration};
-use hercules_sim::{SimConfig, SlaSpec};
+use hercules_sim::{RunWindow, SimConfig, SlaSpec};
 
 pub use crate::affinity::PinPolicy;
 pub use crate::fault::FaultPlan;
@@ -339,6 +339,12 @@ impl RuntimeConfig {
             deadline: DeadlinePolicy::default(),
             supervisor: SupervisorPolicy::off(),
         }
+    }
+
+    /// The run's measurement window (the simulator's, for the same
+    /// horizon, warm-up and drain margin).
+    pub(crate) fn window(&self) -> RunWindow {
+        RunWindow::new(self.duration, self.warmup_fraction, self.drain_margin)
     }
 
     /// Builder: sets the clock mode.

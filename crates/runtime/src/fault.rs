@@ -35,6 +35,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
+use hercules_common::rng::splitmix64;
 use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{SimDuration, SimTime};
 use hercules_hw::cost::BatchCost;
@@ -247,16 +248,6 @@ impl FaultPlan {
     }
 }
 
-/// The public splitmix64 step used to derive scenario parameters (same
-/// avalanche constants as the workload generator's seeding).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 // ---------------------------------------------------------------------------
 // FaultBook: the executors' query-friendly view of a plan.
 
@@ -432,14 +423,6 @@ impl FaultBook {
 // ---------------------------------------------------------------------------
 // RuntimeControls: the supervisor's write side, the executors' read side.
 
-fn stage_idx(stage: StageKind) -> usize {
-    match stage {
-        StageKind::Front => 0,
-        StageKind::Back => 1,
-        StageKind::Gpu => 2,
-    }
-}
-
 /// Shared control plane between the supervisor (writer) and the executors
 /// (readers): the degradation-ladder level, the live dynamic-batching
 /// delay, and per-stage suspect/dead worker bitmasks. All plain atomics —
@@ -495,23 +478,23 @@ impl RuntimeControls {
     }
 
     pub fn mark_suspect(&self, stage: StageKind, worker: u32) {
-        self.suspect[stage_idx(stage)].fetch_or(1u64 << (worker & 63), Ordering::Relaxed);
+        self.suspect[stage.index()].fetch_or(1u64 << (worker & 63), Ordering::Relaxed);
     }
 
     pub fn clear_suspect(&self, stage: StageKind, worker: u32) {
-        self.suspect[stage_idx(stage)].fetch_and(!(1u64 << (worker & 63)), Ordering::Relaxed);
+        self.suspect[stage.index()].fetch_and(!(1u64 << (worker & 63)), Ordering::Relaxed);
     }
 
     pub fn is_suspect(&self, stage: StageKind, worker: u32) -> bool {
-        self.suspect[stage_idx(stage)].load(Ordering::Relaxed) & (1u64 << (worker & 63)) != 0
+        self.suspect[stage.index()].load(Ordering::Relaxed) & (1u64 << (worker & 63)) != 0
     }
 
     pub fn mark_dead(&self, stage: StageKind, worker: u32) {
-        self.dead[stage_idx(stage)].fetch_or(1u64 << (worker & 63), Ordering::Relaxed);
+        self.dead[stage.index()].fetch_or(1u64 << (worker & 63), Ordering::Relaxed);
     }
 
     pub fn is_dead(&self, stage: StageKind, worker: u32) -> bool {
-        self.dead[stage_idx(stage)].load(Ordering::Relaxed) & (1u64 << (worker & 63)) != 0
+        self.dead[stage.index()].load(Ordering::Relaxed) & (1u64 << (worker & 63)) != 0
     }
 
     /// Workers currently marked suspect, across stages.
@@ -689,8 +672,9 @@ impl Supervisor {
 /// The oracle-priced latency of a *degraded* gather: serve only the
 /// cache-resident share `keep` of the sparse phase and skip the cold-miss
 /// penalty, keeping the dense share intact. Mirrors the wall executor's
-/// `dense_residual` split: with no per-op breakdown (synthetic test
-/// oracles) the full latency is charged.
+/// real-gather split (`keep = 0` is the dense residual it still
+/// busy-waits): with no per-op breakdown (synthetic test oracles) the full
+/// latency is charged.
 pub(crate) fn degraded_latency(cost: &BatchCost, keep: f64) -> SimDuration {
     let total: f64 = cost.per_op.iter().map(|o| o.duration.as_secs_f64()).sum();
     if total <= 0.0 {

@@ -27,7 +27,7 @@
 
 use hercules_common::arena::ScratchBuf;
 use hercules_common::dist::Distribution;
-use hercules_common::rng::SimRng;
+use hercules_common::rng::{mix64, SimRng, GOLDEN_GAMMA};
 use hercules_common::units::MemBytes;
 use hercules_hw::cost::CacheModel;
 use hercules_model::table::EmbeddingTableSpec;
@@ -501,10 +501,7 @@ impl EmbeddingArena {
 /// fills produce identical slabs).
 #[inline]
 fn element_value(seed: u64, idx: u64) -> f32 {
-    let mut z = seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mix64(seed ^ idx.wrapping_mul(GOLDEN_GAMMA));
     (z >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
 }
 

@@ -195,7 +195,7 @@ impl RuntimeReport {
     }
 }
 
-/// Whole-run counters the executors hand to [`assemble`] alongside the
+/// Whole-run counters the pipeline hands to [`assemble`] alongside the
 /// per-worker telemetry.
 #[derive(Debug)]
 pub(crate) struct RunTotals {
@@ -205,11 +205,19 @@ pub(crate) struct RunTotals {
     pub admitted: u64,
     pub shed: u64,
     pub in_flight: u64,
+    /// The dispatcher's span ring (admit instants), when tracing ran.
+    pub dispatch_trace: Option<TraceRing>,
+    pub wall: WallTotals,
+}
+
+/// What only the wall clock measures; the default for virtual runs.
+#[derive(Debug, Default)]
+pub(crate) struct WallTotals {
     /// Worker panics that escaped containment (join handles that returned
     /// `Err`); contained failures are counted from each worker's `failed`
     /// flag instead.
     pub join_failures: u64,
-    pub wall_elapsed_s: Option<f64>,
+    pub elapsed_s: Option<f64>,
     /// `(resident_bytes, compacted)` of the embedding arena when the run
     /// executed real gathers; `None` turns the report's gather field off.
     pub arena: Option<(u64, bool)>,
@@ -217,8 +225,6 @@ pub(crate) struct RunTotals {
     /// gathers through live cache shards; `None` turns the report's cache
     /// field off.
     pub cache_predicted: Option<f64>,
-    /// The dispatcher's span ring (admit instants), when tracing ran.
-    pub dispatch_trace: Option<TraceRing>,
 }
 
 /// Folds per-worker telemetry into the final report. Workers are merged
@@ -232,12 +238,7 @@ pub(crate) fn assemble(
     totals: RunTotals,
 ) -> RuntimeReport {
     let duration_s = cfg.duration.as_secs_f64();
-    let warmup_start = cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-    let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-    let measure_end = cfg.duration.saturating_sub(margin).max(warmup_start);
-    let window_s = (measure_end.saturating_sub(warmup_start))
-        .as_secs_f64()
-        .max(1e-9);
+    let window_s = cfg.window().seconds();
 
     // Merge: histograms and buckets fold exactly; scalars sum.
     let mut e2e = LatencyHistogram::default_latency();
@@ -248,7 +249,7 @@ pub(crate) fn assemble(
     let mut expired = 0u64;
     let mut on_time = 0u64;
     let mut redistributed = 0u64;
-    let mut worker_failures = totals.join_failures;
+    let mut worker_failures = totals.wall.join_failures;
     let mut sum_queuing = 0.0;
     let mut sum_loading = 0.0;
     let mut sum_inference = 0.0;
@@ -285,15 +286,21 @@ pub(crate) fn assemble(
         hot_allocs += w.hot_allocs;
         hot_samples += w.hot_samples;
     }
-    let gather = totals.arena.map(|(resident_bytes, compacted)| GatherStats {
-        resident_bytes,
-        compacted,
-        ..gather
-    });
-    let cache = totals.cache_predicted.map(|predicted_hit_rate| CacheStats {
-        predicted_hit_rate,
-        ..cache
-    });
+    let gather = totals
+        .wall
+        .arena
+        .map(|(resident_bytes, compacted)| GatherStats {
+            resident_bytes,
+            compacted,
+            ..gather
+        });
+    let cache = totals
+        .wall
+        .cache_predicted
+        .map(|predicted_hit_rate| CacheStats {
+            predicted_hit_rate,
+            ..cache
+        });
 
     let stages = summarize_stages(&workers);
 
@@ -380,7 +387,7 @@ pub(crate) fn assemble(
         worker_failures,
         stages,
         clock: cfg.clock,
-        wall_elapsed_s: totals.wall_elapsed_s,
+        wall_elapsed_s: totals.wall.elapsed_s,
         gather,
         cache,
         latency_overflow: e2e.overflow_count(),

@@ -3,7 +3,7 @@
 
 use std::sync::OnceLock;
 
-use hercules_common::units::{Qps, SimTime};
+use hercules_common::units::Qps;
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
@@ -103,55 +103,54 @@ impl ServingRuntime {
         cfg: &RuntimeConfig,
         observer: Option<&mut RuntimeObserver>,
     ) -> RuntimeReport {
-        match cfg.clock {
-            ClockMode::Virtual => virt::run(&self.topo, &self.server, cfg, offered, observer),
-            ClockMode::Wall { .. } => wall::run(
-                &self.topo,
-                &self.server,
-                cfg,
-                offered,
-                self.arena_for(cfg),
-                observer,
-            ),
-        }
+        self.serve_queries(&arrivals(cfg, offered), offered, cfg, observer)
     }
 
     /// Serves an explicit arrival trace (a router's per-replica sub-stream,
     /// a recorded trace, …) instead of the paper-shaped seeded stream,
-    /// under the configured clock. Arrivals must be non-decreasing and lie
-    /// within the configured horizon. `offered` is recorded in the report
+    /// under the configured clock. `offered` is recorded in the report
     /// verbatim — pass the stream's nominal rate (e.g.
     /// [`QueryTrace::mean_rate`](hercules_workload::trace::QueryTrace::mean_rate)).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless arrivals are non-decreasing and lie within the
+    /// configured horizon.
     pub fn serve_trace(&self, queries: &[Query], offered: Qps) -> RuntimeReport {
         self.serve_trace_observed(queries, offered, None)
     }
 
     /// [`ServingRuntime::serve_trace`] watched by a live observer (see
     /// [`ServingRuntime::serve_observed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless arrivals are non-decreasing and lie within the
+    /// configured horizon.
     pub fn serve_trace_observed(
         &self,
         queries: &[Query],
         offered: Qps,
         observer: Option<&mut RuntimeObserver>,
     ) -> RuntimeReport {
-        match self.cfg.clock {
-            ClockMode::Virtual => virt::run_trace(
-                &self.topo,
-                &self.server,
-                &self.cfg,
-                queries,
-                offered,
-                observer,
-            ),
-            ClockMode::Wall { .. } => wall::run_trace(
-                &self.topo,
-                &self.server,
-                &self.cfg,
-                queries,
-                offered,
-                self.arena_for(&self.cfg),
-                observer,
-            ),
+        self.serve_queries(queries, offered, &self.cfg, observer)
+    }
+
+    /// Serves `queries` under `cfg`'s clock.
+    fn serve_queries(
+        &self,
+        queries: &[Query],
+        offered: Qps,
+        cfg: &RuntimeConfig,
+        observer: Option<&mut RuntimeObserver>,
+    ) -> RuntimeReport {
+        let (topo, server) = (&self.topo, &self.server);
+        match cfg.clock {
+            ClockMode::Virtual => virt::run_trace(topo, server, cfg, queries, offered, observer),
+            ClockMode::Wall { .. } => {
+                let arena = self.arena_for(cfg);
+                wall::run_trace(topo, server, cfg, queries, offered, arena, observer)
+            }
         }
     }
 
@@ -192,38 +191,8 @@ impl ServingRuntime {
     }
 }
 
-/// The run's measurement window, derived from the configuration exactly
-/// the way `sim::engine` derives it (so the two backends measure the same
-/// query population).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunWindow {
-    pub horizon: SimTime,
-    pub warmup_start: SimTime,
-    pub measure_end: SimTime,
-}
-
-impl RunWindow {
-    pub fn of(cfg: &RuntimeConfig) -> Self {
-        let horizon = SimTime::ZERO + cfg.duration;
-        let warmup_start =
-            SimTime::ZERO + cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-        let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-        let measure_end = SimTime::ZERO + cfg.duration.saturating_sub(margin);
-        RunWindow {
-            horizon,
-            warmup_start,
-            measure_end: measure_end.max(warmup_start),
-        }
-    }
-
-    /// Whether a query arriving at `t` is measured.
-    pub fn measures(&self, t: SimTime) -> bool {
-        t >= self.warmup_start && t < self.measure_end
-    }
-}
-
 /// Generates the run's arrivals: the same deterministic stream the
 /// simulator consumes.
-pub(crate) fn arrivals(cfg: &RuntimeConfig, offered: Qps, window: &RunWindow) -> Vec<Query> {
-    QueryStream::paper(offered, cfg.seed).take_until(window.horizon)
+fn arrivals(cfg: &RuntimeConfig, offered: Qps) -> Vec<Query> {
+    QueryStream::paper(offered, cfg.seed).take_until(cfg.window().horizon)
 }

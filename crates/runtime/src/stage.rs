@@ -12,6 +12,8 @@ use hercules_hw::server::ServerSpec;
 use hercules_sim::{BackStage, Topology};
 use hercules_workload::query::Query;
 
+use crate::telemetry::StageKind;
+
 /// A sub-query flowing through the runtime's dispatch queues.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Sub {
@@ -259,6 +261,26 @@ impl<'a> Stages<'a> {
             front,
             back,
             split_batch: topo.split_batch,
+        }
+    }
+
+    /// The oracle pricing CPU pool `stage`: the front pool, or the host
+    /// dense pool of an S-D pipeline.
+    pub fn cpu_oracle(&self, stage: StageKind) -> &'a dyn ServiceOracle {
+        match (stage, self.front, self.back) {
+            (StageKind::Front, Some((oracle, _)), _) => oracle,
+            (StageKind::Back, _, BackKind::Host { oracle, .. }) => oracle,
+            _ => unreachable!("no CPU pool serves the {} stage", stage.label()),
+        }
+    }
+
+    /// Where a sub-query goes once `stage` has served it: the next pool,
+    /// or `None` when `stage` completes it.
+    pub fn after(&self, stage: StageKind) -> Option<StageKind> {
+        match (stage, self.back) {
+            (StageKind::Front, BackKind::Host { .. }) => Some(StageKind::Back),
+            (StageKind::Front, BackKind::Gpu { .. }) => Some(StageKind::Gpu),
+            _ => None,
         }
     }
 

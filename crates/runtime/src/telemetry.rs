@@ -34,6 +34,18 @@ pub enum StageKind {
 }
 
 impl StageKind {
+    /// Every pool, in pipeline order.
+    pub(crate) const ALL: [StageKind; 3] = [StageKind::Front, StageKind::Back, StageKind::Gpu];
+
+    /// Position in [`StageKind::ALL`].
+    pub(crate) fn index(self) -> usize {
+        match self {
+            StageKind::Front => 0,
+            StageKind::Back => 1,
+            StageKind::Gpu => 2,
+        }
+    }
+
     /// Short display label.
     pub fn label(&self) -> &'static str {
         match self {

@@ -13,6 +13,7 @@
 //! every time, and the recorded spans — whose timestamps are virtual —
 //! are bitwise-reproducible (asserted in `tests/observer_props.rs`).
 
+use hercules_common::rng::splitmix64;
 use hercules_common::units::{SimDuration, SimTime};
 
 use crate::telemetry::StageKind;
@@ -99,13 +100,6 @@ pub struct TraceSampler {
     one_in: u32,
 }
 
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl TraceSampler {
     /// A sampler tracing roughly one query in `one_in` (`0` traces none,
     /// `1` traces all).
@@ -129,7 +123,10 @@ impl TraceSampler {
         match self.one_in {
             0 => false,
             1 => true,
-            n => mix64(self.seed ^ query as u64) % n as u64 == 0,
+            n => {
+                let mut state = self.seed ^ query as u64;
+                splitmix64(&mut state) % n as u64 == 0
+            }
         }
     }
 }

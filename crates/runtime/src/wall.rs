@@ -1,4 +1,4 @@
-//! The wall-clock threaded executor.
+//! The wall-clock threaded driver of the serving [`Pipeline`].
 //!
 //! Worker pools are real OS threads; each batch's modeled service time is
 //! burned with a calibrated busy-wait, so the run exhibits genuine
@@ -7,7 +7,11 @@
 //! virtual clock cannot show. Timestamps are taken from the wall and
 //! mapped back into virtual time (dividing by the configured
 //! `time_scale`), so the report is directly comparable with virtual-clock
-//! and simulator runs of the same scenario.
+//! and simulator runs of the same scenario. This module keeps only what
+//! threads need — queues, spin-waits, real gathers, stall re-enqueue and
+//! the panic boundary — in one function per stage (the front and back
+//! pools share one); every serving decision is the pipeline's, as on the
+//! virtual clock.
 //!
 //! Under [`GatherMode::Real`](crate::config::GatherMode::Real) the front
 //! pool goes further than timing emulation: each sub-query performs an
@@ -33,28 +37,29 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use hercules_common::rng::SimRng;
 use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{Qps, SimDuration, SimTime};
-use hercules_hw::cost::{pcie_transfer_time, BatchCost};
+use hercules_hw::cost::CacheModel;
 use hercules_hw::server::ServerSpec;
 use hercules_sim::{split_iter, Topology};
 use hercules_workload::query::Query;
 
-use crate::admission::{AdmissionController, ServiceEwma};
+use crate::admission::{AdmissionCounters, ServiceEwma};
 use crate::affinity::{self, CorePlan};
 use crate::config::{ClockMode, RuntimeConfig};
-use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor};
-use crate::memory::{EmbeddingArena, GatherScratch};
-use crate::observe::{PlaneState, RuntimeObserver, StageState};
+use crate::fault::{degraded_latency, Supervisor};
+use crate::memory::{EmbeddingArena, EmbeddingCacheShard, GatherScratch};
+use crate::observe::{PlaneState, RuntimeObserver};
+use crate::pipeline::{CpuJob, Dispatcher, Pipeline, PoolView};
 use crate::queue::{PopResult, SyncQueue};
-use crate::report::{assemble, RunTotals, RuntimeReport};
-use crate::serve::{arrivals, RunWindow};
-use crate::stage::{BackKind, QueryTable, Retired, Stages, Sub, FLAG_DEGRADED, FLAG_EXPIRED};
+use crate::report::{RuntimeReport, WallTotals};
+use crate::stage::{BackKind, Stages, Sub};
 use crate::telemetry::{thread_allocs, StageKind, TelemetrySlot, WorkerTelemetry};
-use crate::trace::{SpanKind, TraceEvent, TraceRing, TraceSampler, DISPATCH_TID};
+use crate::trace::SpanKind;
 
 /// The calibrated wall clock: converts between virtual time and wall
 /// instants, and burns service time by spinning (sleeping only the coarse
@@ -143,33 +148,456 @@ struct GpuBatch {
 /// ways — still reach the sampled regime within a bench horizon.
 const HOT_WARMUP: u64 = 16;
 
-/// The share of a modeled batch cost that is *not* sparse gathering, as a
-/// duration: what the front pool still busy-waits when the gather itself
-/// runs for real. Falls back to the full latency when the oracle exposes
-/// no per-op breakdown (synthetic test oracles).
-fn dense_residual(cost: &BatchCost) -> SimDuration {
-    let total: f64 = cost.per_op.iter().map(|o| o.duration.as_secs_f64()).sum();
-    if total <= 0.0 {
-        return cost.latency;
-    }
-    let sparse: f64 = cost
-        .per_op
-        .iter()
-        .filter(|o| o.sparse)
-        .map(|o| o.duration.as_secs_f64())
-        .sum();
-    cost.latency.mul_f64((1.0 - sparse / total).clamp(0.0, 1.0))
+/// A front worker's real-gather state: its stream of row draws, its
+/// scratch buffer and its embedding-cache shard.
+struct Gatherer {
+    rng: SimRng,
+    scratch: GatherScratch,
+    cache: Option<EmbeddingCacheShard>,
 }
 
-/// Classifies a retired query into the worker's telemetry: expired
-/// retirements never enter the completion accounts or the histogram.
-fn account_retired(t: &mut WorkerTelemetry, r: &Retired, in_window: bool, on_time: bool) {
-    if r.flags & FLAG_EXPIRED != 0 {
-        t.record_expired();
-    } else {
-        let degraded = r.flags & FLAG_DEGRADED != 0;
-        t.record_completion(r.latency, &r.phases, in_window, degraded, on_time);
+/// Everything one wall-clock run's threads share.
+struct Wall<'r, 'a> {
+    pipe: &'r Pipeline<'a>,
+    clock: WallClock,
+    /// Each pool's input queue, in [`StageKind`] order: the front pool's,
+    /// the host back pool's, and the GPU fusion queue the batcher drains.
+    /// The ingress queue is bounded by the config; internal forwards use
+    /// blocking pushes (backpressure, never loss).
+    queues: [SyncQueue<Sub>; 3],
+    gpu_q: SyncQueue<GpuBatch>,
+    /// Recycled `GpuBatch::subs` buffers: sized so every in-flight batch
+    /// plus every context's just-finished buffer fits without drops.
+    free_q: SyncQueue<Vec<Sub>>,
+    pcie: Mutex<()>,
+    /// Per-worker seqlock slots, in [`StageKind`] order, read by the
+    /// observer and supervisor threads (empty when neither runs).
+    slots: [Vec<Arc<TelemetrySlot>>; 3],
+    counters: Arc<AdmissionCounters>,
+    stop: AtomicBool,
+    cores: CorePlan,
+    arena: Option<&'r EmbeddingArena>,
+    cache_model: Option<&'r CacheModel>,
+    /// Under real gathers the measured per-sub service (which the static
+    /// model cannot see — it depends on this machine's memory system and
+    /// on cache warm-up) feeds the admission controller's delay estimate.
+    measured: Option<Arc<ServiceEwma>>,
+}
+
+/// Runs the wall-clock executor over an explicit arrival trace and
+/// assembles the report.
+///
+/// # Panics
+///
+/// Panics unless arrivals are non-decreasing and lie within the horizon
+/// (checked before any thread starts).
+pub(crate) fn run_trace(
+    topo: &Topology,
+    server: &ServerSpec,
+    cfg: &RuntimeConfig,
+    queries: &[Query],
+    offered: Qps,
+    arena: Option<&EmbeddingArena>,
+    observer: Option<&mut RuntimeObserver>,
+) -> RuntimeReport {
+    let ClockMode::Wall { time_scale } = cfg.clock else {
+        unreachable!("wall executor only runs in wall mode");
+    };
+    let pipe = Pipeline::new(topo, server, cfg, queries);
+    let mut prev = SimTime::ZERO;
+    for q in queries {
+        pipe.check_arrival(prev, q.arrival);
+        prev = q.arrival;
     }
+    prewarm_oracles(&pipe.stages, queries);
+    let mut dispatch = pipe.dispatcher();
+    // Embedding-tier cache: planned per-table hot shards when the server
+    // is cache-provisioned, materialized per front worker under real
+    // gathers.
+    let cache_model = topo.front.as_ref().and_then(|f| f.svc.cache_model());
+    let measured = arena.map(|_| Arc::new(ServiceEwma::new()));
+    if let Some(feed) = &measured {
+        dispatch.admission.attach_measured(Arc::clone(feed));
+    }
+    // The supervisor reads worker heartbeats (and plane state) through the
+    // same slots the observer uses, so either consumer materializes them.
+    let hist_len = LatencyHistogram::default_latency().counts().len();
+    let slots_on = observer.is_some() || pipe.supervised;
+    let [front, back, gpu] = pipe.workers;
+    let wall = Wall {
+        pipe: &pipe,
+        clock: WallClock::start(time_scale),
+        queues: [(); 3].map(|_| SyncQueue::new(cfg.queue_depth)),
+        gpu_q: SyncQueue::new(gpu.max(1) as usize * 4),
+        free_q: SyncQueue::new(gpu.max(1) as usize * 8),
+        pcie: Mutex::new(()),
+        slots: pipe.workers.map(|n| {
+            let n = if slots_on { n } else { 0 };
+            (0..n)
+                .map(|_| Arc::new(TelemetrySlot::new(hist_len)))
+                .collect()
+        }),
+        counters: dispatch.admission.counters(),
+        stop: AtomicBool::new(false),
+        cores: CorePlan::plan(cfg.affinity, front as usize, back as usize, gpu as usize),
+        arena,
+        cache_model,
+        measured,
+    };
+    let started = Instant::now();
+    let (workers, join_failures) = wall.serve(&mut dispatch, queries, observer);
+    let totals = WallTotals {
+        join_failures,
+        elapsed_s: Some(started.elapsed().as_secs_f64()),
+        arena: arena.map(|a| (a.resident().as_bytes(), a.is_compacted())),
+        cache_predicted: arena.and(cache_model).map(CacheModel::overall_hit_rate),
+    };
+    pipe.report(server, dispatch, offered, workers, totals)
+}
+
+impl Wall<'_, '_> {
+    /// Spawns every pool, the batcher, and the supervisor and observer
+    /// threads, dispatches the trace on this thread, then shuts the
+    /// pipeline down stage by stage. Returns every worker's telemetry in
+    /// pool-then-index order, and the threads whose panic escaped.
+    fn serve(
+        &self,
+        dispatch: &mut Dispatcher,
+        queries: &[Query],
+        observer: Option<&mut RuntimeObserver>,
+    ) -> (Vec<WorkerTelemetry>, u64) {
+        let mut rng_root = SimRng::seed_from(self.pipe.cfg.seed ^ 0xC0FE_FEED_5EED_1234);
+        let [front, back, gpu] = self.pipe.workers;
+        std::thread::scope(|scope| {
+            let front: Vec<_> = (0..front)
+                .map(|w| {
+                    let rng = rng_root.fork();
+                    scope.spawn(move || self.cpu_worker(StageKind::Front, w, Some(rng)))
+                })
+                .collect();
+            let back: Vec<_> = (0..back)
+                .map(|w| scope.spawn(move || self.cpu_worker(StageKind::Back, w, None)))
+                .collect();
+            let batcher = (gpu > 0).then(|| scope.spawn(|| self.batcher()));
+            let gpu: Vec<_> = (0..gpu)
+                .map(|ctx| scope.spawn(move || self.gpu_worker(ctx)))
+                .collect();
+            let sup = self
+                .pipe
+                .supervisor()
+                .map(|s| scope.spawn(move || self.supervise(s)));
+            let obs = observer.map(|o| scope.spawn(move || self.observe(o)));
+
+            let ingress = &self.queues[self.pipe.ingress().index()];
+            for (i, q) in queries.iter().enumerate() {
+                self.clock.wait_until(q.arrival);
+                self.pipe.dispatch(
+                    dispatch,
+                    i as u32,
+                    q.arrival,
+                    q.size,
+                    ingress.len(),
+                    |subs| ingress.try_push_all(subs),
+                );
+            }
+
+            // Shutdown cascade: close each stage once its producers exit.
+            // Joins never panic the run: worker panics are contained inside
+            // the pool boundary (the worker returns its telemetry with
+            // `failed` set), and anything that still escapes — a panic
+            // outside the serving loop — is counted, not propagated, so the
+            // report is always assembled.
+            let mut failures = 0u64;
+            self.queues[StageKind::Front.index()].close();
+            let mut workers = joined(front, &mut failures);
+            self.queues[StageKind::Back.index()].close();
+            self.queues[StageKind::Gpu.index()].close();
+            workers.extend(joined(back, &mut failures));
+            joined(batcher, &mut failures);
+            workers.extend(joined(gpu, &mut failures));
+            // Every pool has quiesced; release the observer and supervisor
+            // for their final reads.
+            self.stop.store(true, Ordering::Release);
+            joined(sup, &mut failures);
+            joined(obs, &mut failures);
+            (workers, failures)
+        })
+    }
+
+    /// Pins the calling worker thread as the core plan says, and gives it
+    /// its telemetry, publishing into its slot when one exists.
+    fn start_worker(&self, stage: StageKind, w: u32) -> WorkerTelemetry {
+        let i = w as usize;
+        let core = match stage {
+            StageKind::Front => self.cores.front_core(i),
+            StageKind::Back => self.cores.back_core(i),
+            StageKind::Gpu => self.cores.gpu_core(i),
+        };
+        if let Some(core) = core {
+            let _ = affinity::pin_current_thread(core);
+        }
+        let t = self.pipe.telemetry(stage, w);
+        match self.slots[stage.index()].get(i) {
+            Some(slot) => t.with_slot(Arc::clone(slot)),
+            None => t,
+        }
+    }
+
+    /// One front or host back worker: serves its pool's queue until it
+    /// closes. The serving loop runs under a panic boundary: a worker that
+    /// panics (injected or genuine) is contained — it marks itself dead and
+    /// returns its telemetry, the rest of the pool keeps serving.
+    fn cpu_worker(&self, stage: StageKind, w: u32, rng: Option<SimRng>) -> WorkerTelemetry {
+        let mut t = self.start_worker(stage, w);
+        let mut gatherer = self.arena.zip(rng).map(|(arena, rng)| Gatherer {
+            rng,
+            scratch: GatherScratch::with_dim(arena.max_dim()),
+            cache: self.cache_model.map(|m| arena.cache_shard(m)),
+        });
+        let (pipe, queue) = (self.pipe, &self.queues[stage.index()]);
+        let panic_at = pipe.book.panic_at(stage, w);
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            while let Some(sub) = queue.pop_wait() {
+                let sample = t.batches >= HOT_WARMUP;
+                let allocs_before = thread_allocs();
+                let mut now = self.clock.now();
+                t.heartbeat(now);
+                if panic_at.is_some_and(|at| now >= at) {
+                    panic!("injected fault: worker panic");
+                }
+                if let Some(end) = pipe
+                    .faulty
+                    .then(|| pipe.book.stall_end(stage, w, now))
+                    .flatten()
+                {
+                    // Stalled: hand the sub back to the pool (bounded by the
+                    // retry budget; the non-blocking push cannot deadlock
+                    // the consumer), then freeze until the stall lifts.
+                    let retry = Sub {
+                        retries: sub.retries + 1,
+                        ..sub
+                    };
+                    let handed_back = u32::from(sub.retries) < pipe.cfg.deadline.retry_budget
+                        && queue.try_push_all(std::iter::once(retry));
+                    self.clock.wait_until(end);
+                    if handed_back {
+                        t.redistributed += 1;
+                        continue;
+                    }
+                    now = self.clock.now();
+                }
+                if let Some(job) = pipe.cpu_begin(stage, w, &sub, now, &mut t) {
+                    let done = self.serve_cpu(stage, &job, &sub, gatherer.as_mut(), &mut t);
+                    match pipe.stages.after(stage) {
+                        None => pipe.retire(&sub, done, &mut t),
+                        Some(next) => {
+                            self.queues[next.index()].push_wait(Sub { ready: done, ..sub });
+                        }
+                    }
+                }
+                t.publish();
+                if sample {
+                    t.record_hot_allocs(thread_allocs() - allocs_before);
+                }
+            }
+        }));
+        if served.is_err() {
+            t.failed = true;
+            pipe.controls.mark_dead(stage, w);
+        }
+        t.publish();
+        t
+    }
+
+    /// Serves `job` on this thread and returns when it finished. Under
+    /// real gathers the sparse phase is an actual Gather-and-Reduce and
+    /// only the modeled dense share is busy-waited; the measured total
+    /// replaces the modeled latency in every latency-facing account.
+    /// Otherwise the modeled service is busy-waited.
+    fn serve_cpu(
+        &self,
+        stage: StageKind,
+        job: &CpuJob,
+        sub: &Sub,
+        gatherer: Option<&mut Gatherer>,
+        t: &mut WorkerTelemetry,
+    ) -> SimTime {
+        let (arena, start) = (self.arena, job.now);
+        let Some((arena, g)) = arena.zip(gatherer) else {
+            self.clock.busy_wait(job.svc);
+            let done = self.clock.now();
+            self.pipe
+                .cpu_end(stage, job, sub, (start, done), job.svc, t);
+            return done;
+        };
+        let kernel_start = Instant::now();
+        let (outcome, misses) = match g.cache.as_mut() {
+            Some(shard) => {
+                let (outcome, stats) =
+                    arena.gather_cached(sub.items, &mut g.rng, &mut g.scratch, shard);
+                t.record_cache(&stats);
+                (outcome, stats.misses)
+            }
+            None => (arena.gather(sub.items, &mut g.rng, &mut g.scratch), 0),
+        };
+        let gather_wall_s = kernel_start.elapsed().as_secs_f64();
+        t.record_gather(&outcome, gather_wall_s);
+        if self.pipe.sampler.sampled(sub.query) {
+            let dur = SimDuration::from_secs_f64(gather_wall_s / self.clock.scale);
+            t.trace(sub.query, SpanKind::Gather, start, dur);
+        }
+        // Missed rows pay the modeled cold-tier penalty on top of the DRAM
+        // time the gather itself just charged, so the wall run and the cost
+        // model charge the same hierarchy — unless the ladder is at L2,
+        // where misses are skipped instead of fetched.
+        let penalty = match self.cache_model {
+            Some(m) if !job.degrade => m.spec().cold_miss_penalty.mul_f64(misses as f64),
+            _ => SimDuration::ZERO,
+        };
+        let residual = degraded_latency(&job.cost, 0.0) + penalty;
+        self.clock.busy_wait(residual.mul_f64(job.derate));
+        let done = self.clock.now();
+        let service = done.saturating_since(start);
+        self.pipe
+            .cpu_end(stage, job, sub, (start, done), service, t);
+        if let Some(feed) = &self.measured {
+            feed.record(service.as_secs_f64());
+        }
+        done
+    }
+
+    /// The dynamic batcher: fills a fused batch up to the limit, or flushes
+    /// once its head has waited out the batch delay.
+    fn batcher(&self) {
+        let BackKind::Gpu { fusion_limit, .. } = self.pipe.stages.back else {
+            unreachable!("the batcher runs only with a GPU stage");
+        };
+        let fuse_q = &self.queues[StageKind::Gpu.index()];
+        let mut pending: Option<Sub> = None;
+        while let Some(first) = pending.take().or_else(|| fuse_q.pop_wait()) {
+            let mut subs = self
+                .free_q
+                .try_pop()
+                .unwrap_or_else(|| Vec::with_capacity(8));
+            subs.push(first);
+            let mut items = first.items;
+            if let Some(limit) = fusion_limit {
+                // The flush deadline is anchored to the head sub's *ready*
+                // time (the BatchPolicy contract, matching the virtual
+                // clock) — not to when the batcher got around to popping it.
+                let deadline = self
+                    .clock
+                    .wall_target(first.ready + self.pipe.batch_delay());
+                while items < limit {
+                    let PopResult::Item(next) = fuse_q.pop_deadline(deadline) else {
+                        break;
+                    };
+                    if items + next.items > limit {
+                        pending = Some(next);
+                        break;
+                    }
+                    items += next.items;
+                    subs.push(next);
+                }
+            }
+            self.gpu_q.push_wait(GpuBatch { subs, items });
+        }
+        self.gpu_q.close();
+    }
+
+    /// One GPU context: loads each fused batch over the shared PCIe link,
+    /// then computes it.
+    fn gpu_worker(&self, ctx: u32) -> WorkerTelemetry {
+        let mut t = self.start_worker(StageKind::Gpu, ctx);
+        let pipe = self.pipe;
+        while let Some(batch) = self.gpu_q.pop_wait() {
+            let sample = t.batches >= HOT_WARMUP;
+            let allocs_before = thread_allocs();
+            let launch = {
+                // The PCIe link is serialized across contexts.
+                let _link = self.pcie.lock().expect("pcie lock poisoned");
+                let now = self.clock.now();
+                let launch = pipe.gpu_launch(ctx, &batch.subs, batch.items, now, &mut t);
+                self.clock.busy_wait(launch.load_dur);
+                launch
+            };
+            pipe.gpu_compute(&launch, &batch.subs, self.clock.now(), &mut t);
+            self.clock.busy_wait(launch.compute);
+            pipe.gpu_done(&launch, &batch.subs, self.clock.now(), &mut t);
+            // Recycle the batch buffer; a full freelist just lets this one
+            // drop.
+            let mut subs = batch.subs;
+            subs.clear();
+            let _ = self.free_q.try_push_all(std::iter::once(subs));
+            t.publish();
+            if sample {
+                t.record_hot_allocs(thread_allocs() - allocs_before);
+            }
+        }
+        t
+    }
+
+    /// The plane at `t`, read from the seqlock slots.
+    fn plane(&self, t: SimTime) -> PlaneState {
+        self.pipe
+            .plane_state(t, &self.counters, self.views(), |s| s.read())
+    }
+
+    fn views(&self) -> [PoolView<'_, Arc<TelemetrySlot>>; 3] {
+        [0, 1, 2].map(|i| (&self.slots[i][..], self.queues[i].depth()))
+    }
+
+    /// Sleeps toward virtual instant `t` in short chunks, so a stop
+    /// request is honored promptly; false when one arrives first.
+    fn sleep_until(&self, t: SimTime) -> bool {
+        let target = self.clock.wall_target(t);
+        while let Some(left) = target.checked_duration_since(Instant::now()) {
+            if self.stop.load(Ordering::Acquire) {
+                return false;
+            }
+            std::thread::sleep(left.min(Duration::from_millis(5)));
+        }
+        true
+    }
+
+    fn supervise(&self, mut sup: Supervisor) {
+        let period = sup.period();
+        let mut next = SimTime::ZERO + period;
+        while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
+            let now = self.clock.now();
+            let views = self.views();
+            let beat = |s: &Arc<TelemetrySlot>| s.last_beat();
+            self.pipe
+                .supervise(&mut sup, now, &self.counters, views, |s| s.read(), beat);
+            next += period;
+        }
+    }
+
+    fn observe(&self, obs: &mut RuntimeObserver) {
+        let period = obs.period();
+        let mut next = SimTime::ZERO + period;
+        while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
+            obs.tick(self.plane(next));
+            next += period;
+        }
+        // Workers have quiesced (`stop` is set only after every pool has
+        // joined, which also orders their final publishes before this
+        // read): one exact end-of-run tick, then flush the sinks.
+        obs.tick(self.plane(self.clock.now()));
+        obs.finish();
+    }
+}
+
+/// Joins `handles`, returning what the threads that finished returned and
+/// counting those whose panic escaped into `failures`.
+fn joined<'s, T>(
+    handles: impl IntoIterator<Item = ScopedJoinHandle<'s, T>>,
+    failures: &mut u64,
+) -> Vec<T> {
+    handles
+        .into_iter()
+        .filter_map(|h| h.join().map_err(|_| *failures += 1).ok())
+        .collect()
 }
 
 /// Touches every batch size the run can dispatch through each stage's
@@ -218,786 +646,4 @@ fn prewarm_oracles(stages: &Stages, queries: &[Query]) {
         }
         let _ = oracle.service_cost_shared(limit);
     }
-}
-
-/// Runs the threaded executor and assembles the report.
-pub(crate) fn run(
-    topo: &Topology,
-    server: &ServerSpec,
-    cfg: &RuntimeConfig,
-    offered: Qps,
-    arena: Option<&EmbeddingArena>,
-    observer: Option<&mut RuntimeObserver>,
-) -> RuntimeReport {
-    let window = RunWindow::of(cfg);
-    let queries = arrivals(cfg, offered, &window);
-    run_trace(topo, server, cfg, &queries, offered, arena, observer)
-}
-
-/// Runs the wall-clock executor over an explicit arrival trace (the fleet
-/// router's per-replica sub-streams) instead of the paper-shaped seeded
-/// stream. Arrivals must be non-decreasing and lie within the horizon.
-pub(crate) fn run_trace(
-    topo: &Topology,
-    server: &ServerSpec,
-    cfg: &RuntimeConfig,
-    queries: &[Query],
-    offered: Qps,
-    arena: Option<&EmbeddingArena>,
-    observer: Option<&mut RuntimeObserver>,
-) -> RuntimeReport {
-    let ClockMode::Wall { time_scale } = cfg.clock else {
-        unreachable!("wall executor only runs in wall mode");
-    };
-    let window = RunWindow::of(cfg);
-    assert!(
-        queries.last().map_or(true, |q| q.arrival <= window.horizon),
-        "trace arrivals must lie within the configured horizon"
-    );
-    let table = QueryTable::new(queries);
-    let stages = Stages::of(topo, server);
-
-    let (per_sub_s, parallelism) = stages.ingress_estimate();
-    let mut admission = AdmissionController::new(&cfg.admission, per_sub_s, parallelism);
-
-    // Embedding-tier cache: planned per-table hot shards when the server
-    // is cache-provisioned, materialized per front worker under real
-    // gathers. Misses additionally burn the modeled cold-tier penalty, so
-    // the wall run and the cost model charge the same hierarchy.
-    let cache_model = topo.front.as_ref().and_then(|f| f.svc.cache_model());
-    let miss_penalty = cache_model.map_or(SimDuration::ZERO, |m| m.spec().cold_miss_penalty);
-    // Under real gathers the measured per-sub service (which the static
-    // model cannot see — it depends on this machine's memory system and
-    // on cache warm-up) feeds the admission controller's delay estimate.
-    let measured_feed = arena.is_some().then(|| Arc::new(ServiceEwma::new()));
-    if let Some(feed) = &measured_feed {
-        admission.attach_measured(Arc::clone(feed));
-    }
-
-    let gpu_ctxs = match stages.back {
-        BackKind::Gpu { ctxs, .. } => ctxs,
-        _ => 0,
-    };
-    let front_threads = stages.front.map_or(0, |(_, t)| t);
-    let back_threads = match stages.back {
-        BackKind::Host { threads, .. } => threads,
-        _ => 0,
-    };
-    let plan = CorePlan::plan(
-        cfg.affinity,
-        front_threads as usize,
-        back_threads as usize,
-        gpu_ctxs as usize,
-    );
-
-    prewarm_oracles(&stages, queries);
-
-    // Fault plane: resolve the plan against the pools once, share the
-    // control block between workers, dispatcher, and supervisor. With the
-    // default config (`FaultPlan::none()`, supervisor off, no deadline)
-    // every gate below is false and the serving path is unchanged.
-    let book = FaultBook::build(&cfg.faults, front_threads, back_threads, gpu_ctxs);
-    let controls = RuntimeControls::new(cfg.batch.max_delay);
-    let supervised = cfg.supervisor.enabled;
-    let faulty = !book.is_empty() || supervised;
-    let deadline_drop = cfg.deadline.drop_expired && cfg.deadline.budget.is_some();
-
-    // Observability plane: per-worker seqlock slots (read by the observer
-    // thread), the deterministic trace sampler, and the dispatcher's own
-    // trace ring. Slots and rings are built here, before any worker
-    // serves, so attaching them never touches the hot path.
-    let tracing = cfg.trace.enabled();
-    let sampler = TraceSampler::new(cfg.seed, cfg.trace.sample_one_in);
-    let ring_cap = cfg.trace.ring_capacity as usize;
-    let mut dispatch_ring = tracing.then(|| TraceRing::with_capacity(ring_cap));
-    let observing = observer.is_some();
-    // The supervisor reads worker heartbeats (and plane state) through the
-    // same slots the observer uses, so either consumer materializes them.
-    let slots_on = observing || supervised;
-    let hist_len = LatencyHistogram::default_latency().counts().len();
-    let slots = |n: u32| -> Vec<Arc<TelemetrySlot>> {
-        if !slots_on {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|_| Arc::new(TelemetrySlot::new(hist_len)))
-            .collect()
-    };
-    let front_slots = slots(front_threads);
-    let back_slots = slots(back_threads);
-    let gpu_slots = slots(gpu_ctxs);
-    let counters = admission.counters();
-    let stop = AtomicBool::new(false);
-
-    // Inter-stage queues. The ingress queue is bounded by the config;
-    // internal forwards use blocking pushes (backpressure, never loss).
-    let front_q: SyncQueue<Sub> = SyncQueue::new(cfg.queue_depth);
-    let fuse_q: SyncQueue<Sub> = SyncQueue::new(cfg.queue_depth);
-    let back_q: SyncQueue<Sub> = SyncQueue::new(cfg.queue_depth);
-    let gpu_q: SyncQueue<GpuBatch> = SyncQueue::new(gpu_ctxs.max(1) as usize * 4);
-    // Recycled `GpuBatch::subs` buffers: sized so every in-flight batch
-    // plus every context's just-finished buffer fits without drops.
-    let free_q: SyncQueue<Vec<Sub>> = SyncQueue::new(gpu_ctxs.max(1) as usize * 8);
-    let pcie = Mutex::new(());
-
-    let clock = WallClock::start(time_scale);
-    let started = Instant::now();
-    let mut workers: Vec<WorkerTelemetry> = Vec::new();
-    let mut join_failures = 0u64;
-    let mut rng_root = SimRng::seed_from(cfg.seed ^ 0xC0FE_FEED_5EED_1234);
-
-    // One consistent-plane reader shared by the observer and supervisor
-    // threads (declared before the thread scope so borrows outlive both).
-    let read_plane = {
-        let (front_slots, back_slots, gpu_slots) = (&front_slots, &back_slots, &gpu_slots);
-        let (front_q, back_q, fuse_q) = (&front_q, &back_q, &fuse_q);
-        let (counters, controls) = (&counters, &controls);
-        move |t: SimTime| -> PlaneState {
-            let mut stages = Vec::new();
-            let mut add = |slots: &[Arc<TelemetrySlot>], stage: StageKind, depth: usize| {
-                let Some((first, rest)) = slots.split_first() else {
-                    return;
-                };
-                let mut cum = first.read();
-                for s in rest {
-                    cum.absorb(&s.read());
-                }
-                stages.push(StageState {
-                    stage,
-                    workers: slots.len() as u32,
-                    cum,
-                    queue_depth: depth,
-                });
-            };
-            add(front_slots, StageKind::Front, front_q.depth());
-            add(back_slots, StageKind::Back, back_q.depth());
-            add(gpu_slots, StageKind::Gpu, fuse_q.depth());
-            PlaneState {
-                t,
-                stages,
-                admitted: counters.admitted(),
-                shed: counters.shed(),
-                suspect_workers: controls.suspect_count(),
-                dead_workers: controls.dead_count(),
-                degrade_level: controls.level(),
-            }
-        }
-    };
-    let read_plane = &read_plane;
-
-    std::thread::scope(|scope| {
-        // ── Worker pools ────────────────────────────────────────────────
-        let mut front_handles = Vec::new();
-        if let Some((oracle, threads)) = stages.front {
-            for w in 0..threads {
-                let (front_q, back_q, fuse_q, table, back, plan) =
-                    (&front_q, &back_q, &fuse_q, &table, stages.back, &plan);
-                let (book, controls) = (&book, &controls);
-                let mut rng = rng_root.fork();
-                let ewma = measured_feed.clone();
-                let slot = front_slots.get(w as usize).map(Arc::clone);
-                front_handles.push(scope.spawn(move || {
-                    if let Some(core) = plan.front_core(w as usize) {
-                        let _ = affinity::pin_current_thread(core);
-                    }
-                    let mut t = WorkerTelemetry::new(StageKind::Front, w, cfg.duration);
-                    if let Some(slot) = slot {
-                        t = t.with_slot(slot);
-                    }
-                    if tracing {
-                        t = t.with_trace(ring_cap);
-                    }
-                    let mut scratch = GatherScratch::with_dim(arena.map_or(0, |a| a.max_dim()));
-                    let mut cache = match (arena, cache_model) {
-                        (Some(a), Some(m)) => Some(a.cache_shard(m)),
-                        _ => None,
-                    };
-                    let panic_at = book.panic_at(StageKind::Front, w);
-                    // The serving loop runs under a panic boundary: a worker
-                    // that panics (injected or genuine) is contained — it
-                    // marks itself dead and returns its telemetry, the rest
-                    // of the pool keeps serving.
-                    let served = catch_unwind(AssertUnwindSafe(|| {
-                        while let Some(sub) = front_q.pop_wait() {
-                            let sample = t.batches >= HOT_WARMUP;
-                            let allocs_before = thread_allocs();
-                            let traced = sampler.sampled(sub.query);
-                            let mut now = clock.now();
-                            t.heartbeat(now);
-                            if let Some(at) = panic_at {
-                                if now >= at {
-                                    panic!("injected fault: worker panic");
-                                }
-                            }
-                            if faulty {
-                                if let Some(end) = book.stall_end(StageKind::Front, w, now) {
-                                    // Stalled: hand the sub back to the pool
-                                    // (bounded by the retry budget; the
-                                    // non-blocking push cannot deadlock the
-                                    // consumer), then freeze until the stall
-                                    // lifts.
-                                    if (sub.retries as u32) < cfg.deadline.retry_budget
-                                        && front_q.try_push_all(std::iter::once(Sub {
-                                            retries: sub.retries + 1,
-                                            ..sub
-                                        }))
-                                    {
-                                        t.redistributed += 1;
-                                        clock.wait_until(end);
-                                        continue;
-                                    }
-                                    clock.wait_until(end);
-                                    now = clock.now();
-                                }
-                            }
-                            if deadline_drop {
-                                let budget = cfg.deadline.budget.expect("deadline_drop implies");
-                                if now > table.arrival(sub.query) + budget {
-                                    if table.drop_expired(&sub, now).is_some() {
-                                        t.record_expired();
-                                    }
-                                    t.publish();
-                                    continue;
-                                }
-                            }
-                            let wait = now.saturating_since(sub.ready);
-                            let cost = oracle.service_cost_shared(sub.items);
-                            table.add_queuing(&sub, wait);
-                            let degrade = supervised && controls.degrade_gather();
-                            let derate = if faulty {
-                                book.service_mult(StageKind::Front, w, now)
-                            } else {
-                                1.0
-                            };
-                            let done = match arena {
-                                Some(arena) => {
-                                    // Real sparse phase: measured gather plus
-                                    // the modeled dense residual. The measured
-                                    // total replaces the modeled latency in
-                                    // every latency-facing account.
-                                    let kernel_start = Instant::now();
-                                    let (outcome, penalty) = match cache.as_mut() {
-                                        Some(shard) => {
-                                            let (outcome, stats) = arena.gather_cached(
-                                                sub.items,
-                                                &mut rng,
-                                                &mut scratch,
-                                                shard,
-                                            );
-                                            t.record_cache(&stats);
-                                            // Missed rows pay the modeled
-                                            // cold-tier penalty on top of the
-                                            // DRAM time the gather itself
-                                            // just charged — unless the ladder
-                                            // is at L2, where misses are
-                                            // skipped instead of fetched.
-                                            let penalty = if degrade {
-                                                SimDuration::ZERO
-                                            } else {
-                                                miss_penalty.mul_f64(stats.misses as f64)
-                                            };
-                                            (outcome, penalty)
-                                        }
-                                        None => (
-                                            arena.gather(sub.items, &mut rng, &mut scratch),
-                                            SimDuration::ZERO,
-                                        ),
-                                    };
-                                    if degrade {
-                                        table.mark_degraded(&sub);
-                                    }
-                                    let gather_wall_s = kernel_start.elapsed().as_secs_f64();
-                                    t.record_gather(&outcome, gather_wall_s);
-                                    if traced {
-                                        t.trace(
-                                            sub.query,
-                                            SpanKind::Gather,
-                                            now,
-                                            SimDuration::from_secs_f64(gather_wall_s / time_scale),
-                                        );
-                                    }
-                                    let mut residual = dense_residual(&cost) + penalty;
-                                    if derate != 1.0 {
-                                        residual = residual.mul_f64(derate);
-                                    }
-                                    clock.busy_wait(residual);
-                                    let done = clock.now();
-                                    let service = done.saturating_since(now);
-                                    table.add_inference(&sub, service);
-                                    t.record_cpu_measured(now, wait, sub.items, &cost, service);
-                                    if let Some(feed) = &ewma {
-                                        feed.record(service.as_secs_f64());
-                                    }
-                                    done
-                                }
-                                None => {
-                                    let mut svc = cost.latency;
-                                    if degrade {
-                                        // L2: serve cache-hit rows only,
-                                        // priced through the oracle.
-                                        svc = degraded_latency(&cost, cfg.supervisor.degraded_keep);
-                                        table.mark_degraded(&sub);
-                                    }
-                                    if derate != 1.0 {
-                                        svc = svc.mul_f64(derate);
-                                    }
-                                    table.add_inference(&sub, svc);
-                                    t.record_cpu_measured(now, wait, sub.items, &cost, svc);
-                                    clock.busy_wait(svc);
-                                    clock.now()
-                                }
-                            };
-                            if traced {
-                                t.trace(sub.query, SpanKind::Queue, sub.ready, wait);
-                                t.trace(
-                                    sub.query,
-                                    SpanKind::Front,
-                                    now,
-                                    done.saturating_since(now),
-                                );
-                            }
-                            match back {
-                                BackKind::None => {
-                                    if let Some(r) = table.complete(&sub, done) {
-                                        let in_window = window.measures(table.arrival(sub.query));
-                                        let on_time =
-                                            cfg.deadline.budget.map_or(true, |b| r.latency <= b);
-                                        account_retired(&mut t, &r, in_window, on_time);
-                                        if traced {
-                                            t.trace(
-                                                sub.query,
-                                                SpanKind::Complete,
-                                                done,
-                                                SimDuration::ZERO,
-                                            );
-                                        }
-                                    }
-                                }
-                                BackKind::Host { .. } => {
-                                    back_q.push_wait(Sub { ready: done, ..sub });
-                                }
-                                BackKind::Gpu { .. } => {
-                                    fuse_q.push_wait(Sub { ready: done, ..sub });
-                                }
-                            }
-                            t.publish();
-                            if sample {
-                                t.record_hot_allocs(thread_allocs() - allocs_before);
-                            }
-                        }
-                    }));
-                    if served.is_err() {
-                        t.failed = true;
-                        controls.mark_dead(StageKind::Front, w);
-                    }
-                    t.publish();
-                    t
-                }));
-            }
-        }
-
-        let mut back_handles = Vec::new();
-        if let BackKind::Host { oracle, threads } = stages.back {
-            for w in 0..threads {
-                let (back_q, table, plan) = (&back_q, &table, &plan);
-                let (book, controls) = (&book, &controls);
-                let slot = back_slots.get(w as usize).map(Arc::clone);
-                back_handles.push(scope.spawn(move || {
-                    if let Some(core) = plan.back_core(w as usize) {
-                        let _ = affinity::pin_current_thread(core);
-                    }
-                    let mut t = WorkerTelemetry::new(StageKind::Back, w, cfg.duration);
-                    if let Some(slot) = slot {
-                        t = t.with_slot(slot);
-                    }
-                    if tracing {
-                        t = t.with_trace(ring_cap);
-                    }
-                    let panic_at = book.panic_at(StageKind::Back, w);
-                    let served = catch_unwind(AssertUnwindSafe(|| {
-                        while let Some(sub) = back_q.pop_wait() {
-                            let sample = t.batches >= HOT_WARMUP;
-                            let allocs_before = thread_allocs();
-                            let traced = sampler.sampled(sub.query);
-                            let mut now = clock.now();
-                            t.heartbeat(now);
-                            if let Some(at) = panic_at {
-                                if now >= at {
-                                    panic!("injected fault: worker panic");
-                                }
-                            }
-                            if faulty {
-                                if let Some(end) = book.stall_end(StageKind::Back, w, now) {
-                                    if (sub.retries as u32) < cfg.deadline.retry_budget
-                                        && back_q.try_push_all(std::iter::once(Sub {
-                                            retries: sub.retries + 1,
-                                            ..sub
-                                        }))
-                                    {
-                                        t.redistributed += 1;
-                                        clock.wait_until(end);
-                                        continue;
-                                    }
-                                    clock.wait_until(end);
-                                    now = clock.now();
-                                }
-                            }
-                            if deadline_drop {
-                                let budget = cfg.deadline.budget.expect("deadline_drop implies");
-                                if now > table.arrival(sub.query) + budget {
-                                    if table.drop_expired(&sub, now).is_some() {
-                                        t.record_expired();
-                                    }
-                                    t.publish();
-                                    continue;
-                                }
-                            }
-                            let wait = now.saturating_since(sub.ready);
-                            let cost = oracle.service_cost_shared(sub.items);
-                            table.add_queuing(&sub, wait);
-                            let mut svc = cost.latency;
-                            if faulty {
-                                let derate = book.service_mult(StageKind::Back, w, now);
-                                if derate != 1.0 {
-                                    svc = svc.mul_f64(derate);
-                                }
-                            }
-                            table.add_inference(&sub, svc);
-                            t.record_cpu_measured(now, wait, sub.items, &cost, svc);
-                            clock.busy_wait(svc);
-                            let done = clock.now();
-                            if traced {
-                                t.trace(sub.query, SpanKind::Queue, sub.ready, wait);
-                                t.trace(sub.query, SpanKind::Back, now, done.saturating_since(now));
-                            }
-                            if let Some(r) = table.complete(&sub, done) {
-                                let in_window = window.measures(table.arrival(sub.query));
-                                let on_time = cfg.deadline.budget.map_or(true, |b| r.latency <= b);
-                                account_retired(&mut t, &r, in_window, on_time);
-                                if traced {
-                                    t.trace(sub.query, SpanKind::Complete, done, SimDuration::ZERO);
-                                }
-                            }
-                            t.publish();
-                            if sample {
-                                t.record_hot_allocs(thread_allocs() - allocs_before);
-                            }
-                        }
-                    }));
-                    if served.is_err() {
-                        t.failed = true;
-                        controls.mark_dead(StageKind::Back, w);
-                    }
-                    t.publish();
-                    t
-                }));
-            }
-        }
-
-        let mut batcher_handle = None;
-        let mut gpu_handles = Vec::new();
-        if let BackKind::Gpu {
-            oracle,
-            ctxs,
-            fusion_limit,
-            bytes_per_item,
-            gpu,
-        } = stages.back
-        {
-            // The dynamic batcher: fill a fused batch up to the limit, or
-            // flush once its head has waited out the batch policy.
-            let (fuse_q, gpu_q, free_q, table, pcie, plan) =
-                (&fuse_q, &gpu_q, &free_q, &table, &pcie, &plan);
-            let (book, controls) = (&book, &controls);
-            batcher_handle = Some(scope.spawn(move || {
-                let mut pending: Option<Sub> = None;
-                while let Some(first) = pending.take().or_else(|| fuse_q.pop_wait()) {
-                    let mut subs = free_q.try_pop().unwrap_or_else(|| Vec::with_capacity(8));
-                    subs.push(first);
-                    let Some(limit) = fusion_limit else {
-                        // Fusion off: one sub-query per launch.
-                        let items = first.items;
-                        gpu_q.push_wait(GpuBatch { subs, items });
-                        continue;
-                    };
-                    // The flush deadline is anchored to the head sub's
-                    // *ready* time (the BatchPolicy contract, matching the
-                    // virtual clock) — not to when the batcher got around
-                    // to popping it. The ladder's L1 tightens it live.
-                    let max_delay = if supervised {
-                        controls.batch_delay()
-                    } else {
-                        cfg.batch.max_delay
-                    };
-                    let deadline = clock.wall_target(first.ready + max_delay);
-                    let mut items = first.items;
-                    while items < limit {
-                        match fuse_q.pop_deadline(deadline) {
-                            PopResult::Item(next) => {
-                                if items + next.items > limit {
-                                    pending = Some(next);
-                                    break;
-                                }
-                                items += next.items;
-                                subs.push(next);
-                            }
-                            PopResult::TimedOut | PopResult::Closed => break,
-                        }
-                    }
-                    gpu_q.push_wait(GpuBatch { subs, items });
-                }
-                gpu_q.close();
-            }));
-
-            for ctx in 0..ctxs {
-                let slot = gpu_slots.get(ctx as usize).map(Arc::clone);
-                gpu_handles.push(scope.spawn(move || {
-                    if let Some(core) = plan.gpu_core(ctx as usize) {
-                        let _ = affinity::pin_current_thread(core);
-                    }
-                    let mut t = WorkerTelemetry::new(StageKind::Gpu, ctx, cfg.duration);
-                    if let Some(slot) = slot {
-                        t = t.with_slot(slot);
-                    }
-                    if tracing {
-                        t = t.with_trace(ring_cap);
-                    }
-                    while let Some(batch) = gpu_q.pop_wait() {
-                        let sample = t.batches >= HOT_WARMUP;
-                        let allocs_before = thread_allocs();
-                        let bytes = bytes_per_item * batch.items as f64;
-                        let load_dur = pcie_transfer_time(bytes, gpu, 1);
-                        // The PCIe link is serialized across contexts.
-                        let load_start = {
-                            let _link = pcie.lock().expect("pcie lock poisoned");
-                            let load_start = clock.now();
-                            t.record_pcie(load_start, load_dur);
-                            clock.busy_wait(load_dur);
-                            load_start
-                        };
-                        let cost = oracle.service_cost_shared(batch.items);
-                        let head_wait = load_start
-                            .saturating_since(batch.subs.first().map_or(load_start, |s| s.ready));
-                        let compute_start = clock.now();
-                        t.record_gpu(compute_start, head_wait, batch.items, &cost, ctxs);
-                        let mut compute = cost.latency;
-                        if faulty {
-                            let mult = book.gpu_mult(ctx, compute_start);
-                            if mult != 1.0 {
-                                compute = compute.mul_f64(mult);
-                            }
-                        }
-                        clock.busy_wait(compute);
-                        let done = clock.now();
-                        for sub in &batch.subs {
-                            let wait = load_start.saturating_since(sub.ready);
-                            table.add_queuing(sub, wait);
-                            table.add_loading(sub, load_dur);
-                            table.add_inference(sub, cost.latency);
-                            let traced = sampler.sampled(sub.query);
-                            if traced {
-                                t.trace(sub.query, SpanKind::Queue, sub.ready, wait);
-                                t.trace(sub.query, SpanKind::Load, load_start, load_dur);
-                                t.trace(
-                                    sub.query,
-                                    SpanKind::Gpu,
-                                    compute_start,
-                                    done.saturating_since(compute_start),
-                                );
-                            }
-                            if let Some(r) = table.complete(sub, done) {
-                                let in_window = window.measures(table.arrival(sub.query));
-                                let on_time = cfg.deadline.budget.map_or(true, |b| r.latency <= b);
-                                account_retired(&mut t, &r, in_window, on_time);
-                                if traced {
-                                    t.trace(sub.query, SpanKind::Complete, done, SimDuration::ZERO);
-                                }
-                            }
-                        }
-                        // Recycle the batch buffer; a full freelist just
-                        // lets this one drop.
-                        let mut subs = batch.subs;
-                        subs.clear();
-                        let _ = free_q.try_push_all(std::iter::once(subs));
-                        t.publish();
-                        if sample {
-                            t.record_hot_allocs(thread_allocs() - allocs_before);
-                        }
-                    }
-                    t
-                }));
-            }
-        }
-
-        // ── Observer + supervisor threads: poll the slots periodically ──
-        let sup_handle = supervised.then(|| {
-            let (front_slots, back_slots) = (&front_slots, &back_slots);
-            let (controls, stop) = (&controls, &stop);
-            let mut sup = Supervisor::new(
-                cfg.supervisor,
-                Arc::clone(controls),
-                per_sub_s,
-                cfg.batch.max_delay,
-            );
-            scope.spawn(move || {
-                let period = sup.period();
-                let mut next = SimTime::ZERO + period;
-                'sup: while !stop.load(Ordering::Acquire) {
-                    let target = clock.wall_target(next);
-                    while let Some(left) = target.checked_duration_since(Instant::now()) {
-                        if stop.load(Ordering::Acquire) {
-                            break 'sup;
-                        }
-                        std::thread::sleep(left.min(Duration::from_millis(5)));
-                    }
-                    let now = clock.now();
-                    let state = read_plane(now);
-                    let front_beats: Vec<SimTime> =
-                        front_slots.iter().map(|s| s.last_beat()).collect();
-                    let back_beats: Vec<SimTime> =
-                        back_slots.iter().map(|s| s.last_beat()).collect();
-                    sup.tick(&state, &front_beats, &back_beats, now);
-                    next += period;
-                }
-            })
-        });
-
-        let obs_handle = observer.map(|obs| {
-            let stop = &stop;
-            scope.spawn(move || {
-                let period = obs.period();
-                let mut next = SimTime::ZERO + period;
-                'poll: while !stop.load(Ordering::Acquire) {
-                    // Sleep toward the next boundary in short chunks so a
-                    // stop request is honored promptly.
-                    let target = clock.wall_target(next);
-                    while let Some(left) = target.checked_duration_since(Instant::now()) {
-                        if stop.load(Ordering::Acquire) {
-                            break 'poll;
-                        }
-                        std::thread::sleep(left.min(Duration::from_millis(5)));
-                    }
-                    obs.tick(read_plane(next));
-                    next += period;
-                }
-                // Workers have quiesced (main sets `stop` only after
-                // joining every pool, which also orders their final
-                // publishes before this read): one exact end-of-run tick,
-                // then flush the sinks.
-                obs.tick(read_plane(clock.now()));
-                obs.finish();
-            })
-        });
-
-        // ── Dispatcher (this thread): pace arrivals, admit, split ───────
-        let ingress: &SyncQueue<Sub> = if stages.front.is_some() {
-            &front_q
-        } else {
-            &fuse_q
-        };
-        for (i, q) in queries.iter().enumerate() {
-            clock.wait_until(q.arrival);
-            if supervised && controls.shedding() {
-                // L3: the ladder has decided new work cannot be served.
-                admission.shed_forced();
-                continue;
-            }
-            if !admission.admit(ingress.len()) {
-                continue;
-            }
-            let sizes = split_iter(q.size, stages.split_batch);
-            let n_subs = sizes.len() as u32;
-            table.admit(i as u32, n_subs);
-            if sampler.sampled(i as u32) {
-                if let Some(ring) = &mut dispatch_ring {
-                    ring.push(TraceEvent {
-                        query: i as u32,
-                        tid: DISPATCH_TID,
-                        kind: SpanKind::Admit,
-                        start: q.arrival,
-                        dur: SimDuration::ZERO,
-                    });
-                }
-            }
-            let subs = sizes.map(|items| Sub {
-                query: i as u32,
-                items,
-                n_subs,
-                ready: q.arrival,
-                retries: 0,
-            });
-            if !ingress.try_push_all(subs) {
-                table.admit(i as u32, 0);
-                admission.shed_backpressure();
-            }
-        }
-
-        // ── Shutdown cascade: close each stage once its producers exit ──
-        // Joins never panic the run: worker panics are contained inside
-        // the pool boundary (the worker returns its telemetry with
-        // `failed` set), and anything that still escapes — a panic outside
-        // the serving loop — is counted, not propagated, so the report is
-        // always assembled.
-        front_q.close();
-        for h in front_handles {
-            match h.join() {
-                Ok(t) => workers.push(t),
-                Err(_) => join_failures += 1,
-            }
-        }
-        back_q.close();
-        fuse_q.close();
-        for h in back_handles {
-            match h.join() {
-                Ok(t) => workers.push(t),
-                Err(_) => join_failures += 1,
-            }
-        }
-        if let Some(h) = batcher_handle {
-            if h.join().is_err() {
-                join_failures += 1;
-            }
-        }
-        for h in gpu_handles {
-            match h.join() {
-                Ok(t) => workers.push(t),
-                Err(_) => join_failures += 1,
-            }
-        }
-        // Every pool has quiesced; release the observer and supervisor for
-        // their final reads.
-        stop.store(true, Ordering::Release);
-        if let Some(h) = sup_handle {
-            if h.join().is_err() {
-                join_failures += 1;
-            }
-        }
-        if let Some(h) = obs_handle {
-            if h.join().is_err() {
-                join_failures += 1;
-            }
-        }
-    });
-
-    let measured_arrivals = queries
-        .iter()
-        .filter(|q| window.measures(q.arrival))
-        .count() as u64;
-    let totals = RunTotals {
-        offered,
-        total_arrivals: queries.len() as u64,
-        measured_arrivals,
-        admitted: admission.admitted(),
-        shed: admission.shed(),
-        in_flight: table.in_flight(),
-        wall_elapsed_s: Some(started.elapsed().as_secs_f64()),
-        arena: arena.map(|a| (a.resident().as_bytes(), a.is_compacted())),
-        cache_predicted: match (arena, cache_model) {
-            (Some(_), Some(m)) => Some(m.overall_hit_rate()),
-            _ => None,
-        },
-        dispatch_trace: dispatch_ring,
-        join_failures,
-    };
-    assemble(server, cfg, workers, totals)
 }

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use hercules_common::units::{MemBytes, Qps, SimDuration};
+use hercules_common::units::{MemBytes, Qps, SimDuration, SimTime};
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
 
@@ -342,7 +342,55 @@ impl Default for SimConfig {
     }
 }
 
+/// A run's measurement window: the horizon, and the arrivals whose
+/// latency counts. The warm-up fraction is clamped to 0.9 and the drain
+/// margin capped at 40% of the horizon, and the window never inverts. The
+/// simulator and both runtime clocks derive their windows here, so they
+/// measure the same queries.
+#[derive(Debug, Clone, Copy)]
+pub struct RunWindow {
+    /// End of the served span.
+    pub horizon: SimTime,
+    /// First measured arrival instant.
+    pub warmup_start: SimTime,
+    /// Arrivals at or after this instant are served but not measured.
+    pub measure_end: SimTime,
+}
+
+impl RunWindow {
+    /// The window of a `duration`-long run.
+    pub fn new(duration: SimDuration, warmup_fraction: f64, drain_margin: SimDuration) -> Self {
+        let warmup_start = SimTime::ZERO + duration.mul_f64(warmup_fraction.clamp(0.0, 0.9));
+        let margin = drain_margin.min(duration.mul_f64(0.4));
+        let measure_end = SimTime::ZERO + duration.saturating_sub(margin);
+        RunWindow {
+            horizon: SimTime::ZERO + duration,
+            warmup_start,
+            measure_end: measure_end.max(warmup_start),
+        }
+    }
+
+    /// Whether a query arriving at `t` is measured.
+    pub fn measures(&self, t: SimTime) -> bool {
+        t >= self.warmup_start && t < self.measure_end
+    }
+
+    /// Length of the measured span in seconds (at least 1 ns, so rates
+    /// over it stay finite).
+    pub fn seconds(&self) -> f64 {
+        self.measure_end
+            .saturating_since(self.warmup_start)
+            .as_secs_f64()
+            .max(1e-9)
+    }
+}
+
 impl SimConfig {
+    /// The run's measurement window.
+    pub fn window(&self) -> RunWindow {
+        RunWindow::new(self.duration, self.warmup_fraction, self.drain_margin)
+    }
+
     /// A faster, coarser configuration for searches.
     pub fn quick(seed: u64) -> Self {
         SimConfig {

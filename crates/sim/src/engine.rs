@@ -29,7 +29,7 @@ use hercules_model::zoo::RecModel;
 use hercules_workload::generator::QueryStream;
 
 use crate::colocation::{Interference, WeightedRr};
-use crate::config::{PlacementPlan, PlanError, SimConfig};
+use crate::config::{PlacementPlan, PlanError, RunWindow, SimConfig};
 use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
 use crate::service::{build_topology, BackStage, Topology};
 
@@ -321,9 +321,7 @@ fn stretch(d: SimDuration, factor: Option<f64>) -> SimDuration {
 struct Engine<'a> {
     topos: Vec<&'a Topology>,
     server: &'a ServerSpec,
-    horizon: SimTime,
-    warmup_start: SimTime,
-    measure_end: SimTime,
+    window: RunWindow,
     heap: BinaryHeap<HeapEntry<Done>>,
     seq: u64,
     queries: Vec<QueryRec>,
@@ -533,7 +531,7 @@ impl<'a> Engine<'a> {
         if rec.remaining == 0 {
             let stats = &mut self.stats[sub.tenant as usize];
             stats.completed_total += 1;
-            if rec.arrival >= self.warmup_start && rec.arrival < self.measure_end {
+            if self.window.measures(rec.arrival) {
                 stats.completed += 1;
                 let lat_s = now.saturating_since(rec.arrival).as_secs_f64();
                 stats.latency.record(lat_s);
@@ -624,7 +622,7 @@ impl<'a> Engine<'a> {
                     let Some(entry) = self.heap.pop() else {
                         break;
                     };
-                    if entry.time > self.horizon {
+                    if entry.time > self.window.horizon {
                         break;
                     }
                     self.handle(entry.ev, entry.time);
@@ -699,13 +697,9 @@ pub(crate) fn run(
     cfg: &SimConfig,
 ) -> ColocationReport {
     let n = tenants.len();
-    let horizon = SimTime::ZERO + cfg.duration;
-    let warmup_start = SimTime::ZERO + cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-    // Queries arriving after this instant are served but not measured; they
-    // could not complete before the horizon even when meeting the SLA.
-    let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-    let measure_end = SimTime::ZERO + (cfg.duration.saturating_sub(margin));
-    let measure_end = measure_end.max(warmup_start);
+    // Queries arriving past the window's end are served but not measured;
+    // they could not complete before the horizon even when meeting the SLA.
+    let window = cfg.window();
 
     // Per-tenant arrival streams (tenant 0's is the dedicated stream),
     // indexed run-wide in tenant order.
@@ -714,8 +708,9 @@ pub(crate) fn run(
     let mut stats: Vec<TenantStats> = Vec::with_capacity(n);
     for (i, tenant) in tenants.iter().enumerate() {
         let mut st = TenantStats::default();
-        for q in QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(horizon) {
-            if q.arrival >= warmup_start && q.arrival < measure_end {
+        for q in QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(window.horizon)
+        {
+            if window.measures(q.arrival) {
                 st.measured_arrivals += 1;
             }
             st.total_arrivals += 1;
@@ -749,9 +744,7 @@ pub(crate) fn run(
     let mut engine = Engine {
         topos: tenants.iter().map(|t| t.topo).collect(),
         server,
-        horizon,
-        warmup_start,
-        measure_end,
+        window,
         heap: BinaryHeap::new(),
         seq: 0,
         queries,
@@ -777,7 +770,7 @@ pub(crate) fn run(
     engine.run(&arrivals);
 
     // Assemble the reports.
-    let window_s = (measure_end - warmup_start).as_secs_f64().max(1e-9);
+    let window_s = window.seconds();
     let load = summarize_load(
         &engine.buckets,
         server,

@@ -28,7 +28,9 @@ pub mod search;
 pub mod service;
 
 pub use colocation::simulate_colocated;
-pub use config::{ColocationConfig, PlacementPlan, PlanError, SimConfig, SlaSpec, TenantSpec};
+pub use config::{
+    ColocationConfig, PlacementPlan, PlanError, RunWindow, SimConfig, SlaSpec, TenantSpec,
+};
 pub use engine::{
     simulate, simulate_cached, simulate_with_topology, split_iter, summarize_load, Buckets,
     HeapEntry, LoadSummary, SplitIter, POWER_BUCKETS,
