@@ -505,3 +505,9 @@ fn enqueue(pools: &mut [Pool; 3], fuse_items: &mut u64, stage: StageKind, sub: S
     }
     pools[stage.index()].queue.push_back(sub);
 }
+
+// The fleet steps replicas as values it may move across threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<VirtStepper<'static>>();
+};

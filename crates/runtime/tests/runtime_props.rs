@@ -2,17 +2,19 @@
 //! (admitted = completed + in-flight, plus shed, across clock modes and
 //! plans), bitwise reproducibility of the virtual clock, and
 //! cross-validation of the virtual-clock runtime against the
-//! discrete-event simulator on the quickstart scenario.
+//! discrete-event simulator on the quickstart scenario and every dedicated
+//! shape of `tests/engine_golden.rs`.
 
 use proptest::prelude::*;
 
+use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::server::ServerType;
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_runtime::{
     AdmissionPolicy, BatchPolicy, ClockMode, RuntimeConfig, ServingRuntime, StageKind,
 };
-use hercules_sim::{simulate, NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
+use hercules_sim::{simulate, NmpLutCache, PlacementPlan, SimConfig, SimReport, SlaSpec};
 
 /// The quickstart scenario: RMC1 production on a T2 under the canonical
 /// CPU plan (what `examples/quickstart.rs` and the README lead with).
@@ -37,45 +39,202 @@ fn sim_cfg(seed: u64) -> SimConfig {
     }
 }
 
+/// One scenario served by both loops: the simulator and the virtual clock.
+struct XvalRow {
+    name: &'static str,
+    model: RecModel,
+    server: ServerType,
+    plan: PlacementPlan,
+    qps: f64,
+    cfg: SimConfig,
+}
+
+/// The quickstart scenario plus every dedicated shape of
+/// `tests/engine_golden.rs` (same model, server, plan, load, seed and
+/// 600 ms configuration).
+fn xval_rows() -> Vec<XvalRow> {
+    let golden = |seed| SimConfig {
+        duration: SimDuration::from_millis(600),
+        warmup_fraction: 0.1,
+        drain_margin: SimDuration::from_millis(50),
+        seed,
+    };
+    let cpu_sd = PlacementPlan::CpuSdPipeline {
+        sparse_threads: 6,
+        sparse_workers: 2,
+        dense_threads: 8,
+        batch: 256,
+    };
+    let gpu = |colocated, fusion_limit, host_sparse_threads| PlacementPlan::GpuModel {
+        colocated,
+        fusion_limit,
+        host_sparse_threads,
+        host_batch: 256,
+    };
+    let hybrid = PlacementPlan::HybridSdPipeline {
+        sparse_threads: 10,
+        sparse_workers: 2,
+        gpu_colocated: 2,
+        fusion_limit: Some(2000),
+        batch: 256,
+    };
+    let rmc2 = RecModel::build(ModelKind::DlrmRmc2, ModelScale::Production);
+    let rmc3 = RecModel::build(ModelKind::DlrmRmc3, ModelScale::Production);
+    let rmc3_small = || RecModel::build(ModelKind::DlrmRmc3, ModelScale::Small);
+    let row = |name, model, server, plan, qps, cfg| XvalRow {
+        name,
+        model,
+        server,
+        plan,
+        qps,
+        cfg,
+    };
+    vec![
+        row(
+            "quickstart",
+            rmc1(),
+            ServerType::T2,
+            quickstart_plan(),
+            400.0,
+            sim_cfg(7),
+        ),
+        row(
+            "cpu_model_t2",
+            rmc1(),
+            ServerType::T2,
+            quickstart_plan(),
+            500.0,
+            golden(7),
+        ),
+        row(
+            "cpu_model_t2_overloaded",
+            rmc1(),
+            ServerType::T2,
+            quickstart_plan(),
+            4000.0,
+            golden(21),
+        ),
+        row(
+            "cpu_model_t3_nmp",
+            rmc2,
+            ServerType::T3,
+            quickstart_plan(),
+            300.0,
+            golden(8),
+        ),
+        row(
+            "cpu_sd_t2",
+            rmc1(),
+            ServerType::T2,
+            cpu_sd,
+            400.0,
+            golden(9),
+        ),
+        row(
+            "gpu_host_t7",
+            rmc3,
+            ServerType::T7,
+            gpu(2, Some(2000), 8),
+            400.0,
+            golden(10),
+        ),
+        row(
+            "gpu_no_host_t7",
+            rmc3_small(),
+            ServerType::T7,
+            gpu(3, Some(2048), 0),
+            2000.0,
+            golden(11),
+        ),
+        row(
+            "gpu_no_fusion_t7",
+            rmc3_small(),
+            ServerType::T7,
+            gpu(3, None, 0),
+            2000.0,
+            golden(12),
+        ),
+        row(
+            "hybrid_t7",
+            rmc1(),
+            ServerType::T7,
+            hybrid,
+            500.0,
+            golden(13),
+        ),
+    ]
+}
+
+/// With the batcher's delay at zero the virtual clock serves a run exactly
+/// as the simulator does: every count and every phase attribution agree to
+/// the nanosecond, the power figures agree up to the order in which
+/// per-worker buckets are summed, and each quantile lies within one
+/// histogram bucket of the exact order statistic.
 #[test]
 fn virtual_runtime_cross_validates_against_sim_engine() {
-    let server = ServerType::T2.spec();
-    let plan = quickstart_plan();
-    let cfg = sim_cfg(7);
-    let offered = Qps(400.0);
+    let resolution = LatencyHistogram::default_latency().resolution();
+    for row in xval_rows() {
+        let name = row.name;
+        let server = row.server.spec();
+        let offered = Qps(row.qps);
+        let sim = simulate(&row.model, &server, &row.plan, offered, &row.cfg).unwrap();
+        let cfg = RuntimeConfig::from_sim(&row.cfg).with_batch(BatchPolicy {
+            max_delay: SimDuration::ZERO,
+        });
+        let rt =
+            ServingRuntime::build(&row.model, server, &row.plan, cfg, &NmpLutCache::new()).unwrap();
+        let live = rt.serve(offered);
+        let (l, s) = (&live.sim, &sim);
 
-    let sim = simulate(&rmc1(), &server, &plan, offered, &cfg).unwrap();
-    let rt = ServingRuntime::build(
-        &rmc1(),
-        server,
-        &plan,
-        RuntimeConfig::from_sim(&cfg),
-        &NmpLutCache::new(),
-    )
-    .unwrap();
-    let live = rt.serve(offered);
-
-    // Same seed, same stream: the populations must match exactly.
-    assert_eq!(live.sim.total_arrivals, sim.total_arrivals);
-    assert_eq!(live.sim.measured_arrivals, sim.measured_arrivals);
-    assert_eq!(live.shed, 0, "no admission budget: nothing sheds");
-
-    // The latency distribution must agree within the histogram's bucket
-    // resolution — the ±10% acceptance bound with margin to spare.
-    let close = |a: SimDuration, b: SimDuration, what: &str| {
-        let (a, b) = (a.as_secs_f64(), b.as_secs_f64());
-        let rel = (a - b).abs() / b.max(1e-12);
-        assert!(
-            rel <= 0.10,
-            "{what}: runtime {a:.6}s vs sim {b:.6}s ({:.1}% off)",
-            100.0 * rel
-        );
-    };
-    close(live.sim.p50, sim.p50, "p50");
-    close(live.sim.p99, sim.p99, "p99");
-    close(live.sim.mean_latency, sim.mean_latency, "mean");
-    assert_eq!(live.sim.completed, sim.completed);
-    assert_eq!(live.sim.completed_total, sim.completed_total);
+        assert_eq!(live.shed, 0, "{name}: no admission budget, nothing sheds");
+        let counts = |r: &SimReport| {
+            [
+                r.total_arrivals,
+                r.measured_arrivals,
+                r.completed,
+                r.completed_total,
+                r.in_flight_at_horizon,
+            ]
+        };
+        assert_eq!(counts(l), counts(s), "{name}: counts");
+        let nanos = |r: &SimReport| {
+            [
+                r.mean_latency,
+                r.breakdown.queuing,
+                r.breakdown.loading,
+                r.breakdown.inference,
+            ]
+            .map(SimDuration::as_nanos)
+        };
+        assert_eq!(nanos(l), nanos(s), "{name}: mean and breakdown");
+        let floats = |r: &SimReport| {
+            [
+                r.mean_power.value(),
+                r.peak_power.value(),
+                r.energy_per_query.value(),
+                r.cpu_activity,
+                r.mem_activity,
+                r.gpu_activity,
+                r.pcie_activity,
+                r.front_idle_fraction,
+            ]
+        };
+        for (i, (a, b)) in floats(l).into_iter().zip(floats(s)).enumerate() {
+            let rel = (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
+            assert!(rel <= 1e-12, "{name}: float {i}: runtime {a} vs sim {b}");
+        }
+        for (a, b, what) in [
+            (l.p50, s.p50, "p50"),
+            (l.p95, s.p95, "p95"),
+            (l.p99, s.p99, "p99"),
+        ] {
+            let (a, b) = (a.as_secs_f64(), b.as_secs_f64());
+            assert!(
+                a.max(b) <= resolution * a.min(b),
+                "{name}: {what}: runtime {a:.9}s vs sim {b:.9}s"
+            );
+        }
+    }
 }
 
 #[test]
