@@ -194,8 +194,8 @@ fn active_list(slots: &[Option<Slot<'_>>]) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics when the pool is empty, `initial_replicas` is out of range, the
-/// pool members disagree on the run window, or arrivals decrease or lie
-/// past the horizon.
+/// pool members disagree on the run window, or arrivals decrease, lie past
+/// the horizon or have no items.
 pub fn run_virtual_fleet(
     pool: &[ServingRuntime],
     cache: Option<&CacheModel>,
@@ -218,8 +218,9 @@ pub fn run_virtual_fleet(
     let horizon = SimTime::ZERO + first.duration;
     assert!(
         queries.windows(2).all(|w| w[0].arrival <= w[1].arrival)
-            && queries.last().map_or(true, |q| q.arrival <= horizon),
-        "fleet arrivals must be non-decreasing and lie within the horizon"
+            && queries.last().map_or(true, |q| q.arrival <= horizon)
+            && queries.iter().all(|q| q.size > 0),
+        "fleet arrivals must be non-decreasing and lie within the horizon, with at least one item"
     );
 
     let mut map = ShardMap::place(cache, cfg.shards, cfg.initial_replicas);

@@ -59,7 +59,10 @@ mod sys {
 pub fn pin_current_thread(core: usize) -> bool {
     let mut set = sys::CpuSet::empty();
     set.set(core);
-    // pid 0 targets the calling thread.
+    // SAFETY: `set` is a live `CpuSet`, which has the kernel's `cpu_set_t`
+    // size and layout (`repr(C)`, 1024 bits), and the size passed is
+    // exactly its own, so the kernel reads only inside it. pid 0 targets
+    // the calling thread.
     unsafe { sys::sched_setaffinity(0, std::mem::size_of::<sys::CpuSet>(), &set) == 0 }
 }
 
@@ -73,6 +76,8 @@ pub fn pin_current_thread(_core: usize) -> bool {
 /// tell us.
 #[cfg(target_os = "linux")]
 pub fn current_core() -> Option<usize> {
+    // SAFETY: `sched_getcpu` takes no arguments and touches no memory of
+    // ours; it returns the calling thread's core, or -1.
     let cpu = unsafe { sys::sched_getcpu() };
     (cpu >= 0).then_some(cpu as usize)
 }
@@ -92,6 +97,9 @@ pub fn online_cores() -> Vec<usize> {
     #[cfg(target_os = "linux")]
     {
         let mut set = sys::CpuSet::empty();
+        // SAFETY: `set` is a live, writable `CpuSet`, which has the
+        // kernel's `cpu_set_t` size and layout, and the size passed is
+        // exactly its own, so the kernel writes only inside it.
         let rc = unsafe { sys::sched_getaffinity(0, std::mem::size_of::<sys::CpuSet>(), &mut set) };
         if rc == 0 {
             let cores: Vec<usize> = (0..1024).filter(|&c| set.is_set(c)).collect();

@@ -14,20 +14,20 @@
 //! that consumes simulation results — SLA searches, provisioning, plots —
 //! can consume runtime measurements unchanged.
 //!
-//! Service times come from the same `hercules_hw::cost` roofline oracle as
-//! the simulator (via the [`ServiceOracle`](hercules_hw::cost::ServiceOracle)
-//! trait). Every serving decision — admission and splitting, deadline
-//! drops, CPU-stage pricing under degradation and injected faults, fused
-//! GPU batch accounting, retirement, the observed plane, the report's
-//! totals — is made once, by one pipeline, which two interchangeable clock
-//! modes drive:
+//! Service times come from the same `hercules_hw::cost` roofline costs as
+//! the simulator: the built topology's
+//! [`StageService`](hercules_sim::StageService)s. Every serving decision —
+//! admission and splitting, deadline drops, CPU-stage pricing under
+//! degradation and injected faults, fused GPU batch accounting,
+//! retirement, the observed plane, the report's totals — is made once, by
+//! one pipeline, which two interchangeable clock modes drive:
 //!
-//! - [`ClockMode::Virtual`] — a deterministic virtual clock. One
-//!   time-ordered event loop ([`VirtStepper`]) serves arrivals beside a
-//!   heap of service events: bitwise-reproducible across runs, and
-//!   cross-validated against `sim::engine` (see
-//!   `tests/runtime_props.rs`). This is what searches, tests and the fleet
-//!   use.
+//! - [`ClockMode::Virtual`] — a deterministic virtual clock: the
+//!   simulator's own event loop (`sim::engine::Server`) with the pipeline
+//!   as its hooks ([`VirtStepper`]). Bitwise-reproducible across runs, and
+//!   with a zero batching delay and no faults it agrees with the simulator
+//!   to the nanosecond (see `tests/runtime_props.rs`). This is what
+//!   searches, tests and the fleet use.
 //! - [`ClockMode::Wall`] — a calibrated busy-wait wall clock. Worker
 //!   pools are real OS threads that spin for each batch's modeled service
 //!   time, so benches observe genuine concurrency effects: queue
@@ -54,6 +54,9 @@
 //! println!("p99 = {}, shed = {}", report.sim.p99, report.shed);
 //! # Ok::<(), hercules_sim::PlanError>(())
 //! ```
+
+// CI's clippy gate rejects unsafe code without a `SAFETY:` contract.
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod admission;
 pub mod affinity;

@@ -7,17 +7,20 @@
 //! derates), how a fused GPU batch is priced and attributed, how a
 //! retiring query is classified, what the observer and supervisor see, and
 //! how the report's totals are formed. [`Pipeline`] makes all of them.
-//! The virtual event loop ([`virt`](crate::virt)) and the wall thread
-//! pools ([`wall`](crate::wall)) decide only *when*: they own the clock,
-//! the queues and the workers, and call in here for everything else, so a
-//! serving change is written once and both clocks run it.
+//! The virtual clock (`sim::engine`'s event loop, with this pipeline as
+//! its hooks: [`virt`](crate::virt)) and the wall thread pools
+//! ([`wall`](crate::wall)) decide only *when*: they own the clock, the
+//! queues and the workers, and call in here for everything else, so a
+//! serving change is written once and both clocks run it. The stage facts
+//! — pool sizes, the ingress, the route between pools, each pool's cost
+//! function — are the [`Topology`]'s.
 
 use std::sync::Arc;
 
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::cost::{pcie_transfer_time, BatchCost};
 use hercules_hw::server::ServerSpec;
-use hercules_sim::{split_iter, RunWindow, Topology};
+use hercules_sim::{split, BackStage, RunWindow, StageKind, Sub, Subs, Topology};
 use hercules_workload::query::Query;
 
 use crate::admission::{AdmissionController, AdmissionCounters};
@@ -25,23 +28,21 @@ use crate::config::RuntimeConfig;
 use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor};
 use crate::observe::{PlaneState, StageState};
 use crate::report::{assemble, RunTotals, RuntimeReport, WallTotals};
-use crate::stage::{BackKind, QueryTable, Stages, Sub, FLAG_DEGRADED, FLAG_EXPIRED};
-use crate::telemetry::{StageKind, WorkerSnap, WorkerTelemetry};
+use crate::stage::{QueryTable, FLAG_DEGRADED, FLAG_EXPIRED};
+use crate::telemetry::{WorkerSnap, WorkerTelemetry};
 use crate::trace::{SpanKind, TraceEvent, TraceRing, TraceSampler, DISPATCH_TID};
 
 /// One run's serving decisions over a built topology. Shared read-only by
 /// every wall thread; owned by the virtual stepper.
 pub(crate) struct Pipeline<'a> {
-    pub stages: Stages<'a>,
+    pub topo: &'a Topology,
+    server: &'a ServerSpec,
     pub cfg: &'a RuntimeConfig,
     pub window: RunWindow,
     pub table: QueryTable,
     pub book: FaultBook,
     pub controls: Arc<RuntimeControls>,
     pub sampler: TraceSampler,
-    /// Workers per pool, in [`StageKind`] order: front threads, host back
-    /// threads, GPU contexts.
-    pub workers: [u32; 3],
     // `faulty`, `supervised` and `deadline_drop` gate every fault branch.
     // With the default config all three are false: the pipeline takes the
     // fault-free paths (no extra events, sequence numbers or RNG draws),
@@ -89,12 +90,6 @@ pub(crate) struct GpuLaunch {
     cost: Arc<BatchCost>,
 }
 
-impl GpuLaunch {
-    pub fn load_end(&self) -> SimTime {
-        self.load_start + self.load_dur
-    }
-}
-
 /// One pool as the observer and supervisor read it: per-worker telemetry
 /// sources (worker telemetry or seqlock slots) and the queue depth ahead.
 pub(crate) type PoolView<'p, W> = (&'p [W], usize);
@@ -108,18 +103,22 @@ impl<'a> Pipeline<'a> {
         cfg: &'a RuntimeConfig,
         queries: &[Query],
     ) -> Self {
-        let stages = Stages::of(topo, server);
-        let (per_sub_s, parallelism) = stages.ingress_estimate();
-        let front = stages.front.map_or(0, |(_, t)| t);
-        let (back, gpu) = match stages.back {
-            BackKind::None => (0, 0),
-            BackKind::Host { threads, .. } => (threads, 0),
-            BackKind::Gpu { ctxs, .. } => (0, ctxs),
+        let workers = topo.workers();
+        // The ingress pool's per-sub service estimate, at a typical sub
+        // size: the mean paper query (120 items) capped by the split batch.
+        let ingress = topo.ingress();
+        let svc = match &topo.back {
+            BackStage::Gpu { svc, .. } if ingress == StageKind::Gpu => svc,
+            _ => topo.cpu_service(ingress),
         };
+        let items = topo.split_batch.map_or(120, |b| b.clamp(1, 120));
+        let per_sub_s = svc.cost_shared(items).latency.as_secs_f64();
+        let [front, back, gpu] = workers;
         let book = FaultBook::build(&cfg.faults, front, back, gpu);
         let supervised = cfg.supervisor.enabled;
         Pipeline {
-            stages,
+            topo,
+            server,
             cfg,
             window: cfg.window(),
             table: QueryTable::new(queries),
@@ -127,21 +126,10 @@ impl<'a> Pipeline<'a> {
             book,
             controls: RuntimeControls::new(cfg.batch.max_delay),
             sampler: TraceSampler::new(cfg.seed, cfg.trace.sample_one_in),
-            workers: [front, back, gpu],
             supervised,
             deadline_drop: cfg.deadline.drop_expired && cfg.deadline.budget.is_some(),
             per_sub_s,
-            parallelism,
-        }
-    }
-
-    /// The pool arrivals enter: the front pool, or the GPU fusion queue
-    /// when the plan has no host stage.
-    pub fn ingress(&self) -> StageKind {
-        if self.stages.front.is_some() {
-            StageKind::Front
-        } else {
-            StageKind::Gpu
+            parallelism: workers[ingress.index()],
         }
     }
 
@@ -196,16 +184,18 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The serving contract every entry point checks: arrivals are
-    /// non-decreasing (`arrival` follows `prev`) and lie within the horizon.
+    /// non-decreasing (`q` follows `prev`) and lie within the horizon, and
+    /// every query has at least one item.
     ///
     /// # Panics
     ///
-    /// Panics when `arrival` breaks the contract.
-    pub fn check_arrival(&self, prev: SimTime, arrival: SimTime) {
+    /// Panics when `q` breaks the contract.
+    pub fn check_arrival(&self, prev: SimTime, q: &Query) {
+        let (arrival, size) = (q.arrival, q.size);
         assert!(
-            prev <= arrival && arrival <= self.window.horizon,
-            "trace arrivals must be non-decreasing and lie within the configured horizon \
-             ({arrival} after {prev}, horizon {})",
+            prev <= arrival && arrival <= self.window.horizon && size > 0,
+            "trace arrivals must be non-decreasing and lie within the configured horizon, \
+             with at least one item ({arrival} after {prev}, size {size}, horizon {})",
             self.window.horizon
         );
     }
@@ -213,8 +203,8 @@ impl<'a> Pipeline<'a> {
     /// Dispatches arrival `query` of `size` items at `arrival`, with
     /// `depth` sub-queries queued at the ingress: sheds it at L3 of the
     /// ladder, by the admission budget, or when its sub-queries would
-    /// overflow the bounded ingress queue; otherwise admits it, records its
-    /// admit span and hands its sub-queries to `enqueue`. `enqueue` reports
+    /// overflow the bounded ingress queue; otherwise admits it, hands its
+    /// sub-queries to `enqueue` and records its admit span. `enqueue` reports
     /// whether they fit (a concurrent re-enqueue may have filled the wall
     /// clock's queue); when they do not, the query is shed by backpressure.
     /// Returns whether the query was admitted.
@@ -225,7 +215,7 @@ impl<'a> Pipeline<'a> {
         arrival: SimTime,
         size: u32,
         depth: usize,
-        enqueue: impl FnOnce(&mut dyn ExactSizeIterator<Item = Sub>) -> bool,
+        enqueue: impl FnOnce(Subs) -> bool,
     ) -> bool {
         d.arrivals += 1;
         d.measured += u64::from(self.window.measures(arrival));
@@ -236,21 +226,13 @@ impl<'a> Pipeline<'a> {
         if !d.admission.admit(depth) {
             return false;
         }
-        let sizes = split_iter(size, self.stages.split_batch);
-        let n_subs = sizes.len() as u32;
-        if depth + sizes.len() > self.cfg.queue_depth {
+        let subs = split(query, arrival, size, self.topo.split_batch);
+        if depth + subs.len() > self.cfg.queue_depth {
             d.admission.shed_backpressure();
             return false;
         }
-        self.table.admit(query, n_subs);
-        let mut subs = sizes.map(|items| Sub {
-            query,
-            items,
-            n_subs,
-            ready: arrival,
-            retries: 0,
-        });
-        if !enqueue(&mut subs) {
+        self.table.admit(query, subs.len() as u32);
+        if !enqueue(subs) {
             self.table.admit(query, 0);
             d.admission.shed_backpressure();
             return false;
@@ -282,7 +264,7 @@ impl<'a> Pipeline<'a> {
         if self.deadline_drop && self.expired(sub, now, t) {
             return None;
         }
-        let cost = self.stages.cpu_oracle(stage).service_cost_shared(sub.items);
+        let cost = self.topo.cpu_service(stage).cost_shared(sub.items);
         let wait = now.saturating_since(sub.ready);
         self.table.add_queuing(sub, wait);
         let degrade =
@@ -362,18 +344,18 @@ impl<'a> Pipeline<'a> {
         load_start: SimTime,
         t: &mut WorkerTelemetry,
     ) -> GpuLaunch {
-        let BackKind::Gpu {
-            oracle,
+        let BackStage::Gpu {
+            svc,
             bytes_per_item,
-            gpu,
             ..
-        } = self.stages.back
+        } = &self.topo.back
         else {
             unreachable!("fused batches launch only on a GPU stage");
         };
+        let gpu = self.server.gpu.as_ref().expect("GPU stage on a GPU server");
         let load_dur = pcie_transfer_time(bytes_per_item * items as f64, gpu, 1);
         t.record_pcie(load_start, load_dur);
-        let cost = oracle.service_cost_shared(items);
+        let cost = svc.cost_shared(items);
         let mut compute = cost.latency;
         if self.faulty {
             let mult = self.book.gpu_mult(ctx, load_start + load_dur);
@@ -409,7 +391,13 @@ impl<'a> Pipeline<'a> {
     ) {
         let head_ready = subs.first().map_or(launch.load_start, |s| s.ready);
         let wait = launch.load_start.saturating_since(head_ready);
-        t.record_gpu(now, wait, launch.items, &launch.cost, self.workers[2]);
+        t.record_gpu(
+            now,
+            wait,
+            launch.items,
+            &launch.cost,
+            self.topo.workers()[2],
+        );
     }
 
     /// Completes the batch at `now`: attributes each sub-query's queue
@@ -513,7 +501,6 @@ impl<'a> Pipeline<'a> {
     /// the dispatcher's counts, and what only the wall clock measures.
     pub fn report(
         &self,
-        server: &ServerSpec,
         d: Dispatcher,
         offered: Qps,
         workers: Vec<WorkerTelemetry>,
@@ -529,6 +516,6 @@ impl<'a> Pipeline<'a> {
             dispatch_trace: d.ring,
             wall,
         };
-        assemble(server, self.cfg, workers, totals)
+        assemble(self.server, self.cfg, workers, totals)
     }
 }

@@ -115,7 +115,7 @@ impl ServingRuntime {
     /// # Panics
     ///
     /// Panics unless arrivals are non-decreasing and lie within the
-    /// configured horizon.
+    /// configured horizon, and every query has at least one item.
     pub fn serve_trace(&self, queries: &[Query], offered: Qps) -> RuntimeReport {
         self.serve_trace_observed(queries, offered, None)
     }
@@ -126,7 +126,7 @@ impl ServingRuntime {
     /// # Panics
     ///
     /// Panics unless arrivals are non-decreasing and lie within the
-    /// configured horizon.
+    /// configured horizon, and every query has at least one item.
     pub fn serve_trace_observed(
         &self,
         queries: &[Query],

@@ -1,34 +1,12 @@
-//! Shared execution plumbing used by both clock modes: the sub-query unit
-//! of work, lock-free per-query completion state, and the stage view the
-//! executors drive (service-time oracles + pool sizes extracted from a
-//! built [`Topology`]).
+//! Per-query completion state both clock modes share: lock-free phase
+//! attribution and retirement of the sub-queries ([`Sub`]) a query splits
+//! into.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use hercules_common::units::{SimDuration, SimTime};
-use hercules_hw::cost::ServiceOracle;
-use hercules_hw::device::GpuSpec;
-use hercules_hw::server::ServerSpec;
-use hercules_sim::{BackStage, Topology};
+use hercules_sim::Sub;
 use hercules_workload::query::Query;
-
-use crate::telemetry::StageKind;
-
-/// A sub-query flowing through the runtime's dispatch queues.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Sub {
-    /// Index of the parent query in the run's arrival list.
-    pub query: u32,
-    /// Items in this sub-query.
-    pub items: u32,
-    /// Sibling count (including this one), for per-query attribution.
-    pub n_subs: u32,
-    /// When the sub became eligible for its current stage.
-    pub ready: SimTime,
-    /// Times this sub has been re-enqueued by a stalled worker (bounded by
-    /// [`DeadlinePolicy::retry_budget`](crate::config::DeadlinePolicy)).
-    pub retries: u8,
-}
 
 /// Per-query completion state shared across workers.
 ///
@@ -195,110 +173,6 @@ impl QueryTable {
             .iter()
             .filter(|s| s.remaining.load(Ordering::Acquire) > 0)
             .count() as u64
-    }
-}
-
-/// The completing stage, as the executors see it.
-#[derive(Clone, Copy)]
-pub(crate) enum BackKind<'a> {
-    /// Front-stage completion finishes the query.
-    None,
-    /// A host dense pool.
-    Host {
-        oracle: &'a dyn ServiceOracle,
-        threads: u32,
-    },
-    /// Accelerator contexts behind the dynamic batcher and the serialized
-    /// PCIe link.
-    Gpu {
-        oracle: &'a dyn ServiceOracle,
-        ctxs: u32,
-        fusion_limit: Option<u32>,
-        bytes_per_item: f64,
-        gpu: &'a GpuSpec,
-    },
-}
-
-/// Executor-facing view of a built topology: per-stage service oracles and
-/// pool sizes. Both clock modes drive exactly this structure, so their
-/// semantics cannot drift.
-#[derive(Clone, Copy)]
-pub(crate) struct Stages<'a> {
-    pub front: Option<(&'a dyn ServiceOracle, u32)>,
-    pub back: BackKind<'a>,
-    pub split_batch: Option<u32>,
-}
-
-impl<'a> Stages<'a> {
-    pub fn of(topo: &'a Topology, server: &'a ServerSpec) -> Self {
-        let front = topo
-            .front
-            .as_ref()
-            .map(|f| (&f.svc as &dyn ServiceOracle, f.threads));
-        let back = match &topo.back {
-            BackStage::None => BackKind::None,
-            BackStage::HostPool { threads, svc } => BackKind::Host {
-                oracle: svc,
-                threads: *threads,
-            },
-            BackStage::Gpu {
-                colocated,
-                fusion_limit,
-                bytes_per_item,
-                svc,
-            } => BackKind::Gpu {
-                oracle: svc,
-                ctxs: *colocated,
-                fusion_limit: *fusion_limit,
-                bytes_per_item: *bytes_per_item,
-                gpu: server
-                    .gpu
-                    .as_ref()
-                    .expect("GPU topology only builds on GPU servers"),
-            },
-        };
-        Stages {
-            front,
-            back,
-            split_batch: topo.split_batch,
-        }
-    }
-
-    /// The oracle pricing CPU pool `stage`: the front pool, or the host
-    /// dense pool of an S-D pipeline.
-    pub fn cpu_oracle(&self, stage: StageKind) -> &'a dyn ServiceOracle {
-        match (stage, self.front, self.back) {
-            (StageKind::Front, Some((oracle, _)), _) => oracle,
-            (StageKind::Back, _, BackKind::Host { oracle, .. }) => oracle,
-            _ => unreachable!("no CPU pool serves the {} stage", stage.label()),
-        }
-    }
-
-    /// Where a sub-query goes once `stage` has served it: the next pool,
-    /// or `None` when `stage` completes it.
-    pub fn after(&self, stage: StageKind) -> Option<StageKind> {
-        match (stage, self.back) {
-            (StageKind::Front, BackKind::Host { .. }) => Some(StageKind::Back),
-            (StageKind::Front, BackKind::Gpu { .. }) => Some(StageKind::Gpu),
-            _ => None,
-        }
-    }
-
-    /// The pool the ingress queue feeds: its per-sub service estimate and
-    /// parallelism, used by the admission controller's queue-delay model.
-    pub fn ingress_estimate(&self) -> (f64, u32) {
-        // Typical sub size: the mean paper query (120 items) capped by the
-        // plan's split batch.
-        let items = self.split_batch.map_or(120, |b| b.clamp(1, 120));
-        match (&self.front, &self.back) {
-            (Some((oracle, threads)), _) => {
-                (oracle.service_cost(items).latency.as_secs_f64(), *threads)
-            }
-            (None, BackKind::Gpu { oracle, ctxs, .. }) => {
-                (oracle.service_cost(items).latency.as_secs_f64(), *ctxs)
-            }
-            (None, _) => (0.0, 1),
-        }
     }
 }
 

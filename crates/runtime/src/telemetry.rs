@@ -17,44 +17,10 @@ use hercules_common::units::{SimDuration, SimTime};
 use hercules_hw::cost::BatchCost;
 
 use hercules_sim::Buckets;
+pub use hercules_sim::StageKind;
 
 use crate::stage::QueryPhases;
 use crate::trace::{stage_tid, SpanKind, TraceEvent, TraceRing};
-
-/// Which pool a worker belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageKind {
-    /// Host front pool (SparseNet, cold-sparse pre-pooling, or the whole
-    /// model under CPU model-based scheduling).
-    Front,
-    /// Host dense pool (S-D pipeline back stage).
-    Back,
-    /// Accelerator contexts (query fusion + PCIe loading).
-    Gpu,
-}
-
-impl StageKind {
-    /// Every pool, in pipeline order.
-    pub(crate) const ALL: [StageKind; 3] = [StageKind::Front, StageKind::Back, StageKind::Gpu];
-
-    /// Position in [`StageKind::ALL`].
-    pub(crate) fn index(self) -> usize {
-        match self {
-            StageKind::Front => 0,
-            StageKind::Back => 1,
-            StageKind::Gpu => 2,
-        }
-    }
-
-    /// Short display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StageKind::Front => "front",
-            StageKind::Back => "back",
-            StageKind::Gpu => "gpu",
-        }
-    }
-}
 
 /// One worker's measurements over a run.
 #[derive(Debug)]
@@ -676,23 +642,36 @@ pub fn thread_allocs() -> u64 {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc;
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's. The only other work bumps
+// the `ALLOCS` thread-local, which is const-initialized and has no
+// destructor, so counting can neither allocate nor recurse into the
+// allocator.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout` (non-zero size), which `System` requires.
         unsafe { std::alloc::System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator with
+        // `layout`, and every block this allocator hands out is `System`'s.
         unsafe { std::alloc::System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `dealloc`, `ptr` is `System`'s block of `layout`;
+        // the caller guarantees `new_size` is non-zero and does not
+        // overflow when rounded to `layout`'s alignment.
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `alloc`, the caller's `layout` has non-zero size.
         unsafe { std::alloc::System.alloc_zeroed(layout) }
     }
 }

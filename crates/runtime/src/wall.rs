@@ -45,7 +45,7 @@ use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::cost::CacheModel;
 use hercules_hw::server::ServerSpec;
-use hercules_sim::{split_iter, Topology};
+use hercules_sim::{split_iter, BackStage, Sub, Topology};
 use hercules_workload::query::Query;
 
 use crate::admission::{AdmissionCounters, ServiceEwma};
@@ -57,7 +57,6 @@ use crate::observe::{PlaneState, RuntimeObserver};
 use crate::pipeline::{CpuJob, Dispatcher, Pipeline, PoolView};
 use crate::queue::{PopResult, SyncQueue};
 use crate::report::{RuntimeReport, WallTotals};
-use crate::stage::{BackKind, Stages, Sub};
 use crate::telemetry::{thread_allocs, StageKind, TelemetrySlot, WorkerTelemetry};
 use crate::trace::SpanKind;
 
@@ -206,10 +205,10 @@ pub(crate) fn run_trace(
     let pipe = Pipeline::new(topo, server, cfg, queries);
     let mut prev = SimTime::ZERO;
     for q in queries {
-        pipe.check_arrival(prev, q.arrival);
+        pipe.check_arrival(prev, q);
         prev = q.arrival;
     }
-    prewarm_oracles(&pipe.stages, queries);
+    prewarm_oracles(topo, queries);
     let mut dispatch = pipe.dispatcher();
     // Embedding-tier cache: planned per-table hot shards when the server
     // is cache-provisioned, materialized per front worker under real
@@ -223,7 +222,7 @@ pub(crate) fn run_trace(
     // same slots the observer uses, so either consumer materializes them.
     let hist_len = LatencyHistogram::default_latency().counts().len();
     let slots_on = observer.is_some() || pipe.supervised;
-    let [front, back, gpu] = pipe.workers;
+    let [front, back, gpu] = topo.workers();
     let wall = Wall {
         pipe: &pipe,
         clock: WallClock::start(time_scale),
@@ -231,7 +230,7 @@ pub(crate) fn run_trace(
         gpu_q: SyncQueue::new(gpu.max(1) as usize * 4),
         free_q: SyncQueue::new(gpu.max(1) as usize * 8),
         pcie: Mutex::new(()),
-        slots: pipe.workers.map(|n| {
+        slots: topo.workers().map(|n| {
             let n = if slots_on { n } else { 0 };
             (0..n)
                 .map(|_| Arc::new(TelemetrySlot::new(hist_len)))
@@ -252,7 +251,7 @@ pub(crate) fn run_trace(
         arena: arena.map(|a| (a.resident().as_bytes(), a.is_compacted())),
         cache_predicted: arena.and(cache_model).map(CacheModel::overall_hit_rate),
     };
-    pipe.report(server, dispatch, offered, workers, totals)
+    pipe.report(dispatch, offered, workers, totals)
 }
 
 impl Wall<'_, '_> {
@@ -267,7 +266,7 @@ impl Wall<'_, '_> {
         observer: Option<&mut RuntimeObserver>,
     ) -> (Vec<WorkerTelemetry>, u64) {
         let mut rng_root = SimRng::seed_from(self.pipe.cfg.seed ^ 0xC0FE_FEED_5EED_1234);
-        let [front, back, gpu] = self.pipe.workers;
+        let [front, back, gpu] = self.pipe.topo.workers();
         std::thread::scope(|scope| {
             let front: Vec<_> = (0..front)
                 .map(|w| {
@@ -288,7 +287,7 @@ impl Wall<'_, '_> {
                 .map(|s| scope.spawn(move || self.supervise(s)));
             let obs = observer.map(|o| scope.spawn(move || self.observe(o)));
 
-            let ingress = &self.queues[self.pipe.ingress().index()];
+            let ingress = &self.queues[self.pipe.topo.ingress().index()];
             for (i, q) in queries.iter().enumerate() {
                 self.clock.wait_until(q.arrival);
                 self.pipe.dispatch(
@@ -388,7 +387,7 @@ impl Wall<'_, '_> {
                 }
                 if let Some(job) = pipe.cpu_begin(stage, w, &sub, now, &mut t) {
                     let done = self.serve_cpu(stage, &job, &sub, gatherer.as_mut(), &mut t);
-                    match pipe.stages.after(stage) {
+                    match pipe.topo.after(stage) {
                         None => pipe.retire(&sub, done, &mut t),
                         Some(next) => {
                             self.queues[next.index()].push_wait(Sub { ready: done, ..sub });
@@ -469,7 +468,7 @@ impl Wall<'_, '_> {
     /// The dynamic batcher: fills a fused batch up to the limit, or flushes
     /// once its head has waited out the batch delay.
     fn batcher(&self) {
-        let BackKind::Gpu { fusion_limit, .. } = self.pipe.stages.back else {
+        let BackStage::Gpu { fusion_limit, .. } = self.pipe.topo.back else {
             unreachable!("the batcher runs only with a GPU stage");
         };
         let fuse_q = &self.queues[StageKind::Gpu.index()];
@@ -604,46 +603,44 @@ fn joined<'s, T>(
 /// memoized cost oracle, so steady-state `service_cost_shared` calls are
 /// pure cache hits (a cold miss mid-run would heap-allocate a `BatchCost`
 /// on the serving path).
-fn prewarm_oracles(stages: &Stages, queries: &[Query]) {
+fn prewarm_oracles(topo: &Topology, queries: &[Query]) {
     let mut sizes: Vec<u32> = Vec::new();
     for q in queries {
-        for s in split_iter(q.size, stages.split_batch) {
+        for s in split_iter(q.size, topo.split_batch) {
             if !sizes.contains(&s) {
                 sizes.push(s);
             }
         }
     }
     for &s in &sizes {
-        if let Some((oracle, _)) = stages.front {
-            let _ = oracle.service_cost_shared(s);
+        if let Some(front) = &topo.front {
+            let _ = front.svc.cost_shared(s);
         }
-        match stages.back {
-            BackKind::Host { oracle, .. } => {
-                let _ = oracle.service_cost_shared(s);
-            }
-            BackKind::Gpu {
-                oracle,
+        match &topo.back {
+            BackStage::HostPool { svc, .. }
+            | BackStage::Gpu {
+                svc,
                 fusion_limit: None,
                 ..
             } => {
-                let _ = oracle.service_cost_shared(s);
+                let _ = svc.cost_shared(s);
             }
             _ => {}
         }
     }
-    if let BackKind::Gpu {
-        oracle,
+    if let BackStage::Gpu {
+        svc,
         fusion_limit: Some(limit),
         ..
-    } = stages.back
+    } = &topo.back
     {
         // Fused batches can land anywhere in (0, limit]; one probe per
         // quantization bucket warms them all.
         let mut items = 1u32;
-        while items <= limit {
-            let _ = oracle.service_cost_shared(items);
+        while items <= *limit {
+            let _ = svc.cost_shared(items);
             items = items.saturating_add(32);
         }
-        let _ = oracle.service_cost_shared(limit);
+        let _ = svc.cost_shared(*limit);
     }
 }

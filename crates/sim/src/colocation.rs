@@ -30,7 +30,7 @@ use hercules_hw::server::ServerSpec;
 use crate::config::{ColocationConfig, PlacementPlan, PlanError};
 use crate::engine::{run, TenantRun};
 use crate::metrics::ColocationReport;
-use crate::service::{build_topology, BackStage, Topology};
+use crate::service::{build_topology, StageKind, Topology};
 
 /// Share-weighted deficit round-robin over tenant queues.
 ///
@@ -162,15 +162,10 @@ impl Interference {
     }
 }
 
-/// Structural fingerprint of a topology: front presence + back-stage kind.
-/// Tenants sharing pools must agree on it.
-fn topo_shape(t: &Topology) -> (bool, u8) {
-    let back = match t.back {
-        BackStage::None => 0u8,
-        BackStage::HostPool { .. } => 1,
-        BackStage::Gpu { .. } => 2,
-    };
-    (t.front.is_some(), back)
+/// Structural fingerprint of a topology: where arrivals enter and where
+/// the front pool forwards. Tenants sharing pools must agree on it.
+fn topo_shape(t: &Topology) -> (StageKind, Option<StageKind>) {
+    (t.ingress(), t.after(StageKind::Front))
 }
 
 /// Simulates `cfg.tenants` co-located on `server` under the shared `plan`.

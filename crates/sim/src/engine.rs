@@ -1,4 +1,5 @@
-//! The discrete-event server simulator.
+//! The discrete-event server simulator and the one event loop every
+//! virtual-time run serves through.
 //!
 //! Faithful to the paper's system stack (Fig. 3): a query dispatcher splits
 //! arriving queries into sub-queries (data-parallelism on CPUs) or fuses
@@ -8,13 +9,21 @@
 //! is a serialized shared link. Tail latency, throughput, utilization, and
 //! power are measured over a post-warm-up window.
 //!
-//! One event loop serves every run. It takes N ≥ 1 tenants over the
-//! shared pools: each tenant has its own dispatch queues, the pools pick
-//! among backlogged tenants by share-weighted deficit round-robin, and
-//! co-located tenants' service times are derated for interference
-//! (`crate::colocation`). A dedicated server ([`simulate_with_topology`])
-//! is the one-tenant case, which takes neither the picker's scan nor the
-//! derate's arithmetic and keeps no second latency population.
+//! [`Server`] owns only what a clock owns: arrivals served beside an
+//! insertion-ordered event heap (arrivals first on ties), each pool's
+//! per-tenant queues with the share-weighted deficit round-robin picker
+//! (`crate::colocation`) and its free workers, the batcher's flush
+//! deadline, the serialized PCIe link and the in-flight fused batches.
+//! Every serving decision — admission, service time, deadline drops,
+//! retirement, GPU load and compute attribution, the batching delay, which
+//! worker serves — is asked of its [`Serve`] hooks. The simulator's hooks
+//! price batches with the roofline costs, derate co-located tenants for
+//! interference, and keep exact latency populations and the power
+//! buckets; a dedicated server ([`simulate_with_topology`]) is the
+//! one-tenant case, which takes neither the picker's scan nor the derate's
+//! arithmetic and keeps no second latency population. The serving
+//! runtime's virtual clock is the same loop over the serving pipeline's
+//! hooks (`hercules_runtime::VirtStepper`).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -22,6 +31,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use hercules_common::stats::PercentileTracker;
 use hercules_common::units::{Joules, Qps, SimDuration, SimTime, Watts};
 use hercules_hw::cost::pcie_transfer_time;
+use hercules_hw::device::GpuSpec;
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::power::{Activity, PowerModel};
 use hercules_hw::server::ServerSpec;
@@ -31,43 +41,10 @@ use hercules_workload::generator::QueryStream;
 use crate::colocation::{Interference, WeightedRr};
 use crate::config::{PlacementPlan, PlanError, RunWindow, SimConfig};
 use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
-use crate::service::{build_topology, BackStage, Topology};
+use crate::service::{build_topology, BackStage, StageKind, Topology};
 
 /// Number of coarse accounting buckets used for peak-power estimation.
 pub const POWER_BUCKETS: usize = 32;
-
-/// An entry of a discrete-event queue: pops earliest `time` first, then
-/// lowest `seq` (insertion order), so simultaneous events keep the order
-/// they were scheduled in. Shared with the runtime's virtual clock.
-pub struct HeapEntry<E> {
-    /// When the event fires.
-    pub time: SimTime,
-    /// Insertion sequence number, the tie-breaker.
-    pub seq: u64,
-    /// The event.
-    pub ev: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap: earliest time (then lowest seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// Splits a query of `size` items into sub-query sizes under the plan's
 /// data-parallel split batch (`None`: the whole query flows as one unit).
@@ -235,6 +212,466 @@ pub fn summarize_load(
     }
 }
 
+/// A sub-query flowing through the pools' queues.
+#[derive(Debug, Clone, Copy)]
+pub struct Sub {
+    /// Index of the parent query in the run's arrival list.
+    pub query: u32,
+    /// Items in this sub-query.
+    pub items: u32,
+    /// Sibling count (including this one), for per-query attribution.
+    pub n_subs: u32,
+    /// When the sub became eligible for its current stage.
+    pub ready: SimTime,
+    /// Times a stalled wall-clock worker handed this sub back to its pool.
+    pub retries: u8,
+}
+
+/// The sub-queries one query splits into ([`split`]): exact-size and
+/// `Copy`, so dispatchers queue them without touching the heap.
+#[derive(Debug, Clone, Copy)]
+pub struct Subs {
+    sizes: SplitIter,
+    sub: Sub,
+}
+
+impl Iterator for Subs {
+    type Item = Sub;
+
+    #[inline]
+    fn next(&mut self) -> Option<Sub> {
+        let items = self.sizes.next()?;
+        Some(Sub { items, ..self.sub })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.sizes.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Subs {}
+
+/// Splits `query` of `size` items, ready at `ready`, into sub-queries under
+/// the plan's split batch ([`split_iter`]).
+#[inline]
+pub fn split(query: u32, ready: SimTime, size: u32, split_batch: Option<u32>) -> Subs {
+    let sizes = split_iter(size, split_batch);
+    let sub = Sub {
+        query,
+        items: 0,
+        n_subs: sizes.len() as u32,
+        ready,
+        retries: 0,
+    };
+    Subs { sizes, sub }
+}
+
+/// The serving decisions [`Server`] asks for. The simulator implements it
+/// once and the serving runtime's virtual clock once; the loop is
+/// monomorphized over each, so neither pays for the other's decisions.
+pub trait Serve {
+    /// What the hooks keep about a fused batch from launch to completion.
+    type Launch;
+
+    /// Admits arrival `query` of `size` items at `now`, with `depth`
+    /// sub-queries queued at the ingress: its tenant and sub-queries, or
+    /// `None` when it is shed.
+    fn admit(&mut self, query: u32, now: SimTime, size: u32, depth: usize)
+        -> Option<(usize, Subs)>;
+
+    /// Removes the workers of CPU pool `stage` that have died at `now` from
+    /// `free`, and picks the one that serves next (an index into `free`),
+    /// or `None` when none may.
+    fn worker(&mut self, stage: StageKind, free: &mut Vec<u32>, now: SimTime) -> Option<usize>;
+
+    /// `worker` of CPU pool `stage` takes `tenant`'s `sub` off its queue at
+    /// `now`: returns when its service ends, or `None` when the sub is
+    /// dropped unserved (the worker stays free).
+    fn cpu_begin(
+        &mut self,
+        stage: StageKind,
+        tenant: usize,
+        worker: u32,
+        sub: &Sub,
+        now: SimTime,
+    ) -> Option<SimTime>;
+
+    /// The tenant whose query `sub` belongs to.
+    fn tenant(&self, sub: &Sub) -> usize;
+
+    /// Retires `sub`, last served by `worker` of CPU pool `stage`, at `now`.
+    fn retire(&mut self, stage: StageKind, worker: u32, sub: &Sub, now: SimTime);
+
+    /// How long the head of a partial fused batch may wait for it to fill.
+    fn batch_delay(&self) -> SimDuration;
+
+    /// Launches `tenant`'s fused batch `subs` (`items` in all) on GPU
+    /// context `ctx`, its PCIe load starting at `load_start`: the load's
+    /// duration and the batch's state.
+    fn gpu_launch(
+        &mut self,
+        ctx: u32,
+        tenant: usize,
+        subs: &[Sub],
+        items: u32,
+        load_start: SimTime,
+    ) -> (SimDuration, Self::Launch);
+
+    /// The batch finished loading at `now`: returns its compute time.
+    fn gpu_loaded(
+        &mut self,
+        ctx: u32,
+        tenant: usize,
+        subs: &[Sub],
+        launch: &mut Self::Launch,
+        now: SimTime,
+    ) -> SimDuration;
+
+    /// The batch finished computing at `now`: attributes and retires its
+    /// sub-queries.
+    fn gpu_done(&mut self, ctx: u32, subs: &[Sub], launch: &Self::Launch, now: SimTime);
+}
+
+/// A service event on the heap; arrivals are served beside it.
+enum Ev {
+    /// `worker` of CPU pool `stage` finished `sub`.
+    Cpu {
+        stage: StageKind,
+        worker: u32,
+        sub: Sub,
+    },
+    /// The batcher's flush deadline for the fusion buffer's head.
+    Flush,
+    Load {
+        ctx: u32,
+        batch: u32,
+    },
+    Gpu {
+        ctx: u32,
+        batch: u32,
+    },
+}
+
+/// An entry of the event heap: pops earliest `time` first, then lowest
+/// `seq` (insertion order), so simultaneous events keep the order they
+/// were scheduled in.
+struct HeapEntry {
+    time: SimTime,
+    seq: u64,
+    ev: Ev,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl Eq for HeapEntry {}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Min-heap: earliest time (then lowest seq) pops first.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The event heap, ordered by time then insertion.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<HeapEntry>,
+    seq: u64,
+}
+
+impl Events {
+    #[inline]
+    fn push(&mut self, time: SimTime, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(HeapEntry {
+            time,
+            seq: self.seq,
+            ev,
+        });
+    }
+}
+
+/// A query's arrival, waiting beside the heap.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    time: SimTime,
+    query: u32,
+    size: u32,
+}
+
+/// One pool: each tenant's queue (its fusion buffer, for GPU contexts, with
+/// the items in it), the picker among backlogged tenants, and the free
+/// workers.
+struct Pool {
+    queues: Vec<VecDeque<Sub>>,
+    items: Vec<u64>,
+    rr: WeightedRr,
+    free: Vec<u32>,
+}
+
+impl Pool {
+    #[inline]
+    fn pick(&mut self) -> Option<usize> {
+        let queues = &self.queues;
+        self.rr.pick(|t| !queues[t].is_empty())
+    }
+
+    #[inline]
+    fn depth(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+}
+
+/// A fused batch in flight: its tenant, its sub-queries, and the hooks'
+/// state for it.
+struct Batch<L> {
+    tenant: usize,
+    subs: Vec<Sub>,
+    launch: L,
+}
+
+/// The event loop: serves injected arrivals and the events they cause over
+/// a topology's pools, asking its hooks for every decision.
+pub struct Server<'t, H: Serve> {
+    /// The serving hooks.
+    pub hooks: H,
+    /// The pools' shape; every tenant shares it.
+    topo: &'t Topology,
+    /// [`Topology::ingress`] and [`Topology::after`] of every pool.
+    ingress: StageKind,
+    route: [Option<StageKind>; 3],
+    horizon: SimTime,
+    arrivals: VecDeque<Arrival>,
+    events: Events,
+    /// Pools in [`StageKind`] order.
+    pools: [Pool; 3],
+    /// Deadline of the armed flush event, if any (one per distinct head).
+    flush_armed: Option<SimTime>,
+    pcie_free: SimTime,
+    batches: Vec<Batch<H::Launch>>,
+}
+
+impl<'t, H: Serve> Server<'t, H> {
+    /// A loop over `topo`'s pools serving one tenant per entry of `shares`
+    /// (their scheduling weights) up to `horizon`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with no tenant.
+    pub fn new(topo: &'t Topology, shares: &[f64], horizon: SimTime, hooks: H) -> Self {
+        assert!(!shares.is_empty(), "a server serves at least one tenant");
+        let workers = topo.workers();
+        let pools = workers.map(|n| Pool {
+            queues: vec![VecDeque::new(); shares.len()],
+            items: vec![0; shares.len()],
+            rr: WeightedRr::new(shares),
+            free: (0..n).collect(),
+        });
+        Server {
+            hooks,
+            topo,
+            ingress: topo.ingress(),
+            route: StageKind::ALL.map(|s| topo.after(s)),
+            horizon,
+            arrivals: VecDeque::new(),
+            events: Events::default(),
+            pools,
+            flush_armed: None,
+            pcie_free: SimTime::ZERO,
+            batches: Vec::new(),
+        }
+    }
+
+    /// Queues arrival `query` of `size` items at `time`. Arrivals must come
+    /// in non-decreasing time order, within the horizon and before the
+    /// loop has run past them.
+    pub fn inject(&mut self, query: u32, time: SimTime, size: u32) {
+        self.arrivals.push_back(Arrival { time, query, size });
+    }
+
+    /// Whether any arrival or event is still unserved (those past the
+    /// horizon included).
+    pub fn pending(&self) -> bool {
+        !self.arrivals.is_empty() || !self.events.heap.is_empty()
+    }
+
+    /// Sub-queries queued at `stage`, over every tenant.
+    pub fn queued(&self, stage: StageKind) -> usize {
+        self.pools[stage.index()].depth()
+    }
+
+    /// Serves arrivals and events in time order — an arrival before an
+    /// event at the same instant — while they lie strictly before `before`
+    /// and no later than the horizon.
+    pub fn run(&mut self, before: SimTime) {
+        loop {
+            let due = self.events.heap.peek().map(|e| e.time);
+            let arrival = self
+                .arrivals
+                .front()
+                .filter(|a| due.map_or(true, |t| a.time <= t))
+                .copied();
+            let Some(now) = arrival.map(|a| a.time).or(due) else {
+                break;
+            };
+            if now >= before || now > self.horizon {
+                break;
+            }
+            if let Some(a) = arrival {
+                self.arrivals.pop_front();
+                self.arrive(a);
+            } else {
+                let entry = self.events.heap.pop().expect("peeked event");
+                self.handle(entry.ev, now);
+            }
+        }
+    }
+
+    fn arrive(&mut self, a: Arrival) {
+        let ingress = self.ingress;
+        let depth = self.pools[ingress.index()].depth();
+        if let Some((tenant, subs)) = self.hooks.admit(a.query, a.time, a.size, depth) {
+            for sub in subs {
+                self.enqueue(ingress, tenant, sub);
+            }
+            self.schedule(ingress, a.time);
+        }
+    }
+
+    fn enqueue(&mut self, stage: StageKind, tenant: usize, sub: Sub) {
+        let pool = &mut self.pools[stage.index()];
+        if stage == StageKind::Gpu {
+            pool.items[tenant] += u64::from(sub.items);
+        }
+        pool.queues[tenant].push_back(sub);
+    }
+
+    fn schedule(&mut self, stage: StageKind, now: SimTime) {
+        match stage {
+            StageKind::Gpu => self.launch_gpu(now),
+            cpu => self.schedule_cpu(cpu, now),
+        }
+    }
+
+    /// Starts queued sub-queries on free workers of CPU pool `stage`.
+    fn schedule_cpu(&mut self, stage: StageKind, now: SimTime) {
+        let pool = &mut self.pools[stage.index()];
+        while let Some(w) = self.hooks.worker(stage, &mut pool.free, now) {
+            let Some(tenant) = pool.pick() else {
+                break;
+            };
+            let sub = pool.queues[tenant].pop_front().expect("backlogged");
+            let worker = pool.free[w];
+            let Some(end) = self.hooks.cpu_begin(stage, tenant, worker, &sub, now) else {
+                continue;
+            };
+            pool.free.swap_remove(w);
+            self.events.push(end, Ev::Cpu { stage, worker, sub });
+        }
+    }
+
+    /// Launches fused batches while a context is free and the batcher's
+    /// fill-or-flush condition holds: the buffer can fill a batch, the head
+    /// sub has waited out the batch delay, or fusion is disabled. When it
+    /// instead decides to wait, it arms one flush deadline for the head.
+    fn launch_gpu(&mut self, now: SimTime) {
+        let BackStage::Gpu { fusion_limit, .. } = self.topo.back else {
+            return;
+        };
+        let delay = self.hooks.batch_delay();
+        let pool = &mut self.pools[StageKind::Gpu.index()];
+        while !pool.free.is_empty() {
+            let Some(t) = pool.pick() else {
+                break;
+            };
+            let queue = &mut pool.queues[t];
+            if let Some(limit) = fusion_limit {
+                let head_ready = queue.front().expect("backlogged").ready;
+                let filled = pool.items[t] >= u64::from(limit);
+                if !filled && now.saturating_since(head_ready) < delay {
+                    let deadline = head_ready + delay;
+                    if self.flush_armed != Some(deadline) {
+                        self.flush_armed = Some(deadline);
+                        self.events.push(deadline, Ev::Flush);
+                    }
+                    break;
+                }
+            }
+            let ctx = pool.free.pop().expect("non-empty");
+            let mut subs = Vec::new();
+            let mut items = 0u32;
+            // Fusion off: one sub-query per launch.
+            let limit = fusion_limit.unwrap_or(0);
+            while let Some(next) = queue.front() {
+                if !subs.is_empty() && items + next.items > limit {
+                    break;
+                }
+                items += next.items;
+                subs.push(queue.pop_front().expect("non-empty"));
+            }
+            pool.items[t] -= u64::from(items);
+            // The PCIe link is shared by every context: transfers serialize.
+            let load_start = now.max(self.pcie_free);
+            let (load, launch) = self.hooks.gpu_launch(ctx, t, &subs, items, load_start);
+            self.pcie_free = load_start + load;
+            let batch = self.batches.len() as u32;
+            self.batches.push(Batch {
+                tenant: t,
+                subs,
+                launch,
+            });
+            self.events.push(self.pcie_free, Ev::Load { ctx, batch });
+        }
+    }
+
+    fn handle(&mut self, ev: Ev, now: SimTime) {
+        match ev {
+            Ev::Cpu { stage, worker, sub } => {
+                self.pools[stage.index()].free.push(worker);
+                match self.route[stage.index()] {
+                    None => self.hooks.retire(stage, worker, &sub, now),
+                    Some(next) => {
+                        let tenant = self.hooks.tenant(&sub);
+                        self.enqueue(next, tenant, Sub { ready: now, ..sub });
+                        self.schedule(next, now);
+                    }
+                }
+                self.schedule_cpu(stage, now);
+            }
+            Ev::Flush => {
+                if self.flush_armed.is_some_and(|t| t <= now) {
+                    self.flush_armed = None;
+                }
+                self.launch_gpu(now);
+            }
+            Ev::Load { ctx, batch } => {
+                let b = &mut self.batches[batch as usize];
+                let compute = self
+                    .hooks
+                    .gpu_loaded(ctx, b.tenant, &b.subs, &mut b.launch, now);
+                self.events.push(now + compute, Ev::Gpu { ctx, batch });
+            }
+            Ev::Gpu { ctx, batch } => {
+                self.pools[StageKind::Gpu.index()].free.push(ctx);
+                let b = &mut self.batches[batch as usize];
+                let subs = std::mem::take(&mut b.subs);
+                self.hooks.gpu_done(ctx, &subs, &b.launch, now);
+                self.launch_gpu(now);
+            }
+        }
+    }
+}
+
 /// One tenant of a run: the topology its model was built into, its
 /// offered load, and its scheduling share.
 pub(crate) struct TenantRun<'a> {
@@ -243,54 +680,11 @@ pub(crate) struct TenantRun<'a> {
     pub(crate) share: f64,
 }
 
-/// A query's arrival, in the order the event loop serves arrivals.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    time: SimTime,
-    tenant: u32,
-    query: u32,
-    size: u32,
-}
-
-/// A sub-query of `tenant`'s `query` (a run-wide index), queued since
-/// `ready`.
-#[derive(Debug, Clone, Copy)]
-struct Sub {
-    tenant: u32,
-    query: u32,
-    items: u32,
-    ready: SimTime,
-}
-
-/// A fused accelerator batch.
-#[derive(Debug)]
-struct FusedBatch {
-    tenant: u32,
-    subs: Vec<Sub>,
-    items: u32,
-    load_start: SimTime,
-    load_dur: SimDuration,
-    /// GPU compute time, fixed when the load completes: a load-dependent
-    /// interference factor evolves while the batch computes, so completion
-    /// attributes the duration that was actually scheduled.
-    compute: SimDuration,
-}
-
-/// A completion on the event heap; arrivals are served in time order
-/// beside it ([`Engine::run`]).
-#[derive(Debug)]
-enum Done {
-    Front { thread: u32, sub: Sub },
-    Back { thread: u32, sub: Sub },
-    Load { ctx: u32, batch: usize },
-    Gpu { ctx: u32, batch: usize },
-}
-
 #[derive(Debug, Clone, Default)]
 struct QueryRec {
     arrival: SimTime,
+    tenant: u32,
     remaining: u32,
-    n_subs: u32,
     queuing: SimDuration,
     loading: SimDuration,
     inference: SimDuration,
@@ -318,31 +712,27 @@ fn stretch(d: SimDuration, factor: Option<f64>) -> SimDuration {
     }
 }
 
-struct Engine<'a> {
+/// A fused batch's timing: its PCIe slot and, once loaded, its compute.
+struct Fused {
+    items: u32,
+    load_start: SimTime,
+    load_dur: SimDuration,
+    /// Fixed when the load completes: a load-dependent interference factor
+    /// evolves while the batch computes, so completion attributes the
+    /// duration that was actually scheduled.
+    compute: SimDuration,
+}
+
+/// The simulator's hooks: roofline costs, the co-location derate, exact
+/// latency populations and the power buckets. Nothing is shed, dropped or
+/// delayed, and every worker stays healthy.
+struct Des<'a> {
     topos: Vec<&'a Topology>,
-    server: &'a ServerSpec,
+    gpu: Option<&'a GpuSpec>,
     window: RunWindow,
-    heap: BinaryHeap<HeapEntry<Done>>,
-    seq: u64,
     queries: Vec<QueryRec>,
     /// Co-runner interference; `None` with one tenant.
     interference: Option<Interference>,
-    // Shared host front pool over per-tenant dispatch queues.
-    front_queues: Vec<VecDeque<Sub>>,
-    front_free: Vec<u32>,
-    front_rr: WeightedRr,
-    // Shared host back pool (S-D dense stage).
-    back_queues: Vec<VecDeque<Sub>>,
-    back_free: Vec<u32>,
-    back_rr: WeightedRr,
-    // Shared GPU stage: per-tenant fusion buffers (fusion never crosses
-    // tenants — the batches run different models), shared contexts + link.
-    fusion_bufs: Vec<VecDeque<Sub>>,
-    gpu_free: Vec<u32>,
-    gpu_rr: WeightedRr,
-    pcie_free: SimTime,
-    batches: Vec<FusedBatch>,
-    // Metrics.
     stats: Vec<TenantStats>,
     /// The merged latency population across tenants; `None` with one
     /// tenant, whose own population is the aggregate.
@@ -353,183 +743,17 @@ struct Engine<'a> {
     total_nmp_j: f64,
 }
 
-impl<'a> Engine<'a> {
-    fn push(&mut self, time: SimTime, ev: Done) {
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            ev,
-        });
-    }
-
+impl Des<'_> {
     /// The interference factor for `tenant`'s batch dispatched at `now`.
     fn derate(&self, tenant: usize, now: SimTime) -> Option<f64> {
         self.interference.as_ref().map(|i| i.factor(tenant, now))
-    }
-
-    fn arrive(&mut self, a: Arrival, now: SimTime) {
-        let t = a.tenant as usize;
-        let topo = self.topos[t];
-        let sizes = split_iter(a.size, topo.split_batch);
-        let rec = &mut self.queries[a.query as usize];
-        rec.remaining = sizes.len() as u32;
-        rec.n_subs = sizes.len() as u32;
-        let subs = sizes.map(|items| Sub {
-            tenant: a.tenant,
-            query: a.query,
-            items,
-            ready: now,
-        });
-        if topo.front.is_some() {
-            self.front_queues[t].extend(subs);
-            self.schedule_front(now);
-        } else {
-            self.fusion_bufs[t].extend(subs);
-            self.try_launch_gpu(now);
-        }
-    }
-
-    /// Charges a dispatched sub-query's queue wait and service time to its
-    /// query, split evenly over the query's sub-queries.
-    fn charge_dispatch(&mut self, sub: &Sub, now: SimTime, service: SimDuration) {
-        let rec = &mut self.queries[sub.query as usize];
-        let nsubs = rec.n_subs.max(1) as u64;
-        rec.queuing += now.saturating_since(sub.ready) / nsubs;
-        rec.inference += service / nsubs;
-    }
-
-    fn schedule_front(&mut self, now: SimTime) {
-        if self.topos[0].front.is_none() {
-            return;
-        }
-        while !self.front_free.is_empty() {
-            let queues = &self.front_queues;
-            let Some(t) = self.front_rr.pick(|i| !queues[i].is_empty()) else {
-                break;
-            };
-            let thread = self.front_free.pop().expect("non-empty");
-            let sub = self.front_queues[t].pop_front().expect("backlogged");
-            let topo = self.topos[t];
-            let front = topo.front.as_ref().expect("uniform tenant shapes");
-            let cost = front.svc.cost_shared(sub.items);
-            let factor = self.derate(t, now);
-            let latency = stretch(cost.latency, factor);
-            let busy_s = cost.busy_core_time.as_secs_f64();
-            let busy_s = factor.map_or(busy_s, |f| busy_s * f);
-            self.charge_dispatch(&sub, now, latency);
-            let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += busy_s;
-            self.buckets.chan_bytes[b] += cost.channel_bytes;
-            self.buckets.nmp_j[b] += cost.nmp_energy.value();
-            self.total_nmp_j += cost.nmp_energy.value();
-            self.front_idle_weighted += cost.idle_fraction * busy_s;
-            self.front_busy_weight += busy_s;
-            if let Some(i) = &mut self.interference {
-                i.charge(t, cost.channel_bytes);
-            }
-            self.push(now + latency, Done::Front { thread, sub });
-        }
-    }
-
-    fn schedule_back(&mut self, now: SimTime) {
-        let BackStage::HostPool { .. } = &self.topos[0].back else {
-            return;
-        };
-        while !self.back_free.is_empty() {
-            let queues = &self.back_queues;
-            let Some(t) = self.back_rr.pick(|i| !queues[i].is_empty()) else {
-                break;
-            };
-            let thread = self.back_free.pop().expect("non-empty");
-            let sub = self.back_queues[t].pop_front().expect("backlogged");
-            let topo = self.topos[t];
-            let BackStage::HostPool { svc, .. } = &topo.back else {
-                unreachable!("uniform tenant shapes");
-            };
-            let cost = svc.cost_shared(sub.items);
-            let factor = self.derate(t, now);
-            let latency = stretch(cost.latency, factor);
-            let busy_s = cost.busy_core_time.as_secs_f64();
-            self.charge_dispatch(&sub, now, latency);
-            let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += factor.map_or(busy_s, |f| busy_s * f);
-            self.buckets.chan_bytes[b] += cost.channel_bytes;
-            if let Some(i) = &mut self.interference {
-                i.charge(t, cost.channel_bytes);
-            }
-            self.push(now + latency, Done::Back { thread, sub });
-        }
-    }
-
-    fn try_launch_gpu(&mut self, now: SimTime) {
-        let BackStage::Gpu { .. } = &self.topos[0].back else {
-            return;
-        };
-        while !self.gpu_free.is_empty() {
-            let bufs = &self.fusion_bufs;
-            let Some(t) = self.gpu_rr.pick(|i| !bufs[i].is_empty()) else {
-                break;
-            };
-            let topo = self.topos[t];
-            let BackStage::Gpu {
-                fusion_limit,
-                bytes_per_item,
-                ..
-            } = &topo.back
-            else {
-                unreachable!("uniform tenant shapes");
-            };
-            let ctx = self.gpu_free.pop().expect("non-empty");
-            let buf = &mut self.fusion_bufs[t];
-            let mut subs = Vec::new();
-            let mut items = 0u32;
-            match fusion_limit {
-                None => {
-                    let sub = buf.pop_front().expect("backlogged");
-                    items = sub.items;
-                    subs.push(sub);
-                }
-                Some(limit) => {
-                    while let Some(next) = buf.front() {
-                        if !subs.is_empty() && items + next.items > *limit {
-                            break;
-                        }
-                        let sub = buf.pop_front().expect("non-empty");
-                        items += sub.items;
-                        subs.push(sub);
-                    }
-                }
-            }
-            let gpu = self
-                .server
-                .gpu
-                .as_ref()
-                .expect("gpu topology on gpu server");
-            // The PCIe link is shared across tenants: transfers serialize.
-            let load_start = now.max(self.pcie_free);
-            let load_dur = pcie_transfer_time(bytes_per_item * items as f64, gpu, 1);
-            self.pcie_free = load_start + load_dur;
-            let b = self.buckets.index(load_start);
-            self.buckets.pcie_s[b] += load_dur.as_secs_f64();
-            let batch = self.batches.len();
-            self.batches.push(FusedBatch {
-                tenant: t as u32,
-                subs,
-                items,
-                load_start,
-                load_dur,
-                compute: SimDuration::ZERO,
-            });
-            self.push(load_start + load_dur, Done::Load { ctx, batch });
-        }
     }
 
     fn complete_sub(&mut self, sub: &Sub, now: SimTime) {
         let rec = &mut self.queries[sub.query as usize];
         rec.remaining -= 1;
         if rec.remaining == 0 {
-            let stats = &mut self.stats[sub.tenant as usize];
+            let stats = &mut self.stats[rec.tenant as usize];
             stats.completed_total += 1;
             if self.window.measures(rec.arrival) {
                 stats.completed += 1;
@@ -544,90 +768,121 @@ impl<'a> Engine<'a> {
             }
         }
     }
+}
 
-    fn handle(&mut self, done: Done, now: SimTime) {
-        match done {
-            Done::Front { thread, sub } => {
-                self.front_free.push(thread);
-                let forwarded = Sub { ready: now, ..sub };
-                let t = sub.tenant as usize;
-                let topo = self.topos[t];
-                match &topo.back {
-                    BackStage::None => self.complete_sub(&sub, now),
-                    BackStage::HostPool { .. } => {
-                        self.back_queues[t].push_back(forwarded);
-                        self.schedule_back(now);
-                    }
-                    BackStage::Gpu { .. } => {
-                        self.fusion_bufs[t].push_back(forwarded);
-                        self.try_launch_gpu(now);
-                    }
-                }
-                self.schedule_front(now);
-            }
-            Done::Back { thread, sub } => {
-                self.back_free.push(thread);
-                self.complete_sub(&sub, now);
-                self.schedule_back(now);
-            }
-            Done::Load { ctx, batch } => {
-                let (t, items) = (
-                    self.batches[batch].tenant as usize,
-                    self.batches[batch].items,
-                );
-                let topo = self.topos[t];
-                let BackStage::Gpu { svc, colocated, .. } = &topo.back else {
-                    unreachable!("loads only run with a GPU stage");
-                };
-                let cost = svc.cost_shared(items);
-                let compute = stretch(cost.latency, self.derate(t, now));
-                let b = self.buckets.index(now);
-                self.buckets.gpu_s[b] += compute.as_secs_f64() * cost.gpu_util / *colocated as f64;
-                self.batches[batch].compute = compute;
-                self.push(now + compute, Done::Gpu { ctx, batch });
-            }
-            Done::Gpu { ctx, batch } => {
-                self.gpu_free.push(ctx);
-                let fused = &mut self.batches[batch];
-                let (load_start, load_dur, compute) =
-                    (fused.load_start, fused.load_dur, fused.compute);
-                let subs = std::mem::take(&mut fused.subs);
-                for sub in &subs {
-                    let rec = &mut self.queries[sub.query as usize];
-                    let nsubs = rec.n_subs.max(1) as u64;
-                    rec.queuing += load_start.saturating_since(sub.ready) / nsubs;
-                    rec.loading += load_dur / nsubs;
-                    rec.inference += compute / nsubs;
-                    self.complete_sub(sub, now);
-                }
-                self.try_launch_gpu(now);
-            }
-        }
+impl Serve for Des<'_> {
+    type Launch = Fused;
+
+    fn admit(&mut self, query: u32, now: SimTime, size: u32, _: usize) -> Option<(usize, Subs)> {
+        let rec = &mut self.queries[query as usize];
+        let tenant = rec.tenant as usize;
+        let subs = split(query, now, size, self.topos[tenant].split_batch);
+        rec.remaining = subs.len() as u32;
+        Some((tenant, subs))
     }
 
-    /// Serves `arrivals` (in time order, all before the horizon) and every
-    /// event they cause, up to the horizon. Arrivals stay out of the heap:
-    /// one due no later than the earliest pending event goes first, which
-    /// is the order a heap pre-loaded with every arrival would pop them in.
-    fn run(&mut self, arrivals: &[Arrival]) {
-        let mut next = 0;
-        loop {
-            let due = self.heap.peek().map(|e| e.time);
-            match arrivals.get(next) {
-                Some(a) if due.map_or(true, |t| a.time <= t) => {
-                    next += 1;
-                    self.arrive(*a, a.time);
-                }
-                _ => {
-                    let Some(entry) = self.heap.pop() else {
-                        break;
-                    };
-                    if entry.time > self.window.horizon {
-                        break;
-                    }
-                    self.handle(entry.ev, entry.time);
-                }
-            }
+    fn worker(&mut self, _: StageKind, free: &mut Vec<u32>, _: SimTime) -> Option<usize> {
+        free.len().checked_sub(1)
+    }
+
+    /// Charges the sub-query's queue wait and service time to its query,
+    /// split evenly over the query's sub-queries, and its resources to the
+    /// buckets.
+    fn cpu_begin(
+        &mut self,
+        stage: StageKind,
+        tenant: usize,
+        _: u32,
+        sub: &Sub,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let cost = self.topos[tenant].cpu_service(stage).cost_shared(sub.items);
+        let factor = self.derate(tenant, now);
+        let latency = stretch(cost.latency, factor);
+        let busy_s = cost.busy_core_time.as_secs_f64();
+        let busy_s = factor.map_or(busy_s, |f| busy_s * f);
+        let rec = &mut self.queries[sub.query as usize];
+        let nsubs = u64::from(sub.n_subs.max(1));
+        rec.queuing += now.saturating_since(sub.ready) / nsubs;
+        rec.inference += latency / nsubs;
+        let b = self.buckets.index(now);
+        self.buckets.cpu_core_s[b] += busy_s;
+        self.buckets.chan_bytes[b] += cost.channel_bytes;
+        if stage == StageKind::Front {
+            self.buckets.nmp_j[b] += cost.nmp_energy.value();
+            self.total_nmp_j += cost.nmp_energy.value();
+            self.front_idle_weighted += cost.idle_fraction * busy_s;
+            self.front_busy_weight += busy_s;
+        }
+        if let Some(i) = &mut self.interference {
+            i.charge(tenant, cost.channel_bytes);
+        }
+        Some(now + latency)
+    }
+
+    fn tenant(&self, sub: &Sub) -> usize {
+        self.queries[sub.query as usize].tenant as usize
+    }
+
+    fn retire(&mut self, _: StageKind, _: u32, sub: &Sub, now: SimTime) {
+        self.complete_sub(sub, now);
+    }
+
+    fn batch_delay(&self) -> SimDuration {
+        SimDuration::ZERO
+    }
+
+    fn gpu_launch(
+        &mut self,
+        _: u32,
+        tenant: usize,
+        _: &[Sub],
+        items: u32,
+        load_start: SimTime,
+    ) -> (SimDuration, Fused) {
+        let BackStage::Gpu { bytes_per_item, .. } = self.topos[tenant].back else {
+            unreachable!("fused batches launch only on a GPU stage");
+        };
+        let gpu = self.gpu.expect("gpu topology on gpu server");
+        let load_dur = pcie_transfer_time(bytes_per_item * items as f64, gpu, 1);
+        let b = self.buckets.index(load_start);
+        self.buckets.pcie_s[b] += load_dur.as_secs_f64();
+        let fused = Fused {
+            items,
+            load_start,
+            load_dur,
+            compute: SimDuration::ZERO,
+        };
+        (load_dur, fused)
+    }
+
+    fn gpu_loaded(
+        &mut self,
+        _: u32,
+        tenant: usize,
+        _: &[Sub],
+        fused: &mut Fused,
+        now: SimTime,
+    ) -> SimDuration {
+        let BackStage::Gpu { svc, colocated, .. } = &self.topos[tenant].back else {
+            unreachable!("loads only run with a GPU stage");
+        };
+        let cost = svc.cost_shared(fused.items);
+        let compute = stretch(cost.latency, self.derate(tenant, now));
+        let b = self.buckets.index(now);
+        self.buckets.gpu_s[b] += compute.as_secs_f64() * cost.gpu_util / *colocated as f64;
+        fused.compute = compute;
+        compute
+    }
+
+    fn gpu_done(&mut self, _: u32, subs: &[Sub], fused: &Fused, now: SimTime) {
+        for sub in subs {
+            let rec = &mut self.queries[sub.query as usize];
+            let nsubs = u64::from(sub.n_subs.max(1));
+            rec.queuing += fused.load_start.saturating_since(sub.ready) / nsubs;
+            rec.loading += fused.load_dur / nsubs;
+            rec.inference += fused.compute / nsubs;
+            self.complete_sub(sub, now);
         }
     }
 }
@@ -687,6 +942,85 @@ fn report(st: &mut TenantStats, offered: Qps, in_flight: u64, shared: &Shared) -
     }
 }
 
+impl Des<'_> {
+    /// Folds the run into one report per tenant plus the whole-server
+    /// view.
+    fn report(
+        mut self,
+        server: &ServerSpec,
+        tenants: &[TenantRun<'_>],
+        cfg: &SimConfig,
+    ) -> ColocationReport {
+        let window_s = self.window.seconds();
+        let load = summarize_load(
+            &self.buckets,
+            server,
+            cfg.duration.as_secs_f64(),
+            self.total_nmp_j,
+        );
+        // Whole-server energy is attributed to queries evenly: every tenant's
+        // energy_per_query is server energy over *aggregate* completions, so
+        // summing `energy_per_query * completed` across tenants recovers the
+        // server's energy exactly.
+        let agg_completed: u64 = self.stats.iter().map(|s| s.completed).sum();
+        let energy_per_query = if agg_completed == 0 {
+            Joules::ZERO
+        } else {
+            Joules(load.mean_power.value() * window_s / agg_completed as f64)
+        };
+        let shared = Shared {
+            front_idle_fraction: if self.front_busy_weight > 0.0 {
+                self.front_idle_weighted / self.front_busy_weight
+            } else {
+                0.0
+            },
+            load,
+            window_s,
+            energy_per_query,
+        };
+
+        // Every arrival was split (arrivals precede the horizon), so a query
+        // with outstanding sub-queries is exactly one still in flight.
+        let mut in_flight = vec![0u64; tenants.len()];
+        for q in self.queries.iter().filter(|q| q.remaining > 0) {
+            in_flight[q.tenant as usize] += 1;
+        }
+        let per_tenant: Vec<SimReport> = tenants
+            .iter()
+            .zip(&mut self.stats)
+            .zip(&in_flight)
+            .map(|((t, st), &inf)| report(st, t.offered, inf, &shared))
+            .collect();
+
+        let aggregate = match self.agg_latency.take() {
+            None => per_tenant[0].clone(),
+            Some(latency) => {
+                // Counters fold over the tenants; the latency population was
+                // recorded separately (quantiles cannot be merged).
+                let mut agg = TenantStats {
+                    latency,
+                    ..TenantStats::default()
+                };
+                for st in &self.stats {
+                    agg.completed += st.completed;
+                    agg.completed_total += st.completed_total;
+                    agg.measured_arrivals += st.measured_arrivals;
+                    agg.total_arrivals += st.total_arrivals;
+                    agg.sum_queuing += st.sum_queuing;
+                    agg.sum_loading += st.sum_loading;
+                    agg.sum_inference += st.sum_inference;
+                }
+                let offered = Qps(tenants.iter().map(|t| t.offered.value()).sum());
+                report(&mut agg, offered, in_flight.iter().sum(), &shared)
+            }
+        };
+        ColocationReport {
+            per_tenant,
+            aggregate,
+        }
+    }
+}
+
 /// Runs `tenants` over `server`'s shared pools, sized by the first
 /// tenant's topology (all tenants must share its shape). Returns one
 /// report per tenant plus the whole-server view; with one tenant the two
@@ -700,147 +1034,50 @@ pub(crate) fn run(
     // Queries arriving past the window's end are served but not measured;
     // they could not complete before the horizon even when meeting the SLA.
     let window = cfg.window();
-
-    // Per-tenant arrival streams (tenant 0's is the dedicated stream),
-    // indexed run-wide in tenant order.
-    let mut queries = Vec::new();
-    let mut arrivals = Vec::new();
-    let mut stats: Vec<TenantStats> = Vec::with_capacity(n);
-    for (i, tenant) in tenants.iter().enumerate() {
-        let mut st = TenantStats::default();
-        for q in QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(window.horizon)
-        {
-            if window.measures(q.arrival) {
-                st.measured_arrivals += 1;
-            }
-            st.total_arrivals += 1;
-            arrivals.push(Arrival {
-                time: q.arrival,
-                tenant: i as u32,
-                query: queries.len() as u32,
-                size: q.size,
-            });
-            queries.push(QueryRec {
-                arrival: q.arrival,
-                ..QueryRec::default()
-            });
-        }
-        stats.push(st);
-    }
-    // Simultaneous arrivals go in tenant order, then stream order (the
-    // sort is stable); one tenant's stream is already in time order.
-    arrivals.sort_by_key(|a| a.time);
-
-    let topo = tenants[0].topo;
-    let front_threads = topo.front.as_ref().map_or(0, |f| f.threads);
-    let (back_threads, gpu_ctxs) = match &topo.back {
-        BackStage::None => (0, 0),
-        BackStage::HostPool { threads, .. } => (*threads, 0),
-        BackStage::Gpu { colocated, .. } => (0, *colocated),
-    };
-    let shares: Vec<f64> = tenants.iter().map(|t| t.share).collect();
-    let queues = || (0..n).map(|_| VecDeque::new()).collect::<Vec<_>>();
-
-    let mut engine = Engine {
+    let mut des = Des {
         topos: tenants.iter().map(|t| t.topo).collect(),
-        server,
+        gpu: server.gpu.as_ref(),
         window,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        queries,
+        queries: Vec::new(),
         interference: Interference::among(n, server),
-        front_queues: queues(),
-        front_free: (0..front_threads).collect(),
-        front_rr: WeightedRr::new(&shares),
-        back_queues: queues(),
-        back_free: (0..back_threads).collect(),
-        back_rr: WeightedRr::new(&shares),
-        fusion_bufs: queues(),
-        gpu_free: (0..gpu_ctxs).collect(),
-        gpu_rr: WeightedRr::new(&shares),
-        pcie_free: SimTime::ZERO,
-        batches: Vec::new(),
-        stats,
+        stats: Vec::with_capacity(n),
         agg_latency: (n > 1).then(PercentileTracker::new),
         buckets: Buckets::new(cfg.duration),
         front_idle_weighted: 0.0,
         front_busy_weight: 0.0,
         total_nmp_j: 0.0,
     };
-    engine.run(&arrivals);
-
-    // Assemble the reports.
-    let window_s = window.seconds();
-    let load = summarize_load(
-        &engine.buckets,
-        server,
-        cfg.duration.as_secs_f64(),
-        engine.total_nmp_j,
-    );
-    // Whole-server energy is attributed to queries evenly: every tenant's
-    // energy_per_query is server energy over *aggregate* completions, so
-    // summing `energy_per_query * completed` across tenants recovers the
-    // server's energy exactly.
-    let agg_completed: u64 = engine.stats.iter().map(|s| s.completed).sum();
-    let energy_per_query = if agg_completed == 0 {
-        Joules::ZERO
-    } else {
-        Joules(load.mean_power.value() * window_s / agg_completed as f64)
-    };
-    let shared = Shared {
-        front_idle_fraction: if engine.front_busy_weight > 0.0 {
-            engine.front_idle_weighted / engine.front_busy_weight
-        } else {
-            0.0
-        },
-        load,
-        window_s,
-        energy_per_query,
-    };
-
-    // Every arrival was split (arrivals precede the horizon), so a query
-    // with outstanding sub-queries is exactly one still in flight.
-    let mut in_flight = Vec::with_capacity(n);
-    let mut start = 0;
-    for st in &engine.stats {
-        let end = start + st.total_arrivals as usize;
-        let recs = &engine.queries[start..end];
-        in_flight.push(recs.iter().filter(|q| q.remaining > 0).count() as u64);
-        start = end;
-    }
-    let per_tenant: Vec<SimReport> = tenants
-        .iter()
-        .zip(&mut engine.stats)
-        .zip(&in_flight)
-        .map(|((t, st), &inf)| report(st, t.offered, inf, &shared))
-        .collect();
-
-    let aggregate = match engine.agg_latency.take() {
-        None => per_tenant[0].clone(),
-        Some(latency) => {
-            // Counters fold over the tenants; the latency population was
-            // recorded separately (quantiles cannot be merged).
-            let mut agg = TenantStats {
-                latency,
-                ..TenantStats::default()
-            };
-            for st in &engine.stats {
-                agg.completed += st.completed;
-                agg.completed_total += st.completed_total;
-                agg.measured_arrivals += st.measured_arrivals;
-                agg.total_arrivals += st.total_arrivals;
-                agg.sum_queuing += st.sum_queuing;
-                agg.sum_loading += st.sum_loading;
-                agg.sum_inference += st.sum_inference;
-            }
-            let offered = Qps(tenants.iter().map(|t| t.offered.value()).sum());
-            report(&mut agg, offered, in_flight.iter().sum(), &shared)
+    // Per-tenant arrival streams (tenant 0's is the dedicated stream),
+    // indexed run-wide in tenant order.
+    let mut arrivals = Vec::new();
+    for (i, tenant) in tenants.iter().enumerate() {
+        let mut st = TenantStats::default();
+        for q in QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(window.horizon)
+        {
+            st.measured_arrivals += u64::from(window.measures(q.arrival));
+            st.total_arrivals += 1;
+            arrivals.push(Arrival {
+                time: q.arrival,
+                query: des.queries.len() as u32,
+                size: q.size,
+            });
+            des.queries.push(QueryRec {
+                arrival: q.arrival,
+                tenant: i as u32,
+                ..QueryRec::default()
+            });
         }
-    };
-    ColocationReport {
-        per_tenant,
-        aggregate,
+        des.stats.push(st);
     }
+    // Simultaneous arrivals go in tenant order, then stream order (the
+    // sort is stable); one tenant's stream is already in time order.
+    arrivals.sort_by_key(|a| a.time);
+
+    let shares: Vec<f64> = tenants.iter().map(|t| t.share).collect();
+    let mut sim = Server::new(tenants[0].topo, &shares, window.horizon, des);
+    sim.arrivals = arrivals.into();
+    sim.run(SimTime::MAX);
+    sim.hooks.report(server, tenants, cfg)
 }
 
 /// Simulates `model` served on `server` under `plan` at `offered` load.

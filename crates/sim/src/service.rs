@@ -1,5 +1,8 @@
 //! Service-model construction: folds (model, server, placement plan) into
-//! per-stage batch-cost functions the discrete-event engine can call.
+//! per-stage batch-cost functions the event loop's hooks call, and the
+//! stage facts every clock reads off the built [`Topology`]: its pools
+//! ([`StageKind`]) and their sizes, where arrivals enter, and where each
+//! pool forwards.
 //!
 //! The operator-fusion pass runs here (paper Fig. 9a: fusion happens during
 //! HW-aware model partition), hot-embedding partitioning sizes `Gs.hot` to
@@ -151,10 +154,10 @@ impl StageService {
     }
 }
 
-/// `StageService` is the canonical service-time oracle: the discrete-event
-/// engines call [`StageService::cost`] directly, and the live serving
-/// runtime prices its batches through this trait so other oracles
-/// (profiles, synthetic test models) can stand in.
+/// `StageService` is the canonical service-time oracle: both clocks'
+/// serving hooks call [`StageService::cost_shared`] directly; callers that
+/// price through the trait can take it or another oracle (profiles,
+/// synthetic test models).
 impl hercules_hw::cost::ServiceOracle for StageService {
     fn service_cost(&self, items: u32) -> BatchCost {
         self.cost(items)
@@ -200,6 +203,37 @@ pub enum BackStage {
     },
 }
 
+/// Which pool of a topology a worker serves in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StageKind {
+    /// Host front pool (SparseNet, cold-sparse pre-pooling, or the whole
+    /// model under CPU model-based scheduling).
+    Front,
+    /// Host dense pool (S-D pipeline back stage).
+    Back,
+    /// Accelerator contexts (query fusion + PCIe loading).
+    Gpu,
+}
+
+impl StageKind {
+    /// Every pool, in pipeline order.
+    pub const ALL: [StageKind; 3] = [StageKind::Front, StageKind::Back, StageKind::Gpu];
+
+    /// Position in [`StageKind::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Short display label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            StageKind::Front => "front",
+            StageKind::Back => "back",
+            StageKind::Gpu => "gpu",
+        }
+    }
+}
+
 /// A fully-built execution topology for one (model, server, plan) triple.
 #[derive(Debug)]
 pub struct Topology {
@@ -212,6 +246,54 @@ pub struct Topology {
     /// Fraction of embedding traffic served on-accelerator (1.0 when the
     /// model is fully GPU-resident; relevant for production-scale models).
     pub hot_hit_rate: f64,
+}
+
+impl Topology {
+    /// Workers per pool, in [`StageKind`] order: front threads, host back
+    /// threads, GPU contexts (zero for a pool the plan does not have).
+    pub fn workers(&self) -> [u32; 3] {
+        let front = self.front.as_ref().map_or(0, |f| f.threads);
+        match self.back {
+            BackStage::None => [front, 0, 0],
+            BackStage::HostPool { threads, .. } => [front, threads, 0],
+            BackStage::Gpu { colocated, .. } => [front, 0, colocated],
+        }
+    }
+
+    /// The pool arrivals enter: the front pool, or the GPU fusion queue
+    /// when the plan has no host stage.
+    pub fn ingress(&self) -> StageKind {
+        if self.front.is_some() {
+            StageKind::Front
+        } else {
+            StageKind::Gpu
+        }
+    }
+
+    /// Where a sub-query goes once `stage` has served it: the next pool,
+    /// or `None` when `stage` completes it.
+    pub fn after(&self, stage: StageKind) -> Option<StageKind> {
+        match (stage, &self.back) {
+            (StageKind::Front, BackStage::HostPool { .. }) => Some(StageKind::Back),
+            (StageKind::Front, BackStage::Gpu { .. }) => Some(StageKind::Gpu),
+            _ => None,
+        }
+    }
+
+    /// The cost function of CPU pool `stage`: the front pool, or the host
+    /// dense pool of an S-D pipeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the plan has no such CPU pool.
+    #[inline]
+    pub fn cpu_service(&self, stage: StageKind) -> &StageService {
+        match (stage, &self.front, &self.back) {
+            (StageKind::Front, Some(front), _) => &front.svc,
+            (StageKind::Back, _, BackStage::HostPool { svc, .. }) => svc,
+            _ => panic!("no CPU pool serves the {} stage", stage.label()),
+        }
+    }
 }
 
 /// Scales every table's pooling range by `factor` (used to split gather

@@ -2,9 +2,9 @@
 //! generator*, Fig. 13).
 //!
 //! Traces serialize to a simple line-oriented text format (`id arrival_ns
-//! size` per line, `#`-prefixed comments), so captured workloads can be
-//! replayed bit-identically across machines and checked into experiment
-//! repositories.
+//! size` per line with size ≥ 1, `#`-prefixed comments), so captured
+//! workloads can be replayed bit-identically across machines and checked
+//! into experiment repositories.
 
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -23,7 +23,8 @@ pub struct QueryTrace {
 /// Errors parsing a serialized trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseTraceError {
-    /// A line did not have the `id arrival_ns size` shape.
+    /// A line did not have the `id arrival_ns size` shape, with a size of
+    /// at least one item.
     MalformedLine {
         /// 1-based line number.
         line: usize,
@@ -108,12 +109,13 @@ impl QueryTrace {
         out
     }
 
-    /// Parses the line format.
+    /// Parses the line format: `id arrival_ns size` per line, with a size
+    /// of at least one item.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseTraceError`] on malformed lines or decreasing
-    /// arrival times.
+    /// Returns [`ParseTraceError`] on malformed lines (a size of 0
+    /// included) or decreasing arrival times.
     pub fn from_text(text: &str) -> Result<QueryTrace, ParseTraceError> {
         let mut queries = Vec::new();
         let mut last_arrival = SimTime::ZERO;
@@ -128,7 +130,7 @@ impl QueryTrace {
             else {
                 return Err(ParseTraceError::MalformedLine { line: i + 1 });
             };
-            let (Ok(id), Ok(arr), Ok(size)) =
+            let (Ok(id), Ok(arr), Ok(size @ 1..)) =
                 (u64::from_str(id), u64::from_str(arr), u32::from_str(size))
             else {
                 return Err(ParseTraceError::MalformedLine { line: i + 1 });
@@ -234,6 +236,14 @@ mod tests {
         );
         assert_eq!(
             QueryTrace::from_text("a b c\n").unwrap_err(),
+            ParseTraceError::MalformedLine { line: 1 }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_empty_queries() {
+        assert_eq!(
+            QueryTrace::from_text("0 1000000 0\n1 2000000 100\n").unwrap_err(),
             ParseTraceError::MalformedLine { line: 1 }
         );
     }

@@ -1,9 +1,10 @@
 //! Contracts the serving runtime keeps on both clocks and in the fleet.
 //!
 //! Entry points reject traces that break the arrival contract
-//! (non-decreasing, within the horizon) instead of returning reports that
-//! do not conserve, and a GPU fault's derated compute is charged to the
-//! queries it delays on the wall clock as on the virtual clock.
+//! (non-decreasing, within the horizon, at least one item per query)
+//! instead of returning reports that do not conserve, and a GPU fault's
+//! derated compute is charged to the queries it delays on the wall clock
+//! as on the virtual clock.
 
 use hercules::common::units::{Qps, SimDuration, SimTime};
 use hercules::fleet::{run_virtual_fleet, FleetConfig};
@@ -93,6 +94,35 @@ fn fleet_rejects_arrivals_past_the_horizon() {
     let pool = [rmc1_t2(ClockMode::Virtual)];
     let cfg = FleetConfig::default();
     run_virtual_fleet(&pool, None, &cfg, &trace(&[1000, 5000]), Qps(1.0));
+}
+
+/// An empty query at 1 ms, then a query of 100 items at 2 ms: admitted
+/// with no sub-queries, the first would never complete nor count in
+/// flight.
+fn with_empty_query() -> Vec<Query> {
+    let mut t = trace(&[1, 2]);
+    t[0].size = 0;
+    t
+}
+
+#[test]
+#[should_panic(expected = "with at least one item")]
+fn virtual_clock_rejects_empty_queries() {
+    rmc1_t2(ClockMode::Virtual).serve_trace(&with_empty_query(), Qps(1.0));
+}
+
+#[test]
+#[should_panic(expected = "with at least one item")]
+fn wall_clock_rejects_empty_queries() {
+    rmc1_t2(ClockMode::wall()).serve_trace(&with_empty_query(), Qps(1.0));
+}
+
+#[test]
+#[should_panic(expected = "with at least one item")]
+fn fleet_rejects_empty_queries() {
+    let pool = [rmc1_t2(ClockMode::Virtual)];
+    let cfg = FleetConfig::default();
+    run_virtual_fleet(&pool, None, &cfg, &with_empty_query(), Qps(1.0));
 }
 
 /// Mean per-query inference of RMC3-small on a T7 context, with fusion
