@@ -37,7 +37,7 @@ use crate::service::{build_topology, StageKind, Topology};
 /// Each dispatch consumes one credit; credits refill in proportion to
 /// tenant shares once every backlogged tenant is out of credit, so over a
 /// busy period tenant `i` receives `share_i / sum(shares)` of the dispatch
-/// slots. A single tenant is plain FIFO and skips the credit scan.
+/// slots. The event loop's pools pick a lone tenant without it.
 #[derive(Debug)]
 pub(crate) struct WeightedRr {
     credit: Vec<f64>,
@@ -60,9 +60,6 @@ impl WeightedRr {
     /// index), refilling when every backlogged tenant is spent. Returns
     /// `None` when nothing is backlogged.
     pub(crate) fn pick(&mut self, backlogged: impl Fn(usize) -> bool) -> Option<usize> {
-        if self.credit.len() == 1 {
-            return backlogged(0).then_some(0);
-        }
         if !(0..self.credit.len()).any(&backlogged) {
             return None;
         }

@@ -420,8 +420,13 @@ struct Pool {
 }
 
 impl Pool {
+    /// The backlogged tenant served next: a lone tenant is plain FIFO and
+    /// skips the picker's credit scan.
     #[inline]
     fn pick(&mut self) -> Option<usize> {
+        if let [queue] = &self.queues[..] {
+            return (!queue.is_empty()).then_some(0);
+        }
         let queues = &self.queues;
         self.rr.pick(|t| !queues[t].is_empty())
     }
