@@ -230,10 +230,9 @@ pub struct BatchCost {
 /// A per-batch service-cost oracle: anything that can price a batch of
 /// `items` through one pipeline stage.
 ///
-/// The discrete-event simulator and the live serving runtime both draw
-/// their service times from implementors of this trait (the simulator's
-/// memoized `StageService` is the canonical one), so an execution layer can
-/// stay generic over where costs come from — analytical roofline model,
+/// The simulator's memoized `StageService` is the canonical implementor;
+/// both clocks call it directly. A caller that prices through this trait
+/// stays generic over where costs come from — analytical roofline model,
 /// recorded profile, or a synthetic test oracle.
 pub trait ServiceOracle: Send + Sync {
     /// Cost of one batch of `items` through the stage this oracle prices.
