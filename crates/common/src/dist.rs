@@ -1,10 +1,9 @@
 //! Probability distributions implemented from first principles.
 //!
-//! Only uniform draws come from the `rand` crate (via [`SimRng`]); the
-//! distributions themselves — exponential, normal, log-normal, Pareto, Zipf,
-//! and arbitrary discrete distributions via Vose's alias method — are
-//! implemented here so that the workload generator has no external modeling
-//! dependencies.
+//! Only uniform draws come from [`SimRng`]; the distributions themselves —
+//! exponential, normal, log-normal, Zipf, and arbitrary discrete
+//! distributions via Vose's alias method — are implemented here so that the
+//! workload generator has no external modeling dependencies.
 //!
 //! The workload-relevant distributions map to the paper as follows:
 //! - query inter-arrival gaps: [`Exponential`] (Poisson arrivals, §II-A),
@@ -190,36 +189,6 @@ impl Distribution for LogNormal {
 
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.norm.sample(rng).exp()
-    }
-}
-
-/// Pareto (power-law) distribution with scale `x_min` and shape `alpha`.
-///
-/// Offered as an alternative heavy-tail model for working-set sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_min` or `alpha` are not strictly positive and finite.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min.is_finite() && x_min > 0.0, "x_min must be positive");
-        assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    type Output = f64;
-
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.x_min / rng.uniform_pos().powf(1.0 / self.alpha)
     }
 }
 
@@ -569,15 +538,6 @@ mod tests {
         s.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let p95 = s[(0.95 * s.len() as f64) as usize];
         assert!((p95 - 400.0).abs() / 400.0 < 0.05, "sampled p95 {p95}");
-    }
-
-    #[test]
-    fn pareto_lower_bound_respected() {
-        let mut rng = SimRng::seed_from(13);
-        let d = Pareto::new(10.0, 1.5);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 10.0);
-        }
     }
 
     #[test]

@@ -152,19 +152,6 @@ impl SimRng {
         }
         (m >> 64) as u64
     }
-
-    /// A Bernoulli draw that is `true` with probability `p` (clamped to [0,1]).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.uniform() < p.clamp(0.0, 1.0)
-    }
-
-    /// Fisher–Yates shuffle of a slice, in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -231,22 +218,5 @@ mod tests {
         let n = 100_000;
         let mean = (0..n).map(|_| rng.uniform()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seed_from(4);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 }

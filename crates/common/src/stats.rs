@@ -1,109 +1,10 @@
-//! Streaming statistics for simulation metrics.
+//! Statistics for simulation metrics.
 //!
 //! The simulator reports tail latency (p95/p99), mean throughput, utilization,
-//! and power. [`StreamingStats`] tracks moments online (Welford),
-//! [`PercentileTracker`] keeps samples for exact quantiles, and
+//! and power. [`PercentileTracker`] keeps samples for exact quantiles,
+//! [`LatencyHistogram`] keeps mergeable log-bucket latency counts,
 //! [`Histogram`] provides log-spaced buckets for printing paper-style
-//! distributions.
-
-/// Online mean/variance/min/max via Welford's algorithm.
-///
-/// ```
-/// use hercules_common::stats::StreamingStats;
-/// let mut s = StreamingStats::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] { s.record(x); }
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.count(), 4);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StreamingStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        StreamingStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean, or 0 for an empty accumulator.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! distributions, and [`TimeSeries`] holds load and power curves.
 
 /// Exact-quantile tracker: every sample is retained.
 #[derive(Debug, Clone)]
@@ -587,49 +488,6 @@ impl FromIterator<(f64, f64)> for TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streaming_stats_moments() {
-        let mut s = StreamingStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn streaming_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = StreamingStats::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = StreamingStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
 
     #[test]
     fn exact_percentiles() {

@@ -361,26 +361,6 @@ float_unit!(
     "QPS"
 );
 
-impl Watts {
-    /// Energy dissipated at this power over `d`.
-    pub fn energy_over(self, d: SimDuration) -> Joules {
-        Joules(self.0 * d.as_secs_f64())
-    }
-}
-
-impl Joules {
-    /// Average power if this energy was dissipated over `d`.
-    ///
-    /// Returns [`Watts::ZERO`] for a zero-length duration.
-    pub fn average_power(self, d: SimDuration) -> Watts {
-        if d == SimDuration::ZERO {
-            Watts::ZERO
-        } else {
-            Watts(self.0 / d.as_secs_f64())
-        }
-    }
-}
-
 /// A volume of data in bytes.
 ///
 /// ```
@@ -397,11 +377,6 @@ impl MemBytes {
     /// Creates a byte count.
     pub const fn from_bytes(b: u64) -> Self {
         MemBytes(b)
-    }
-
-    /// Creates a byte count from kibibytes.
-    pub const fn from_kib(k: u64) -> Self {
-        MemBytes(k * 1024)
     }
 
     /// Creates a byte count from mebibytes.
@@ -517,17 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn watts_energy_integration() {
-        let p = Watts(100.0);
-        let e = p.energy_over(SimDuration::from_secs(10));
-        assert_eq!(e, Joules(1000.0));
-        assert_eq!(e.average_power(SimDuration::from_secs(10)), p);
-        assert_eq!(Joules(5.0).average_power(SimDuration::ZERO), Watts::ZERO);
-    }
-
-    #[test]
     fn membytes_units() {
-        assert_eq!(MemBytes::from_kib(1).as_bytes(), 1024);
         assert_eq!(MemBytes::from_mib(1).as_bytes(), 1 << 20);
         assert_eq!(MemBytes::from_gib(1).as_gib_f64(), 1.0);
         assert_eq!(

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use hercules_common::dist::{inverse_normal_cdf, Discrete, Distribution, Exponential, LogNormal};
 use hercules_common::rng::SimRng;
-use hercules_common::stats::{PercentileTracker, StreamingStats};
+use hercules_common::stats::PercentileTracker;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -25,44 +25,6 @@ proptest! {
         let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(t.quantile(0.0).unwrap() >= min - 1e-12);
         prop_assert!(t.quantile(1.0).unwrap() <= max + 1e-12);
-    }
-
-    /// Welford streaming statistics agree with the two-pass formulas.
-    #[test]
-    fn streaming_stats_match_two_pass(samples in prop::collection::vec(-1e3f64..1e3, 2..100)) {
-        let mut s = StreamingStats::new();
-        for &x in &samples {
-            s.record(x);
-        }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() < 1e-9 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() < 1e-7 * (1.0 + var));
-    }
-
-    /// Merging split accumulators equals accumulating everything at once.
-    #[test]
-    fn stats_merge_associative(
-        a in prop::collection::vec(-1e3f64..1e3, 1..50),
-        b in prop::collection::vec(-1e3f64..1e3, 1..50),
-    ) {
-        let mut whole = StreamingStats::new();
-        for &x in a.iter().chain(&b) {
-            whole.record(x);
-        }
-        let mut left = StreamingStats::new();
-        for &x in &a {
-            left.record(x);
-        }
-        let mut right = StreamingStats::new();
-        for &x in &b {
-            right.record(x);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        prop_assert!((left.variance() - whole.variance()).abs() < 1e-7);
     }
 
     /// Exponential samples are non-negative; their mean tracks 1/lambda.

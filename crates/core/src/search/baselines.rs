@@ -165,6 +165,12 @@ mod tests {
     fn baymax_needs_gpu() {
         let mut ev = evaluator(ServerType::T2);
         assert!(baymax_search(&mut ev, 4).best.is_none());
+        // On a GPU server the combined baseline merges both searches of one
+        // evaluator: its count is that evaluator's, not a sum of totals.
+        let mut ev = evaluator(ServerType::T7);
+        let out = baseline_search(&mut ev, &[64, 256]);
+        assert!(out.best.is_some());
+        assert_eq!(out.evaluations, ev.evaluations());
     }
 
     #[test]
@@ -203,9 +209,9 @@ mod tests {
         let baseline = deeprecsys_search(&mut ev, &opts.batch_levels)
             .best
             .expect("baseline feasible");
-        let hercules = crate::search::hercules_task_search(&mut ev, &opts)
-            .best
-            .expect("hercules feasible");
+        let out = crate::search::hercules_task_search(&mut ev, &opts);
+        assert_eq!(out.evaluations, ev.evaluations());
+        let hercules = out.best.expect("hercules feasible");
         assert!(
             hercules.qps.value() >= baseline.qps.value(),
             "hercules {} vs baseline {}",

@@ -164,24 +164,49 @@ fn next_level(levels: &[u32], current: u32) -> Option<u32> {
     levels.iter().copied().find(|&l| l > current)
 }
 
+/// Algorithm 1's outer loop over `Psp(O)`: hill-walks each level in order
+/// with `walk`, keeps the best peak, and stops once a level's peak falls
+/// below the previous one's, or a level finds nothing after one did.
+fn sweep<L>(
+    ev: &mut CachedEvaluator,
+    levels: impl IntoIterator<Item = L>,
+    mut walk: impl FnMut(&mut CachedEvaluator, L, &mut Vec<PlacementPlan>) -> Option<Evaluation>,
+) -> SearchOutcome {
+    let mut visited = Vec::new();
+    let mut best: Option<Evaluation> = None;
+    let mut last_peak: Option<f64> = None;
+    for level in levels {
+        let peak = walk(ev, level, &mut visited);
+        let peak_qps = peak.as_ref().map(|e| e.qps.value());
+        if let Some(e) = peak {
+            if best.as_ref().map_or(true, |b| e.qps > b.qps) {
+                best = Some(e);
+            }
+        }
+        match (last_peak, peak_qps) {
+            (Some(prev), Some(cur)) if cur < prev => break,
+            (Some(_), None) => break,
+            _ => {}
+        }
+        last_peak = peak_qps.or(last_peak);
+    }
+    SearchOutcome {
+        best,
+        evaluations: ev.evaluations(),
+        visited,
+    }
+}
+
 /// CPU model-based scheduling: outer loop over op-parallelism `o`, inner
 /// gradient walk over `(threads, batch)`.
 pub fn search_cpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) -> SearchOutcome {
     let cores = ev.ctx().server.cpu.cores;
-    let mut visited = Vec::new();
-    let mut best: Option<Evaluation> = None;
-    let mut last_peak: Option<f64> = None;
-
-    for workers in 1..=cores {
+    let levels = &opts.batch_levels;
+    sweep(ev, 1..=cores, |ev, workers, visited| {
         let max_threads = cores / workers;
-        if max_threads == 0 {
-            break;
-        }
-        let levels = opts.batch_levels.clone();
-        let d0 = levels[0];
-        let peak = hill_walk(
+        hill_walk(
             ev,
-            (1u32, d0),
+            (1u32, levels[0]),
             |&(m, d)| PlacementPlan::CpuModel {
                 threads: m,
                 workers,
@@ -192,7 +217,7 @@ pub fn search_cpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) 
                 if m < max_threads {
                     c.push((m + 1, d));
                 }
-                if let Some(d2) = next_level(&levels, d) {
+                if let Some(d2) = next_level(levels, d) {
                     c.push((m, d2));
                     if m < max_threads {
                         c.push((m + 1, d2));
@@ -200,30 +225,10 @@ pub fn search_cpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) 
                 }
                 c
             },
-            &mut visited,
+            visited,
             opts.parallelism,
-        );
-
-        let peak_qps = peak.as_ref().map(|e| e.qps.value());
-        if let Some(e) = peak {
-            if best.as_ref().map_or(true, |b| e.qps > b.qps) {
-                best = Some(e);
-            }
-        }
-        // Terminate Psp(O) when this op-parallelism's peak decreased.
-        match (last_peak, peak_qps) {
-            (Some(prev), Some(cur)) if cur < prev => break,
-            (Some(_), None) => break,
-            _ => {}
-        }
-        last_peak = peak_qps.or(last_peak);
-    }
-
-    SearchOutcome {
-        best,
-        evaluations: ev.evaluations(),
-        visited,
-    }
+        )
+    })
 }
 
 /// CPU S-D pipeline scheduling: for each sparse op-parallelism, walk
@@ -231,20 +236,15 @@ pub fn search_cpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) 
 /// (paper Fig. 12a).
 pub fn search_cpu_sd_pipeline(ev: &mut CachedEvaluator, opts: &GradientOptions) -> SearchOutcome {
     let cores = ev.ctx().server.cpu.cores;
-    let mut visited = Vec::new();
-    let mut best: Option<Evaluation> = None;
-    let mut last_peak: Option<f64> = None;
-
-    for workers in 1..=4u32.min(cores) {
-        let levels = opts.batch_levels.clone();
-        let d0 = levels[0];
+    let levels = &opts.batch_levels;
+    // Each level needs room for one sparse thread per worker plus one
+    // dense thread.
+    let worker_counts = (1..=4u32.min(cores)).take_while(|&w| w < cores);
+    sweep(ev, worker_counts, |ev, workers, visited| {
         let fits = move |s: u32, t: u32| s * workers + t <= cores;
-        if !fits(1, 1) {
-            break;
-        }
-        let peak = hill_walk(
+        hill_walk(
             ev,
-            (1u32, 1u32, d0),
+            (1u32, 1u32, levels[0]),
             |&(s, t, d)| PlacementPlan::CpuSdPipeline {
                 sparse_threads: s,
                 sparse_workers: workers,
@@ -262,34 +262,15 @@ pub fn search_cpu_sd_pipeline(ev: &mut CachedEvaluator, opts: &GradientOptions) 
                 if fits(s + 1, t + 1) {
                     c.push((s + 1, t + 1, d));
                 }
-                if let Some(d2) = next_level(&levels, d) {
+                if let Some(d2) = next_level(levels, d) {
                     c.push((s, t, d2));
                 }
                 c
             },
-            &mut visited,
+            visited,
             opts.parallelism,
-        );
-
-        let peak_qps = peak.as_ref().map(|e| e.qps.value());
-        if let Some(e) = peak {
-            if best.as_ref().map_or(true, |b| e.qps > b.qps) {
-                best = Some(e);
-            }
-        }
-        match (last_peak, peak_qps) {
-            (Some(prev), Some(cur)) if cur < prev => break,
-            (Some(_), None) => break,
-            _ => {}
-        }
-        last_peak = peak_qps.or(last_peak);
-    }
-
-    SearchOutcome {
-        best,
-        evaluations: ev.evaluations(),
-        visited,
-    }
+        )
+    })
 }
 
 /// Whether `model` (times `colocated` replicas) fits the accelerator whole.
@@ -305,32 +286,22 @@ fn fits_gpu_whole(ev: &CachedEvaluator, colocated: u32) -> bool {
 /// production-scale models additionally sweep the host cold-sparse thread
 /// count as the outer dimension.
 pub fn search_gpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) -> SearchOutcome {
-    let mut visited = Vec::new();
-    let mut best: Option<Evaluation> = None;
-    if !ev.ctx().server.has_gpu() {
-        return SearchOutcome {
-            best,
-            evaluations: ev.evaluations(),
-            visited,
-        };
-    }
-    let needs_host = !fits_gpu_whole(ev, 1);
-    let host_levels: Vec<u32> = if needs_host {
+    let host_levels: Vec<u32> = if !ev.ctx().server.has_gpu() {
+        Vec::new()
+    } else if fits_gpu_whole(ev, 1) {
+        vec![0]
+    } else {
         opts.host_thread_levels
             .iter()
             .copied()
             .filter(|&h| h <= ev.ctx().server.cpu.cores)
             .collect()
-    } else {
-        vec![0]
     };
-
-    let mut last_peak: Option<f64> = None;
-    for host_threads in host_levels {
-        let levels = opts.fusion_levels.clone();
-        let max_g = opts.max_gpu_colocated;
+    let levels = &opts.fusion_levels;
+    let max_g = opts.max_gpu_colocated;
+    sweep(ev, host_levels, |ev, host_threads, visited| {
         // Fusion state: None = no fusion; Some(f) = fuse up to f items.
-        let peak = hill_walk(
+        hill_walk(
             ev,
             (1u32, None::<u32>),
             |&(g, f)| PlacementPlan::GpuModel {
@@ -346,7 +317,7 @@ pub fn search_gpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) 
                 }
                 let up = match f {
                     None => levels.first().copied(),
-                    Some(cur) => next_level(&levels, cur),
+                    Some(cur) => next_level(levels, cur),
                 };
                 if let Some(f2) = up {
                     c.push((g, Some(f2)));
@@ -356,58 +327,30 @@ pub fn search_gpu_model_based(ev: &mut CachedEvaluator, opts: &GradientOptions) 
                 }
                 c
             },
-            &mut visited,
+            visited,
             opts.parallelism,
-        );
-        let peak_qps = peak.as_ref().map(|e| e.qps.value());
-        if let Some(e) = peak {
-            if best.as_ref().map_or(true, |b| e.qps > b.qps) {
-                best = Some(e);
-            }
-        }
-        match (last_peak, peak_qps) {
-            (Some(prev), Some(cur)) if cur < prev => break,
-            (Some(_), None) => break,
-            _ => {}
-        }
-        last_peak = peak_qps.or(last_peak);
-    }
-
-    SearchOutcome {
-        best,
-        evaluations: ev.evaluations(),
-        visited,
-    }
+        )
+    })
 }
 
 /// Hybrid S-D pipeline (SparseNet on host, DenseNet on GPU): walk
 /// `(sparse_threads, batch, gpu_colocated, fusion)` — each host-side step
 /// lets the accelerator side re-balance (paper Fig. 12b).
 pub fn search_hybrid_sd(ev: &mut CachedEvaluator, opts: &GradientOptions) -> SearchOutcome {
-    let mut visited = Vec::new();
-    let mut best: Option<Evaluation> = None;
-    if !ev.ctx().server.has_gpu() {
-        return SearchOutcome {
-            best,
-            evaluations: ev.evaluations(),
-            visited,
-        };
-    }
     let cores = ev.ctx().server.cpu.cores;
-    let mut last_peak: Option<f64> = None;
-
-    for workers in 1..=4u32.min(cores) {
-        let batch_levels = opts.batch_levels.clone();
-        let fusion_levels = opts.fusion_levels.clone();
-        let max_g = opts.max_gpu_colocated;
-        let d0 = batch_levels[0];
+    let max_workers = if ev.ctx().server.has_gpu() {
+        4u32.min(cores)
+    } else {
+        0
+    };
+    let batch_levels = &opts.batch_levels;
+    let fusion_levels = &opts.fusion_levels;
+    let max_g = opts.max_gpu_colocated;
+    sweep(ev, 1..=max_workers, |ev, workers, visited| {
         let fits = move |s: u32| s * workers <= cores;
-        if !fits(1) {
-            break;
-        }
-        let peak = hill_walk(
+        hill_walk(
             ev,
-            (1u32, d0, 1u32, None::<u32>),
+            (1u32, batch_levels[0], 1u32, None::<u32>),
             |&(s, d, g, f)| PlacementPlan::HybridSdPipeline {
                 sparse_threads: s,
                 sparse_workers: workers,
@@ -420,7 +363,7 @@ pub fn search_hybrid_sd(ev: &mut CachedEvaluator, opts: &GradientOptions) -> Sea
                 if fits(s + 1) {
                     c.push((s + 1, d, g, f));
                 }
-                if let Some(d2) = next_level(&batch_levels, d) {
+                if let Some(d2) = next_level(batch_levels, d) {
                     c.push((s, d2, g, f));
                 }
                 if g < max_g {
@@ -428,35 +371,17 @@ pub fn search_hybrid_sd(ev: &mut CachedEvaluator, opts: &GradientOptions) -> Sea
                 }
                 let up = match f {
                     None => fusion_levels.first().copied(),
-                    Some(cur) => next_level(&fusion_levels, cur),
+                    Some(cur) => next_level(fusion_levels, cur),
                 };
                 if let Some(f2) = up {
                     c.push((s, d, g, Some(f2)));
                 }
                 c
             },
-            &mut visited,
+            visited,
             opts.parallelism,
-        );
-        let peak_qps = peak.as_ref().map(|e| e.qps.value());
-        if let Some(e) = peak {
-            if best.as_ref().map_or(true, |b| e.qps > b.qps) {
-                best = Some(e);
-            }
-        }
-        match (last_peak, peak_qps) {
-            (Some(prev), Some(cur)) if cur < prev => break,
-            (Some(_), None) => break,
-            _ => {}
-        }
-        last_peak = peak_qps.or(last_peak);
-    }
-
-    SearchOutcome {
-        best,
-        evaluations: ev.evaluations(),
-        visited,
-    }
+        )
+    })
 }
 
 #[cfg(test)]

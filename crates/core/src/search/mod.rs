@@ -16,16 +16,20 @@ use crate::eval::{CachedEvaluator, Evaluation};
 pub struct SearchOutcome {
     /// Best feasible evaluation, if any configuration met the SLA.
     pub best: Option<Evaluation>,
-    /// Distinct simulator evaluations consumed.
+    /// Distinct simulator evaluations the evaluator had run when the
+    /// search ended (its running count, so it includes any evaluations
+    /// made on the same evaluator before the search).
     pub evaluations: usize,
     /// Plans visited in order.
     pub visited: Vec<PlacementPlan>,
 }
 
 impl SearchOutcome {
-    /// Merges another outcome, keeping the higher-QPS best.
+    /// Merges another outcome of the same evaluator, keeping the
+    /// higher-QPS best. `evaluations` is that evaluator's running count, so
+    /// the merge keeps the later (larger) total instead of summing.
     pub fn merge(mut self, other: SearchOutcome) -> SearchOutcome {
-        self.evaluations += other.evaluations;
+        self.evaluations = self.evaluations.max(other.evaluations);
         self.visited.extend(other.visited);
         self.best = match (self.best.take(), other.best) {
             (Some(a), Some(b)) => Some(if b.qps > a.qps { b } else { a }),

@@ -7,8 +7,6 @@
 //! dependency effects are preserved because the fold runs the
 //! [`crate::schedule::list_schedule`] pass internally.
 
-use std::sync::Arc;
-
 use hercules_common::units::{Joules, MemBytes, SimDuration};
 use hercules_model::graph::Graph;
 use hercules_model::op::OpKind;
@@ -225,28 +223,6 @@ pub struct BatchCost {
     pub gpu_util: f64,
     /// Per-op timings in scheduling order.
     pub per_op: Vec<OpTiming>,
-}
-
-/// A per-batch service-cost oracle: anything that can price a batch of
-/// `items` through one pipeline stage.
-///
-/// The simulator's memoized `StageService` is the canonical implementor;
-/// both clocks call it directly. A caller that prices through this trait
-/// stays generic over where costs come from — analytical roofline model,
-/// recorded profile, or a synthetic test oracle.
-pub trait ServiceOracle: Send + Sync {
-    /// Cost of one batch of `items` through the stage this oracle prices.
-    fn service_cost(&self, items: u32) -> BatchCost;
-
-    /// Shared-ownership variant of [`ServiceOracle::service_cost`] for
-    /// allocation-free hot paths: memoizing oracles return a cached `Arc`
-    /// so a steady-state dispatch clones a pointer instead of deep-copying
-    /// the [`BatchCost`] (whose `per_op` vector would otherwise heap
-    /// allocate per batch). The default implementation wraps the owned
-    /// cost, so non-caching oracles stay correct (if allocating).
-    fn service_cost_shared(&self, items: u32) -> Arc<BatchCost> {
-        Arc::new(self.service_cost(items))
-    }
 }
 
 /// Latency of one operator on one CPU operator worker.
@@ -833,27 +809,6 @@ mod tests {
         let many = modeled_gather_bw_gbs(&server, 1000, 4);
         assert!((many - cap).abs() < 1e-9);
         assert_eq!(modeled_gather_bw_gbs(&server, 0, 0), one);
-    }
-
-    #[test]
-    fn shared_cost_defaults_to_owned() {
-        struct Fixed;
-        impl ServiceOracle for Fixed {
-            fn service_cost(&self, items: u32) -> BatchCost {
-                BatchCost {
-                    latency: SimDuration::from_micros(items as u64),
-                    busy_core_time: SimDuration::ZERO,
-                    idle_fraction: 0.0,
-                    channel_bytes: 0.0,
-                    nmp_energy: Joules::ZERO,
-                    gpu_busy: SimDuration::ZERO,
-                    gpu_util: 0.0,
-                    per_op: Vec::new(),
-                }
-            }
-        }
-        let shared = Fixed.service_cost_shared(40);
-        assert_eq!(shared.latency, Fixed.service_cost(40).latency);
     }
 
     #[test]

@@ -178,14 +178,6 @@ impl NmpSimulator {
             energy: Joules(energy_j),
         }
     }
-
-    /// Effective gather bandwidth (bytes/s) sustained for large gathers of
-    /// `row_bytes` rows — a convenience for roofline comparisons.
-    pub fn sustained_gather_bw(&self, row_bytes: u32) -> f64 {
-        let probe = 64 * 1024;
-        let est = self.gather_reduce(probe, row_bytes);
-        probe as f64 * row_bytes as f64 / est.latency.as_secs_f64()
-    }
 }
 
 /// Pre-simulated latency/energy lookup table, linear-interpolated in the
@@ -415,14 +407,6 @@ mod tests {
         let wide = sim.gather_reduce(5_000, 256);
         assert!(wide.latency > narrow.latency);
         assert!(wide.energy > narrow.energy);
-    }
-
-    #[test]
-    fn sustained_bw_beats_gather_on_plain_channel() {
-        // NMPx8 internal gather bandwidth should exceed what a plain DDR4
-        // channel achieves on gathers (~38 GB/s): that's the whole point.
-        let bw = NmpSimulator::new(NmpConfig::with_ranks(8)).sustained_gather_bw(128);
-        assert!(bw > 60e9, "NMPx8 sustained {bw:.3e} B/s");
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl ServerSpec {
         self.mem.capacity
     }
 
-    /// Accelerator memory capacity (zero without a GPU).
-    pub fn accel_memory(&self) -> MemBytes {
-        self.gpu.as_ref().map_or(MemBytes::ZERO, |g| g.memory)
-    }
-
     /// Provisions an embedding-tier hot cache on this server (per
     /// gathering worker; see [`CacheSpec`]).
     pub fn with_embedding_cache(mut self, cache: CacheSpec) -> Self {
@@ -282,8 +277,6 @@ mod tests {
         assert!(ServerType::T3.spec().has_nmp());
         assert!(ServerType::T10.spec().has_nmp());
         assert!(ServerType::T10.spec().has_gpu());
-        assert_eq!(ServerType::T7.spec().accel_memory(), MemBytes::from_gib(16));
-        assert_eq!(ServerType::T2.spec().accel_memory(), MemBytes::ZERO);
     }
 
     #[test]

@@ -160,14 +160,6 @@ impl Graph {
             .collect()
     }
 
-    /// Nodes with no successors.
-    pub fn leaves(&self) -> Vec<NodeId> {
-        (0..self.nodes.len())
-            .filter(|&i| self.succs[i].is_empty())
-            .map(NodeId)
-            .collect()
-    }
-
     /// Total edge count.
     pub fn edge_count(&self) -> usize {
         self.succs.iter().map(Vec::len).sum()
@@ -269,21 +261,6 @@ impl Graph {
         }
         (sub, map)
     }
-
-    /// Number of edges crossing from kept to non-kept nodes under `keep`
-    /// (the pipeline cut width).
-    pub fn cut_edges<F: Fn(NodeId, &Node) -> bool>(&self, keep: F) -> usize {
-        let kept: Vec<bool> = self.nodes().map(|(id, n)| keep(id, n)).collect();
-        let mut cut = 0;
-        for (id, _) in self.nodes() {
-            for &succ in self.succs(id) {
-                if kept[id.0] != kept[succ.0] {
-                    cut += 1;
-                }
-            }
-        }
-        cut
-    }
 }
 
 #[cfg(test)]
@@ -348,9 +325,8 @@ mod tests {
 
     #[test]
     fn roots_and_leaves() {
-        let (g, [a, _, _, d]) = diamond();
+        let (g, [a, _, _, _]) = diamond();
         assert_eq!(g.roots(), vec![a]);
-        assert_eq!(g.leaves(), vec![d]);
     }
 
     #[test]
@@ -363,14 +339,6 @@ mod tests {
         assert!(map.contains_key(&a) && map.contains_key(&b) && map.contains_key(&c));
         assert!(!map.contains_key(&d));
         sub.validate().unwrap();
-    }
-
-    #[test]
-    fn cut_edges_counts_cross_edges() {
-        let (g, [_, _, _, d]) = diamond();
-        // Keeping everything but d cuts b->d and c->d.
-        assert_eq!(g.cut_edges(|id, _| id != d), 2);
-        assert_eq!(g.cut_edges(|_, _| true), 0);
     }
 
     #[test]

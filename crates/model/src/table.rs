@@ -165,12 +165,6 @@ impl EmbeddingTableSpec {
             self.popularity().mass_of_top(hot_rows.min(self.rows))
         }
     }
-
-    /// How many of this table's rows fit in `budget` bytes, capped at the
-    /// table itself — the hot-shard sizing primitive for cache planning.
-    pub fn hot_rows_within(&self, budget: MemBytes) -> u64 {
-        (budget.as_bytes() / self.row_bytes()).min(self.rows)
-    }
 }
 
 #[cfg(test)]
@@ -206,15 +200,6 @@ mod tests {
         }
         assert_eq!(t.hit_rate(0), 0.0);
         assert!((t.hit_rate(1_000_000) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hot_rows_within_budget() {
-        let t = EmbeddingTableSpec::new(1_000, 32, PoolingSpec::OneHot, 0.8);
-        // 128 B rows: 1 KiB holds 8 rows; a huge budget caps at the table.
-        assert_eq!(t.hot_rows_within(MemBytes::from_bytes(1024)), 8);
-        assert_eq!(t.hot_rows_within(MemBytes::from_bytes(0)), 0);
-        assert_eq!(t.hot_rows_within(MemBytes::from_gib(1)), 1_000);
     }
 
     #[test]

@@ -62,13 +62,6 @@ pub enum GatherMode {
 }
 
 impl GatherMode {
-    /// Real gathers under a budget of `gib` GiB.
-    pub fn real_gib(gib: u64) -> Self {
-        GatherMode::Real {
-            budget: MemBytes::from_gib(gib),
-        }
-    }
-
     /// Real gathers under a budget of `mib` MiB.
     pub fn real_mib(mib: u64) -> Self {
         GatherMode::Real {
@@ -185,10 +178,6 @@ pub struct DeadlinePolicy {
     /// completions). Without this the budget is tracked but not enforced —
     /// useful as an unprotected baseline.
     pub drop_expired: bool,
-    /// How many times a wall-clock worker that detects its own stall may
-    /// re-enqueue the sub-query in hand for a sibling to absorb before it
-    /// must serve it late itself.
-    pub retry_budget: u32,
 }
 
 impl DeadlinePolicy {
@@ -198,7 +187,6 @@ impl DeadlinePolicy {
         DeadlinePolicy {
             budget: Some(budget),
             drop_expired: true,
-            retry_budget: 2,
         }
     }
 
@@ -207,7 +195,17 @@ impl DeadlinePolicy {
         DeadlinePolicy {
             budget: Some(budget),
             drop_expired: false,
-            retry_budget: 0,
+        }
+    }
+
+    /// How many times a wall-clock worker that detects its own stall may
+    /// re-enqueue the sub-query in hand for a sibling to absorb before it
+    /// must serve it late itself: 2 when expired work is dropped, else 0.
+    pub(crate) fn retry_budget(&self) -> u32 {
+        if self.drop_expired {
+            2
+        } else {
+            0
         }
     }
 }
@@ -216,30 +214,22 @@ impl DeadlinePolicy {
 /// graceful-degradation ladder, and heartbeat-based worker health.
 ///
 /// Disabled by default. When enabled, a supervisor consumes plane
-/// snapshots plus per-worker heartbeats every `period`, walks the ladder
-/// (L1 tighten dynamic batching → L2 degraded gathers → L3 shed) after
-/// `escalate_after` consecutive distressed windows, steps back down after
-/// `recover_after` calm ones, and marks workers whose heartbeat is older
-/// than `heartbeat_timeout` (with work queued) suspect so dispatch routes
-/// around them.
+/// snapshots plus per-worker heartbeats at every supervision boundary,
+/// walks the ladder (L1 tighten dynamic batching → L2 degraded gathers →
+/// L3 shed) after consecutive distressed windows, steps back down after
+/// calm ones, and marks workers whose heartbeat has gone stale (with work
+/// queued) suspect so dispatch routes around them.
+///
+/// Only the distress threshold is set per run. The cadence and the ladder
+/// are constants of the [`fault`](crate::fault) module: a 20 ms
+/// `SUPERVISOR_PERIOD`, a 50 ms `HEARTBEAT_TIMEOUT`, `ESCALATE_AFTER` = 2
+/// distressed windows, `RECOVER_AFTER` = 4 calm ones, L1's 50 µs
+/// `TIGHT_MAX_DELAY`, and `DEGRADED_KEEP` = 0.25, the share of the sparse
+/// phase an L2 degraded gather still serves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorPolicy {
     /// Whether the supervisor runs at all.
     pub enabled: bool,
-    /// Supervision boundary period.
-    pub period: SimDuration,
-    /// A worker whose last heartbeat is older than this — while its pool
-    /// has queued work — is declared suspect.
-    pub heartbeat_timeout: SimDuration,
-    /// Consecutive distressed windows before the ladder escalates a level.
-    pub escalate_after: u32,
-    /// Consecutive calm windows before the ladder recovers a level.
-    pub recover_after: u32,
-    /// The dynamic-batching max delay L1 tightens to.
-    pub tight_max_delay: SimDuration,
-    /// Fraction of the sparse phase still served by an L2 degraded gather
-    /// (the cache-resident share; the cold remainder is skipped).
-    pub degraded_keep: f64,
     /// Ingress distress threshold: windowed p99 queue wait (or the
     /// modeled backlog drain time) beyond this counts the window as
     /// distressed.
@@ -250,12 +240,6 @@ impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
             enabled: false,
-            period: SimDuration::from_millis(20),
-            heartbeat_timeout: SimDuration::from_millis(50),
-            escalate_after: 2,
-            recover_after: 4,
-            tight_max_delay: SimDuration::from_micros(50),
-            degraded_keep: 0.25,
             distress_wait: SimDuration::from_millis(10),
         }
     }
@@ -268,12 +252,11 @@ impl SupervisorPolicy {
     }
 
     /// An enabled supervisor that treats queue waits beyond
-    /// `distress_wait` as distress, with the default cadence.
+    /// `distress_wait` as distress.
     pub fn active(distress_wait: SimDuration) -> Self {
         SupervisorPolicy {
             enabled: true,
             distress_wait,
-            ..SupervisorPolicy::default()
         }
     }
 }
@@ -445,7 +428,6 @@ mod tests {
         );
         assert_eq!(cfg.affinity, PinPolicy::Compact);
         assert!(!GatherMode::Synthetic.is_real());
-        assert!(GatherMode::real_gib(1).is_real());
     }
 
     #[test]
@@ -482,7 +464,7 @@ mod tests {
             .with_supervisor(SupervisorPolicy::active(SimDuration::from_millis(5)));
         assert_eq!(protected.deadline.budget, Some(sla));
         assert!(protected.deadline.drop_expired);
-        assert!(protected.deadline.retry_budget > 0);
+        assert!(protected.deadline.retry_budget() > 0);
         assert!(protected.supervisor.enabled);
         assert_eq!(
             protected.supervisor.distress_wait,
@@ -490,7 +472,7 @@ mod tests {
         );
         let tracked = DeadlinePolicy::track(sla);
         assert!(!tracked.drop_expired);
-        assert_eq!(tracked.retry_budget, 0);
+        assert_eq!(tracked.retry_budget(), 0);
     }
 
     #[test]

@@ -40,7 +40,6 @@ use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{SimDuration, SimTime};
 use hercules_hw::cost::BatchCost;
 
-use crate::config::SupervisorPolicy;
 use crate::observe::PlaneState;
 use crate::telemetry::StageKind;
 
@@ -517,6 +516,18 @@ impl RuntimeControls {
 // ---------------------------------------------------------------------------
 // Supervisor: windowed distress detection, the ladder, worker health.
 
+/// The supervision boundary period.
+pub(crate) const SUPERVISOR_PERIOD: SimDuration = SimDuration::from_millis(20);
+/// A worker whose last heartbeat is older than this — while its pool has
+/// queued work — is declared suspect.
+const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// Consecutive distressed windows before the ladder escalates a level.
+const ESCALATE_AFTER: u32 = 2;
+/// Consecutive calm windows before the ladder recovers a level.
+const RECOVER_AFTER: u32 = 4;
+/// The dynamic-batching max delay L1 tightens to.
+const TIGHT_MAX_DELAY: SimDuration = SimDuration::from_micros(50);
+
 /// Consumes windowed plane state plus per-worker heartbeats and drives
 /// [`RuntimeControls`]: escalates/recovers the degradation ladder on
 /// sustained ingress distress, and marks stalled workers suspect so
@@ -524,7 +535,8 @@ impl RuntimeControls {
 /// clock) or inline at exact boundaries (virtual clock).
 #[derive(Debug)]
 pub(crate) struct Supervisor {
-    policy: SupervisorPolicy,
+    /// Ingress distress threshold (the policy's `distress_wait`).
+    distress_wait: SimDuration,
     controls: Arc<RuntimeControls>,
     /// Modeled per-sub service seconds (the admission estimate), for the
     /// backlog-drain distress signal.
@@ -539,13 +551,13 @@ pub(crate) struct Supervisor {
 
 impl Supervisor {
     pub fn new(
-        policy: SupervisorPolicy,
+        distress_wait: SimDuration,
         controls: Arc<RuntimeControls>,
         per_sub_s: f64,
         base_delay: SimDuration,
     ) -> Self {
         Supervisor {
-            policy,
+            distress_wait,
             controls,
             per_sub_s,
             base_delay,
@@ -554,11 +566,6 @@ impl Supervisor {
             hot: 0,
             calm: 0,
         }
-    }
-
-    /// The supervision period.
-    pub fn period(&self) -> SimDuration {
-        self.policy.period
     }
 
     /// One supervision boundary: update the ladder from ingress distress,
@@ -574,14 +581,14 @@ impl Supervisor {
         if distressed {
             self.calm = 0;
             self.hot += 1;
-            if self.hot >= self.policy.escalate_after {
+            if self.hot >= ESCALATE_AFTER {
                 self.hot = 0;
                 self.apply(self.controls.level().saturating_add(1));
             }
         } else {
             self.hot = 0;
             self.calm += 1;
-            if self.calm >= self.policy.recover_after {
+            if self.calm >= RECOVER_AFTER {
                 self.calm = 0;
                 self.apply(self.controls.level().saturating_sub(1));
             }
@@ -614,7 +621,7 @@ impl Supervisor {
             _ => wait.clone(),
         };
         self.prev_wait = Some(wait.clone());
-        let limit = self.policy.distress_wait.as_secs_f64();
+        let limit = self.distress_wait.as_secs_f64();
         let p99_hot = self
             .layout
             .quantile_of(&delta, 0.99)
@@ -627,7 +634,7 @@ impl Supervisor {
         let level = level.min(3);
         self.controls.set_level(level);
         self.controls.set_batch_delay(if level >= 1 {
-            self.policy.tight_max_delay
+            TIGHT_MAX_DELAY
         } else {
             self.base_delay
         });
@@ -641,7 +648,7 @@ impl Supervisor {
         if beats.is_empty() {
             return;
         }
-        let stale = |beat: SimTime| now.saturating_since(beat) > self.policy.heartbeat_timeout;
+        let stale = |beat: SimTime| now.saturating_since(beat) > HEARTBEAT_TIMEOUT;
         let live = beats
             .iter()
             .enumerate()
@@ -668,6 +675,10 @@ impl Supervisor {
 
 // ---------------------------------------------------------------------------
 // Degraded-gather pricing.
+
+/// Fraction of the sparse phase still served by an L2 degraded gather
+/// (the cache-resident share; the cold remainder is skipped).
+pub(crate) const DEGRADED_KEEP: f64 = 0.25;
 
 /// The oracle-priced latency of a *degraded* gather: serve only the
 /// cache-resident share `keep` of the sparse phase and skip the cold-miss

@@ -81,25 +81,21 @@ mod virt;
 #[warn(clippy::too_many_lines)]
 mod wall;
 
-pub use admission::{AdmissionController, AdmissionCounters, ServiceEwma};
-pub use affinity::{CorePlan, PinPolicy};
+pub use affinity::PinPolicy;
 pub use config::{
     AdmissionPolicy, BatchPolicy, ClockMode, DeadlinePolicy, GatherMode, RuntimeConfig,
     SupervisorPolicy, TraceConfig,
 };
-pub use fault::{FaultPlan, FaultSpec};
+pub use fault::FaultPlan;
 pub use memory::{
     CacheOutcome, EmbeddingArena, EmbeddingCacheShard, GatherOutcome, GatherScratch, InitPlacement,
 };
 pub use observe::{
-    prometheus_text, snapshot_json, JsonLines, PlaneSnapshot, PrometheusFile, RuntimeObserver,
-    SnapshotSink, StageSnapshot, StatusLine,
+    JsonLines, PlaneSnapshot, PrometheusFile, RuntimeObserver, SnapshotSink, StatusLine,
 };
-pub use report::{CacheStats, GatherStats, RuntimeReport, StageSummary};
+pub use report::RuntimeReport;
 pub use search::max_qps_under_sla_live;
 pub use serve::ServingRuntime;
-pub use telemetry::{
-    thread_allocs, CountingAlloc, StageKind, TelemetrySlot, WorkerSnap, WorkerTelemetry,
-};
-pub use trace::{chrome_trace_json, SpanKind, TraceEvent, TraceRing, TraceSampler};
+pub use telemetry::{thread_allocs, CountingAlloc, StageKind};
+pub use trace::{chrome_trace_json, SpanKind, TraceEvent};
 pub use virt::VirtStepper;

@@ -480,11 +480,6 @@ impl EmbeddingArena {
         self.compacted
     }
 
-    /// Number of tables backed by the arena.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// The seed the slab contents and index pools derive from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -552,7 +547,6 @@ mod tests {
             EmbeddingArena::build(&specs(), MemBytes::from_gib(1), 7, &InitPlacement::Serial);
         assert!(!arena.is_compacted());
         assert_eq!(arena.resident(), arena.full_size());
-        assert_eq!(arena.table_count(), 2);
         assert_eq!(arena.max_dim(), 32);
     }
 

@@ -25,7 +25,7 @@ use hercules_workload::query::Query;
 
 use crate::admission::{AdmissionController, AdmissionCounters};
 use crate::config::RuntimeConfig;
-use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor};
+use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor, DEGRADED_KEEP};
 use crate::observe::{PlaneState, StageState};
 use crate::report::{assemble, RunTotals, RuntimeReport, WallTotals};
 use crate::stage::{QueryTable, FLAG_DEGRADED, FLAG_EXPIRED};
@@ -165,7 +165,7 @@ impl<'a> Pipeline<'a> {
     pub fn supervisor(&self) -> Option<Supervisor> {
         self.supervised.then(|| {
             Supervisor::new(
-                self.cfg.supervisor,
+                self.cfg.supervisor.distress_wait,
                 Arc::clone(&self.controls),
                 self.per_sub_s,
                 self.cfg.batch.max_delay,
@@ -272,7 +272,7 @@ impl<'a> Pipeline<'a> {
         let mut svc = cost.latency;
         if degrade {
             // L2: serve cache-hit rows only, priced through the oracle.
-            svc = degraded_latency(&cost, self.cfg.supervisor.degraded_keep);
+            svc = degraded_latency(&cost, DEGRADED_KEEP);
             self.table.mark_degraded(sub);
         }
         let derate = if self.faulty {

@@ -170,11 +170,6 @@ impl RuntimeReport {
             == self.sim.completed_total + self.expired + self.shed + self.sim.in_flight_at_horizon
     }
 
-    /// Whole-run completions served entirely undegraded.
-    pub fn completed_full(&self) -> u64 {
-        self.sim.completed_total - self.completed_degraded
-    }
-
     /// Fraction of arrivals shed.
     pub fn shed_fraction(&self) -> f64 {
         if self.sim.total_arrivals == 0 {

@@ -109,8 +109,8 @@ impl ServingRuntime {
     /// Serves an explicit arrival trace (a router's per-replica sub-stream,
     /// a recorded trace, …) instead of the paper-shaped seeded stream,
     /// under the configured clock. `offered` is recorded in the report
-    /// verbatim — pass the stream's nominal rate (e.g.
-    /// [`QueryTrace::mean_rate`](hercules_workload::trace::QueryTrace::mean_rate)).
+    /// verbatim — pass the stream's nominal rate (e.g. its query count
+    /// over the horizon).
     ///
     /// # Panics
     ///

@@ -346,15 +346,6 @@ impl WorkerTelemetry {
         self.hot_allocs += allocs;
         self.hot_samples += 1;
     }
-
-    /// Mean achieved gather bandwidth in GB/s (0 when no real gathers ran).
-    pub fn gather_bw_gbs(&self) -> f64 {
-        if self.gather_wall_s > 0.0 {
-            self.gather_bytes as f64 / self.gather_wall_s / 1e9
-        } else {
-            0.0
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -755,7 +746,6 @@ mod tests {
         t.record_gather(&outcome, 1.0);
         assert_eq!(t.gather_bytes, 4_000_000_000);
         assert_eq!(t.gather_rows, 2000);
-        assert!((t.gather_bw_gbs() - 2.0).abs() < 1e-12);
         assert!((t.gather_checksum - 7.0).abs() < 1e-12);
         t.record_hot_allocs(0);
         t.record_hot_allocs(3);
@@ -814,6 +804,49 @@ mod tests {
         agg.absorb(&first);
         agg.absorb(&delta);
         assert_eq!(agg, second, "first + (second - first) == second");
+    }
+
+    #[test]
+    fn concurrent_reads_never_see_a_torn_snapshot() {
+        // One writer publishes states that keep cross-field invariants while
+        // one reader checks every copy it reads against them: a read that
+        // mixed two publishes would break at least one.
+        const PUBLISHES: u64 = 5_000;
+        let hist_len = LatencyHistogram::default_latency().counts().len();
+        let slot = Arc::new(TelemetrySlot::new(hist_len));
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut t = WorkerTelemetry::new(StageKind::Front, 0, SimDuration::from_secs(1))
+                    .with_slot(Arc::clone(&slot));
+                start.wait();
+                for i in 0..PUBLISHES {
+                    t.batches += 1;
+                    t.items += 32;
+                    t.busy += SimDuration::from_millis(1);
+                    t.completed_total += 1;
+                    // Spread waits over many buckets so a torn copy of the
+                    // histogram shows in its total.
+                    t.queue_wait.record((i % 97) as f64 * 1e-4);
+                    t.publish();
+                }
+                done.store(true, Ordering::Release);
+            });
+            start.wait();
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let s = slot.read();
+                assert_eq!(s.items, 32 * s.batches);
+                assert_eq!(s.busy_ns, 1_000_000 * s.batches);
+                assert_eq!(s.completed_total, s.batches);
+                assert_eq!(s.queue_wait.iter().sum::<u64>(), s.batches);
+                if finished {
+                    assert_eq!(s.batches, PUBLISHES);
+                    break;
+                }
+            }
+        });
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hercules_sim::{Serve, Server, StageKind, Sub, Subs, Topology};
 use hercules_workload::query::Query;
 
 use crate::config::RuntimeConfig;
-use crate::fault::Supervisor;
+use crate::fault::{Supervisor, SUPERVISOR_PERIOD};
 use crate::observe::{PlaneState, RuntimeObserver};
 use crate::pipeline::{Dispatcher, GpuLaunch, Pipeline, PoolView};
 use crate::report::{RuntimeReport, WallTotals};
@@ -222,7 +222,7 @@ impl<'a> VirtStepper<'a> {
         VirtStepper {
             server: Server::new(topo, &[1.0], horizon, hooks),
             last_arrival: SimTime::ZERO,
-            sup_boundary: sup.as_ref().map(|s| SimTime::ZERO + s.period()),
+            sup_boundary: sup.as_ref().map(|_| SimTime::ZERO + SUPERVISOR_PERIOD),
             sup,
             obs_boundary: None,
         }
@@ -283,7 +283,7 @@ impl<'a> VirtStepper<'a> {
                 hooks
                     .pipe
                     .supervise(&mut sup, b, &counters, self.views(), snap, beat);
-                self.sup_boundary = Some(b + sup.period());
+                self.sup_boundary = Some(b + SUPERVISOR_PERIOD);
                 self.sup = Some(sup);
             }
         }

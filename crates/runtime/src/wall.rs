@@ -51,7 +51,7 @@ use hercules_workload::query::Query;
 use crate::admission::{AdmissionCounters, ServiceEwma};
 use crate::affinity::{self, CorePlan};
 use crate::config::{ClockMode, RuntimeConfig};
-use crate::fault::{degraded_latency, Supervisor};
+use crate::fault::{degraded_latency, Supervisor, SUPERVISOR_PERIOD};
 use crate::memory::{EmbeddingArena, EmbeddingCacheShard, GatherScratch};
 use crate::observe::{PlaneState, RuntimeObserver};
 use crate::pipeline::{CpuJob, Dispatcher, Pipeline, PoolView};
@@ -376,7 +376,7 @@ impl Wall<'_, '_> {
                         retries: sub.retries + 1,
                         ..sub
                     };
-                    let handed_back = u32::from(sub.retries) < pipe.cfg.deadline.retry_budget
+                    let handed_back = u32::from(sub.retries) < pipe.cfg.deadline.retry_budget()
                         && queue.try_push_all(std::iter::once(retry));
                     self.clock.wait_until(end);
                     if handed_back {
@@ -560,15 +560,14 @@ impl Wall<'_, '_> {
     }
 
     fn supervise(&self, mut sup: Supervisor) {
-        let period = sup.period();
-        let mut next = SimTime::ZERO + period;
+        let mut next = SimTime::ZERO + SUPERVISOR_PERIOD;
         while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
             let now = self.clock.now();
             let views = self.views();
             let beat = |s: &Arc<TelemetrySlot>| s.last_beat();
             self.pipe
                 .supervise(&mut sup, now, &self.counters, views, |s| s.read(), beat);
-            next += period;
+            next += SUPERVISOR_PERIOD;
         }
     }
 
@@ -600,9 +599,10 @@ fn joined<'s, T>(
 }
 
 /// Touches every batch size the run can dispatch through each stage's
-/// memoized cost oracle, so steady-state `service_cost_shared` calls are
-/// pure cache hits (a cold miss mid-run would heap-allocate a `BatchCost`
-/// on the serving path).
+/// memoized cost oracle, so steady-state
+/// [`StageService::cost_shared`](hercules_sim::StageService::cost_shared)
+/// calls are pure cache hits (a cold miss mid-run would heap-allocate a
+/// `BatchCost` on the serving path).
 fn prewarm_oracles(topo: &Topology, queries: &[Query]) {
     let mut sizes: Vec<u32> = Vec::new();
     for q in queries {

@@ -175,30 +175,34 @@ pub fn summarize_load(
     duration_s: f64,
     total_nmp_j: f64,
 ) -> LoadSummary {
+    // A zero-length run did no work: it reads as idle, like an empty run of
+    // positive length, rather than 0/0 (NaN power, and full activity once
+    // `min` drops the NaN).
+    let per = |x: f64, span: f64| if span > 0.0 { x / span } else { 0.0 };
     let cores = server.cpu.cores as f64;
-    let cpu_activity = (buckets.cpu_core_s.iter().sum::<f64>() / (duration_s * cores)).min(1.0);
+    let cpu_activity = per(buckets.cpu_core_s.iter().sum::<f64>(), duration_s * cores).min(1.0);
     let peak_chan_bw = server.mem.peak_bw_gbs * 1e9;
     let mem_activity =
-        (buckets.chan_bytes.iter().sum::<f64>() / duration_s / peak_chan_bw).min(1.0);
-    let gpu_activity = (buckets.gpu_s.iter().sum::<f64>() / duration_s).min(1.0);
-    let pcie_activity = (buckets.pcie_s.iter().sum::<f64>() / duration_s).min(1.0);
+        (per(buckets.chan_bytes.iter().sum::<f64>(), duration_s) / peak_chan_bw).min(1.0);
+    let gpu_activity = per(buckets.gpu_s.iter().sum::<f64>(), duration_s).min(1.0);
+    let pcie_activity = per(buckets.pcie_s.iter().sum::<f64>(), duration_s).min(1.0);
 
     let pm = PowerModel::new(server);
     let mean_power = pm.power_at(Activity {
         cpu: cpu_activity,
         mem: mem_activity,
         gpu: gpu_activity,
-    }) + Watts(total_nmp_j / duration_s);
+    }) + Watts(per(total_nmp_j, duration_s));
 
     let width = buckets.width_s;
     let mut peak_power = Watts::ZERO;
     for b in 0..POWER_BUCKETS {
         let act = Activity {
-            cpu: buckets.cpu_core_s[b] / (width * cores),
-            mem: buckets.chan_bytes[b] / width / peak_chan_bw,
-            gpu: buckets.gpu_s[b] / width,
+            cpu: per(buckets.cpu_core_s[b], width * cores),
+            mem: per(buckets.chan_bytes[b], width) / peak_chan_bw,
+            gpu: per(buckets.gpu_s[b], width),
         };
-        let p = pm.power_at(act) + Watts(buckets.nmp_j[b] / width);
+        let p = pm.power_at(act) + Watts(per(buckets.nmp_j[b], width));
         peak_power = peak_power.max(p);
     }
 

@@ -154,20 +154,6 @@ impl StageService {
     }
 }
 
-/// `StageService` is the canonical service-time oracle: both clocks'
-/// serving hooks call [`StageService::cost_shared`] directly; callers that
-/// price through the trait can take it or another oracle (profiles,
-/// synthetic test models).
-impl hercules_hw::cost::ServiceOracle for StageService {
-    fn service_cost(&self, items: u32) -> BatchCost {
-        self.cost(items)
-    }
-
-    fn service_cost_shared(&self, items: u32) -> Arc<BatchCost> {
-        self.cost_shared(items)
-    }
-}
-
 /// The host-side front stage (SparseNet, cold-sparse pre-pooling, or the
 /// whole model under CPU model-based scheduling).
 #[derive(Debug)]

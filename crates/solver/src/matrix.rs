@@ -50,15 +50,6 @@ impl Mat {
         }
     }
 
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Mat {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -243,12 +234,6 @@ mod tests {
         assert_eq!(a.t_matvec(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
         assert_eq!(a.rows(), 2);
         assert_eq!(a.cols(), 3);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let i = Mat::identity(3);
-        assert_eq!(i.matvec(&[2.0, 3.0, 4.0]), vec![2.0, 3.0, 4.0]);
     }
 
     #[test]

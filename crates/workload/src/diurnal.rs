@@ -65,11 +65,6 @@ impl DiurnalPattern {
         DiurnalPattern::new(peak, 0.35, 15.0, 0.18)
     }
 
-    /// The configured peak load.
-    pub fn peak_load(&self) -> Qps {
-        self.peak
-    }
-
     /// Hour of day at which the load peaks.
     pub fn peak_hour(&self) -> f64 {
         self.peak_hour

@@ -18,9 +18,7 @@ pub mod diurnal;
 pub mod evolution;
 pub mod generator;
 pub mod query;
-pub mod trace;
 
 pub use diurnal::DiurnalPattern;
 pub use generator::{PoissonArrivals, QueryStream};
 pub use query::{PoolingDist, Query, QueryId, QuerySizeDist};
-pub use trace::QueryTrace;

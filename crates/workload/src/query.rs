@@ -90,19 +90,13 @@ impl QuerySizeDist {
 #[derive(Debug, Clone)]
 pub struct PoolingDist {
     inner: Option<Discrete<u32>>,
-    one_hot: bool,
-    avg: u32,
 }
 
 impl PoolingDist {
     /// Builds the distribution for a table spec.
     pub fn for_table(spec: &EmbeddingTableSpec) -> PoolingDist {
         match spec.pooling {
-            PoolingSpec::OneHot => PoolingDist {
-                inner: None,
-                one_hot: true,
-                avg: 1,
-            },
+            PoolingSpec::OneHot => PoolingDist { inner: None },
             PoolingSpec::MultiHot { min, max } | PoolingSpec::Sequence { min, max } => {
                 const BUCKETS: u32 = 8;
                 const DECAY: f64 = 0.72;
@@ -116,8 +110,6 @@ impl PoolingDist {
                 }
                 PoolingDist {
                     inner: Some(Discrete::new(weighted).expect("non-empty positive weights")),
-                    one_hot: false,
-                    avg: spec.avg_pooling(),
                 }
             }
         }
@@ -129,16 +121,6 @@ impl PoolingDist {
             None => 1,
             Some(d) => d.sample(rng),
         }
-    }
-
-    /// Whether the table is one-hot (pooling factor always 1).
-    pub fn is_one_hot(&self) -> bool {
-        self.one_hot
-    }
-
-    /// The spec's average pooling factor.
-    pub fn spec_average(&self) -> u32 {
-        self.avg
     }
 }
 
@@ -176,8 +158,6 @@ mod tests {
     fn pooling_dist_matches_spec_range() {
         let spec = EmbeddingTableSpec::new(1_000_000, 32, PoolingSpec::multi_hot(20, 160), 0.8);
         let d = PoolingDist::for_table(&spec);
-        assert!(!d.is_one_hot());
-        assert_eq!(d.spec_average(), 90);
         let mut rng = SimRng::seed_from(9);
         let samples: Vec<u32> = (0..5_000).map(|_| d.sample(&mut rng)).collect();
         assert!(samples.iter().all(|&p| (20..=160).contains(&p)));
@@ -192,7 +172,6 @@ mod tests {
     fn one_hot_pooling_always_one() {
         let spec = EmbeddingTableSpec::new(1_000, 32, PoolingSpec::OneHot, 0.8);
         let d = PoolingDist::for_table(&spec);
-        assert!(d.is_one_hot());
         let mut rng = SimRng::seed_from(2);
         for _ in 0..50 {
             assert_eq!(d.sample(&mut rng), 1);

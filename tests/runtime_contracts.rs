@@ -2,16 +2,17 @@
 //!
 //! Entry points reject traces that break the arrival contract
 //! (non-decreasing, within the horizon, at least one item per query)
-//! instead of returning reports that do not conserve, and a GPU fault's
+//! instead of returning reports that do not conserve, a GPU fault's
 //! derated compute is charged to the queries it delays on the wall clock
-//! as on the virtual clock.
+//! as on the virtual clock, and a zero-length run reports an idle server,
+//! as an empty run of positive length does.
 
 use hercules::common::units::{Qps, SimDuration, SimTime};
 use hercules::fleet::{run_virtual_fleet, FleetConfig};
 use hercules::hw::server::ServerType;
 use hercules::model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules::runtime::{ClockMode, FaultPlan, RuntimeConfig, ServingRuntime};
-use hercules::sim::{NmpLutCache, PlacementPlan, SimConfig};
+use hercules::sim::{simulate, NmpLutCache, PlacementPlan, SimConfig, SimReport};
 use hercules::workload::query::{Query, QueryId};
 
 fn runtime(
@@ -167,5 +168,65 @@ fn gpu_fault_derates_attributed_inference_on_both_clocks() {
             (faulted / clean - 3.0).abs() < 1e-9,
             "{clock:?}: inference {clean:.4} ms clean vs {faulted:.4} ms under a 3x GPU fault"
         );
+    }
+}
+
+/// A report's server power and activities.
+fn load(r: &SimReport) -> [f64; 6] {
+    [
+        r.mean_power.value(),
+        r.peak_power.value(),
+        r.cpu_activity,
+        r.mem_activity,
+        r.gpu_activity,
+        r.pcie_activity,
+    ]
+}
+
+#[test]
+fn zero_length_runs_report_an_idle_server() {
+    let plan = PlacementPlan::CpuModel {
+        threads: 10,
+        workers: 2,
+        batch: 256,
+    };
+    let sim = |duration| SimConfig {
+        duration,
+        ..SimConfig::default()
+    };
+    let virt = |duration| {
+        runtime(
+            ModelKind::DlrmRmc1,
+            ModelScale::Production,
+            ServerType::T2,
+            plan,
+            RuntimeConfig::from_sim(&sim(duration)),
+        )
+    };
+    let idle = load(
+        &virt(SimDuration::from_secs(1))
+            .serve_trace(&[], Qps(0.0))
+            .sim,
+    );
+    let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+    let simulated = simulate(
+        &model,
+        &ServerType::T2.spec(),
+        &plan,
+        Qps(400.0),
+        &sim(SimDuration::ZERO),
+    )
+    .expect("feasible plan");
+    let zero = virt(SimDuration::ZERO);
+    let runs = [
+        ("simulator", simulated),
+        ("virtual clock", zero.serve(Qps(400.0)).sim),
+        (
+            "virtual clock, empty trace",
+            zero.serve_trace(&[], Qps(0.0)).sim,
+        ),
+    ];
+    for (name, r) in runs {
+        assert_eq!(load(&r), idle, "{name}: zero-length run vs empty 1 s run");
     }
 }
