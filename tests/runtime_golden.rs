@@ -16,6 +16,7 @@
 
 use hercules::common::units::{Qps, SimDuration, SimTime};
 use hercules::fleet::{run_virtual_fleet, AutoscalerPolicy, FleetConfig};
+use hercules::hw::cost::{CacheModel, CacheSpec};
 use hercules::hw::server::ServerType;
 use hercules::model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules::runtime::{
@@ -24,7 +25,7 @@ use hercules::runtime::{
 };
 use hercules::sim::{NmpLutCache, PlacementPlan, SearchOptions, SimConfig, SlaSpec};
 use hercules::workload::generator::QueryStream;
-use hercules::workload::query::Query;
+use hercules::workload::query::{Query, QueryId};
 
 /// 64-bit FNV-1a.
 fn fnv1a(s: &str) -> u64 {
@@ -444,5 +445,86 @@ fn epoch_driven_stepper_replay() {
         digest(&obs.history()),
         15936638931217778024,
         "stepper history bits changed"
+    );
+}
+
+/// Load phases of `ms` milliseconds at `qps` each, back to back:
+/// seeded Poisson arrivals, ids renumbered in arrival order.
+fn phased_trace(phases: &[(u64, f64)], seed: u64) -> Vec<Query> {
+    let mut out: Vec<Query> = Vec::new();
+    let mut start = SimTime::ZERO;
+    for (k, &(ms, qps)) in phases.iter().enumerate() {
+        let len = SimDuration::from_millis(ms);
+        let mut stream = QueryStream::paper(Qps(qps), seed + k as u64);
+        for q in stream.take_until(SimTime::ZERO + len) {
+            out.push(Query {
+                id: QueryId(out.len() as u64),
+                arrival: start + (q.arrival - SimTime::ZERO),
+                size: q.size,
+            });
+        }
+        start += len;
+    }
+    out
+}
+
+/// fleet-day in miniature: eight replicas, four active at the start,
+/// cache-weighted shard placement, and a load that rises past what four
+/// replicas serve and falls back, so the autoscaler scales out and in.
+#[test]
+fn wide_autoscaled_fleet_with_cache_weighted_shards() {
+    let model = RecModel::build(RMC1.0, RMC1.1);
+    let c = RuntimeConfig::from_sim(&SimConfig {
+        duration: SimDuration::from_millis(2500),
+        warmup_fraction: 0.15,
+        drain_margin: SimDuration::ZERO,
+        seed: 37,
+    })
+    .with_deadline(DeadlinePolicy::track(sla()))
+    .with_admission(AdmissionPolicy::for_sla(&SlaSpec::p99(sla()), 1.0));
+    let pool: Vec<ServingRuntime> = (0..8)
+        .map(|_| build(RMC1, ServerType::T2, SMALL_CPU_PLAN, c))
+        .collect();
+    let cache = CacheModel::plan(CacheSpec::per_worker_mib(64), &model.tables);
+    let fleet_cfg = FleetConfig {
+        epoch: SimDuration::from_millis(50),
+        shards: 256,
+        initial_replicas: 4,
+        autoscaler: Some(AutoscalerPolicy {
+            max_replicas: 8,
+            wait_in_s: sla().as_secs_f64() / 2.0,
+            ..AutoscalerPolicy::default()
+        }),
+        ..FleetConfig::default()
+    };
+    let trace = phased_trace(&[(500, 3000.0), (1000, 9000.0), (1000, 1000.0)], 37);
+    let offered = Qps(trace.len() as f64 / 2.5);
+    let r = run_virtual_fleet(&pool, Some(&cache), &fleet_cfg, &trace, offered);
+    assert!(r.conserves());
+    assert!(r.scale_outs > 0, "the autoscaler adds replicas");
+    assert!(r.scale_ins > 0, "the autoscaler retires replicas");
+    assert!(r.peak_active > 4, "the fleet grows past its start");
+    let snapshots: usize = r.replicas.iter().map(|rep| rep.snapshots.len()).sum();
+    assert_eq!(
+        [
+            r.routed,
+            r.rerouted,
+            r.router_dropped,
+            r.peak_active as u64,
+            u64::from(r.scale_outs),
+            u64::from(r.scale_ins),
+        ],
+        [11466, 6152, 0, 6, 4, 7],
+        "fleet counts changed"
+    );
+    assert_eq!(
+        [r.completed_total(), r.shed(), r.expired(), snapshots as u64],
+        [8131, 3327, 0, 351],
+        "replica counts changed"
+    );
+    assert_eq!(
+        digest(&r),
+        9329159412757656126,
+        "wide fleet report bits changed"
     );
 }
