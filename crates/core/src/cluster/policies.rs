@@ -1,8 +1,8 @@
 //! The four cluster schedulers compared in the paper:
 //!
 //! - [`NhScheduler`]: heterogeneity-oblivious — random server types.
-//! - [`GreedyScheduler`]: heterogeneity-aware greedy (Paragon/Quasar [8],
-//!   [9] style) — always the best-ranked available type, but competing
+//! - [`GreedyScheduler`]: heterogeneity-aware greedy (Paragon/Quasar \[8\],
+//!   \[9\] style) — always the best-ranked available type, but competing
 //!   workloads split contended types arbitrarily.
 //! - [`PriorityScheduler`]: §III-C's priority-aware refinement — contended
 //!   types go to the workload with the most to lose.
@@ -115,7 +115,7 @@ impl Provisioner for NhScheduler {
     }
 }
 
-/// The heterogeneity-aware greedy scheduler of [8], [9]: each step gives one
+/// The heterogeneity-aware greedy scheduler of \[8\], \[9\]: each step gives one
 /// best-ranked available server to a randomly-chosen unmet workload —
 /// faithful to the paper's observation that greedy "randomly divides the
 /// highest-ranked servers" among competing workloads.
@@ -478,7 +478,7 @@ pub enum SolverChoice {
     /// at the cap the scheduler returns the best allocation found so far,
     /// which is never worse than the heuristic's.
     BranchAndBound,
-    /// Interior-point relaxation (the paper's solver [12]) with ceil
+    /// Interior-point relaxation (the paper's solver \[12\]) with ceil
     /// rounding and greedy repair/trim.
     InteriorPointRounded,
 }

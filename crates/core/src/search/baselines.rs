@@ -1,5 +1,5 @@
 //! Prior-work baseline schedulers reproduced for comparison (paper §III,
-//! §VI-A): DeepRecSys [37] (data-parallelism only), Baymax [32] (model
+//! §VI-A): DeepRecSys \[37\] (data-parallelism only), Baymax \[32\] (model
 //! co-location only), and an exhaustive oracle for validating the gradient
 //! search.
 

@@ -13,7 +13,7 @@ pub const DDR_STREAM_EFFICIENCY: f64 = 0.80;
 
 /// Fraction of peak DRAM bandwidth achievable by embedding-gather (random)
 /// access. Pointer-chase-like gathers with 64–256 B granules reach well
-/// under half of peak on commodity DDR4 (RecNMP [25] reports ~2–3x headroom
+/// under half of peak on commodity DDR4 (RecNMP \[25\] reports ~2–3x headroom
 /// for rank-level parallelism precisely because of this).
 pub const DDR_GATHER_EFFICIENCY: f64 = 0.45;
 

@@ -1,6 +1,6 @@
 //! Cycle-level near-memory-processing (NMP) DIMM simulator.
 //!
-//! Reproduces the paper's evaluation methodology (§V): a RecNMP-style [25]
+//! Reproduces the paper's evaluation methodology (§V): a RecNMP-style \[25\]
 //! DIMM executes embedding Gather-and-Reduce locally, exploiting *rank-level
 //! parallelism* — each rank serves gathers independently and only the pooled
 //! output vector crosses the channel. The simulator is run ahead of time over

@@ -1,4 +1,4 @@
-//! Operator fusion (paper §IV-B: "the operator fusion technique [35] is also
+//! Operator fusion (paper §IV-B: "the operator fusion technique \[35\] is also
 //! performed in this stage for element-wise operations").
 //!
 //! [`fuse_elementwise`] merges a stand-alone activation node into its

@@ -107,7 +107,7 @@ pub struct EmbeddingTableSpec {
     /// Pooling behaviour of lookups against this table.
     pub pooling: PoolingSpec,
     /// Zipf exponent of row-access popularity; production traces show strong
-    /// temporal locality ([6], [25]), typically 0.6–1.0.
+    /// temporal locality (\[6\], \[25\]), typically 0.6–1.0.
     pub locality_exponent: f64,
 }
 

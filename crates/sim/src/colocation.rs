@@ -7,15 +7,14 @@
 //! (`crate::engine`) serves any number of tenants; this module holds what
 //! only matters once there are several: per-tenant dispatch queues feed
 //! the shared front/back/GPU pools through share-weighted deficit
-//! round-robin ([`WeightedRr`]), and every tenant's service time is derated
-//! by [`hercules_hw::cost::colocation_derate`] to model LLC and
-//! memory-bandwidth interference between co-located models
-//! ([`Interference`]). The derate is **load-dependent**: each dispatch
-//! measures the co-runners' aggregate DRAM-channel intensity (their
-//! cumulative `channel_bytes` over elapsed simulated time, as a fraction of
-//! peak channel bandwidth), so an idle co-tenant costs only the
-//! LLC-pollution floor while a bandwidth-saturating one charges the full
-//! per-tenant penalty.
+//! round-robin, and every tenant's service time is derated by
+//! [`hercules_hw::cost::colocation_derate`] to model LLC and
+//! memory-bandwidth interference between co-located models. The derate is
+//! **load-dependent**: each dispatch measures the co-runners' aggregate
+//! DRAM-channel intensity (their cumulative `channel_bytes` over elapsed
+//! simulated time, as a fraction of peak channel bandwidth), so an idle
+//! co-tenant costs only the LLC-pollution floor while a
+//! bandwidth-saturating one charges the full per-tenant penalty.
 //!
 //! A single tenant is a dedicated server: it is never derated, its picker
 //! is FIFO, and tenant 0's query stream is the dedicated stream

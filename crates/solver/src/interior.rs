@@ -1,7 +1,7 @@
 //! Primal-dual path-following interior-point method.
 //!
 //! The paper's cluster manager "runs an optimizer program that uses an
-//! interior-point solver [12] to obtain the optimal allocation solution"
+//! interior-point solver \[12\] to obtain the optimal allocation solution"
 //! (§V). This is that solver, built from scratch: constraints are lifted to
 //! standard form `min c.x, Ax = b, x >= 0`, and each iteration takes one
 //! centering Newton step through the normal equations `A D A^T dy = r`
