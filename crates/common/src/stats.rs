@@ -2,9 +2,12 @@
 //!
 //! The simulator reports tail latency (p95/p99), mean throughput, utilization,
 //! and power. [`PercentileTracker`] keeps samples for exact quantiles,
-//! [`LatencyHistogram`] keeps mergeable log-bucket latency counts,
+//! [`LatencyHistogram`] keeps mergeable log-bucket latency counts (and
+//! [`WindowQuantiles`] reads the quantiles of a window of them),
 //! [`Histogram`] provides log-spaced buckets for printing paper-style
 //! distributions, and [`TimeSeries`] holds load and power curves.
+
+use std::ops::Range;
 
 /// Exact-quantile tracker: every sample is retained.
 #[derive(Debug, Clone)]
@@ -164,13 +167,18 @@ impl LatencyHistogram {
         LatencyHistogram::new(5e-7, 1e3, 1024)
     }
 
-    /// Records one observation (seconds). Never allocates.
-    pub fn record(&mut self, x: f64) {
-        let idx = if x < self.lo {
+    /// The bucket an observation of `x` lands in.
+    fn bucket(&self, x: f64) -> usize {
+        if x < self.lo {
             0
         } else {
             (((x / self.lo).ln() * self.inv_ln_ratio) as usize).min(self.counts.len() - 1)
-        };
+        }
+    }
+
+    /// Records one observation (seconds). Never allocates.
+    pub fn record(&mut self, x: f64) {
+        let idx = self.bucket(x);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += x;
@@ -307,52 +315,99 @@ impl LatencyHistogram {
     ///
     /// Counts are cumulative and monotone per bucket, so a *windowed* view
     /// of a live histogram is just the element-wise difference of two
-    /// reads — see [`quantile_of`](Self::quantile_of).
+    /// reads — see [`WindowQuantiles`].
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// The `p`-quantile of an external count vector interpreted in *this*
-    /// histogram's bucket layout; `None` when the counts are all zero.
-    ///
-    /// This is the delta-window companion to [`quantile`](Self::quantile):
-    /// a telemetry observer subtracts two published snapshots of a live
-    /// histogram's counts and asks the layout for the interval quantile.
-    /// Deltas carry no min/max, so the result is the bucket's geometric
-    /// midpoint unclamped, and overflow-bucket ranks resolve to the
-    /// overflow bucket's lower edge (a deliberate under-estimate: the true
-    /// tenant is only known to be at or beyond it).
+    /// A range of buckets outside which every count is zero: from the
+    /// smallest observation's bucket to the largest's, widened by one
+    /// bucket each side so that float rounding in the bucket index cannot
+    /// strand a count outside it (observations are never NaN). Empty when
+    /// nothing was recorded. The extrema only spread as observations
+    /// arrive, so a live histogram's range only widens.
+    pub fn occupied(&self) -> Range<usize> {
+        if self.total == 0 {
+            return 0..0;
+        }
+        let lo = self.bucket(self.min).saturating_sub(1);
+        let hi = (self.bucket(self.max) + 2).min(self.counts.len());
+        lo..hi
+    }
+}
+
+/// The nearest-rank quantiles of a window of a live [`LatencyHistogram`],
+/// picked in one pass over its buckets.
+///
+/// A window is the element-wise difference of two reads of a live
+/// histogram's counts. Its caller knows the window's total up front (the
+/// difference of the two reads' observation counts), so it feeds each
+/// bucket's windowed count in bucket order through [`push`](Self::push)
+/// and every quantile falls out of the one pass; buckets outside the
+/// window's occupied span need not be fed at all. Deltas carry no
+/// min/max, so each result is its bucket's geometric midpoint unclamped,
+/// and overflow-bucket ranks resolve to the overflow bucket's lower edge (a
+/// deliberate under-estimate: the true tenant is only known to be at or
+/// beyond it).
+#[derive(Debug)]
+pub struct WindowQuantiles<'h, const N: usize> {
+    layout: &'h LatencyHistogram,
+    ranks: [u64; N],
+    next: usize,
+    seen: u64,
+    out: [Option<f64>; N],
+}
+
+impl<'h, const N: usize> WindowQuantiles<'h, N> {
+    /// A scan for the `ps`-quantiles (ascending, each in `[0, 1]`) of a
+    /// window of `total` observations in `layout`'s bucket layout.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is outside `[0, 1]` or `counts` has a different
-    /// length than this histogram's layout.
-    pub fn quantile_of(&self, counts: &[u64], p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
-        assert_eq!(
-            counts.len(),
-            self.counts.len(),
-            "count vector does not match this histogram's layout"
+    /// Panics if a `p` is outside `[0, 1]` or the `ps` descend.
+    pub fn new(layout: &'h LatencyHistogram, total: u64, ps: [f64; N]) -> Self {
+        assert!(
+            ps.iter().all(|p| (0.0..=1.0).contains(p)) && ps.windows(2).all(|w| w[0] <= w[1]),
+            "quantiles must ascend within [0, 1]: {ps:?}"
         );
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return None;
+        WindowQuantiles {
+            layout,
+            ranks: ps.map(|p| ((p * total as f64).ceil() as u64).clamp(1, total.max(1))),
+            next: if total == 0 { N } else { 0 },
+            seen: 0,
+            out: [None; N],
         }
-        let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let edge_lo = self.lo * self.ratio.powi(i as i32);
-                let v = if i + 1 == self.counts.len() {
-                    edge_lo
-                } else {
-                    edge_lo * self.ratio.sqrt()
-                };
-                return Some(v);
-            }
+    }
+
+    /// Feeds bucket `i`'s windowed count; buckets must come in ascending
+    /// order.
+    #[inline]
+    pub fn push(&mut self, i: usize, count: u64) {
+        self.seen += count;
+        while self.next < N && self.seen >= self.ranks[self.next] {
+            let l = self.layout;
+            let edge_lo = l.lo * l.ratio.powi(i as i32);
+            self.out[self.next] = Some(if i + 1 == l.counts.len() {
+                edge_lo
+            } else {
+                edge_lo * l.ratio.sqrt()
+            });
+            self.next += 1;
         }
-        unreachable!("rank <= total observations");
+    }
+
+    /// The quantiles, each `None` when the window is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fed counts fell short of the window's total.
+    pub fn finish(self) -> [Option<f64>; N] {
+        assert!(
+            self.next == N,
+            "the fed buckets hold {} of the window's observations, fewer than its quantiles need",
+            self.seen
+        );
+        self.out
     }
 }
 
@@ -556,16 +611,32 @@ mod tests {
         assert_eq!(ab.quantile(1.0), Some(50.0));
     }
 
+    /// The nearest-rank quantile of a full count vector, bucket by bucket
+    /// from the first: the reference a windowed read must reproduce.
+    fn full_scan(layout: &LatencyHistogram, counts: &[u64], p: f64) -> Option<f64> {
+        let total: u64 = counts.iter().sum();
+        let rank = ((p * total as f64).ceil() as u64).clamp(1, total.max(1));
+        let mut seen = 0;
+        let i = counts.iter().position(|&c| {
+            seen += c;
+            total > 0 && seen >= rank
+        })?;
+        let edge_lo = layout.lo * layout.ratio.powi(i as i32);
+        Some(if i + 1 == counts.len() {
+            edge_lo
+        } else {
+            edge_lo * layout.ratio.sqrt()
+        })
+    }
+
     #[test]
     fn latency_histogram_delta_quantiles_match_layout() {
         // A "windowed" view is the element-wise difference of two reads of
         // a growing histogram. Its quantile through the layout must agree
         // with a histogram that recorded only the window's samples.
         let mut cum = LatencyHistogram::default_latency();
-        let mut early = LatencyHistogram::default_latency();
         for x in [1e-3, 2e-3, 5e-3] {
             cum.record(x);
-            early.record(x);
         }
         let first: Vec<u64> = cum.counts().to_vec();
         let mut window_only = LatencyHistogram::default_latency();
@@ -573,31 +644,78 @@ mod tests {
             cum.record(x);
             window_only.record(x);
         }
-        let delta: Vec<u64> = cum
-            .counts()
-            .iter()
-            .zip(&first)
-            .map(|(a, b)| a - b)
-            .collect();
-        assert_eq!(delta.iter().sum::<u64>(), 4);
-        for p in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            let via_delta = cum.quantile_of(&delta, p).unwrap();
+        let ps = [0.0, 0.5, 0.9, 0.99, 1.0];
+        let via_delta = window(&cum, cum.counts(), &first, cum.occupied(), ps);
+        for (p, got) in ps.into_iter().zip(via_delta) {
+            let got = got.unwrap();
             let direct = window_only.quantile(p).unwrap();
             // Same bucket, so within one bucket width (midpoint vs the
             // clamped-to-extrema direct read).
             assert!(
-                (via_delta / direct).ln().abs() <= cum.resolution().ln() + 1e-12,
-                "p={p}: delta {via_delta} vs direct {direct}"
+                (got / direct).ln().abs() <= cum.resolution().ln() + 1e-12,
+                "p={p}: delta {got} vs direct {direct}"
             );
         }
         // Empty delta: no quantile.
         let zeros = vec![0u64; first.len()];
-        assert_eq!(cum.quantile_of(&zeros, 0.99), None);
+        assert_eq!(window(&cum, &zeros, &zeros, 0..zeros.len(), [0.99]), [None]);
         // Overflow-bucket ranks resolve to the overflow lower edge.
         let mut top = vec![0u64; first.len()];
         *top.last_mut().unwrap() = 1;
-        let v = cum.quantile_of(&top, 1.0).unwrap();
+        let [v] = window(&cum, &top, &zeros, 0..top.len(), [1.0]);
+        let v = v.unwrap();
         assert!((999.0..1001.0).contains(&v), "overflow edge, got {v}");
+    }
+
+    /// The window `cur - prev` fed to a scan over `span` only.
+    fn window<const N: usize>(
+        layout: &LatencyHistogram,
+        cur: &[u64],
+        prev: &[u64],
+        span: Range<usize>,
+        ps: [f64; N],
+    ) -> [Option<f64>; N] {
+        let total = cur.iter().sum::<u64>() - prev.iter().sum::<u64>();
+        let mut scan = WindowQuantiles::new(layout, total, ps);
+        for i in span {
+            scan.push(i, cur[i] - prev[i]);
+        }
+        scan.finish()
+    }
+
+    #[test]
+    fn occupied_span_windows_match_full_scans_bit_for_bit() {
+        let mut h = LatencyHistogram::default_latency();
+        assert!(h.occupied().is_empty());
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut prev = vec![0u64; h.counts().len()];
+        let mut prev_total = 0;
+        for round in 0..40 {
+            for _ in 0..(round % 7) * 13 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Log-uniform over 100 ns .. 10^4 s, so some observations
+                // clamp into bucket 0 and some overflow.
+                let u = (rng >> 11) as f64 / (1u64 << 53) as f64;
+                h.record(1e-7 * 1e11f64.powf(u));
+            }
+            let span = h.occupied();
+            assert!(h.counts()[..span.start].iter().all(|&c| c == 0));
+            assert!(h.counts()[span.end..].iter().all(|&c| c == 0));
+            let delta: Vec<u64> = h.counts().iter().zip(&prev).map(|(a, b)| a - b).collect();
+            assert_eq!(h.count() - prev_total, delta.iter().sum::<u64>());
+            let ps = [0.5, 0.99];
+            let got = window(&h, h.counts(), &prev, span, ps);
+            let want = ps.map(|p| full_scan(&h, &delta, p));
+            assert_eq!(
+                got.map(|v| v.map(f64::to_bits)),
+                want.map(|v| v.map(f64::to_bits)),
+                "round {round}"
+            );
+            prev.copy_from_slice(h.counts());
+            prev_total = h.count();
+        }
     }
 
     #[test]

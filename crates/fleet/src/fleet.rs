@@ -3,14 +3,20 @@
 //!
 //! Each control epoch the router injects the epoch's arrivals into their
 //! shard owners, advances every live replica's virtual clock to the epoch
-//! boundary, snapshots per-replica telemetry, applies health-based
-//! failover (drain a replica whose supervisor reports dead workers or
-//! sustained L2+ degrade, re-route its shards), and lets the autoscaler
-//! trade replicas against windowed shed and queue-wait tails. Everything
-//! is a pure function of the inputs: two runs of the same fleet are
-//! bitwise identical, and a single-replica fleet reproduces the bare
-//! runtime's report bit for bit (`tests/fleet_props.rs`).
+//! boundary and snapshots its telemetry, applies health-based failover
+//! (drain a replica whose supervisor reports dead workers or sustained L2+
+//! degrade, re-route its shards), and lets the autoscaler trade replicas
+//! against windowed shed and queue-wait tails. Replicas share nothing
+//! inside an epoch, so they step on parallel threads, one per available
+//! core; routing, failover and scaling run serially between epochs.
+//! Everything is a pure function of the inputs: two runs of the same fleet
+//! are bitwise identical whatever the thread count, and a single-replica
+//! fleet reproduces the bare runtime's report bit for bit
+//! (`tests/fleet_props.rs`).
 
+use std::num::NonZeroUsize;
+
+use hercules_common::par::parallel_map_mut;
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::cost::CacheModel;
 use hercules_runtime::{
@@ -162,9 +168,16 @@ fn activate<'a>(
 ) {
     let mut stepper = pool[i].stepper();
     stepper.step_until(now);
+    // The observer snapshots at every epoch end after `now` but the
+    // horizon, and once more as the replica finishes: its history is sized
+    // once, so the report takes it without slack.
+    let (horizon, e) = (stepper.horizon().as_nanos(), epoch.as_nanos());
+    let ends = horizon.div_ceil(e).saturating_sub(1);
+    let mut obs = RuntimeObserver::every(epoch);
+    obs.reserve(ends.saturating_sub(now.as_nanos() / e) as usize + 1);
     slots[i] = Some(Slot {
         stepper,
-        obs: RuntimeObserver::every(epoch),
+        obs,
         routed: 0,
         prev_shed: 0,
         unhealthy: 0,
@@ -193,9 +206,9 @@ fn active_list(slots: &[Option<Slot<'_>>]) -> Vec<usize> {
 ///
 /// # Panics
 ///
-/// Panics when the pool is empty, `initial_replicas` is out of range, the
-/// pool members disagree on the run window, or arrivals decrease, lie past
-/// the horizon or have no items.
+/// Panics when the pool is empty, the epoch is zero, `initial_replicas` is
+/// out of range, the pool members disagree on the run window, or arrivals
+/// decrease, lie past the horizon or have no items.
 pub fn run_virtual_fleet(
     pool: &[ServingRuntime],
     cache: Option<&CacheModel>,
@@ -204,6 +217,10 @@ pub fn run_virtual_fleet(
     offered: Qps,
 ) -> FleetReport {
     assert!(!pool.is_empty(), "fleet needs at least one replica");
+    assert!(
+        cfg.epoch > SimDuration::ZERO,
+        "fleet epoch must be positive"
+    );
     assert!(
         cfg.initial_replicas >= 1 && cfg.initial_replicas <= pool.len(),
         "initial_replicas must be in 1..=pool size"
@@ -222,6 +239,8 @@ pub fn run_virtual_fleet(
             && queries.iter().all(|q| q.size > 0),
         "fleet arrivals must be non-decreasing and lie within the horizon, with at least one item"
     );
+
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
     let mut map = ShardMap::place(cache, cfg.shards, cfg.initial_replicas);
     let mut slots: Vec<Option<Slot<'_>>> = pool.iter().map(|_| None).collect();
@@ -282,13 +301,14 @@ pub fn run_virtual_fleet(
         }
 
         // Advance every live replica (draining ones keep finishing their
-        // in-flight work).
-        for slot in slots.iter_mut().flatten() {
+        // in-flight work), each on whichever thread claims it.
+        let mut live: Vec<&mut Slot<'_>> = slots.iter_mut().flatten().collect();
+        parallel_map_mut(&mut live, threads, |slot| {
             slot.stepper.step_until(end);
             if !last {
                 slot.stepper.observe(&mut slot.obs, end);
             }
-        }
+        });
 
         // Health-based failover: drain replicas whose control plane
         // reports dead workers or sustained L2+ degrade.
@@ -400,7 +420,7 @@ pub fn run_virtual_fleet(
                 routed: slot_routed,
                 drained: draining,
                 report,
-                snapshots: obs.history().to_vec(),
+                snapshots: obs.into_history(),
             }
         })
         .collect();

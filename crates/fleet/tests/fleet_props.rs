@@ -15,6 +15,8 @@
 //!    (both front workers stalled) and whole-node death (both panicked)
 //!    the draining replica's shard traffic re-routes (nonzero rerouted)
 //!    and fleet goodput is >= 2x the no-failover fleet.
+//! 6. Histories sized once — each replica's snapshot history holds one
+//!    snapshot per boundary it saw and carries no spare capacity.
 
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_fleet::{run_virtual_fleet, AutoscalerPolicy, FleetConfig, ScaleDecision};
@@ -187,6 +189,37 @@ fn fleet_conservation_holds_across_configs() {
              offered={offered:?} autoscale={autoscale}"
         );
         assert_eq!(report.arrivals, trace.len() as u64);
+    }
+}
+
+/// Every replica's history holds one snapshot per epoch end it saw before
+/// the horizon, plus its final one, and was sized for exactly that, so the
+/// report carries it without slack; late activations and an epoch that
+/// does not divide the horizon included.
+#[test]
+fn replica_histories_are_sized_exactly() {
+    let sla = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production).default_sla();
+    let cfg = base_cfg(1000, 5).with_admission(AdmissionPolicy::for_sla(&SlaSpec::p99(sla), 1.0));
+    let pool: Vec<ServingRuntime> = (0..4).map(|_| small_runtime(cfg)).collect();
+    let offered = Qps(3000.0);
+    let trace = paper_trace(&cfg, offered);
+    let fleet_cfg = FleetConfig {
+        epoch: SimDuration::from_millis(70),
+        initial_replicas: 1,
+        autoscaler: Some(AutoscalerPolicy::default()),
+        ..FleetConfig::default()
+    };
+    let report = run_virtual_fleet(&pool, None, &fleet_cfg, &trace, offered);
+    assert!(report.scale_outs > 0, "some replicas activate late");
+    // 1000 ms in 70 ms epochs: 15 epochs, 14 ends before the horizon.
+    assert_eq!(report.replicas[0].snapshots.len(), 15);
+    for rep in &report.replicas {
+        assert_eq!(
+            rep.snapshots.capacity(),
+            rep.snapshots.len(),
+            "replica {}",
+            rep.index
+        );
     }
 }
 

@@ -15,7 +15,7 @@
 //! Recovery is layered on top:
 //!
 //! * Workers publish heartbeats through their
-//!   [`TelemetrySlot`](crate::telemetry::TelemetrySlot)s. A [`Supervisor`]
+//!   [`TelemetrySlot`](crate::telemetry::TelemetrySlot)s. A supervisor
 //!   consuming windowed plane state declares workers whose beat has gone
 //!   stale (with work queued behind them) *suspect* and removes them from
 //!   virtual-clock dispatch so siblings absorb their queue share; wall
@@ -24,9 +24,9 @@
 //! * Under sustained ingress distress the supervisor walks the
 //!   degradation ladder: **L1** tighten the dynamic batcher's max delay,
 //!   **L2** degraded gathers (serve cache-hit rows only, skip the
-//!   cold-miss penalty — priced through the oracle by
-//!   [`degraded_latency`], counted per query), **L3** shed at dispatch.
-//!   Recovery steps back down after consecutive calm windows.
+//!   cold-miss penalty — priced through the oracle, counted per query),
+//!   **L3** shed at dispatch. Recovery steps back down after consecutive
+//!   calm windows.
 //! * Queries carry deadlines ([`DeadlinePolicy`](crate::config::DeadlinePolicy)):
 //!   expired work is dropped at dequeue instead of burning service time,
 //!   and the conservation law extends to
@@ -36,7 +36,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use hercules_common::rng::splitmix64;
-use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{SimDuration, SimTime};
 use hercules_hw::cost::BatchCost;
 
@@ -543,8 +542,9 @@ pub(crate) struct Supervisor {
     per_sub_s: f64,
     /// The configured batch delay, restored when the ladder steps below L1.
     base_delay: SimDuration,
-    layout: LatencyHistogram,
-    prev_wait: Option<Vec<u64>>,
+    /// The plane at the last supervision boundary, and its window since
+    /// the one before.
+    pub plane: PlaneState,
     hot: u32,
     calm: u32,
 }
@@ -561,24 +561,17 @@ impl Supervisor {
             controls,
             per_sub_s,
             base_delay,
-            layout: LatencyHistogram::default_latency(),
-            prev_wait: None,
+            plane: PlaneState::default(),
             hot: 0,
             calm: 0,
         }
     }
 
-    /// One supervision boundary: update the ladder from ingress distress,
-    /// then re-derive worker health from heartbeats.
-    pub fn tick(
-        &mut self,
-        state: &PlaneState,
-        front_beats: &[SimTime],
-        back_beats: &[SimTime],
-        now: SimTime,
-    ) {
-        let distressed = self.ingress_distressed(state);
-        if distressed {
+    /// One supervision boundary, once [`plane`](Self::plane) holds it:
+    /// update the ladder from ingress distress, then re-derive worker
+    /// health from heartbeats.
+    pub fn tick(&mut self, front_beats: &[SimTime], back_beats: &[SimTime], now: SimTime) {
+        if self.ingress_distressed() {
             self.calm = 0;
             self.hot += 1;
             if self.hot >= ESCALATE_AFTER {
@@ -594,38 +587,27 @@ impl Supervisor {
             }
         }
         let depth = |kind: StageKind| {
-            state
+            self.plane
                 .stages
                 .iter()
                 .find(|s| s.stage == kind)
                 .map_or(0, |s| s.queue_depth)
         };
-        self.health(StageKind::Front, front_beats, depth(StageKind::Front), now);
-        self.health(StageKind::Back, back_beats, depth(StageKind::Back), now);
+        let (front, back) = (depth(StageKind::Front), depth(StageKind::Back));
+        self.health(StageKind::Front, front_beats, front, now);
+        self.health(StageKind::Back, back_beats, back, now);
     }
 
     /// Distress = the ingress stage's windowed p99 queue wait exceeds the
     /// threshold, or its current backlog would take longer than the
     /// threshold to drain at the modeled service rate.
-    fn ingress_distressed(&mut self, state: &PlaneState) -> bool {
-        let Some(ingress) = state.stages.first() else {
+    fn ingress_distressed(&self) -> bool {
+        let Some(ingress) = self.plane.stages.first() else {
             return false;
         };
-        let wait = &ingress.cum.queue_wait;
-        let delta: Vec<u64> = match &self.prev_wait {
-            Some(prev) if prev.len() == wait.len() => wait
-                .iter()
-                .zip(prev)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            _ => wait.clone(),
-        };
-        self.prev_wait = Some(wait.clone());
         let limit = self.distress_wait.as_secs_f64();
-        let p99_hot = self
-            .layout
-            .quantile_of(&delta, 0.99)
-            .is_some_and(|v| v > limit);
+        let [_, p99] = ingress.queue_wait.quantiles();
+        let p99_hot = p99.is_some_and(|v| v > limit);
         let backlog_s = ingress.queue_depth as f64 * self.per_sub_s / ingress.workers.max(1) as f64;
         p99_hot || backlog_s > limit
     }

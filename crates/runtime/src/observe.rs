@@ -2,56 +2,223 @@
 //! views from the workers' published snapshot slots and streams them to
 //! pluggable sinks.
 //!
-//! A [`RuntimeObserver`] ticks at a configurable period. Each tick it is
-//! handed a [`PlaneState`] — the consistent cumulative state of every
-//! stage, read from seqlock slots (wall clock) or straight from the
-//! telemetry (virtual clock, where the observer shares the event loop and
-//! boundaries are processed at exact virtual instants). The observer
-//! differences consecutive states into a [`PlaneSnapshot`] of interval
-//! rates and tail quantiles, keeps the history, and fans each snapshot out
-//! to its sinks: a human status line, a JSON stream, a Prometheus text
-//! file. Everything here runs off the serving path; the only cost workers
-//! pay is the one release-publish per batch on the write side
-//! (`telemetry::TelemetrySlot`).
+//! A [`RuntimeObserver`] ticks at a configurable period. Each tick brings
+//! its [`PlaneState`] up to the boundary: every stage's cumulative state,
+//! summed over its workers into buffers the observer reuses and
+//! differenced against the last tick on the way, read from seqlock slots
+//! (wall clock) or straight from the telemetry (virtual clock, where the
+//! observer shares the event loop and boundaries are processed at exact
+//! virtual instants). The window becomes a [`PlaneSnapshot`] of interval
+//! rates and tail quantiles; the observer keeps the history and fans each
+//! snapshot out to its sinks: a human status line, a JSON stream, a
+//! Prometheus text file. A tick's cost follows the buckets the histograms
+//! occupy, not the layout's 1025, and after the first it allocates only
+//! the snapshot's stage list. Everything here runs off the serving path;
+//! the only cost workers pay is the one release-publish per batch on the
+//! write side (`telemetry::TelemetrySlot`).
 //!
 //! The exporters are dependency-free by design: the Prometheus text
 //! exposition format and the snapshot JSON are fixed, flat schemas, so the
 //! writers are plain string formatting — no serde, no registry client.
 
 use std::io::Write;
+use std::ops::Range;
 use std::path::PathBuf;
 
-use hercules_common::stats::LatencyHistogram;
+use hercules_common::stats::{LatencyHistogram, WindowQuantiles};
 use hercules_common::units::{SimDuration, SimTime};
 
-use crate::telemetry::{StageKind, WorkerSnap};
+use crate::pipeline::PoolView;
+use crate::telemetry::{Counters, StageKind};
 
-/// Consistent cumulative state of one stage at an observation boundary.
+/// Bucket counts in [`LatencyHistogram::default_latency`]'s layout, as the
+/// observer sums them.
+pub(crate) trait Counts {
+    /// The counts, overflow bucket last.
+    fn counts(&self) -> &[u64];
+    /// A range of buckets outside which every count is zero, and the
+    /// counts' total.
+    fn extent(&self) -> (Range<usize>, u64);
+}
+
+impl Counts for LatencyHistogram {
+    /// The buckets the observations occupy, without a pass over them.
+    fn extent(&self) -> (Range<usize>, u64) {
+        (self.occupied(), self.count())
+    }
+
+    fn counts(&self) -> &[u64] {
+        LatencyHistogram::counts(self)
+    }
+}
+
+impl Counts for [u64] {
+    /// Every bucket (a bare count vector carries no extrema).
+    fn extent(&self) -> (Range<usize>, u64) {
+        (0..self.len(), self.iter().sum())
+    }
+
+    fn counts(&self) -> &[u64] {
+        self
+    }
+}
+
+/// A pool member as the observer and the supervisor read it: a worker's
+/// own telemetry on the virtual clock, which owns the event loop, or a
+/// consistent read of the seqlock slot a wall-clock worker publishes into.
+pub(crate) trait WorkerView {
+    /// The worker's histogram type.
+    type Hist: Counts + ?Sized;
+    /// Cumulative scalar counters.
+    fn counters(&self) -> Counters;
+    /// Cumulative queue-wait histogram.
+    fn queue_wait(&self) -> &Self::Hist;
+    /// Cumulative end-to-end latency histogram (in-window completions).
+    fn e2e(&self) -> &Self::Hist;
+    /// The worker's last heartbeat.
+    fn last_beat(&self) -> SimTime;
+}
+
+/// One histogram summed over a stage's workers at the last boundary read,
+/// in [`LatencyHistogram::default_latency`]'s layout, and its window since
+/// the boundary before. The sum is brought up to date in place, bucket by
+/// bucket over only the buckets the workers occupy, so a read costs what
+/// the window spans, not the layout's 1025 buckets, and allocates nothing
+/// after the first.
+#[derive(Debug, Clone, Default)]
+pub struct HistSum {
+    counts: Vec<u64>,
+    span: Range<usize>,
+    total: u64,
+    quantiles: [Option<f64>; 2],
+    overflow: u64,
+}
+
+impl HistSum {
+    /// An all-zero sum in `layout`'s bucket layout.
+    fn new(layout: &LatencyHistogram) -> Self {
+        HistSum {
+            counts: vec![0; LatencyHistogram::counts(layout).len()],
+            ..HistSum::default()
+        }
+    }
+
+    /// The summed cumulative counts.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// The window's median and p99 (`None` when it is empty).
+    pub fn quantiles(&self) -> [Option<f64>; 2] {
+        self.quantiles
+    }
+
+    /// The window's observations past the layout's top bucket.
+    pub fn window_overflow(&self) -> u64 {
+        self.overflow
+    }
+
+    /// Brings the sum up to `parts`' current histograms (each read through
+    /// `hist`) and records the window since the last sum: one pass over the
+    /// buckets either occupies sums each bucket, differences it against
+    /// the last sum, stores it, and feeds the quantile scan, whose total is
+    /// known up front. The differencing routine behind every windowed
+    /// quantile, on both clocks.
+    pub(crate) fn advance<P, H: Counts + ?Sized>(
+        &mut self,
+        parts: &[P],
+        hist: impl Fn(&P) -> &H,
+        layout: &LatencyHistogram,
+    ) {
+        let (mut span, mut total) = (self.span.clone(), 0);
+        for p in parts {
+            let (s, t) = hist(p).extent();
+            span = hull(&span, &s);
+            total += t;
+        }
+        if total == self.total {
+            // Counts only grow, so an unchanged total is an unchanged sum.
+            (self.quantiles, self.overflow) = ([None; 2], 0);
+            return;
+        }
+        let last = self.counts.len() - 1;
+        let overflow_before = self.counts[last];
+        let mut scan = WindowQuantiles::new(layout, total - self.total, [0.50, 0.99]);
+        for i in span.clone() {
+            let now: u64 = parts.iter().map(|p| hist(p).counts()[i]).sum();
+            scan.push(i, now - self.counts[i]);
+            self.counts[i] = now;
+        }
+        self.quantiles = scan.finish();
+        self.overflow = self.counts[last] - overflow_before;
+        self.span = span;
+        self.total = total;
+    }
+}
+
+impl Counts for HistSum {
+    fn extent(&self) -> (Range<usize>, u64) {
+        (self.span.clone(), self.total)
+    }
+
+    fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+}
+
+/// The smallest range covering both (an empty range covers nothing).
+fn hull(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    match (a.is_empty(), b.is_empty()) {
+        (true, _) => b.clone(),
+        (_, true) => a.clone(),
+        _ => a.start.min(b.start)..a.end.max(b.end),
+    }
+}
+
+/// One stage at the last boundary read: its cumulative state, summed over
+/// its workers, and its window since the boundary before.
 #[derive(Debug, Clone)]
 pub struct StageState {
     /// Which pool.
     pub stage: StageKind,
     /// Workers in the pool.
     pub workers: u32,
-    /// Sum of the pool's worker snapshots (exact).
-    pub cum: WorkerSnap,
+    /// Sum of the pool's worker counters (exact).
+    pub counters: Counters,
+    /// The counters' change over the window.
+    pub window: Counters,
+    /// Sum of the pool's queue-wait histograms.
+    pub queue_wait: HistSum,
+    /// Sum of the pool's end-to-end latency histograms (in-window
+    /// completions).
+    pub e2e: HistSum,
     /// Sub-queries queued ahead of the pool right now.
     pub queue_depth: usize,
 }
 
-/// Everything the observer sees at one boundary: per-stage cumulative
-/// state plus the run-global admission counters.
+/// Everything the observer sees at the last boundary read: per-stage
+/// state plus the run-global admission counters, cumulative and windowed.
 #[derive(Debug, Clone)]
 pub struct PlaneState {
+    layout: LatencyHistogram,
     /// The boundary's virtual time.
     pub t: SimTime,
+    /// Time since the boundary before (since run start for the first).
+    pub interval: SimDuration,
     /// Per-stage state, in pipeline order (stable across a run).
     pub stages: Vec<StageState>,
+    /// Every stage's end-to-end histograms summed, when there are several
+    /// (a lone stage's sum is the plane's).
+    e2e: HistSum,
     /// Queries admitted since run start.
     pub admitted: u64,
     /// Queries shed since run start (budget, backpressure, or the
     /// degradation ladder's L3).
     pub shed: u64,
+    /// Queries admitted over the window.
+    pub admitted_window: u64,
+    /// Queries shed over the window.
+    pub shed_window: u64,
     /// Workers currently marked suspect by the supervisor (heartbeat
     /// stale while their pool has backlog).
     pub suspect_workers: u32,
@@ -61,6 +228,89 @@ pub struct PlaneState {
     /// Current rung of the graceful-degradation ladder (0 = healthy,
     /// 1 = tightened batching, 2 = degraded gathers, 3 = shedding).
     pub degrade_level: u8,
+}
+
+impl Default for PlaneState {
+    fn default() -> Self {
+        PlaneState {
+            layout: LatencyHistogram::default_latency(),
+            t: SimTime::ZERO,
+            interval: SimDuration::ZERO,
+            stages: Vec::new(),
+            e2e: HistSum::default(),
+            admitted: 0,
+            shed: 0,
+            admitted_window: 0,
+            shed_window: 0,
+            suspect_workers: 0,
+            dead_workers: 0,
+            degrade_level: 0,
+        }
+    }
+}
+
+impl PlaneState {
+    /// Reads the boundary at `t` in place: each non-empty pool's workers
+    /// (`pools` in [`StageKind`] order) summed, with every window since the
+    /// last read, and the admission counters. The control-plane gauges are
+    /// the caller's to set.
+    pub(crate) fn advance<W: WorkerView>(
+        &mut self,
+        t: SimTime,
+        admitted: u64,
+        shed: u64,
+        pools: [PoolView<'_, W>; 3],
+    ) {
+        let live = StageKind::ALL
+            .into_iter()
+            .zip(pools)
+            .filter(|(_, (workers, _))| !workers.is_empty());
+        if self.stages.is_empty() {
+            // A run's pools are fixed, so its stages are built once.
+            let layout = &self.layout;
+            self.stages = live
+                .clone()
+                .map(|(stage, (workers, _))| StageState {
+                    stage,
+                    workers: workers.len() as u32,
+                    counters: Counters::default(),
+                    window: Counters::default(),
+                    queue_wait: HistSum::new(layout),
+                    e2e: HistSum::new(layout),
+                    queue_depth: 0,
+                })
+                .collect();
+            if self.stages.len() > 1 {
+                self.e2e = HistSum::new(layout);
+            }
+        }
+        for (s, (_, (workers, depth))) in self.stages.iter_mut().zip(live) {
+            let mut now = Counters::default();
+            for w in workers {
+                now.add(&w.counters());
+            }
+            s.window = now.since(&s.counters);
+            s.counters = now;
+            s.queue_wait.advance(workers, W::queue_wait, &self.layout);
+            s.e2e.advance(workers, W::e2e, &self.layout);
+            s.queue_depth = depth;
+        }
+        if self.stages.len() > 1 {
+            self.e2e.advance(&self.stages, |s| &s.e2e, &self.layout);
+        }
+        self.interval = t.saturating_since(self.t);
+        self.admitted_window = admitted - self.admitted;
+        self.shed_window = shed - self.shed;
+        (self.t, self.admitted, self.shed) = (t, admitted, shed);
+    }
+
+    /// Every stage's end-to-end latency summed.
+    pub fn e2e(&self) -> &HistSum {
+        match &self.stages[..] {
+            [lone] => &lone.e2e,
+            _ => &self.e2e,
+        }
+    }
 }
 
 /// One stage's windowed view over an observation interval.
@@ -193,10 +443,9 @@ pub trait SnapshotSink: Send {
 /// [`ServingRuntime::serve_observed`](crate::serve::ServingRuntime::serve_observed).
 pub struct RuntimeObserver {
     period: SimDuration,
-    layout: LatencyHistogram,
     sinks: Vec<Box<dyn SnapshotSink>>,
     history: Vec<PlaneSnapshot>,
-    prev: Option<PlaneState>,
+    plane: PlaneState,
 }
 
 impl std::fmt::Debug for RuntimeObserver {
@@ -217,10 +466,9 @@ impl RuntimeObserver {
         let floor = SimDuration::from_millis(1);
         RuntimeObserver {
             period: if period < floor { floor } else { period },
-            layout: LatencyHistogram::default_latency(),
             sinks: Vec::new(),
             history: Vec::new(),
-            prev: None,
+            plane: PlaneState::default(),
         }
     }
 
@@ -242,45 +490,56 @@ impl RuntimeObserver {
         &self.history
     }
 
+    /// Makes room for exactly `snapshots` more snapshots in the history,
+    /// for a caller that knows how many boundaries remain.
+    pub fn reserve(&mut self, snapshots: usize) {
+        self.history.reserve_exact(snapshots);
+    }
+
+    /// The history, moved out of the observer.
+    pub fn into_history(self) -> Vec<PlaneSnapshot> {
+        self.history
+    }
+
     /// Sum of a windowed field across the whole history — the telescoped
     /// cumulative total, exact by construction.
     pub fn summed<F: Fn(&PlaneSnapshot) -> u64>(&self, f: F) -> u64 {
         self.history.iter().map(f).sum()
     }
 
-    /// Ingests one boundary's cumulative state: differences it against the
-    /// previous boundary, records the snapshot, and publishes to sinks.
-    pub(crate) fn tick(&mut self, state: PlaneState) {
-        let (prev_t, interval) = match &self.prev {
-            Some(p) => (Some(p), state.t.saturating_since(p.t)),
-            None => (None, state.t.saturating_since(SimTime::ZERO)),
-        };
-        let interval_s = interval.as_secs_f64().max(1e-12);
-        let hist_len = self.layout.counts().len();
-        let mut stages = Vec::with_capacity(state.stages.len());
-        let mut e2e_delta = vec![0u64; hist_len];
+    /// Ingests one boundary: `read` brings the observer's plane state up
+    /// to it (cumulative sums and their windows since the last tick); the
+    /// snapshot is recorded and published to sinks.
+    pub(crate) fn tick(&mut self, read: impl FnOnce(&mut PlaneState)) {
+        read(&mut self.plane);
+        let snap = self.snapshot();
+        for sink in &mut self.sinks {
+            sink.publish(&snap);
+        }
+        self.history.push(snap);
+    }
+
+    /// The window the plane state last advanced over.
+    fn snapshot(&self) -> PlaneSnapshot {
+        let plane = &self.plane;
+        let interval_s = plane.interval.as_secs_f64().max(1e-12);
+        let mut stages = Vec::with_capacity(plane.stages.len());
         let mut completed = 0u64;
         let mut cum_completed = 0u64;
         let mut completed_degraded = 0u64;
         let mut cum_completed_degraded = 0u64;
         let mut expired = 0u64;
         let mut cum_expired = 0u64;
-        let mut cum_latency_overflow = 0u64;
-        for (i, s) in state.stages.iter().enumerate() {
-            let zero = WorkerSnap::zeroed(hist_len);
-            let prev_cum = prev_t.map_or(&zero, |p| &p.stages[i].cum);
-            let d = s.cum.delta_since(prev_cum);
-            for (acc, x) in e2e_delta.iter_mut().zip(&d.e2e) {
-                *acc += x;
-            }
+        for s in &plane.stages {
+            let (c, d) = (&s.counters, &s.window);
             completed += d.completed_total;
-            cum_completed += s.cum.completed_total;
+            cum_completed += c.completed_total;
             completed_degraded += d.completed_degraded;
-            cum_completed_degraded += s.cum.completed_degraded;
+            cum_completed_degraded += c.completed_degraded;
             expired += d.expired;
-            cum_expired += s.cum.expired;
-            // The histogram's trailing bucket is its overflow count.
-            cum_latency_overflow += s.cum.e2e.last().copied().unwrap_or(0);
+            cum_expired += c.expired;
+            let [queue_wait_p50, queue_wait_p99] = s.queue_wait.quantiles();
+            let [e2e_p50, e2e_p99] = s.e2e.quantiles();
             let cached = d.cache_hits + d.cache_misses;
             stages.push(StageSnapshot {
                 stage: s.stage,
@@ -290,13 +549,13 @@ impl RuntimeObserver {
                 completed: d.completed_total,
                 completed_degraded: d.completed_degraded,
                 expired: d.expired,
-                cum_batches: s.cum.batches,
-                cum_completed: s.cum.completed_total,
+                cum_batches: c.batches,
+                cum_completed: c.completed_total,
                 queue_depth: s.queue_depth,
-                queue_wait_p50: self.layout.quantile_of(&d.queue_wait, 0.50),
-                queue_wait_p99: self.layout.quantile_of(&d.queue_wait, 0.99),
-                e2e_p50: self.layout.quantile_of(&d.e2e, 0.50),
-                e2e_p99: self.layout.quantile_of(&d.e2e, 0.99),
+                queue_wait_p50,
+                queue_wait_p99,
+                e2e_p50,
+                e2e_p99,
                 gather_gbs: if d.gather_wall_s > 0.0 {
                     d.gather_bytes as f64 / d.gather_wall_s / 1e9
                 } else {
@@ -306,35 +565,32 @@ impl RuntimeObserver {
                 utilization: (d.busy_ns as f64 / 1e9) / (interval_s * s.workers.max(1) as f64),
             });
         }
-        let (prev_admitted, prev_shed) = prev_t.map_or((0, 0), |p| (p.admitted, p.shed));
-        let snap = PlaneSnapshot {
-            t: state.t,
-            interval,
-            admitted: state.admitted - prev_admitted,
-            shed: state.shed - prev_shed,
-            cum_admitted: state.admitted,
-            cum_shed: state.shed,
+        let e2e = plane.e2e();
+        let [e2e_p50, e2e_p99] = e2e.quantiles();
+        PlaneSnapshot {
+            t: plane.t,
+            interval: plane.interval,
+            admitted: plane.admitted_window,
+            shed: plane.shed_window,
+            cum_admitted: plane.admitted,
+            cum_shed: plane.shed,
             completed,
             cum_completed,
             completed_degraded,
             cum_completed_degraded,
             expired,
             cum_expired,
-            latency_overflow: e2e_delta.last().copied().unwrap_or(0),
-            cum_latency_overflow,
-            suspect_workers: state.suspect_workers,
-            dead_workers: state.dead_workers,
-            degrade_level: state.degrade_level,
+            latency_overflow: e2e.window_overflow(),
+            // The histogram's trailing bucket is its overflow count.
+            cum_latency_overflow: e2e.counts().last().copied().unwrap_or(0),
+            suspect_workers: plane.suspect_workers,
+            dead_workers: plane.dead_workers,
+            degrade_level: plane.degrade_level,
             qps: completed as f64 / interval_s,
-            e2e_p50: self.layout.quantile_of(&e2e_delta, 0.50),
-            e2e_p99: self.layout.quantile_of(&e2e_delta, 0.99),
+            e2e_p50,
+            e2e_p99,
             stages,
-        };
-        for sink in &mut self.sinks {
-            sink.publish(&snap);
         }
-        self.history.push(snap);
-        self.prev = Some(state);
     }
 
     /// Flushes every sink after the run's final boundary.
@@ -676,41 +932,45 @@ pub fn prometheus_text(snap: &PlaneSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::WorkerSnap;
     use std::sync::{Arc, Mutex};
 
-    fn state(t_ms: u64, batches: u64, completed: u64, shed: u64) -> PlaneState {
+    /// Ticks `obs` at `t_ms` over a two-worker front pool, seven deep,
+    /// whose first worker has served `batches` batches and `completed`
+    /// queries, with `shed` queries shed.
+    fn tick(obs: &mut RuntimeObserver, t_ms: u64, batches: u64, completed: u64, shed: u64) {
         let hist_len = LatencyHistogram::default_latency().counts().len();
-        let mut cum = WorkerSnap::zeroed(hist_len);
-        cum.batches = batches;
-        cum.items = batches * 32;
-        cum.completed_total = completed;
-        cum.completed = completed;
-        cum.busy_ns = batches * 1_000_000;
+        let mut busy = WorkerSnap::zeroed(hist_len);
+        busy.counters = Counters {
+            batches,
+            items: batches * 32,
+            completed_total: completed,
+            completed,
+            busy_ns: batches * 1_000_000,
+            ..Counters::default()
+        };
         // Put every completion in some mid bucket so quantiles resolve.
-        cum.e2e[500] = completed;
-        cum.queue_wait[100] = batches;
-        PlaneState {
-            t: SimTime::from_millis(t_ms),
-            stages: vec![StageState {
-                stage: StageKind::Front,
-                workers: 2,
-                cum,
-                queue_depth: 7,
-            }],
-            admitted: completed + shed,
-            shed,
-            suspect_workers: 0,
-            dead_workers: 0,
-            degrade_level: 0,
-        }
+        busy.e2e[500] = completed;
+        busy.queue_wait[100] = batches;
+        let front = [busy, WorkerSnap::zeroed(hist_len)];
+        let none: &[WorkerSnap] = &[];
+        let t = SimTime::from_millis(t_ms);
+        obs.tick(|plane| {
+            plane.advance(
+                t,
+                completed + shed,
+                shed,
+                [(&front, 7), (none, 0), (none, 0)],
+            )
+        });
     }
 
     #[test]
     fn deltas_telescope_to_cumulative_totals() {
         let mut obs = RuntimeObserver::every(SimDuration::from_millis(100));
-        obs.tick(state(100, 10, 8, 1));
-        obs.tick(state(200, 25, 20, 3));
-        obs.tick(state(300, 60, 55, 3));
+        tick(&mut obs, 100, 10, 8, 1);
+        tick(&mut obs, 200, 25, 20, 3);
+        tick(&mut obs, 300, 60, 55, 3);
         let h = obs.history();
         assert_eq!(h.len(), 3);
         assert_eq!(obs.summed(|s| s.completed), 55);
@@ -743,8 +1003,8 @@ mod tests {
             RuntimeObserver::every(SimDuration::from_millis(50)).with_sink(Box::new(Counting {
                 n: Arc::clone(&seen),
             }));
-        obs.tick(state(50, 1, 1, 0));
-        obs.tick(state(100, 2, 2, 0));
+        tick(&mut obs, 50, 1, 1, 0);
+        tick(&mut obs, 100, 2, 2, 0);
         obs.finish();
         assert_eq!(*seen.lock().unwrap(), (2, true));
     }
@@ -752,7 +1012,7 @@ mod tests {
     #[test]
     fn exporters_render_wellformed_output() {
         let mut obs = RuntimeObserver::every(SimDuration::from_millis(100));
-        obs.tick(state(100, 10, 8, 2));
+        tick(&mut obs, 100, 10, 8, 2);
         let snap = &obs.history()[0];
         let json = snapshot_json(snap);
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -788,8 +1048,8 @@ mod tests {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let mut obs = RuntimeObserver::every(SimDuration::from_millis(100))
             .with_sink(Box::new(JsonLines::new(SharedBuf(Arc::clone(&buf)))));
-        obs.tick(state(100, 5, 4, 0));
-        obs.tick(state(200, 9, 8, 0));
+        tick(&mut obs, 100, 5, 4, 0);
+        tick(&mut obs, 200, 9, 8, 0);
         obs.finish();
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = out.trim().lines().collect();

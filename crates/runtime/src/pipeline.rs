@@ -26,10 +26,10 @@ use hercules_workload::query::Query;
 use crate::admission::{AdmissionController, AdmissionCounters};
 use crate::config::RuntimeConfig;
 use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor, DEGRADED_KEEP};
-use crate::observe::{PlaneState, StageState};
+use crate::observe::{PlaneState, WorkerView};
 use crate::report::{assemble, RunTotals, RuntimeReport, WallTotals};
 use crate::stage::{QueryTable, FLAG_DEGRADED, FLAG_EXPIRED};
-use crate::telemetry::{WorkerSnap, WorkerTelemetry};
+use crate::telemetry::WorkerTelemetry;
 use crate::trace::{SpanKind, TraceEvent, TraceRing, TraceSampler, DISPATCH_TID};
 
 /// One run's serving decisions over a built topology. Shared read-only by
@@ -441,60 +441,37 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// The plane the observer and supervisor see at `t`: each non-empty
-    /// pool's summed telemetry (`pools` in [`StageKind`] order, each worker
-    /// read through `snap`) and queue depth, the admission counters, and
-    /// the control plane.
-    pub fn plane_state<W>(
+    /// Brings `plane`, the observer's or supervisor's state, up to the
+    /// boundary at `t`: each non-empty pool's summed telemetry (`pools` in
+    /// [`StageKind`] order) and queue depth with their windows since its
+    /// last read, the admission counters, and the control plane.
+    pub fn read_plane<W: WorkerView>(
         &self,
+        plane: &mut PlaneState,
         t: SimTime,
         counters: &AdmissionCounters,
         pools: [PoolView<'_, W>; 3],
-        snap: impl Fn(&W) -> WorkerSnap,
-    ) -> PlaneState {
-        let stages = StageKind::ALL
-            .into_iter()
-            .zip(pools)
-            .filter_map(|(stage, (workers, depth))| {
-                let (first, rest) = workers.split_first()?;
-                let mut cum = snap(first);
-                for w in rest {
-                    cum.absorb(&snap(w));
-                }
-                Some(StageState {
-                    stage,
-                    workers: workers.len() as u32,
-                    cum,
-                    queue_depth: depth,
-                })
-            })
-            .collect();
-        PlaneState {
-            t,
-            stages,
-            admitted: counters.admitted(),
-            shed: counters.shed(),
-            suspect_workers: self.controls.suspect_count(),
-            dead_workers: self.controls.dead_count(),
-            degrade_level: self.controls.level(),
-        }
+    ) {
+        plane.advance(t, counters.admitted(), counters.shed(), pools);
+        plane.suspect_workers = self.controls.suspect_count();
+        plane.dead_workers = self.controls.dead_count();
+        plane.degrade_level = self.controls.level();
     }
 
     /// One supervision boundary at `t`: the supervisor reads the plane and
-    /// every CPU worker's last heartbeat (through `beat`).
-    pub fn supervise<W>(
+    /// every CPU worker's last heartbeat.
+    pub fn supervise<W: WorkerView>(
         &self,
         sup: &mut Supervisor,
         t: SimTime,
         counters: &AdmissionCounters,
         pools: [PoolView<'_, W>; 3],
-        snap: impl Fn(&W) -> WorkerSnap,
-        beat: impl Fn(&W) -> SimTime,
     ) {
-        let beats = |(workers, _): PoolView<'_, W>| workers.iter().map(&beat).collect::<Vec<_>>();
+        let beats =
+            |(workers, _): PoolView<'_, W>| workers.iter().map(W::last_beat).collect::<Vec<_>>();
         let (front, back) = (beats(pools[0]), beats(pools[1]));
-        let state = self.plane_state(t, counters, pools, snap);
-        sup.tick(&state, &front, &back, t);
+        self.read_plane(&mut sup.plane, t, counters, pools);
+        sup.tick(&front, &back, t);
     }
 
     /// Folds the run into its report: `workers` in pool-then-index order,

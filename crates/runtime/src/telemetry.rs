@@ -19,6 +19,7 @@ use hercules_hw::cost::BatchCost;
 use hercules_sim::Buckets;
 pub use hercules_sim::StageKind;
 
+use crate::observe::WorkerView;
 use crate::stage::QueryPhases;
 use crate::trace::{stage_tid, SpanKind, TraceEvent, TraceRing};
 
@@ -187,11 +188,9 @@ impl WorkerTelemetry {
         }
     }
 
-    /// The worker's current published state as a plain snapshot (the
-    /// virtual clock's observer reads telemetry directly — it owns the
-    /// event loop, so no seqlock is needed).
-    pub(crate) fn snapshot(&self) -> WorkerSnap {
-        WorkerSnap {
+    /// The worker's cumulative scalar counters, as it would publish them.
+    pub(crate) fn counters(&self) -> Counters {
+        Counters {
             batches: self.batches,
             items: self.items,
             busy_ns: self.busy.as_nanos(),
@@ -204,8 +203,6 @@ impl WorkerTelemetry {
             gather_wall_s: self.gather_wall_s,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
-            queue_wait: self.queue_wait.counts().to_vec(),
-            e2e: self.e2e.counts().to_vec(),
         }
     }
 
@@ -351,14 +348,11 @@ impl WorkerTelemetry {
 // ---------------------------------------------------------------------------
 // Live snapshot publication (the observability plane's write side).
 
-/// A consistent copy of one worker's published telemetry state.
-///
-/// Counters are cumulative since worker start; an observer differences two
-/// snapshots to get a window. Histogram state is the raw bucket counts in
-/// [`LatencyHistogram::default_latency`]'s layout, so interval quantiles
-/// come from [`LatencyHistogram::quantile_of`] on the delta.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkerSnap {
+/// One worker's cumulative scalar telemetry, or a pool's sum of its
+/// workers'. Published state is monotone, so an observer differences two
+/// reads to get a window.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Counters {
     /// Batches served.
     pub batches: u64,
     /// Items served.
@@ -383,25 +377,11 @@ pub struct WorkerSnap {
     pub cache_hits: u64,
     /// Hot-tier cache misses.
     pub cache_misses: u64,
-    /// Queue-wait histogram bucket counts.
-    pub queue_wait: Vec<u64>,
-    /// End-to-end latency histogram bucket counts (in-window completions).
-    pub e2e: Vec<u64>,
 }
 
-impl WorkerSnap {
-    /// An all-zero snapshot with histogram vectors of `hist_len` buckets.
-    pub fn zeroed(hist_len: usize) -> Self {
-        WorkerSnap {
-            queue_wait: vec![0; hist_len],
-            e2e: vec![0; hist_len],
-            ..WorkerSnap::default()
-        }
-    }
-
-    /// Accumulates another worker's snapshot into this one (stage-level
-    /// aggregation). Exact: counters sum, bucket counts sum element-wise.
-    pub fn absorb(&mut self, other: &WorkerSnap) {
+impl Counters {
+    /// Adds another worker's counters (stage-level aggregation; exact).
+    pub fn add(&mut self, other: &Counters) {
         self.batches += other.batches;
         self.items += other.items;
         self.busy_ns += other.busy_ns;
@@ -414,20 +394,14 @@ impl WorkerSnap {
         self.gather_wall_s += other.gather_wall_s;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        for (a, b) in self.queue_wait.iter_mut().zip(&other.queue_wait) {
-            *a += b;
-        }
-        for (a, b) in self.e2e.iter_mut().zip(&other.e2e) {
-            *a += b;
-        }
     }
 
-    /// The windowed difference `self - prev`. Exact for every counter —
-    /// published state is monotone, so the telescoping sum of all window
-    /// deltas equals the final cumulative state (the conservation property
-    /// `tests/observer_props.rs` asserts).
-    pub fn delta_since(&self, prev: &WorkerSnap) -> WorkerSnap {
-        WorkerSnap {
+    /// The windowed difference `self - prev`. Exact for every counter, so
+    /// the telescoping sum of all window deltas equals the final
+    /// cumulative state (the conservation property `tests/observer_props.rs`
+    /// asserts).
+    pub fn since(&self, prev: &Counters) -> Counters {
+        Counters {
             batches: self.batches - prev.batches,
             items: self.items - prev.items,
             busy_ns: self.busy_ns - prev.busy_ns,
@@ -440,14 +414,78 @@ impl WorkerSnap {
             gather_wall_s: self.gather_wall_s - prev.gather_wall_s,
             cache_hits: self.cache_hits - prev.cache_hits,
             cache_misses: self.cache_misses - prev.cache_misses,
-            queue_wait: self
-                .queue_wait
-                .iter()
-                .zip(&prev.queue_wait)
-                .map(|(a, b)| a - b)
-                .collect(),
-            e2e: self.e2e.iter().zip(&prev.e2e).map(|(a, b)| a - b).collect(),
         }
+    }
+}
+
+/// A consistent copy of one worker's published telemetry state, as the
+/// wall clock's observer reads it from the worker's [`TelemetrySlot`].
+///
+/// Histogram state is the raw bucket counts in
+/// [`LatencyHistogram::default_latency`]'s layout, so interval quantiles
+/// come from the difference of two reads
+/// ([`WindowQuantiles`](hercules_common::stats::WindowQuantiles)).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WorkerSnap {
+    /// Cumulative scalar counters.
+    pub counters: Counters,
+    /// Queue-wait histogram bucket counts.
+    pub queue_wait: Vec<u64>,
+    /// End-to-end latency histogram bucket counts (in-window completions).
+    pub e2e: Vec<u64>,
+    /// The worker's last heartbeat, read beside the snapshot (it is
+    /// published outside the seqlock window).
+    pub last_beat: SimTime,
+}
+
+impl WorkerSnap {
+    /// An all-zero snapshot with histogram vectors of `hist_len` buckets.
+    pub fn zeroed(hist_len: usize) -> Self {
+        WorkerSnap {
+            queue_wait: vec![0; hist_len],
+            e2e: vec![0; hist_len],
+            ..WorkerSnap::default()
+        }
+    }
+}
+
+impl WorkerView for WorkerTelemetry {
+    type Hist = LatencyHistogram;
+
+    fn counters(&self) -> Counters {
+        WorkerTelemetry::counters(self)
+    }
+
+    fn queue_wait(&self) -> &LatencyHistogram {
+        &self.queue_wait
+    }
+
+    fn e2e(&self) -> &LatencyHistogram {
+        &self.e2e
+    }
+
+    fn last_beat(&self) -> SimTime {
+        self.last_beat
+    }
+}
+
+impl WorkerView for WorkerSnap {
+    type Hist = [u64];
+
+    fn counters(&self) -> Counters {
+        self.counters
+    }
+
+    fn queue_wait(&self) -> &[u64] {
+        &self.queue_wait
+    }
+
+    fn e2e(&self) -> &[u64] {
+        &self.e2e
+    }
+
+    fn last_beat(&self) -> SimTime {
+        self.last_beat
     }
 }
 
@@ -571,24 +609,27 @@ impl TelemetrySlot {
                 continue;
             }
             let snap = WorkerSnap {
-                batches: self.batches.load(Ordering::Relaxed),
-                items: self.items.load(Ordering::Relaxed),
-                busy_ns: self.busy_ns.load(Ordering::Relaxed),
-                completed: self.completed.load(Ordering::Relaxed),
-                completed_total: self.completed_total.load(Ordering::Relaxed),
-                completed_degraded: self.completed_degraded.load(Ordering::Relaxed),
-                expired: self.expired.load(Ordering::Relaxed),
-                gather_bytes: self.gather_bytes.load(Ordering::Relaxed),
-                gather_rows: self.gather_rows.load(Ordering::Relaxed),
-                gather_wall_s: f64::from_bits(self.gather_wall_s_bits.load(Ordering::Relaxed)),
-                cache_hits: self.cache_hits.load(Ordering::Relaxed),
-                cache_misses: self.cache_misses.load(Ordering::Relaxed),
+                counters: Counters {
+                    batches: self.batches.load(Ordering::Relaxed),
+                    items: self.items.load(Ordering::Relaxed),
+                    busy_ns: self.busy_ns.load(Ordering::Relaxed),
+                    completed: self.completed.load(Ordering::Relaxed),
+                    completed_total: self.completed_total.load(Ordering::Relaxed),
+                    completed_degraded: self.completed_degraded.load(Ordering::Relaxed),
+                    expired: self.expired.load(Ordering::Relaxed),
+                    gather_bytes: self.gather_bytes.load(Ordering::Relaxed),
+                    gather_rows: self.gather_rows.load(Ordering::Relaxed),
+                    gather_wall_s: f64::from_bits(self.gather_wall_s_bits.load(Ordering::Relaxed)),
+                    cache_hits: self.cache_hits.load(Ordering::Relaxed),
+                    cache_misses: self.cache_misses.load(Ordering::Relaxed),
+                },
                 queue_wait: self
                     .queue_wait
                     .iter()
                     .map(|c| c.load(Ordering::Relaxed))
                     .collect(),
                 e2e: self.e2e.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+                last_beat: self.last_beat(),
             };
             // Order the data loads before the re-check.
             fence(Ordering::Acquire);
@@ -780,9 +821,11 @@ mod tests {
         t.publish();
         assert_eq!(slot.last_beat(), SimTime::from_millis(104));
         let first = slot.read();
-        assert_eq!(first, t.snapshot(), "slot mirrors the worker exactly");
-        assert_eq!(first.batches, 1);
-        assert_eq!(first.completed, 1);
+        assert_eq!(first.counters, t.counters(), "slot mirrors the worker");
+        assert_eq!(first.queue_wait, t.queue_wait.counts());
+        assert_eq!(first.e2e, t.e2e.counts());
+        assert_eq!(first.counters.batches, 1);
+        assert_eq!(first.counters.completed, 1);
         assert_eq!(first.queue_wait.iter().sum::<u64>(), 1);
 
         t.record_cpu(
@@ -793,17 +836,19 @@ mod tests {
         );
         t.publish();
         let second = slot.read();
-        let delta = second.delta_since(&first);
+        let delta = second.counters.since(&first.counters);
         assert_eq!(delta.batches, 1);
         assert_eq!(delta.items, 64);
         assert_eq!(delta.completed, 0);
-        assert_eq!(delta.queue_wait.iter().sum::<u64>(), 1);
+        assert_eq!(
+            second.queue_wait.iter().sum::<u64>() - first.queue_wait.iter().sum::<u64>(),
+            1
+        );
 
         // Stage aggregation is exact.
-        let mut agg = WorkerSnap::zeroed(hist_len);
-        agg.absorb(&first);
-        agg.absorb(&delta);
-        assert_eq!(agg, second, "first + (second - first) == second");
+        let mut agg = first.counters;
+        agg.add(&delta);
+        assert_eq!(agg, second.counters, "first + (second - first) == second");
     }
 
     #[test]
@@ -837,12 +882,13 @@ mod tests {
             loop {
                 let finished = done.load(Ordering::Acquire);
                 let s = slot.read();
-                assert_eq!(s.items, 32 * s.batches);
-                assert_eq!(s.busy_ns, 1_000_000 * s.batches);
-                assert_eq!(s.completed_total, s.batches);
-                assert_eq!(s.queue_wait.iter().sum::<u64>(), s.batches);
+                let c = s.counters;
+                assert_eq!(c.items, 32 * c.batches);
+                assert_eq!(c.busy_ns, 1_000_000 * c.batches);
+                assert_eq!(c.completed_total, c.batches);
+                assert_eq!(s.queue_wait.iter().sum::<u64>(), c.batches);
                 if finished {
-                    assert_eq!(s.batches, PUBLISHES);
+                    assert_eq!(c.batches, PUBLISHES);
                     break;
                 }
             }
@@ -917,12 +963,11 @@ mod tests {
         );
 
         // The new counters ride the snapshot protocol monotonically.
-        let snap = t.snapshot();
-        assert_eq!(snap.completed_degraded, 1);
-        assert_eq!(snap.expired, 1);
-        let hist_len = snap.e2e.len();
-        let mut agg = WorkerSnap::zeroed(hist_len);
-        agg.absorb(&snap);
-        assert_eq!(agg.delta_since(&snap), WorkerSnap::zeroed(hist_len));
+        let c = t.counters();
+        assert_eq!(c.completed_degraded, 1);
+        assert_eq!(c.expired, 1);
+        let mut agg = Counters::default();
+        agg.add(&c);
+        assert_eq!(agg.since(&c), Counters::default());
     }
 }

@@ -23,7 +23,7 @@ use hercules_workload::query::Query;
 
 use crate::config::RuntimeConfig;
 use crate::fault::{Supervisor, SUPERVISOR_PERIOD};
-use crate::observe::{PlaneState, RuntimeObserver};
+use crate::observe::RuntimeObserver;
 use crate::pipeline::{Dispatcher, GpuLaunch, Pipeline, PoolView};
 use crate::report::{RuntimeReport, WallTotals};
 use crate::telemetry::WorkerTelemetry;
@@ -273,16 +273,13 @@ impl<'a> VirtStepper<'a> {
                 let o = obs
                     .as_deref_mut()
                     .expect("observer boundaries need an observer");
-                o.tick(self.plane_state(b));
+                self.observe(o, b);
                 self.obs_boundary = Some(b + o.period());
             } else {
                 let mut sup = self.sup.take().expect("boundary implies a supervisor");
                 let hooks = &self.server.hooks;
                 let counters = hooks.dispatch.admission.counters();
-                let (snap, beat) = (WorkerTelemetry::snapshot, |w: &WorkerTelemetry| w.last_beat);
-                hooks
-                    .pipe
-                    .supervise(&mut sup, b, &counters, self.views(), snap, beat);
+                hooks.pipe.supervise(&mut sup, b, &counters, self.views());
                 self.sup_boundary = Some(b + SUPERVISOR_PERIOD);
                 self.sup = Some(sup);
             }
@@ -295,20 +292,13 @@ impl<'a> VirtStepper<'a> {
         StageKind::ALL.map(|s| (&telem[s.index()][..], self.server.queued(s)))
     }
 
-    /// Cumulative state of every stage at boundary `t`, read straight
-    /// from the telemetry.
-    fn plane_state(&self, t: SimTime) -> PlaneState {
+    /// Snapshots the control plane into `obs` at instant `t` (the fleet's
+    /// per-replica observer boundary), reading every stage's cumulative
+    /// state straight from the telemetry.
+    pub fn observe(&mut self, obs: &mut RuntimeObserver, t: SimTime) {
         let hooks = &self.server.hooks;
         let counters = hooks.dispatch.admission.counters();
-        hooks
-            .pipe
-            .plane_state(t, &counters, self.views(), WorkerTelemetry::snapshot)
-    }
-
-    /// Snapshots the control plane into `obs` at instant `t` (the fleet's
-    /// per-replica observer boundary).
-    pub fn observe(&mut self, obs: &mut RuntimeObserver, t: SimTime) {
-        obs.tick(self.plane_state(t));
+        obs.tick(|plane| hooks.pipe.read_plane(plane, t, &counters, self.views()));
     }
 
     /// Queries admitted so far.
@@ -355,7 +345,7 @@ impl<'a> VirtStepper<'a> {
         if let Some(o) = observer {
             // The exact end-of-run state, so the history's windowed deltas
             // telescope to the merged report.
-            o.tick(self.plane_state(self.horizon()));
+            self.observe(o, self.horizon());
             o.finish();
         }
         let Virt {

@@ -53,11 +53,11 @@ use crate::affinity::{self, CorePlan};
 use crate::config::{ClockMode, RuntimeConfig};
 use crate::fault::{degraded_latency, Supervisor, SUPERVISOR_PERIOD};
 use crate::memory::{EmbeddingArena, EmbeddingCacheShard, GatherScratch};
-use crate::observe::{PlaneState, RuntimeObserver};
+use crate::observe::RuntimeObserver;
 use crate::pipeline::{CpuJob, Dispatcher, Pipeline, PoolView};
 use crate::queue::{PopResult, SyncQueue};
 use crate::report::{RuntimeReport, WallTotals};
-use crate::telemetry::{thread_allocs, StageKind, TelemetrySlot, WorkerTelemetry};
+use crate::telemetry::{thread_allocs, StageKind, TelemetrySlot, WorkerSnap, WorkerTelemetry};
 use crate::trace::SpanKind;
 
 /// The calibrated wall clock: converts between virtual time and wall
@@ -536,14 +536,23 @@ impl Wall<'_, '_> {
         t
     }
 
-    /// The plane at `t`, read from the seqlock slots.
-    fn plane(&self, t: SimTime) -> PlaneState {
-        self.pipe
-            .plane_state(t, &self.counters, self.views(), |s| s.read())
+    /// Ticks `obs` with the plane at `t`, read from the seqlock slots.
+    fn observe_at(&self, obs: &mut RuntimeObserver, t: SimTime) {
+        let snaps = self.read_slots();
+        obs.tick(|plane| {
+            self.pipe
+                .read_plane(plane, t, &self.counters, self.views(&snaps))
+        });
     }
 
-    fn views(&self) -> [PoolView<'_, Arc<TelemetrySlot>>; 3] {
-        [0, 1, 2].map(|i| (&self.slots[i][..], self.queues[i].depth()))
+    /// One consistent read of every worker's slot, pool by pool.
+    fn read_slots(&self) -> [Vec<WorkerSnap>; 3] {
+        [0, 1, 2].map(|i| self.slots[i].iter().map(|s| s.read()).collect())
+    }
+
+    /// The pools as read into `snaps`, with their queue depths.
+    fn views<'s>(&self, snaps: &'s [Vec<WorkerSnap>; 3]) -> [PoolView<'s, WorkerSnap>; 3] {
+        [0, 1, 2].map(|i| (&snaps[i][..], self.queues[i].depth()))
     }
 
     /// Sleeps toward virtual instant `t` in short chunks, so a stop
@@ -563,10 +572,9 @@ impl Wall<'_, '_> {
         let mut next = SimTime::ZERO + SUPERVISOR_PERIOD;
         while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
             let now = self.clock.now();
-            let views = self.views();
-            let beat = |s: &Arc<TelemetrySlot>| s.last_beat();
+            let snaps = self.read_slots();
             self.pipe
-                .supervise(&mut sup, now, &self.counters, views, |s| s.read(), beat);
+                .supervise(&mut sup, now, &self.counters, self.views(&snaps));
             next += SUPERVISOR_PERIOD;
         }
     }
@@ -575,13 +583,13 @@ impl Wall<'_, '_> {
         let period = obs.period();
         let mut next = SimTime::ZERO + period;
         while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
-            obs.tick(self.plane(next));
+            self.observe_at(obs, next);
             next += period;
         }
         // Workers have quiesced (`stop` is set only after every pool has
         // joined, which also orders their final publishes before this
         // read): one exact end-of-run tick, then flush the sinks.
-        obs.tick(self.plane(self.clock.now()));
+        self.observe_at(obs, self.clock.now());
         obs.finish();
     }
 }

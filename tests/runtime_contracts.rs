@@ -4,8 +4,9 @@
 //! (non-decreasing, within the horizon, at least one item per query)
 //! instead of returning reports that do not conserve, a GPU fault's
 //! derated compute is charged to the queries it delays on the wall clock
-//! as on the virtual clock, and a zero-length run reports an idle server,
-//! as an empty run of positive length does.
+//! as on the virtual clock, a zero-length run reports an idle server, as
+//! an empty run of positive length does, and a zero-length fleet reports
+//! idle replicas.
 
 use hercules::common::units::{Qps, SimDuration, SimTime};
 use hercules::fleet::{run_virtual_fleet, FleetConfig};
@@ -95,6 +96,17 @@ fn fleet_rejects_arrivals_past_the_horizon() {
     let pool = [rmc1_t2(ClockMode::Virtual)];
     let cfg = FleetConfig::default();
     run_virtual_fleet(&pool, None, &cfg, &trace(&[1000, 5000]), Qps(1.0));
+}
+
+#[test]
+#[should_panic(expected = "fleet epoch must be positive")]
+fn fleet_rejects_a_zero_epoch() {
+    let pool = [rmc1_t2(ClockMode::Virtual)];
+    let cfg = FleetConfig {
+        epoch: SimDuration::ZERO,
+        ..FleetConfig::default()
+    };
+    run_virtual_fleet(&pool, None, &cfg, &trace(&[1000]), Qps(1.0));
 }
 
 /// An empty query at 1 ms, then a query of 100 items at 2 ms: admitted
@@ -228,5 +240,39 @@ fn zero_length_runs_report_an_idle_server() {
     ];
     for (name, r) in runs {
         assert_eq!(load(&r), idle, "{name}: zero-length run vs empty 1 s run");
+    }
+}
+
+#[test]
+fn zero_length_fleet_reports_idle_replicas() {
+    let cfg = RuntimeConfig::from_sim(&SimConfig {
+        duration: SimDuration::ZERO,
+        ..SimConfig::default()
+    });
+    let plan = PlacementPlan::CpuModel {
+        threads: 10,
+        workers: 2,
+        batch: 256,
+    };
+    let replica = || {
+        runtime(
+            ModelKind::DlrmRmc1,
+            ModelScale::Production,
+            ServerType::T2,
+            plan,
+            cfg,
+        )
+    };
+    let bare = load(&replica().serve_trace(&[], Qps(0.0)).sim);
+    let fleet_cfg = FleetConfig {
+        initial_replicas: 2,
+        ..FleetConfig::default()
+    };
+    let r = run_virtual_fleet(&[replica(), replica()], None, &fleet_cfg, &[], Qps(0.0));
+    assert!(r.conserves());
+    assert_eq!(r.replicas.len(), 2);
+    for rep in &r.replicas {
+        assert_eq!(load(&rep.report.sim), bare, "replica {}", rep.index);
+        assert_eq!(rep.snapshots.len(), 1, "replica {}", rep.index);
     }
 }
