@@ -336,6 +336,13 @@ impl LatencyHistogram {
     }
 }
 
+impl Default for LatencyHistogram {
+    /// [`LatencyHistogram::default_latency`].
+    fn default() -> Self {
+        LatencyHistogram::default_latency()
+    }
+}
+
 /// The nearest-rank quantiles of a window of a live [`LatencyHistogram`],
 /// picked in one pass over its buckets.
 ///

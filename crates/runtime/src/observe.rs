@@ -3,7 +3,7 @@
 //! pluggable sinks.
 //!
 //! A [`RuntimeObserver`] ticks at a configurable period. Each tick brings
-//! its [`PlaneState`] up to the boundary: every stage's cumulative state,
+//! its plane state up to the boundary: every stage's cumulative state,
 //! summed over its workers into buffers the observer reuses and
 //! differenced against the last tick on the way, read from seqlock slots
 //! (wall clock) or straight from the telemetry (virtual clock, where the
@@ -86,7 +86,7 @@ pub(crate) trait WorkerView {
 /// the window spans, not the layout's 1025 buckets, and allocates nothing
 /// after the first.
 #[derive(Debug, Clone, Default)]
-pub struct HistSum {
+pub(crate) struct HistSum {
     counts: Vec<u64>,
     span: Range<usize>,
     total: u64,
@@ -103,18 +103,13 @@ impl HistSum {
         }
     }
 
-    /// The summed cumulative counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// The window's median and p99 (`None` when it is empty).
-    pub fn quantiles(&self) -> [Option<f64>; 2] {
+    pub(crate) fn quantiles(&self) -> [Option<f64>; 2] {
         self.quantiles
     }
 
     /// The window's observations past the layout's top bucket.
-    pub fn window_overflow(&self) -> u64 {
+    pub(crate) fn window_overflow(&self) -> u64 {
         self.overflow
     }
 
@@ -178,7 +173,7 @@ fn hull(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
 /// One stage at the last boundary read: its cumulative state, summed over
 /// its workers, and its window since the boundary before.
 #[derive(Debug, Clone)]
-pub struct StageState {
+pub(crate) struct StageState {
     /// Which pool.
     pub stage: StageKind,
     /// Workers in the pool.
@@ -198,8 +193,8 @@ pub struct StageState {
 
 /// Everything the observer sees at the last boundary read: per-stage
 /// state plus the run-global admission counters, cumulative and windowed.
-#[derive(Debug, Clone)]
-pub struct PlaneState {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PlaneState {
     layout: LatencyHistogram,
     /// The boundary's virtual time.
     pub t: SimTime,
@@ -228,25 +223,6 @@ pub struct PlaneState {
     /// Current rung of the graceful-degradation ladder (0 = healthy,
     /// 1 = tightened batching, 2 = degraded gathers, 3 = shedding).
     pub degrade_level: u8,
-}
-
-impl Default for PlaneState {
-    fn default() -> Self {
-        PlaneState {
-            layout: LatencyHistogram::default_latency(),
-            t: SimTime::ZERO,
-            interval: SimDuration::ZERO,
-            stages: Vec::new(),
-            e2e: HistSum::default(),
-            admitted: 0,
-            shed: 0,
-            admitted_window: 0,
-            shed_window: 0,
-            suspect_workers: 0,
-            dead_workers: 0,
-            degrade_level: 0,
-        }
-    }
 }
 
 impl PlaneState {
@@ -305,7 +281,7 @@ impl PlaneState {
     }
 
     /// Every stage's end-to-end latency summed.
-    pub fn e2e(&self) -> &HistSum {
+    fn e2e(&self) -> &HistSum {
         match &self.stages[..] {
             [lone] => &lone.e2e,
             _ => &self.e2e,
@@ -438,7 +414,7 @@ pub trait SnapshotSink: Send {
     fn finish(&mut self) {}
 }
 
-/// Assembles windowed [`PlaneSnapshot`]s from cumulative [`PlaneState`]s
+/// Assembles windowed [`PlaneSnapshot`]s from the plane's cumulative state
 /// and fans them out to sinks. Pass one to
 /// [`ServingRuntime::serve_observed`](crate::serve::ServingRuntime::serve_observed).
 pub struct RuntimeObserver {
