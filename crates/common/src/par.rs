@@ -92,6 +92,8 @@ where
 /// counter until none is left.
 fn claim_each(n: usize, workers: usize, job: impl Fn(usize) + Sync) {
     let next = AtomicUsize::new(0);
+    // Relaxed: the counter only hands out indices; what a job writes
+    // reaches the caller through its slot's mutex and the scope's join.
     let work = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {

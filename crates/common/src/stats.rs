@@ -323,9 +323,11 @@ impl LatencyHistogram {
     /// A range of buckets outside which every count is zero: from the
     /// smallest observation's bucket to the largest's, widened by one
     /// bucket each side so that float rounding in the bucket index cannot
-    /// strand a count outside it (observations are never NaN). Empty when
-    /// nothing was recorded. The extrema only spread as observations
-    /// arrive, so a live histogram's range only widens.
+    /// strand a count outside it. Empty when nothing was recorded. The
+    /// extrema only spread as observations arrive, so a live histogram's
+    /// range only widens. (A NaN observation lands in bucket 0 without
+    /// moving the extrema, so it may fall outside; latencies are never
+    /// NaN.)
     pub fn occupied(&self) -> Range<usize> {
         if self.total == 0 {
             return 0..0;

@@ -188,24 +188,6 @@ impl WorkerTelemetry {
         }
     }
 
-    /// The worker's cumulative scalar counters, as it would publish them.
-    pub(crate) fn counters(&self) -> Counters {
-        Counters {
-            batches: self.batches,
-            items: self.items,
-            busy_ns: self.busy.as_nanos(),
-            completed: self.completed,
-            completed_total: self.completed_total,
-            completed_degraded: self.completed_degraded,
-            expired: self.expired,
-            gather_bytes: self.gather_bytes,
-            gather_rows: self.gather_rows,
-            gather_wall_s: self.gather_wall_s,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-        }
-    }
-
     /// Records one CPU batch dispatched at `start` after waiting `wait`,
     /// charging the modeled latency as the observed service time.
     /// (Executors call [`Self::record_cpu_measured`] directly; this
@@ -453,7 +435,20 @@ impl WorkerView for WorkerTelemetry {
     type Hist = LatencyHistogram;
 
     fn counters(&self) -> Counters {
-        WorkerTelemetry::counters(self)
+        Counters {
+            batches: self.batches,
+            items: self.items,
+            busy_ns: self.busy.as_nanos(),
+            completed: self.completed,
+            completed_total: self.completed_total,
+            completed_degraded: self.completed_degraded,
+            expired: self.expired,
+            gather_bytes: self.gather_bytes,
+            gather_rows: self.gather_rows,
+            gather_wall_s: self.gather_wall_s,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+        }
     }
 
     fn queue_wait(&self) -> &LatencyHistogram {
