@@ -69,8 +69,8 @@ impl Counts for [u64] {
 pub(crate) trait WorkerView {
     /// The worker's histogram type.
     type Hist: Counts + ?Sized;
-    /// Cumulative scalar counters.
-    fn counters(&self) -> Counters;
+    /// Cumulative additive counters.
+    fn counters(&self) -> &Counters;
     /// Cumulative queue-wait histogram.
     fn queue_wait(&self) -> &Self::Hist;
     /// Cumulative end-to-end latency histogram (in-window completions).
@@ -263,7 +263,7 @@ impl PlaneState {
         for (s, (_, (workers, depth))) in self.stages.iter_mut().zip(live) {
             let mut now = Counters::default();
             for w in workers {
-                now.add(&w.counters());
+                now.add(w.counters());
             }
             s.window = now.since(&s.counters);
             s.counters = now;
@@ -500,20 +500,11 @@ impl RuntimeObserver {
         let plane = &self.plane;
         let interval_s = plane.interval.as_secs_f64().max(1e-12);
         let mut stages = Vec::with_capacity(plane.stages.len());
-        let mut completed = 0u64;
-        let mut cum_completed = 0u64;
-        let mut completed_degraded = 0u64;
-        let mut cum_completed_degraded = 0u64;
-        let mut expired = 0u64;
-        let mut cum_expired = 0u64;
+        let (mut cum, mut window) = (Counters::default(), Counters::default());
         for s in &plane.stages {
             let (c, d) = (&s.counters, &s.window);
-            completed += d.completed_total;
-            cum_completed += c.completed_total;
-            completed_degraded += d.completed_degraded;
-            cum_completed_degraded += c.completed_degraded;
-            expired += d.expired;
-            cum_expired += c.expired;
+            cum.add(c);
+            window.add(d);
             let [queue_wait_p50, queue_wait_p99] = s.queue_wait.quantiles();
             let [e2e_p50, e2e_p99] = s.e2e.quantiles();
             let cached = d.cache_hits + d.cache_misses;
@@ -550,19 +541,19 @@ impl RuntimeObserver {
             shed: plane.shed_window,
             cum_admitted: plane.admitted,
             cum_shed: plane.shed,
-            completed,
-            cum_completed,
-            completed_degraded,
-            cum_completed_degraded,
-            expired,
-            cum_expired,
+            completed: window.completed_total,
+            cum_completed: cum.completed_total,
+            completed_degraded: window.completed_degraded,
+            cum_completed_degraded: cum.completed_degraded,
+            expired: window.expired,
+            cum_expired: cum.expired,
             latency_overflow: e2e.window_overflow(),
             // The histogram's trailing bucket is its overflow count.
             cum_latency_overflow: e2e.counts().last().copied().unwrap_or(0),
             suspect_workers: plane.suspect_workers,
             dead_workers: plane.dead_workers,
             degrade_level: plane.degrade_level,
-            qps: completed as f64 / interval_s,
+            qps: window.completed_total as f64 / interval_s,
             e2e_p50,
             e2e_p99,
             stages,

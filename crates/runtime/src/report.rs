@@ -8,7 +8,7 @@ use hercules_hw::server::ServerSpec;
 use hercules_sim::{summarize_load, Buckets, LatencyBreakdown, LoadSummary, SimReport};
 
 use crate::config::{ClockMode, RuntimeConfig};
-use crate::telemetry::{StageKind, WorkerTelemetry};
+use crate::telemetry::{Counters, StageKind, WorkerTelemetry};
 use crate::trace::{TraceEvent, TraceRing};
 
 /// Merged view of one worker pool.
@@ -235,66 +235,37 @@ pub(crate) fn assemble(
     let duration_s = cfg.duration.as_secs_f64();
     let window_s = cfg.window().seconds();
 
-    // Merge: histograms and buckets fold exactly; scalars sum.
+    // Merge: histograms and buckets fold exactly; counters sum in worker
+    // order.
     let mut e2e = LatencyHistogram::default_latency();
     let mut buckets = Buckets::new(cfg.duration);
-    let mut completed = 0u64;
-    let mut completed_total = 0u64;
-    let mut completed_degraded = 0u64;
-    let mut expired = 0u64;
-    let mut on_time = 0u64;
-    let mut redistributed = 0u64;
+    let mut c = Counters::default();
     let mut worker_failures = totals.wall.join_failures;
-    let mut sum_queuing = 0.0;
-    let mut sum_loading = 0.0;
-    let mut sum_inference = 0.0;
-    let mut idle_weighted = 0.0;
-    let mut busy_weight = 0.0;
-    let mut total_nmp_j = 0.0;
-    let mut gather = GatherStats::default();
-    let mut cache = CacheStats::default();
-    let mut hot_allocs = 0u64;
-    let mut hot_samples = 0u64;
     for w in &workers {
         e2e.merge(&w.e2e);
         buckets.merge(&w.buckets);
-        completed += w.completed;
-        completed_total += w.completed_total;
-        completed_degraded += w.completed_degraded;
-        expired += w.expired;
-        on_time += w.on_time;
-        redistributed += w.redistributed;
+        c.add(&w.counters);
         worker_failures += w.failed as u64;
-        sum_queuing += w.sum_queuing;
-        sum_loading += w.sum_loading;
-        sum_inference += w.sum_inference;
-        idle_weighted += w.idle_weighted;
-        busy_weight += w.busy_weight;
-        total_nmp_j += w.nmp_j;
-        gather.bytes += w.gather_bytes;
-        gather.rows += w.gather_rows;
-        gather.wall_s += w.gather_wall_s;
-        gather.checksum += w.gather_checksum;
-        cache.hits += w.cache_hits;
-        cache.misses += w.cache_misses;
-        cache.inserted += w.cache_inserted;
-        hot_allocs += w.hot_allocs;
-        hot_samples += w.hot_samples;
     }
     let gather = totals
         .wall
         .arena
         .map(|(resident_bytes, compacted)| GatherStats {
+            bytes: c.gather_bytes,
+            rows: c.gather_rows,
+            wall_s: c.gather_wall_s,
+            checksum: c.gather_checksum,
             resident_bytes,
             compacted,
-            ..gather
         });
     let cache = totals
         .wall
         .cache_predicted
         .map(|predicted_hit_rate| CacheStats {
+            hits: c.cache_hits,
+            misses: c.cache_misses,
+            inserted: c.cache_inserted,
             predicted_hit_rate,
-            ..cache
         });
 
     let stages = summarize_stages(&workers);
@@ -321,9 +292,10 @@ pub(crate) fn assemble(
         pcie_activity,
         mean_power,
         peak_power,
-    } = summarize_load(&buckets, server, duration_s, total_nmp_j);
+    } = summarize_load(&buckets, server, duration_s, c.nmp_j);
 
     let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
+    let completed = c.completed;
     let per = |sum: f64| {
         if completed == 0 {
             SimDuration::ZERO
@@ -337,8 +309,8 @@ pub(crate) fn assemble(
     } else {
         Joules(mean_power.value() * window_s / completed as f64)
     };
-    let front_idle_fraction = if busy_weight > 0.0 {
-        idle_weighted / busy_weight
+    let front_idle_fraction = if c.busy_weight > 0.0 {
+        c.idle_weighted / c.busy_weight
     } else {
         0.0
     };
@@ -349,7 +321,7 @@ pub(crate) fn assemble(
         measured_arrivals: totals.measured_arrivals,
         completed,
         total_arrivals: totals.total_arrivals,
-        completed_total,
+        completed_total: c.completed_total,
         in_flight_at_horizon: totals.in_flight,
         mean_latency: SimDuration::from_secs_f64(e2e.mean()),
         p50: to_dur(e2e.p50()),
@@ -364,9 +336,9 @@ pub(crate) fn assemble(
         pcie_activity,
         front_idle_fraction,
         breakdown: LatencyBreakdown {
-            queuing: per(sum_queuing),
-            loading: per(sum_loading),
-            inference: per(sum_inference),
+            queuing: per(c.sum_queuing),
+            loading: per(c.sum_loading),
+            inference: per(c.sum_inference),
         },
     };
 
@@ -374,11 +346,11 @@ pub(crate) fn assemble(
         sim,
         admitted: totals.admitted,
         shed: totals.shed,
-        completed_degraded,
-        expired,
-        on_time,
-        goodput: Qps(on_time as f64 / window_s),
-        redistributed,
+        completed_degraded: c.completed_degraded,
+        expired: c.expired,
+        on_time: c.on_time,
+        goodput: Qps(c.on_time as f64 / window_s),
+        redistributed: c.redistributed,
         worker_failures,
         stages,
         clock: cfg.clock,
@@ -386,8 +358,8 @@ pub(crate) fn assemble(
         gather,
         cache,
         latency_overflow: e2e.overflow_count(),
-        hot_allocs,
-        hot_samples,
+        hot_allocs: c.hot_allocs,
+        hot_samples: c.hot_samples,
         trace,
     }
 }
@@ -401,24 +373,20 @@ fn summarize_stages(workers: &[WorkerTelemetry]) -> Vec<StageSummary> {
         }
         let mut queue_wait = LatencyHistogram::default_latency();
         let mut service = LatencyHistogram::default_latency();
-        let mut batches = 0;
-        let mut items = 0;
-        let mut busy = SimDuration::ZERO;
+        let mut c = Counters::default();
         for w in &pool {
             queue_wait.merge(&w.queue_wait);
             service.merge(&w.service);
-            batches += w.batches;
-            items += w.items;
-            busy += w.busy;
+            c.add(&w.counters);
         }
         let q =
             |h: &LatencyHistogram, p: f64| SimDuration::from_secs_f64(h.quantile(p).unwrap_or(0.0));
         stages.push(StageSummary {
             stage: kind,
             workers: pool.len() as u32,
-            batches,
-            items,
-            busy,
+            batches: c.batches,
+            items: c.items,
+            busy: SimDuration::from_nanos(c.busy_ns),
             queue_wait_p50: q(&queue_wait, 0.50),
             queue_wait_p99: q(&queue_wait, 0.99),
             service_p50: q(&service, 0.50),

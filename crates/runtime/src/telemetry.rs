@@ -1,13 +1,18 @@
 //! Lock-cheap per-worker telemetry.
 //!
 //! Every worker (and every virtual-clock worker slot) owns its own
-//! [`WorkerTelemetry`]: histograms, counters, and resource-accounting
-//! buckets are updated without any cross-thread synchronization on the
-//! serving path, then merged once at the end of the run. The histograms
-//! are `hercules_common::stats::LatencyHistogram` — fixed log-scale
-//! buckets whose merge is exact in any order — and the resource buckets
-//! are the simulator's own [`Buckets`], so the merged run summarizes into
-//! power/activity figures exactly the way `sim::engine` does.
+//! [`WorkerTelemetry`]: one [`Counters`] record, histograms, and
+//! resource-accounting buckets, updated without any cross-thread
+//! synchronization on the serving path, then merged once at the end of
+//! the run. [`Counters`] is the one declaration of a worker's additive
+//! scalars: a watched worker publishes it into its [`TelemetrySlot`] as
+//! one word image, and the stage sums, the observer's windows and plane
+//! totals, and the report's totals all fold it with [`Counters::add`].
+//! The histograms are `hercules_common::stats::LatencyHistogram` — fixed
+//! log-scale buckets whose merge is exact in any order — and the resource
+//! buckets are the simulator's own [`Buckets`], so the merged run
+//! summarizes into power/activity figures exactly the way `sim::engine`
+//! does.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,12 +35,8 @@ pub struct WorkerTelemetry {
     pub stage: StageKind,
     /// Worker index within the pool.
     pub worker: u32,
-    /// Batches served.
-    pub batches: u64,
-    /// Items served (sub-query items summed over batches).
-    pub items: u64,
-    /// Total modeled service time spent.
-    pub busy: SimDuration,
+    /// Every additive scalar this worker counts.
+    pub counters: Counters,
     /// Queue wait of each batch's head, at this worker.
     pub queue_wait: LatencyHistogram,
     /// Per-batch service time.
@@ -43,61 +44,10 @@ pub struct WorkerTelemetry {
     /// End-to-end latency of queries this worker retired (measurement
     /// window only).
     pub e2e: LatencyHistogram,
-    /// Queries retired within the measurement window.
-    pub completed: u64,
-    /// Queries retired over the whole run.
-    pub completed_total: u64,
-    /// Whole-run completions that received at least one degraded gather
-    /// (a subset of `completed_total`).
-    pub completed_degraded: u64,
-    /// Queries retired expired (dropped at dequeue past their deadline);
-    /// disjoint from `completed_total`.
-    pub expired: u64,
-    /// In-window completions whose end-to-end latency met the deadline
-    /// budget (equals `completed` when no budget is configured).
-    pub on_time: u64,
-    /// Sub-queries this worker re-enqueued for siblings after detecting
-    /// its own stall.
-    pub redistributed: u64,
     /// Whether this worker died (injected or contained panic).
     pub failed: bool,
     /// Last heartbeat this worker published (dispatch-time liveness).
     pub last_beat: SimTime,
-    /// Per-phase latency attributions of retired in-window queries.
-    pub sum_queuing: f64,
-    /// See [`WorkerTelemetry::sum_queuing`].
-    pub sum_loading: f64,
-    /// See [`WorkerTelemetry::sum_queuing`].
-    pub sum_inference: f64,
-    /// Idle-fraction accounting for the host front stage (Fig. 5 metric).
-    pub idle_weighted: f64,
-    /// Busy-time weight behind `idle_weighted`.
-    pub busy_weight: f64,
-    /// On-DIMM NMP energy issued by this worker (joules).
-    pub nmp_j: f64,
-    /// Embedding bytes actually read by real gathers (zero in synthetic
-    /// mode).
-    pub gather_bytes: u64,
-    /// Rows gathered by real gathers.
-    pub gather_rows: u64,
-    /// Wall seconds spent inside real gather kernels.
-    pub gather_wall_s: f64,
-    /// Sum of gather checksums — a live use of every byte read, and a
-    /// cross-run determinism witness.
-    pub gather_checksum: f64,
-    /// Rows served from this worker's hot-tier cache shard (zero when the
-    /// server provisions no embedding cache).
-    pub cache_hits: u64,
-    /// Rows that missed the hot tier and read the arena slab.
-    pub cache_misses: u64,
-    /// Missed rows admitted into the shard by its LRU policy.
-    pub cache_inserted: u64,
-    /// Heap allocations observed on this worker's hot path after warm-up
-    /// (populated only when a counting allocator is installed; see
-    /// [`thread_allocs`]).
-    pub hot_allocs: u64,
-    /// Batches the hot-allocation count was sampled over.
-    pub hot_samples: u64,
     /// Bucketed resource accounting (merged into the run summary).
     pub(crate) buckets: Buckets,
     /// Live snapshot slot the worker publishes into at each batch end
@@ -113,35 +63,12 @@ impl WorkerTelemetry {
         WorkerTelemetry {
             stage,
             worker,
-            batches: 0,
-            items: 0,
-            busy: SimDuration::ZERO,
+            counters: Counters::default(),
             queue_wait: LatencyHistogram::default_latency(),
             service: LatencyHistogram::default_latency(),
             e2e: LatencyHistogram::default_latency(),
-            completed: 0,
-            completed_total: 0,
-            completed_degraded: 0,
-            expired: 0,
-            on_time: 0,
-            redistributed: 0,
             failed: false,
             last_beat: SimTime::ZERO,
-            sum_queuing: 0.0,
-            sum_loading: 0.0,
-            sum_inference: 0.0,
-            idle_weighted: 0.0,
-            busy_weight: 0.0,
-            nmp_j: 0.0,
-            gather_bytes: 0,
-            gather_rows: 0,
-            gather_wall_s: 0.0,
-            gather_checksum: 0.0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_inserted: 0,
-            hot_allocs: 0,
-            hot_samples: 0,
             buckets: Buckets::new(duration),
             slot: None,
             trace_ring: None,
@@ -216,19 +143,15 @@ impl WorkerTelemetry {
         cost: &BatchCost,
         service: SimDuration,
     ) {
-        self.batches += 1;
-        self.items += items as u64;
-        self.busy += service;
-        self.queue_wait.record(wait.as_secs_f64());
-        self.service.record(service.as_secs_f64());
-        let b = self.buckets.index(start);
+        let b = self.record_batch(start, wait, items, service);
         self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64();
         self.buckets.chan_bytes[b] += cost.channel_bytes;
         self.buckets.nmp_j[b] += cost.nmp_energy.value();
-        self.nmp_j += cost.nmp_energy.value();
+        let c = &mut self.counters;
+        c.nmp_j += cost.nmp_energy.value();
         if self.stage == StageKind::Front {
-            self.idle_weighted += cost.idle_fraction * cost.busy_core_time.as_secs_f64();
-            self.busy_weight += cost.busy_core_time.as_secs_f64();
+            c.idle_weighted += cost.idle_fraction * cost.busy_core_time.as_secs_f64();
+            c.busy_weight += cost.busy_core_time.as_secs_f64();
         }
     }
 
@@ -242,13 +165,25 @@ impl WorkerTelemetry {
         cost: &BatchCost,
         ctxs: u32,
     ) {
-        self.batches += 1;
-        self.items += items as u64;
-        self.busy += cost.latency;
-        self.queue_wait.record(wait.as_secs_f64());
-        self.service.record(cost.latency.as_secs_f64());
-        let b = self.buckets.index(start);
+        let b = self.record_batch(start, wait, items, cost.latency);
         self.buckets.gpu_s[b] += cost.latency.as_secs_f64() * cost.gpu_util / ctxs.max(1) as f64;
+    }
+
+    /// Counts one batch of `items` served in `service` after its head
+    /// waited `wait`, and returns the resource bucket of `start`.
+    fn record_batch(
+        &mut self,
+        start: SimTime,
+        wait: SimDuration,
+        items: u32,
+        service: SimDuration,
+    ) -> usize {
+        self.counters.batches += 1;
+        self.counters.items += u64::from(items);
+        self.counters.busy_ns += service.as_nanos();
+        self.queue_wait.record(wait.as_secs_f64());
+        self.service.record(service.as_secs_f64());
+        self.buckets.index(start)
     }
 
     /// Records one PCIe transfer occupying the link from `start`.
@@ -269,19 +204,16 @@ impl WorkerTelemetry {
         degraded: bool,
         on_time: bool,
     ) {
-        self.completed_total += 1;
-        if degraded {
-            self.completed_degraded += 1;
-        }
+        let c = &mut self.counters;
+        c.completed_total += 1;
+        c.completed_degraded += u64::from(degraded);
         if in_window {
-            self.completed += 1;
-            if on_time {
-                self.on_time += 1;
-            }
+            c.completed += 1;
+            c.on_time += u64::from(on_time);
+            c.sum_queuing += phases.queuing_s;
+            c.sum_loading += phases.loading_s;
+            c.sum_inference += phases.inference_s;
             self.e2e.record(latency.as_secs_f64());
-            self.sum_queuing += phases.queuing_s;
-            self.sum_loading += phases.loading_s;
-            self.sum_inference += phases.inference_s;
         }
     }
 
@@ -289,7 +221,7 @@ impl WorkerTelemetry {
     /// Expired queries never enter the latency histogram or the completion
     /// counters.
     pub(crate) fn record_expired(&mut self) {
-        self.expired += 1;
+        self.counters.expired += 1;
     }
 
     /// Publishes a heartbeat: the worker is alive and dispatching at
@@ -306,98 +238,166 @@ impl WorkerTelemetry {
     /// Records one real gather's traffic and checksum, plus the wall time
     /// the kernel took.
     pub(crate) fn record_gather(&mut self, outcome: &crate::memory::GatherOutcome, wall_s: f64) {
-        self.gather_bytes += outcome.bytes;
-        self.gather_rows += outcome.rows;
-        self.gather_wall_s += wall_s;
-        self.gather_checksum += outcome.checksum;
+        let c = &mut self.counters;
+        c.gather_bytes += outcome.bytes;
+        c.gather_rows += outcome.rows;
+        c.gather_wall_s += wall_s;
+        c.gather_checksum += outcome.checksum;
     }
 
     /// Records one cached gather's hit/miss classification.
     pub(crate) fn record_cache(&mut self, outcome: &crate::memory::CacheOutcome) {
-        self.cache_hits += outcome.hits;
-        self.cache_misses += outcome.misses;
-        self.cache_inserted += outcome.inserted;
+        let c = &mut self.counters;
+        c.cache_hits += outcome.hits;
+        c.cache_misses += outcome.misses;
+        c.cache_inserted += outcome.inserted;
     }
 
     /// Records `allocs` heap allocations observed while serving one
     /// post-warm-up batch.
     pub(crate) fn record_hot_allocs(&mut self, allocs: u64) {
-        self.hot_allocs += allocs;
-        self.hot_samples += 1;
+        self.counters.hot_allocs += allocs;
+        self.counters.hot_samples += 1;
     }
 }
 
 // ---------------------------------------------------------------------------
 // Live snapshot publication (the observability plane's write side).
 
-/// One worker's cumulative scalar telemetry, or a pool's sum of its
-/// workers'. Published state is monotone, so an observer differences two
-/// reads to get a window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Counters {
-    /// Batches served.
-    pub batches: u64,
-    /// Items served.
-    pub items: u64,
-    /// Total service time spent, in nanoseconds.
-    pub busy_ns: u64,
-    /// Queries retired within the measurement window.
-    pub completed: u64,
-    /// Queries retired over the whole run.
-    pub completed_total: u64,
-    /// Whole-run completions that received a degraded gather.
-    pub completed_degraded: u64,
-    /// Queries retired expired (deadline drops).
-    pub expired: u64,
-    /// Embedding bytes read by real gathers.
-    pub gather_bytes: u64,
-    /// Rows gathered.
-    pub gather_rows: u64,
-    /// Wall seconds inside gather kernels.
-    pub gather_wall_s: f64,
-    /// Hot-tier cache hits.
-    pub cache_hits: u64,
-    /// Hot-tier cache misses.
-    pub cache_misses: u64,
+/// A counter's bits as one word of a [`TelemetrySlot`]'s image.
+trait Word: Copy {
+    fn to_word(self) -> u64;
+    fn from_word(word: u64) -> Self;
 }
 
-impl Counters {
-    /// Adds another worker's counters (stage-level aggregation; exact).
-    pub fn add(&mut self, other: &Counters) {
-        self.batches += other.batches;
-        self.items += other.items;
-        self.busy_ns += other.busy_ns;
-        self.completed += other.completed;
-        self.completed_total += other.completed_total;
-        self.completed_degraded += other.completed_degraded;
-        self.expired += other.expired;
-        self.gather_bytes += other.gather_bytes;
-        self.gather_rows += other.gather_rows;
-        self.gather_wall_s += other.gather_wall_s;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
+impl Word for u64 {
+    fn to_word(self) -> u64 {
+        self
     }
 
-    /// The windowed difference `self - prev`. Exact for every counter, so
-    /// the telescoping sum of all window deltas equals the final
-    /// cumulative state (the conservation property `tests/observer_props.rs`
-    /// asserts).
-    pub fn since(&self, prev: &Counters) -> Counters {
-        Counters {
-            batches: self.batches - prev.batches,
-            items: self.items - prev.items,
-            busy_ns: self.busy_ns - prev.busy_ns,
-            completed: self.completed - prev.completed,
-            completed_total: self.completed_total - prev.completed_total,
-            completed_degraded: self.completed_degraded - prev.completed_degraded,
-            expired: self.expired - prev.expired,
-            gather_bytes: self.gather_bytes - prev.gather_bytes,
-            gather_rows: self.gather_rows - prev.gather_rows,
-            gather_wall_s: self.gather_wall_s - prev.gather_wall_s,
-            cache_hits: self.cache_hits - prev.cache_hits,
-            cache_misses: self.cache_misses - prev.cache_misses,
-        }
+    fn from_word(word: u64) -> Self {
+        word
     }
+}
+
+impl Word for f64 {
+    fn to_word(self) -> u64 {
+        self.to_bits()
+    }
+
+    fn from_word(word: u64) -> Self {
+        f64::from_bits(word)
+    }
+}
+
+/// Declares [`Counters`] from one field list: the struct, its fold and
+/// window, and the word image a [`TelemetrySlot`] publishes. A new
+/// counter is one more line here plus the code that records or reads it.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)+) => {
+        /// One worker's cumulative additive telemetry, or a sum of several
+        /// workers'. Published state is monotone, so an observer
+        /// differences two reads to get a window.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct Counters {
+            $($(#[$doc])* pub $field: $ty,)+
+        }
+
+        impl Counters {
+            /// Words in the record's image, one per field.
+            const WORDS: usize = [$(stringify!($field)),+].len();
+
+            /// Adds another record field by field. Every fold (a stage's
+            /// workers, the plane's stages, a run's workers) goes through
+            /// here in pool-then-index order, so its float sums are
+            /// reproducible bit for bit.
+            pub fn add(&mut self, other: &Counters) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// The windowed difference `self - prev`. Exact for every
+            /// integer counter, so the telescoping sum of all window deltas
+            /// equals the final cumulative state (the conservation property
+            /// `tests/observer_props.rs` asserts).
+            pub fn since(&self, prev: &Counters) -> Counters {
+                Counters {
+                    $($field: self.$field - prev.$field,)+
+                }
+            }
+
+            /// The record as words, floats as their bits.
+            fn to_words(self) -> [u64; Counters::WORDS] {
+                [$(Word::to_word(self.$field)),+]
+            }
+
+            /// The record whose image is `words`.
+            fn from_words(words: [u64; Counters::WORDS]) -> Counters {
+                let [$($field),+] = words;
+                Counters {
+                    $($field: Word::from_word($field),)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Batches served.
+    batches: u64,
+    /// Items served (sub-query items summed over batches).
+    items: u64,
+    /// Total service time spent, in nanoseconds.
+    busy_ns: u64,
+    /// Queries retired within the measurement window.
+    completed: u64,
+    /// Queries retired over the whole run.
+    completed_total: u64,
+    /// Whole-run completions that received at least one degraded gather
+    /// (a subset of `completed_total`).
+    completed_degraded: u64,
+    /// Queries retired expired (dropped at dequeue past their deadline);
+    /// disjoint from `completed_total`.
+    expired: u64,
+    /// In-window completions whose end-to-end latency met the deadline
+    /// budget (equals `completed` when no budget is configured).
+    on_time: u64,
+    /// Sub-queries re-enqueued for siblings after a worker detected its
+    /// own stall.
+    redistributed: u64,
+    /// Queuing-phase seconds of retired in-window queries.
+    sum_queuing: f64,
+    /// Loading-phase seconds of retired in-window queries.
+    sum_loading: f64,
+    /// Inference-phase seconds of retired in-window queries.
+    sum_inference: f64,
+    /// Idle-fraction accounting for the host front stage (Fig. 5 metric).
+    idle_weighted: f64,
+    /// Busy-time weight behind `idle_weighted`.
+    busy_weight: f64,
+    /// On-DIMM NMP energy issued (joules).
+    nmp_j: f64,
+    /// Embedding bytes actually read by real gathers (zero in synthetic
+    /// mode).
+    gather_bytes: u64,
+    /// Rows gathered by real gathers.
+    gather_rows: u64,
+    /// Wall seconds spent inside real gather kernels.
+    gather_wall_s: f64,
+    /// Sum of gather checksums: a live use of every byte read, and a
+    /// cross-run determinism witness.
+    gather_checksum: f64,
+    /// Rows served from the hot-tier cache shard (zero when the server
+    /// provisions no embedding cache).
+    cache_hits: u64,
+    /// Rows that missed the hot tier and read the arena slab.
+    cache_misses: u64,
+    /// Missed rows admitted into the shard by its LRU policy.
+    cache_inserted: u64,
+    /// Heap allocations observed on the hot path after warm-up (populated
+    /// only when a counting allocator is installed; see [`thread_allocs`]).
+    hot_allocs: u64,
+    /// Batches the hot-allocation count was sampled over.
+    hot_samples: u64,
 }
 
 /// A consistent copy of one worker's published telemetry state, as the
@@ -434,21 +434,8 @@ impl WorkerSnap {
 impl WorkerView for WorkerTelemetry {
     type Hist = LatencyHistogram;
 
-    fn counters(&self) -> Counters {
-        Counters {
-            batches: self.batches,
-            items: self.items,
-            busy_ns: self.busy.as_nanos(),
-            completed: self.completed,
-            completed_total: self.completed_total,
-            completed_degraded: self.completed_degraded,
-            expired: self.expired,
-            gather_bytes: self.gather_bytes,
-            gather_rows: self.gather_rows,
-            gather_wall_s: self.gather_wall_s,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-        }
+    fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     fn queue_wait(&self) -> &LatencyHistogram {
@@ -467,8 +454,8 @@ impl WorkerView for WorkerTelemetry {
 impl WorkerView for WorkerSnap {
     type Hist = [u64];
 
-    fn counters(&self) -> Counters {
-        self.counters
+    fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     fn queue_wait(&self) -> &[u64] {
@@ -500,24 +487,13 @@ impl WorkerView for WorkerSnap {
 pub struct TelemetrySlot {
     /// Seqlock sequence: odd while a write window is open.
     seq: AtomicU64,
-    batches: AtomicU64,
-    items: AtomicU64,
-    busy_ns: AtomicU64,
-    completed: AtomicU64,
-    completed_total: AtomicU64,
-    completed_degraded: AtomicU64,
-    expired: AtomicU64,
+    /// The worker's [`Counters`] image, floats as their bits.
+    counters: [AtomicU64; Counters::WORDS],
     /// Last heartbeat in nanoseconds. Outside the seqlock protocol: a
     /// single `u64` gauge written with one relaxed store at dispatch, so a
     /// stalled worker's staleness is visible even though it publishes no
     /// snapshots while frozen.
     beat_ns: AtomicU64,
-    gather_bytes: AtomicU64,
-    gather_rows: AtomicU64,
-    /// `f64::to_bits` of the gather wall seconds.
-    gather_wall_s_bits: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     queue_wait: Box<[AtomicU64]>,
     e2e: Box<[AtomicU64]>,
 }
@@ -529,19 +505,8 @@ impl TelemetrySlot {
         let zeros = || -> Box<[AtomicU64]> { (0..hist_len).map(|_| AtomicU64::new(0)).collect() };
         TelemetrySlot {
             seq: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            items: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            completed_total: AtomicU64::new(0),
-            completed_degraded: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             beat_ns: AtomicU64::new(0),
-            gather_bytes: AtomicU64::new(0),
-            gather_rows: AtomicU64::new(0),
-            gather_wall_s_bits: AtomicU64::new(0f64.to_bits()),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             queue_wait: zeros(),
             e2e: zeros(),
         }
@@ -555,21 +520,9 @@ impl TelemetrySlot {
         self.seq.store(s + 1, Ordering::Relaxed);
         // Order the odd sequence before the data stores.
         fence(Ordering::Release);
-        self.batches.store(t.batches, Ordering::Relaxed);
-        self.items.store(t.items, Ordering::Relaxed);
-        self.busy_ns.store(t.busy.as_nanos(), Ordering::Relaxed);
-        self.completed.store(t.completed, Ordering::Relaxed);
-        self.completed_total
-            .store(t.completed_total, Ordering::Relaxed);
-        self.completed_degraded
-            .store(t.completed_degraded, Ordering::Relaxed);
-        self.expired.store(t.expired, Ordering::Relaxed);
-        self.gather_bytes.store(t.gather_bytes, Ordering::Relaxed);
-        self.gather_rows.store(t.gather_rows, Ordering::Relaxed);
-        self.gather_wall_s_bits
-            .store(t.gather_wall_s.to_bits(), Ordering::Relaxed);
-        self.cache_hits.store(t.cache_hits, Ordering::Relaxed);
-        self.cache_misses.store(t.cache_misses, Ordering::Relaxed);
+        for (dst, src) in self.counters.iter().zip(t.counters.to_words()) {
+            dst.store(src, Ordering::Relaxed);
+        }
         for (dst, src) in self.queue_wait.iter().zip(t.queue_wait.counts()) {
             dst.store(*src, Ordering::Relaxed);
         }
@@ -604,20 +557,9 @@ impl TelemetrySlot {
                 continue;
             }
             let snap = WorkerSnap {
-                counters: Counters {
-                    batches: self.batches.load(Ordering::Relaxed),
-                    items: self.items.load(Ordering::Relaxed),
-                    busy_ns: self.busy_ns.load(Ordering::Relaxed),
-                    completed: self.completed.load(Ordering::Relaxed),
-                    completed_total: self.completed_total.load(Ordering::Relaxed),
-                    completed_degraded: self.completed_degraded.load(Ordering::Relaxed),
-                    expired: self.expired.load(Ordering::Relaxed),
-                    gather_bytes: self.gather_bytes.load(Ordering::Relaxed),
-                    gather_rows: self.gather_rows.load(Ordering::Relaxed),
-                    gather_wall_s: f64::from_bits(self.gather_wall_s_bits.load(Ordering::Relaxed)),
-                    cache_hits: self.cache_hits.load(Ordering::Relaxed),
-                    cache_misses: self.cache_misses.load(Ordering::Relaxed),
-                },
+                counters: Counters::from_words(
+                    self.counters.each_ref().map(|c| c.load(Ordering::Relaxed)),
+                ),
                 queue_wait: self
                     .queue_wait
                     .iter()
@@ -736,12 +678,18 @@ mod tests {
             64,
             &cost(2),
         );
-        assert_eq!(t.batches, 2);
-        assert_eq!(t.items, 192);
-        assert_eq!(t.busy, SimDuration::from_millis(6));
+        assert_eq!(t.counters.batches, 2);
+        assert_eq!(t.counters.items, 192);
+        assert_eq!(
+            SimDuration::from_nanos(t.counters.busy_ns),
+            SimDuration::from_millis(6)
+        );
         assert_eq!(t.queue_wait.count(), 2);
-        assert!((t.nmp_j - 1.0).abs() < 1e-12);
-        assert!(t.idle_weighted > 0.0, "front stage tracks idle fraction");
+        assert!((t.counters.nmp_j - 1.0).abs() < 1e-12);
+        assert!(
+            t.counters.idle_weighted > 0.0,
+            "front stage tracks idle fraction"
+        );
         let core_s: f64 = t.buckets.cpu_core_s.iter().sum();
         assert!((core_s - 6e-3).abs() < 1e-12);
     }
@@ -750,8 +698,8 @@ mod tests {
     fn back_stage_skips_idle_accounting() {
         let mut t = WorkerTelemetry::new(StageKind::Back, 0, SimDuration::from_secs(1));
         t.record_cpu(SimTime::ZERO, SimDuration::ZERO, 32, &cost(1));
-        assert_eq!(t.idle_weighted, 0.0);
-        assert_eq!(t.busy_weight, 0.0);
+        assert_eq!(t.counters.idle_weighted, 0.0);
+        assert_eq!(t.counters.busy_weight, 0.0);
     }
 
     #[test]
@@ -764,7 +712,10 @@ mod tests {
             &cost(4),
             SimDuration::from_millis(9),
         );
-        assert_eq!(t.busy, SimDuration::from_millis(9));
+        assert_eq!(
+            SimDuration::from_nanos(t.counters.busy_ns),
+            SimDuration::from_millis(9)
+        );
         // Resource accounting still follows the model.
         let core_s: f64 = t.buckets.cpu_core_s.iter().sum();
         assert!((core_s - 4e-3).abs() < 1e-12);
@@ -780,13 +731,13 @@ mod tests {
         };
         t.record_gather(&outcome, 1.0);
         t.record_gather(&outcome, 1.0);
-        assert_eq!(t.gather_bytes, 4_000_000_000);
-        assert_eq!(t.gather_rows, 2000);
-        assert!((t.gather_checksum - 7.0).abs() < 1e-12);
+        assert_eq!(t.counters.gather_bytes, 4_000_000_000);
+        assert_eq!(t.counters.gather_rows, 2000);
+        assert!((t.counters.gather_checksum - 7.0).abs() < 1e-12);
         t.record_hot_allocs(0);
         t.record_hot_allocs(3);
-        assert_eq!(t.hot_allocs, 3);
-        assert_eq!(t.hot_samples, 2);
+        assert_eq!(t.counters.hot_allocs, 3);
+        assert_eq!(t.counters.hot_samples, 2);
         // No counting allocator installed in unit tests.
         assert_eq!(thread_allocs(), 0);
     }
@@ -816,7 +767,7 @@ mod tests {
         t.publish();
         assert_eq!(slot.last_beat(), SimTime::from_millis(104));
         let first = slot.read();
-        assert_eq!(first.counters, t.counters(), "slot mirrors the worker");
+        assert_eq!(first.counters, t.counters, "slot mirrors the worker");
         assert_eq!(first.queue_wait, t.queue_wait.counts());
         assert_eq!(first.e2e, t.e2e.counts());
         assert_eq!(first.counters.batches, 1);
@@ -846,6 +797,55 @@ mod tests {
         assert_eq!(agg, second.counters, "first + (second - first) == second");
     }
 
+    /// A record whose every field holds a distinct nonzero value (floats
+    /// with fractional bits); records for different `k` differ everywhere.
+    fn distinct(k: u64) -> Counters {
+        let u = |i: u64| 100 * k + i;
+        let f = |i: u64| u(i) as f64 + 0.375;
+        Counters {
+            batches: u(1),
+            items: u(2),
+            busy_ns: u(3),
+            completed: u(4),
+            completed_total: u(5),
+            completed_degraded: u(6),
+            expired: u(7),
+            on_time: u(8),
+            redistributed: u(9),
+            sum_queuing: f(10),
+            sum_loading: f(11),
+            sum_inference: f(12),
+            idle_weighted: f(13),
+            busy_weight: f(14),
+            nmp_j: f(15),
+            gather_bytes: u(16),
+            gather_rows: u(17),
+            gather_wall_s: f(18),
+            gather_checksum: f(19),
+            cache_hits: u(20),
+            cache_misses: u(21),
+            cache_inserted: u(22),
+            hot_allocs: u(23),
+            hot_samples: u(24),
+        }
+    }
+
+    #[test]
+    fn every_counter_rides_the_word_image_and_the_fold() {
+        let hist_len = LatencyHistogram::default_latency().counts().len();
+        let slot = Arc::new(TelemetrySlot::new(hist_len));
+        let mut t = WorkerTelemetry::new(StageKind::Front, 0, SimDuration::from_secs(1))
+            .with_slot(Arc::clone(&slot));
+        let (a, b) = (distinct(1), distinct(2));
+        t.counters = a;
+        t.publish();
+        assert_eq!(slot.read().counters, a, "the slot reads back every field");
+        let mut sum = a;
+        sum.add(&b);
+        assert_eq!(sum.since(&a), b, "since undoes add in every field");
+        assert_eq!(sum.since(&b), a);
+    }
+
     #[test]
     fn concurrent_reads_never_see_a_torn_snapshot() {
         // One writer publishes states that keep cross-field invariants while
@@ -862,10 +862,10 @@ mod tests {
                     .with_slot(Arc::clone(&slot));
                 start.wait();
                 for i in 0..PUBLISHES {
-                    t.batches += 1;
-                    t.items += 32;
-                    t.busy += SimDuration::from_millis(1);
-                    t.completed_total += 1;
+                    t.counters.batches += 1;
+                    t.counters.items += 32;
+                    t.counters.busy_ns += 1_000_000;
+                    t.counters.completed_total += 1;
                     // Spread waits over many buckets so a torn copy of the
                     // histogram shows in its total.
                     t.queue_wait.record((i % 97) as f64 * 1e-4);
@@ -926,10 +926,10 @@ mod tests {
         };
         t.record_completion(SimDuration::from_millis(5), &phases, true, false, true);
         t.record_completion(SimDuration::from_millis(7), &phases, false, false, true);
-        assert_eq!(t.completed, 1);
-        assert_eq!(t.completed_total, 2);
+        assert_eq!(t.counters.completed, 1);
+        assert_eq!(t.counters.completed_total, 2);
         assert_eq!(t.e2e.count(), 1);
-        assert!((t.sum_inference - 4e-3).abs() < 1e-12);
+        assert!((t.counters.sum_inference - 4e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -946,11 +946,11 @@ mod tests {
         t.record_completion(SimDuration::from_millis(6), &phases, true, true, true);
         t.record_completion(SimDuration::from_millis(40), &phases, true, false, false);
         t.record_expired();
-        assert_eq!(t.completed, 3);
-        assert_eq!(t.completed_total, 3);
-        assert_eq!(t.completed_degraded, 1);
-        assert_eq!(t.on_time, 2, "the late completion is not goodput");
-        assert_eq!(t.expired, 1);
+        assert_eq!(t.counters.completed, 3);
+        assert_eq!(t.counters.completed_total, 3);
+        assert_eq!(t.counters.completed_degraded, 1);
+        assert_eq!(t.counters.on_time, 2, "the late completion is not goodput");
+        assert_eq!(t.counters.expired, 1);
         assert_eq!(
             t.e2e.count(),
             3,
@@ -958,7 +958,7 @@ mod tests {
         );
 
         // The new counters ride the snapshot protocol monotonically.
-        let c = t.counters();
+        let c = t.counters;
         assert_eq!(c.completed_degraded, 1);
         assert_eq!(c.expired, 1);
         let mut agg = Counters::default();

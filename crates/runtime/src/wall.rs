@@ -357,7 +357,7 @@ impl Wall<'_, '_> {
         let panic_at = pipe.book.panic_at(stage, w);
         let served = catch_unwind(AssertUnwindSafe(|| {
             while let Some(sub) = queue.pop_wait() {
-                let sample = t.batches >= HOT_WARMUP;
+                let sample = t.counters.batches >= HOT_WARMUP;
                 let allocs_before = thread_allocs();
                 let mut now = self.clock.now();
                 t.heartbeat(now);
@@ -380,7 +380,7 @@ impl Wall<'_, '_> {
                         && queue.try_push_all(std::iter::once(retry));
                     self.clock.wait_until(end);
                     if handed_back {
-                        t.redistributed += 1;
+                        t.counters.redistributed += 1;
                         continue;
                     }
                     now = self.clock.now();
@@ -510,7 +510,7 @@ impl Wall<'_, '_> {
         let mut t = self.start_worker(StageKind::Gpu, ctx);
         let pipe = self.pipe;
         while let Some(batch) = self.gpu_q.pop_wait() {
-            let sample = t.batches >= HOT_WARMUP;
+            let sample = t.counters.batches >= HOT_WARMUP;
             let allocs_before = thread_allocs();
             let launch = {
                 // The PCIe link is serialized across contexts.
