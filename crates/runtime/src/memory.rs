@@ -356,30 +356,43 @@ impl EmbeddingArena {
         rng: &mut SimRng,
         scratch: &mut GatherScratch,
     ) -> GatherOutcome {
+        self.walk(items, rng, scratch, &mut Slab)
+    }
+
+    /// The one gather traversal: per table, one random pool offset per
+    /// (sub-query, table), then per item a pooled row count, each row
+    /// read through `rows` and summed into the scratch accumulator. Items
+    /// walk the pool sequentially with wraparound. Monomorphized per row
+    /// source, so the uncached kernel carries no per-row cache branch.
+    fn walk<R: RowSource>(
+        &self,
+        items: u32,
+        rng: &mut SimRng,
+        scratch: &mut GatherScratch,
+        rows: &mut R,
+    ) -> GatherOutcome {
         let mut out = GatherOutcome::default();
-        for slot in &self.tables {
+        for (t, slot) in self.tables.iter().enumerate() {
             let dim = slot.dim as usize;
             let table = &self.slab[slot.offset..slot.offset + slot.rows_alloc as usize * dim];
             let pool = &slot.indices[..];
-            // One random pool offset per (sub-query, table); items then
-            // walk the pool sequentially with wraparound.
             let mut cursor = rng.index(pool.len());
             let pooled = scratch.pooled.take(dim);
             let mut table_rows = 0u64;
             for _ in 0..items {
-                let rows = rng.int_range(slot.pool_min as u64, slot.pool_max as u64) as usize;
-                for _ in 0..rows {
-                    let row = pool[cursor] as usize;
+                let pooling = rng.int_range(slot.pool_min as u64, slot.pool_max as u64) as usize;
+                for _ in 0..pooling {
+                    let row = pool[cursor];
                     cursor += 1;
                     if cursor == pool.len() {
                         cursor = 0;
                     }
-                    let src = &table[row * dim..row * dim + dim];
+                    let src = rows.read(t, row, table, dim);
                     for (acc, &v) in pooled.iter_mut().zip(src) {
                         *acc += v;
                     }
                 }
-                table_rows += rows as u64;
+                table_rows += pooling as u64;
             }
             out.rows += table_rows;
             out.bytes += table_rows * slot.dim as u64 * 4;
@@ -409,10 +422,11 @@ impl EmbeddingArena {
     }
 
     /// [`EmbeddingArena::gather`] through a worker's hot-tier cache
-    /// shard: rows present in the shard are summed from the cached copy
-    /// (no slab access), misses read the slab and are admitted via LRU.
+    /// shard, built by this arena's [`cache_shard`](Self::cache_shard):
+    /// rows present in the shard are summed from the cached copy (no slab
+    /// access), misses read the slab and are admitted via LRU.
     ///
-    /// Draws the identical rng stream as `gather` and the shard holds
+    /// Walks the same traversal as `gather` and the shard holds
     /// exact row copies, so the returned [`GatherOutcome`] — bytes, rows,
     /// checksum — is bitwise equal to an uncached gather of the same
     /// stream; only where the rows were read from differs. The paired
@@ -424,45 +438,12 @@ impl EmbeddingArena {
         scratch: &mut GatherScratch,
         cache: &mut EmbeddingCacheShard,
     ) -> (GatherOutcome, CacheOutcome) {
-        let mut out = GatherOutcome::default();
-        let mut stats = CacheOutcome::default();
-        for (slot, shard) in self.tables.iter().zip(cache.tables.iter_mut()) {
-            let dim = slot.dim as usize;
-            let table = &self.slab[slot.offset..slot.offset + slot.rows_alloc as usize * dim];
-            let pool = &slot.indices[..];
-            let mut cursor = rng.index(pool.len());
-            let pooled = scratch.pooled.take(dim);
-            let mut table_rows = 0u64;
-            for _ in 0..items {
-                let rows = rng.int_range(slot.pool_min as u64, slot.pool_max as u64) as usize;
-                for _ in 0..rows {
-                    let row = pool[cursor];
-                    cursor += 1;
-                    if cursor == pool.len() {
-                        cursor = 0;
-                    }
-                    let src = if let Some(base) = shard.lookup(row) {
-                        stats.hits += 1;
-                        &shard.data[base..base + dim]
-                    } else {
-                        stats.misses += 1;
-                        let src = &table[row as usize * dim..row as usize * dim + dim];
-                        if shard.insert(row, src) {
-                            stats.inserted += 1;
-                        }
-                        src
-                    };
-                    for (acc, &v) in pooled.iter_mut().zip(src) {
-                        *acc += v;
-                    }
-                }
-                table_rows += rows as u64;
-            }
-            out.rows += table_rows;
-            out.bytes += table_rows * slot.dim as u64 * 4;
-            out.checksum += pooled.iter().map(|&v| v as f64).sum::<f64>();
-        }
-        (out, stats)
+        let mut rows = Cached {
+            shards: &mut cache.tables,
+            stats: CacheOutcome::default(),
+        };
+        let out = self.walk(items, rng, scratch, &mut rows);
+        (out, rows.stats)
     }
 
     /// Bytes of embedding data resident in the slab.
@@ -488,6 +469,46 @@ impl EmbeddingArena {
     /// Widest embedding dimension across tables (sizes gather scratch).
     pub fn max_dim(&self) -> u32 {
         self.tables.iter().map(|t| t.dim).max().unwrap_or(0)
+    }
+}
+
+/// Where [`EmbeddingArena`]'s gather walk reads each row from.
+trait RowSource {
+    /// Row `row` of table `t`, whose slab rows of width `dim` are `table`.
+    fn read<'a>(&'a mut self, t: usize, row: u32, table: &'a [f32], dim: usize) -> &'a [f32];
+}
+
+/// Every row straight from the slab.
+struct Slab;
+
+impl RowSource for Slab {
+    #[inline(always)]
+    fn read<'a>(&'a mut self, _: usize, row: u32, table: &'a [f32], dim: usize) -> &'a [f32] {
+        &table[row as usize * dim..row as usize * dim + dim]
+    }
+}
+
+/// Rows from a worker's hot-tier shards, misses from the slab (admitted
+/// into the shard by LRU), classified as they go.
+struct Cached<'c> {
+    shards: &'c mut [TableShard],
+    stats: CacheOutcome,
+}
+
+impl RowSource for Cached<'_> {
+    #[inline(always)]
+    fn read<'a>(&'a mut self, t: usize, row: u32, table: &'a [f32], dim: usize) -> &'a [f32] {
+        let shard = &mut self.shards[t];
+        if let Some(base) = shard.lookup(row) {
+            self.stats.hits += 1;
+            return &shard.data[base..base + dim];
+        }
+        self.stats.misses += 1;
+        let src = &table[row as usize * dim..row as usize * dim + dim];
+        if shard.insert(row, src) {
+            self.stats.inserted += 1;
+        }
+        src
     }
 }
 
