@@ -5,7 +5,7 @@
 
 use hercules_bench::{banner, f, TableWriter};
 use hercules_common::rng::SimRng;
-use hercules_common::stats::Histogram;
+use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::Qps;
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_workload::diurnal::DiurnalPattern;
@@ -15,19 +15,23 @@ fn main() {
     banner("Fig. 2(b): query-size distribution (log-spaced histogram)");
     let dist = QuerySizeDist::paper();
     let mut rng = SimRng::seed_from(2026);
-    let mut hist = Histogram::logarithmic(10.0, 1000.0, 10);
+    let (lo, hi, buckets) = (10.0, 1000.0, 10);
+    let mut hist = LatencyHistogram::new(lo, hi, buckets);
     let mut sizes: Vec<u32> = Vec::new();
     for _ in 0..50_000 {
         let s = dist.sample(&mut rng);
         hist.record(s as f64);
         sizes.push(s);
     }
-    for (lo, hi, count) in hist.buckets() {
-        let bar = "#".repeat((count * 60 / hist.total()).min(60) as usize);
-        if hi.is_finite() {
-            println!("  [{lo:6.0},{hi:6.0})  {count:6}  {bar}");
+    // Bucket i spans [lo * ratio^i, lo * ratio^(i+1)); the last counts
+    // everything from `hi` up.
+    let edge = |i: usize| lo * (hi / lo).powf(i as f64 / buckets as f64);
+    for (i, &count) in hist.counts().iter().enumerate() {
+        let bar = "#".repeat((count * 60 / hist.count()).min(60) as usize);
+        if i < buckets {
+            println!("  [{:6.0},{:6.0})  {count:6}  {bar}", edge(i), edge(i + 1));
         } else {
-            println!("  [{lo:6.0},   inf)  {count:6}  {bar}");
+            println!("  [{:6.0},   inf)  {count:6}  {bar}", edge(i));
         }
     }
     sizes.sort_unstable();

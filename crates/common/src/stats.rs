@@ -2,10 +2,9 @@
 //!
 //! The simulator reports tail latency (p95/p99), mean throughput, utilization,
 //! and power. [`PercentileTracker`] keeps samples for exact quantiles,
-//! [`LatencyHistogram`] keeps mergeable log-bucket latency counts (and
-//! [`WindowQuantiles`] reads the quantiles of a window of them),
-//! [`Histogram`] provides log-spaced buckets for printing paper-style
-//! distributions, and [`TimeSeries`] holds load and power curves.
+//! [`LatencyHistogram`] keeps mergeable log-bucket counts (and
+//! [`WindowQuantiles`] reads the quantiles of a window of them), and
+//! [`TimeSeries`] holds load and power curves.
 
 use std::ops::Range;
 
@@ -420,71 +419,6 @@ impl<'h, const N: usize> WindowQuantiles<'h, N> {
     }
 }
 
-/// A log-spaced histogram for printing distribution shapes.
-///
-/// Buckets are `[lo * ratio^i, lo * ratio^(i+1))`; values below `lo` land in
-/// the first bucket and values above the last edge land in the overflow
-/// bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    ratio: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` log-spaced buckets spanning
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo <= 0`, `hi <= lo`, or `buckets == 0`.
-    pub fn logarithmic(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo > 0.0 && hi > lo, "invalid histogram range [{lo}, {hi})");
-        assert!(buckets > 0, "need at least one bucket");
-        let ratio = (hi / lo).powf(1.0 / buckets as f64);
-        Histogram {
-            lo,
-            ratio,
-            counts: vec![0; buckets + 1], // +1 overflow
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        let idx = if x < self.lo {
-            0
-        } else {
-            let i = ((x / self.lo).ln() / self.ratio.ln()).floor() as usize;
-            i.min(self.counts.len() - 1)
-        };
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates over `(bucket_lo, bucket_hi, count)` triples, overflow last
-    /// (with `hi = f64::INFINITY`).
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let n = self.counts.len();
-        (0..n).map(move |i| {
-            let lo = self.lo * self.ratio.powi(i as i32);
-            let hi = if i + 1 == n {
-                f64::INFINITY
-            } else {
-                self.lo * self.ratio.powi(i as i32 + 1)
-            };
-            (lo, hi, self.counts[i])
-        })
-    }
-}
-
 /// A time series of `(time_seconds, value)` pairs with peak/mean helpers.
 ///
 /// Used for diurnal load curves and provisioned-power traces (Fig. 16/17).
@@ -572,21 +506,6 @@ mod tests {
         let mut t = PercentileTracker::new();
         assert!(t.is_empty());
         assert_eq!(t.p99(), None);
-    }
-
-    #[test]
-    fn histogram_buckets_cover_range() {
-        let mut h = Histogram::logarithmic(10.0, 1000.0, 4);
-        for x in [5.0, 10.0, 99.0, 999.0, 5000.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 5);
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(buckets.len(), 5);
-        let total: u64 = buckets.iter().map(|&(_, _, c)| c).sum();
-        assert_eq!(total, 5);
-        // Overflow bucket holds the 5000.0 observation.
-        assert_eq!(buckets.last().unwrap().2, 1);
     }
 
     #[test]
