@@ -1,9 +1,10 @@
-//! Criterion microbenchmarks for the hot paths: discrete-event simulation,
-//! operator list scheduling, the NMP cycle simulator, and the LP solvers.
+//! Microbenchmarks for the hot paths: discrete-event simulation, the CPU
+//! cost model, the NMP cycle simulator, and the LP solvers. Prints one
+//! line per kernel (`hercules_bench::time_kernel`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use hercules_bench::time_kernel;
 use hercules_common::units::Qps;
 use hercules_hw::cost::{cpu_batch_cost, CpuExecConfig};
 use hercules_hw::nmp::{NmpConfig, NmpSimulator};
@@ -46,20 +47,23 @@ fn provisioning_lp() -> LinearProgram {
     lp
 }
 
-fn bench_solvers(c: &mut Criterion) {
+/// Timed samples per kernel.
+const SAMPLES: u32 = 10;
+
+fn bench_solvers() {
     let lp = provisioning_lp();
-    c.bench_function("simplex_provisioning_12var", |b| {
-        b.iter(|| black_box(solve_simplex(black_box(&lp))))
+    time_kernel("simplex_provisioning_12var", SAMPLES, || {
+        solve_simplex(black_box(&lp))
     });
-    c.bench_function("interior_point_provisioning_12var", |b| {
-        b.iter(|| black_box(solve_interior_point(black_box(&lp))))
+    time_kernel("interior_point_provisioning_12var", SAMPLES, || {
+        solve_interior_point(black_box(&lp))
     });
-    c.bench_function("bnb_ilp_provisioning_12var", |b| {
-        b.iter(|| black_box(solve_ilp(black_box(&lp), &IlpOptions::default())))
+    time_kernel("bnb_ilp_provisioning_12var", SAMPLES, || {
+        solve_ilp(black_box(&lp), &IlpOptions::default())
     });
 }
 
-fn bench_cost_model(c: &mut Criterion) {
+fn bench_cost_model() {
     let server = ServerType::T2.spec();
     let model = RecModel::build(ModelKind::DlrmRmc2, ModelScale::Production);
     let cfg = CpuExecConfig {
@@ -69,19 +73,19 @@ fn bench_cost_model(c: &mut Criterion) {
         nmp: None,
         cache: None,
     };
-    c.bench_function("cpu_batch_cost_rmc2_96tables", |b| {
-        b.iter(|| black_box(cpu_batch_cost(&model.graph, 256, &model.tables, &cfg)))
+    time_kernel("cpu_batch_cost_rmc2_96tables", SAMPLES, || {
+        cpu_batch_cost(&model.graph, 256, &model.tables, &cfg)
     });
 }
 
-fn bench_nmp(c: &mut Criterion) {
+fn bench_nmp() {
     let sim = NmpSimulator::new(NmpConfig::with_ranks(8));
-    c.bench_function("nmp_gather_64k_accesses", |b| {
-        b.iter(|| black_box(sim.gather_reduce(black_box(65_536), 128)))
+    time_kernel("nmp_gather_64k_accesses", SAMPLES, || {
+        sim.gather_reduce(black_box(65_536), 128)
     });
 }
 
-fn bench_sim(c: &mut Criterion) {
+fn bench_sim() {
     let server = ServerType::T2.spec();
     let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
     let plan = PlacementPlan::CpuModel {
@@ -96,16 +100,14 @@ fn bench_sim(c: &mut Criterion) {
         seed: 1,
     };
     let luts = NmpLutCache::new();
-    c.bench_function("des_rmc1_500ms_at_1kqps", |b| {
-        b.iter(|| {
-            black_box(simulate_cached(&model, &server, &plan, Qps(1000.0), &cfg, &luts).unwrap())
-        })
+    time_kernel("des_rmc1_500ms_at_1kqps", SAMPLES, || {
+        simulate_cached(&model, &server, &plan, Qps(1000.0), &cfg, &luts).unwrap()
     });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_solvers, bench_cost_model, bench_nmp, bench_sim
+fn main() {
+    bench_solvers();
+    bench_cost_model();
+    bench_nmp();
+    bench_sim();
 }
-criterion_main!(benches);

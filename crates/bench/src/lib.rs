@@ -9,6 +9,9 @@
 //! Fidelity control: set `HERCULES_BENCH_FAST=1` to cut search granularity
 //! further (useful on slow machines); output markers stay identical.
 
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use hercules_core::eval::{CachedEvaluator, EvalContext};
 use hercules_core::profiler::{EfficiencyTable, ProfilerConfig, Searcher};
 use hercules_core::search::gradient::GradientOptions;
@@ -117,6 +120,32 @@ pub fn banner(title: &str) {
     println!();
     println!("==== {title} ====");
     println!();
+}
+
+/// Times one kernel and prints one line: its mean and minimum wall time
+/// per call over `samples` samples. Each sample runs a batch of calls
+/// sized (from one untimed call) to take at least a millisecond, so the
+/// clock resolves it.
+pub fn time_kernel<O>(name: &str, samples: u32, mut kernel: impl FnMut() -> O) {
+    let start = Instant::now();
+    black_box(kernel());
+    let once = start.elapsed().as_nanos().max(1);
+    let batch = (1_000_000 / once).clamp(1, 10_000) as u32;
+    let per_call: Vec<Duration> = (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                black_box(kernel());
+            }
+            start.elapsed() / batch
+        })
+        .collect();
+    let mean = per_call.iter().sum::<Duration>() / per_call.len() as u32;
+    let min = per_call.iter().min().copied().unwrap_or_default();
+    println!(
+        "bench: {name:<40} mean {mean:>12.3?}  min {min:>12.3?}  ({} samples)",
+        per_call.len()
+    );
 }
 
 /// Minimal JSON value for `BENCH_*.json` trajectory artifacts.
