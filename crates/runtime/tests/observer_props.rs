@@ -19,8 +19,8 @@ use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::server::ServerType;
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_runtime::{
-    AdmissionPolicy, ClockMode, RuntimeConfig, RuntimeObserver, ServingRuntime, SpanKind,
-    StageKind, TraceConfig,
+    AdmissionPolicy, ClockMode, DeadlinePolicy, FaultPlan, RuntimeConfig, RuntimeObserver,
+    ServingRuntime, SpanKind, StageKind, SupervisorPolicy, TraceConfig,
 };
 use hercules_sim::{NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
 
@@ -70,6 +70,20 @@ fn assert_history_conserves(obs: &RuntimeObserver, report: &hercules_runtime::Ru
         "completed"
     );
     assert_eq!(last.cum_completed, report.sim.completed_total);
+    assert_eq!(
+        obs.summed(|s| s.completed_degraded),
+        report.completed_degraded,
+        "completed_degraded"
+    );
+    assert_eq!(last.cum_completed_degraded, report.completed_degraded);
+    assert_eq!(obs.summed(|s| s.expired), report.expired, "expired");
+    assert_eq!(last.cum_expired, report.expired);
+    assert_eq!(
+        obs.summed(|s| s.latency_overflow),
+        report.latency_overflow,
+        "latency_overflow"
+    );
+    assert_eq!(last.cum_latency_overflow, report.latency_overflow);
     for stage in &report.stages {
         let windowed: u64 = obs
             .history()
@@ -141,6 +155,44 @@ fn virtual_snapshot_deltas_conserve_under_shedding() {
     );
     // Interval QPS is populated and plausible.
     assert!(obs.history().iter().any(|s| s.qps > 0.0));
+}
+
+#[test]
+fn virtual_snapshot_deltas_conserve_under_degradation_and_expiry() {
+    // A supervised, deadline-enforcing run under a stall and a slow core:
+    // the ladder degrades gathers and queries blow their deadline, so the
+    // degraded and expired windows move and must still telescope exactly.
+    let duration = SimDuration::from_millis(2000);
+    let seed = 7;
+    let model = rmc1();
+    let cfg = RuntimeConfig::from_sim(&SimConfig {
+        duration,
+        warmup_fraction: 0.15,
+        drain_margin: SimDuration::ZERO,
+        seed,
+    })
+    .with_faults(FaultPlan::scenario("stall+slowcore", seed, duration).expect("known scenario"))
+    .with_deadline(DeadlinePolicy::enforce(model.default_sla()))
+    .with_supervisor(SupervisorPolicy::active(SimDuration::from_millis(2)));
+    let plan = PlacementPlan::CpuModel {
+        threads: 2,
+        workers: 2,
+        batch: 256,
+    };
+    let rt = ServingRuntime::build(
+        &model,
+        ServerType::T2.spec(),
+        &plan,
+        cfg,
+        &NmpLutCache::new(),
+    )
+    .expect("plan is feasible");
+    let mut obs = RuntimeObserver::every(SimDuration::from_millis(50));
+    let report = rt.serve_observed(Qps(300.0), &mut obs);
+    assert!(report.conserves());
+    assert!(report.completed_degraded > 0, "the run degrades queries");
+    assert!(report.expired > 0, "the run expires queries");
+    assert_history_conserves(&obs, &report);
 }
 
 #[test]
