@@ -356,20 +356,23 @@ impl EmbeddingArena {
         rng: &mut SimRng,
         scratch: &mut GatherScratch,
     ) -> GatherOutcome {
-        self.walk(items, rng, scratch, &mut Slab)
+        self.walk(items, rng, scratch, |_, _, src, pooled| {
+            pool_row(pooled, src)
+        })
     }
 
     /// The one gather traversal: per table, one random pool offset per
-    /// (sub-query, table), then per item a pooled row count, each row
-    /// read through `rows` and summed into the scratch accumulator. Items
-    /// walk the pool sequentially with wraparound. Monomorphized per row
-    /// source, so the uncached kernel carries no per-row cache branch.
-    fn walk<R: RowSource>(
+    /// (sub-query, table), then per item a pooled row count. Items walk
+    /// the pool sequentially with wraparound, and `add_row` sums each row
+    /// into the table's accumulator, given the table, the row index and
+    /// the row's slab copy. Monomorphized per `add_row`, so the uncached
+    /// kernel carries no per-row cache branch.
+    fn walk(
         &self,
         items: u32,
         rng: &mut SimRng,
         scratch: &mut GatherScratch,
-        rows: &mut R,
+        mut add_row: impl FnMut(usize, u32, &[f32], &mut [f32]),
     ) -> GatherOutcome {
         let mut out = GatherOutcome::default();
         for (t, slot) in self.tables.iter().enumerate() {
@@ -380,19 +383,17 @@ impl EmbeddingArena {
             let pooled = scratch.pooled.take(dim);
             let mut table_rows = 0u64;
             for _ in 0..items {
-                let pooling = rng.int_range(slot.pool_min as u64, slot.pool_max as u64) as usize;
-                for _ in 0..pooling {
+                let rows = rng.int_range(slot.pool_min as u64, slot.pool_max as u64) as usize;
+                for _ in 0..rows {
                     let row = pool[cursor];
                     cursor += 1;
                     if cursor == pool.len() {
                         cursor = 0;
                     }
-                    let src = rows.read(t, row, table, dim);
-                    for (acc, &v) in pooled.iter_mut().zip(src) {
-                        *acc += v;
-                    }
+                    let src = &table[row as usize * dim..row as usize * dim + dim];
+                    add_row(t, row, src, pooled);
                 }
-                table_rows += pooling as u64;
+                table_rows += rows as u64;
             }
             out.rows += table_rows;
             out.bytes += table_rows * slot.dim as u64 * 4;
@@ -438,12 +439,19 @@ impl EmbeddingArena {
         scratch: &mut GatherScratch,
         cache: &mut EmbeddingCacheShard,
     ) -> (GatherOutcome, CacheOutcome) {
-        let mut rows = Cached {
-            shards: &mut cache.tables,
-            stats: CacheOutcome::default(),
-        };
-        let out = self.walk(items, rng, scratch, &mut rows);
-        (out, rows.stats)
+        let mut stats = CacheOutcome::default();
+        let out = self.walk(items, rng, scratch, |t, row, src, pooled| {
+            let shard = &mut cache.tables[t];
+            if let Some(base) = shard.lookup(row) {
+                stats.hits += 1;
+                pool_row(pooled, &shard.data[base..base + src.len()]);
+            } else {
+                stats.misses += 1;
+                stats.inserted += u64::from(shard.insert(row, src));
+                pool_row(pooled, src);
+            }
+        });
+        (out, stats)
     }
 
     /// Bytes of embedding data resident in the slab.
@@ -472,43 +480,11 @@ impl EmbeddingArena {
     }
 }
 
-/// Where [`EmbeddingArena`]'s gather walk reads each row from.
-trait RowSource {
-    /// Row `row` of table `t`, whose slab rows of width `dim` are `table`.
-    fn read<'a>(&'a mut self, t: usize, row: u32, table: &'a [f32], dim: usize) -> &'a [f32];
-}
-
-/// Every row straight from the slab.
-struct Slab;
-
-impl RowSource for Slab {
-    #[inline(always)]
-    fn read<'a>(&'a mut self, _: usize, row: u32, table: &'a [f32], dim: usize) -> &'a [f32] {
-        &table[row as usize * dim..row as usize * dim + dim]
-    }
-}
-
-/// Rows from a worker's hot-tier shards, misses from the slab (admitted
-/// into the shard by LRU), classified as they go.
-struct Cached<'c> {
-    shards: &'c mut [TableShard],
-    stats: CacheOutcome,
-}
-
-impl RowSource for Cached<'_> {
-    #[inline(always)]
-    fn read<'a>(&'a mut self, t: usize, row: u32, table: &'a [f32], dim: usize) -> &'a [f32] {
-        let shard = &mut self.shards[t];
-        if let Some(base) = shard.lookup(row) {
-            self.stats.hits += 1;
-            return &shard.data[base..base + dim];
-        }
-        self.stats.misses += 1;
-        let src = &table[row as usize * dim..row as usize * dim + dim];
-        if shard.insert(row, src) {
-            self.stats.inserted += 1;
-        }
-        src
+/// Sums one gathered row into its table's accumulator.
+#[inline(always)]
+fn pool_row(pooled: &mut [f32], row: &[f32]) {
+    for (acc, &v) in pooled.iter_mut().zip(row) {
+        *acc += v;
     }
 }
 
