@@ -356,26 +356,25 @@ impl EmbeddingArena {
         rng: &mut SimRng,
         scratch: &mut GatherScratch,
     ) -> GatherOutcome {
-        self.walk(items, rng, scratch, |_, _, src, pooled| {
-            pool_row(pooled, src)
-        })
+        self.walk(items, rng, scratch, std::iter::repeat(Slab)).0
     }
 
     /// The one gather traversal: per table, one random pool offset per
     /// (sub-query, table), then per item a pooled row count. Items walk
-    /// the pool sequentially with wraparound, and `add_row` sums each row
-    /// into the table's accumulator, given the table, the row index and
-    /// the row's slab copy. Monomorphized per `add_row`, so the uncached
-    /// kernel carries no per-row cache branch.
-    fn walk(
+    /// the pool sequentially with wraparound, and each row is read through
+    /// the table's entry of `sources` and summed into the scratch
+    /// accumulator. Monomorphized per row source, so the uncached kernel
+    /// carries no per-row cache branch.
+    fn walk<S: RowSource>(
         &self,
         items: u32,
         rng: &mut SimRng,
         scratch: &mut GatherScratch,
-        mut add_row: impl FnMut(usize, u32, &[f32], &mut [f32]),
-    ) -> GatherOutcome {
+        sources: impl Iterator<Item = S>,
+    ) -> (GatherOutcome, CacheOutcome) {
         let mut out = GatherOutcome::default();
-        for (t, slot) in self.tables.iter().enumerate() {
+        let mut stats = CacheOutcome::default();
+        for (slot, mut source) in self.tables.iter().zip(sources) {
             let dim = slot.dim as usize;
             let table = &self.slab[slot.offset..slot.offset + slot.rows_alloc as usize * dim];
             let pool = &slot.indices[..];
@@ -390,8 +389,10 @@ impl EmbeddingArena {
                     if cursor == pool.len() {
                         cursor = 0;
                     }
-                    let src = &table[row as usize * dim..row as usize * dim + dim];
-                    add_row(t, row, src, pooled);
+                    let src = source.read(row, table, dim, &mut stats);
+                    for (acc, &v) in pooled.iter_mut().zip(src) {
+                        *acc += v;
+                    }
                 }
                 table_rows += rows as u64;
             }
@@ -399,7 +400,7 @@ impl EmbeddingArena {
             out.bytes += table_rows * slot.dim as u64 * 4;
             out.checksum += pooled.iter().map(|&v| v as f64).sum::<f64>();
         }
-        out
+        (out, stats)
     }
 
     /// Builds one worker's hot-tier cache shard from a planning model:
@@ -439,19 +440,7 @@ impl EmbeddingArena {
         scratch: &mut GatherScratch,
         cache: &mut EmbeddingCacheShard,
     ) -> (GatherOutcome, CacheOutcome) {
-        let mut stats = CacheOutcome::default();
-        let out = self.walk(items, rng, scratch, |t, row, src, pooled| {
-            let shard = &mut cache.tables[t];
-            if let Some(base) = shard.lookup(row) {
-                stats.hits += 1;
-                pool_row(pooled, &shard.data[base..base + src.len()]);
-            } else {
-                stats.misses += 1;
-                stats.inserted += u64::from(shard.insert(row, src));
-                pool_row(pooled, src);
-            }
-        });
-        (out, stats)
+        self.walk(items, rng, scratch, cache.tables.iter_mut())
     }
 
     /// Bytes of embedding data resident in the slab.
@@ -480,11 +469,57 @@ impl EmbeddingArena {
     }
 }
 
-/// Sums one gathered row into its table's accumulator.
-#[inline(always)]
-fn pool_row(pooled: &mut [f32], row: &[f32]) {
-    for (acc, &v) in pooled.iter_mut().zip(row) {
-        *acc += v;
+/// Where the gather walk reads one table's rows from.
+trait RowSource {
+    /// Row `row` of the table whose slab rows of width `dim` are `table`,
+    /// with a cache's hit or miss counted into `stats`.
+    fn read<'a>(
+        &'a mut self,
+        row: u32,
+        table: &'a [f32],
+        dim: usize,
+        stats: &mut CacheOutcome,
+    ) -> &'a [f32];
+}
+
+/// Every row straight from the slab.
+#[derive(Clone, Copy)]
+struct Slab;
+
+impl RowSource for Slab {
+    #[inline(always)]
+    fn read<'a>(
+        &'a mut self,
+        row: u32,
+        table: &'a [f32],
+        dim: usize,
+        _: &mut CacheOutcome,
+    ) -> &'a [f32] {
+        &table[row as usize * dim..row as usize * dim + dim]
+    }
+}
+
+/// A hot-tier shard in front of the slab: hits come from the shard,
+/// misses from the slab, and misses are admitted by LRU.
+impl RowSource for &mut TableShard {
+    #[inline(always)]
+    fn read<'a>(
+        &'a mut self,
+        row: u32,
+        table: &'a [f32],
+        dim: usize,
+        stats: &mut CacheOutcome,
+    ) -> &'a [f32] {
+        if let Some(base) = self.lookup(row) {
+            stats.hits += 1;
+            return &self.data[base..base + dim];
+        }
+        stats.misses += 1;
+        let src = &table[row as usize * dim..row as usize * dim + dim];
+        if self.insert(row, src) {
+            stats.inserted += 1;
+        }
+        src
     }
 }
 
