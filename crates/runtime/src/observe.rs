@@ -20,6 +20,10 @@
 //! The exporters are dependency-free by design: the Prometheus text
 //! exposition format and the snapshot JSON are fixed, flat schemas, so the
 //! writers are plain string formatting — no serde, no registry client.
+//! Each exported series is declared once, as a row of its level's table
+//! (`PLANE` or `STAGE`, built by `series!`): its NDJSON key, its value,
+//! and its Prometheus family's type, name and help. Both writers loop over
+//! the tables, so a new series is one row.
 
 use std::io::Write;
 use std::ops::Range;
@@ -391,17 +395,7 @@ impl PlaneSnapshot {
 
     /// Plane-wide interval cache hit rate, when any cached rows moved.
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        let with: Vec<&StageSnapshot> = self
-            .stages
-            .iter()
-            .filter(|s| s.cache_hit_rate.is_some())
-            .collect();
-        if with.is_empty() {
-            return None;
-        }
-        // Recompute from the per-stage rates' implied counts is overkill;
-        // stages with caches are exactly the front pool, so take it.
-        with[0].cache_hit_rate
+        self.stages.iter().find_map(|s| s.cache_hit_rate)
     }
 }
 
@@ -667,231 +661,217 @@ impl SnapshotSink for PrometheusFile {
 // ---------------------------------------------------------------------------
 // Dependency-free exporters.
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
+/// A series' value: a count, or a reading that may be absent (`null` in
+/// NDJSON, no Prometheus sample).
+#[derive(Clone, Copy)]
+enum Value {
+    Count(u64),
+    Reading(Option<f64>),
+}
+
+/// Integer fields export as counts.
+macro_rules! counts {
+    ($($int:ty),+) => {$(
+        impl From<$int> for Value {
+            fn from(n: $int) -> Value {
+                Value::Count(n as u64)
+            }
+        }
+    )+};
+}
+
+counts!(u64, u32, u8, usize);
+
+impl From<Option<f64>> for Value {
+    fn from(v: Option<f64>) -> Value {
+        Value::Reading(v)
     }
 }
 
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or("null".to_string(), json_f64)
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Reading(Some(v))
+    }
 }
 
-/// One snapshot as a single-line JSON object (the NDJSON stream's row).
+impl Value {
+    /// The value in NDJSON: a non-finite reading is `null` too.
+    fn json(self) -> String {
+        match self {
+            Value::Count(n) => n.to_string(),
+            Value::Reading(Some(v)) if v.is_finite() => format!("{v:?}"),
+            Value::Reading(_) => "null".to_string(),
+        }
+    }
+
+    /// The value as a Prometheus sample, `None` to leave the sample out.
+    fn prom(self) -> Option<String> {
+        match self {
+            Value::Count(n) => Some(n.to_string()),
+            Value::Reading(v) => v.map(|v| v.to_string()),
+        }
+    }
+}
+
+/// A Prometheus metric family.
+struct Family {
+    /// `counter` or `gauge`.
+    kind: &'static str,
+    name: &'static str,
+    help: &'static str,
+}
+
+impl Family {
+    /// The family's HELP and TYPE lines.
+    fn header(&self) -> String {
+        let Family { kind, name, help } = self;
+        format!("# HELP {name} {help}\n# TYPE {name} {kind}\n")
+    }
+}
+
+/// One exported series of a snapshot level `S`: its NDJSON key, how to
+/// read it, and its Prometheus family, when it has them.
+struct Series<S> {
+    key: Option<&'static str>,
+    value: fn(&S) -> Value,
+    family: Option<Family>,
+}
+
+/// Declares a snapshot level's exported series, each once, as the table
+/// both exporters loop over. A row is the series' NDJSON key (`_` for
+/// none) and its value read from the snapshot `$s`, then, when it has a
+/// Prometheus family, `=>` and the family's type, name and help. Rows run
+/// in NDJSON key order, and families are written in row order.
+macro_rules! series {
+    ($table:ident: $level:ty as $s:ident {
+        $($key:tt = $value:expr $(=> $kind:ident $name:literal $help:literal)?;)+
+    }) => {
+        const $table: &[Series<$level>] = &[$(Series {
+            key: series!(@key $key),
+            value: |$s| Value::from($value),
+            family: series!(@family $($kind $name $help)?),
+        }),+];
+    };
+    (@key _) => { None };
+    (@key $key:literal) => { Some($key) };
+    (@family) => { None };
+    (@family $kind:ident $name:literal $help:literal) => {
+        Some(Family { kind: stringify!($kind), name: $name, help: $help })
+    };
+}
+
+series! {
+    PLANE: PlaneSnapshot as s {
+        "t_s" = s.t.as_secs_f64();
+        "interval_s" = s.interval.as_secs_f64();
+        "qps" = s.qps => gauge "hercules_interval_qps"
+            "Completions per second over the last observation interval.";
+        "completed" = s.completed;
+        "cum_completed" = s.cum_completed => counter "hercules_completed_total"
+            "Queries completed since run start.";
+        "admitted" = s.admitted;
+        "shed" = s.shed => gauge "hercules_interval_shed"
+            "Queries shed over the last observation interval.";
+        "cum_admitted" = s.cum_admitted => counter "hercules_admitted_total"
+            "Queries admitted since run start.";
+        "cum_shed" = s.cum_shed => counter "hercules_shed_total"
+            "Queries shed at dispatch since run start.";
+        "completed_degraded" = s.completed_degraded;
+        "cum_completed_degraded" = s.cum_completed_degraded => counter "hercules_degraded_total"
+            "Queries completed with degraded (cache-hit-only) gathers since run start.";
+        "expired" = s.expired;
+        "cum_expired" = s.cum_expired => counter "hercules_expired_total"
+            "Queries dropped past their deadline since run start.";
+        "latency_overflow" = s.latency_overflow;
+        "cum_latency_overflow" = s.cum_latency_overflow => counter
+            "hercules_latency_overflow_total"
+            "Completions whose latency overflowed the histogram since run start.";
+        "suspect_workers" = s.suspect_workers => gauge "hercules_suspect_workers"
+            "Workers currently marked suspect by the supervisor.";
+        "dead_workers" = s.dead_workers => gauge "hercules_dead_workers"
+            "Workers confirmed dead (panicked or fatally faulted).";
+        "degrade_level" = s.degrade_level => gauge "hercules_degrade_level"
+            "Current graceful-degradation ladder rung (0 = healthy).";
+        "e2e_p50_s" = s.e2e_p50 => gauge "hercules_e2e_p50_seconds"
+            "Interval median end-to-end latency.";
+        "e2e_p99_s" = s.e2e_p99 => gauge "hercules_e2e_p99_seconds"
+            "Interval p99 end-to-end latency.";
+        "queue_depth" = s.queue_depth();
+        _ = s.stages.iter().map(|st| st.gather_gbs).find(|&g| g > 0.0) => gauge
+            "hercules_gather_gbs" "Interval gather bandwidth (GB/s).";
+        _ = s.cache_hit_rate() => gauge "hercules_cache_hit_rate"
+            "Interval embedding-cache hit rate.";
+    }
+}
+
+series! {
+    STAGE: StageSnapshot as s {
+        "workers" = s.workers;
+        "batches" = s.batches;
+        "items" = s.items;
+        "completed" = s.completed;
+        "queue_depth" = s.queue_depth => gauge "hercules_stage_queue_depth"
+            "Sub-queries queued ahead of each stage.";
+        "queue_wait_p50_s" = s.queue_wait_p50;
+        "queue_wait_p99_s" = s.queue_wait_p99 => gauge "hercules_stage_queue_wait_p99_seconds"
+            "Interval p99 queue wait per stage.";
+        "e2e_p50_s" = s.e2e_p50;
+        "e2e_p99_s" = s.e2e_p99;
+        "gather_gbs" = s.gather_gbs;
+        "cache_hit_rate" = s.cache_hit_rate;
+        "utilization" = s.utilization => gauge "hercules_stage_utilization"
+            "Interval busy fraction per stage.";
+        _ = s.cum_batches => counter "hercules_stage_batches_total" "Batches served per stage.";
+    }
+}
+
+/// One snapshot as a single-line JSON object (the NDJSON stream's row):
+/// the plane's series, then each stage's, opened by its label.
 pub fn snapshot_json(snap: &PlaneSnapshot) -> String {
-    let mut s = String::with_capacity(512);
-    s.push_str(&format!(
-        "{{\"t_s\":{},\"interval_s\":{},\"qps\":{},\"completed\":{},\"cum_completed\":{},\
-         \"admitted\":{},\"shed\":{},\"cum_admitted\":{},\"cum_shed\":{},\
-         \"completed_degraded\":{},\"cum_completed_degraded\":{},\
-         \"expired\":{},\"cum_expired\":{},\
-         \"latency_overflow\":{},\"cum_latency_overflow\":{},\
-         \"suspect_workers\":{},\"dead_workers\":{},\"degrade_level\":{},\
-         \"e2e_p50_s\":{},\"e2e_p99_s\":{},\"queue_depth\":{},\"stages\":[",
-        json_f64(snap.t.as_secs_f64()),
-        json_f64(snap.interval.as_secs_f64()),
-        json_f64(snap.qps),
-        snap.completed,
-        snap.cum_completed,
-        snap.admitted,
-        snap.shed,
-        snap.cum_admitted,
-        snap.cum_shed,
-        snap.completed_degraded,
-        snap.cum_completed_degraded,
-        snap.expired,
-        snap.cum_expired,
-        snap.latency_overflow,
-        snap.cum_latency_overflow,
-        snap.suspect_workers,
-        snap.dead_workers,
-        snap.degrade_level,
-        json_opt(snap.e2e_p50),
-        json_opt(snap.e2e_p99),
-        snap.queue_depth(),
-    ));
+    let mut s = String::with_capacity(1024);
+    s.push('{');
+    for row in PLANE {
+        if let Some(key) = row.key {
+            s.push_str(&format!("\"{key}\":{},", (row.value)(snap).json()));
+        }
+    }
+    s.push_str("\"stages\":[");
     for (i, st) in snap.stages.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "{{\"stage\":\"{}\",\"workers\":{},\"batches\":{},\"items\":{},\"completed\":{},\
-             \"queue_depth\":{},\"queue_wait_p50_s\":{},\"queue_wait_p99_s\":{},\
-             \"e2e_p50_s\":{},\"e2e_p99_s\":{},\"gather_gbs\":{},\"cache_hit_rate\":{},\
-             \"utilization\":{}}}",
-            st.stage.label(),
-            st.workers,
-            st.batches,
-            st.items,
-            st.completed,
-            st.queue_depth,
-            json_opt(st.queue_wait_p50),
-            json_opt(st.queue_wait_p99),
-            json_opt(st.e2e_p50),
-            json_opt(st.e2e_p99),
-            json_f64(st.gather_gbs),
-            json_opt(st.cache_hit_rate),
-            json_f64(st.utilization),
-        ));
+        s.push_str(&format!("{{\"stage\":\"{}\"", st.stage.label()));
+        for row in STAGE {
+            if let Some(key) = row.key {
+                s.push_str(&format!(",\"{key}\":{}", (row.value)(st).json()));
+            }
+        }
+        s.push('}');
     }
     s.push_str("]}");
     s
 }
 
 /// One snapshot in the Prometheus text exposition format: cumulative
-/// counters plus interval gauges, per-stage series labeled by stage.
+/// counters plus interval gauges, per-stage series labeled by stage. A
+/// plane family with no value is left out; a stage family keeps its
+/// header and leaves out the stages with no value.
 pub fn prometheus_text(snap: &PlaneSnapshot) -> String {
-    let mut s = String::with_capacity(1024);
-    let gauge = |s: &mut String, name: &str, help: &str, v: f64| {
-        s.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-        ));
-    };
-    let counter = |s: &mut String, name: &str, help: &str, v: u64| {
-        s.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-        ));
-    };
-    counter(
-        &mut s,
-        "hercules_admitted_total",
-        "Queries admitted since run start.",
-        snap.cum_admitted,
-    );
-    counter(
-        &mut s,
-        "hercules_shed_total",
-        "Queries shed at dispatch since run start.",
-        snap.cum_shed,
-    );
-    counter(
-        &mut s,
-        "hercules_completed_total",
-        "Queries completed since run start.",
-        snap.cum_completed,
-    );
-    counter(
-        &mut s,
-        "hercules_degraded_total",
-        "Queries completed with degraded (cache-hit-only) gathers since run start.",
-        snap.cum_completed_degraded,
-    );
-    counter(
-        &mut s,
-        "hercules_expired_total",
-        "Queries dropped past their deadline since run start.",
-        snap.cum_expired,
-    );
-    counter(
-        &mut s,
-        "hercules_latency_overflow_total",
-        "Completions whose latency overflowed the histogram since run start.",
-        snap.cum_latency_overflow,
-    );
-    gauge(
-        &mut s,
-        "hercules_degrade_level",
-        "Current graceful-degradation ladder rung (0 = healthy).",
-        snap.degrade_level as f64,
-    );
-    gauge(
-        &mut s,
-        "hercules_suspect_workers",
-        "Workers currently marked suspect by the supervisor.",
-        snap.suspect_workers as f64,
-    );
-    gauge(
-        &mut s,
-        "hercules_dead_workers",
-        "Workers confirmed dead (panicked or fatally faulted).",
-        snap.dead_workers as f64,
-    );
-    gauge(
-        &mut s,
-        "hercules_interval_qps",
-        "Completions per second over the last observation interval.",
-        snap.qps,
-    );
-    gauge(
-        &mut s,
-        "hercules_interval_shed",
-        "Queries shed over the last observation interval.",
-        snap.shed as f64,
-    );
-    if let Some(v) = snap.e2e_p50 {
-        gauge(
-            &mut s,
-            "hercules_e2e_p50_seconds",
-            "Interval median end-to-end latency.",
-            v,
-        );
-    }
-    if let Some(v) = snap.e2e_p99 {
-        gauge(
-            &mut s,
-            "hercules_e2e_p99_seconds",
-            "Interval p99 end-to-end latency.",
-            v,
-        );
-    }
-    // Per-stage series.
-    s.push_str("# HELP hercules_stage_batches_total Batches served per stage.\n");
-    s.push_str("# TYPE hercules_stage_batches_total counter\n");
-    for st in &snap.stages {
-        s.push_str(&format!(
-            "hercules_stage_batches_total{{stage=\"{}\"}} {}\n",
-            st.stage.label(),
-            st.cum_batches
-        ));
-    }
-    s.push_str("# HELP hercules_stage_queue_depth Sub-queries queued ahead of each stage.\n");
-    s.push_str("# TYPE hercules_stage_queue_depth gauge\n");
-    for st in &snap.stages {
-        s.push_str(&format!(
-            "hercules_stage_queue_depth{{stage=\"{}\"}} {}\n",
-            st.stage.label(),
-            st.queue_depth
-        ));
-    }
-    s.push_str("# HELP hercules_stage_utilization Interval busy fraction per stage.\n");
-    s.push_str("# TYPE hercules_stage_utilization gauge\n");
-    for st in &snap.stages {
-        s.push_str(&format!(
-            "hercules_stage_utilization{{stage=\"{}\"}} {}\n",
-            st.stage.label(),
-            st.utilization
-        ));
-    }
-    s.push_str("# HELP hercules_stage_queue_wait_p99_seconds Interval p99 queue wait per stage.\n");
-    s.push_str("# TYPE hercules_stage_queue_wait_p99_seconds gauge\n");
-    for st in &snap.stages {
-        if let Some(v) = st.queue_wait_p99 {
-            s.push_str(&format!(
-                "hercules_stage_queue_wait_p99_seconds{{stage=\"{}\"}} {v}\n",
-                st.stage.label()
-            ));
+    let mut s = String::with_capacity(2048);
+    for row in PLANE {
+        if let (Some(f), Some(v)) = (&row.family, (row.value)(snap).prom()) {
+            s.push_str(&format!("{}{} {v}\n", f.header(), f.name));
         }
     }
-    for st in &snap.stages {
-        if st.gather_gbs > 0.0 {
-            gauge(
-                &mut s,
-                "hercules_gather_gbs",
-                "Interval gather bandwidth (GB/s).",
-                st.gather_gbs,
-            );
-            break;
+    for row in STAGE {
+        let Some(f) = &row.family else { continue };
+        s.push_str(&f.header());
+        for st in &snap.stages {
+            if let Some(v) = (row.value)(st).prom() {
+                let stage = st.stage.label();
+                s.push_str(&format!("{}{{stage=\"{stage}\"}} {v}\n", f.name));
+            }
         }
-    }
-    if let Some(r) = snap.cache_hit_rate() {
-        gauge(
-            &mut s,
-            "hercules_cache_hit_rate",
-            "Interval embedding-cache hit rate.",
-            r,
-        );
     }
     s
 }
