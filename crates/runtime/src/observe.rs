@@ -639,7 +639,10 @@ impl<W: Write + Send> SnapshotSink for JsonLines<W> {
 
 /// Rewrites a Prometheus text-exposition file on every snapshot (the
 /// node-exporter "textfile collector" pattern: scrapers read the file, the
-/// runtime never serves HTTP).
+/// runtime never serves HTTP). Each exposition is written to a sibling
+/// file named for the target plus `.tmp`, which a collector reading
+/// `*.prom` skips, and renamed over the target, so a scrape reads one
+/// whole exposition, never a torn one.
 #[derive(Debug)]
 pub struct PrometheusFile {
     path: PathBuf,
@@ -654,7 +657,10 @@ impl PrometheusFile {
 
 impl SnapshotSink for PrometheusFile {
     fn publish(&mut self, snap: &PlaneSnapshot) {
-        let _ = std::fs::write(&self.path, prometheus_text(snap));
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let _ = std::fs::write(&tmp, prometheus_text(snap))
+            .and_then(|()| std::fs::rename(&tmp, &self.path));
     }
 }
 
@@ -880,7 +886,8 @@ pub fn prometheus_text(snap: &PlaneSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::telemetry::WorkerSnap;
-    use std::sync::{Arc, Mutex};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier, Mutex};
 
     /// Ticks `obs` at `t_ms` over a two-worker front pool, seven deep,
     /// whose first worker has served `batches` batches and `completed`
@@ -978,6 +985,46 @@ mod tests {
         assert!(prom.contains("hercules_dead_workers 0"));
         assert!(prom.contains("hercules_stage_queue_depth{stage=\"front\"} 7"));
         assert!(prom.contains("# TYPE hercules_interval_qps gauge"));
+    }
+
+    #[test]
+    fn prometheus_file_is_replaced_whole() {
+        let dir = std::env::temp_dir().join(format!("hercules_prom_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plane.prom");
+        let mut obs = RuntimeObserver::every(SimDuration::from_millis(100));
+        tick(&mut obs, 100, 10, 8, 2);
+        tick(&mut obs, 200, 250, 200, 3);
+        let snaps = obs.into_history();
+        let whole: Vec<String> = snaps.iter().map(prometheus_text).collect();
+        let mut sink = PrometheusFile::new(&path);
+        sink.publish(&snaps[0]);
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        let reads = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut reads = 0;
+                while !done.load(Ordering::Acquire) {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    assert!(whole.contains(&text), "torn read after {reads}: {text:?}");
+                    reads += 1;
+                }
+                reads
+            });
+            start.wait();
+            for i in 0..2000 {
+                sink.publish(&snaps[i % 2]);
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert!(reads > 0);
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["plane.prom"], "only the exposition is left");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
