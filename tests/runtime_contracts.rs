@@ -4,9 +4,9 @@
 //! (non-decreasing, within the horizon, at least one item per query)
 //! instead of returning reports that do not conserve, a GPU fault's
 //! derated compute is charged to the queries it delays on the wall clock
-//! as on the virtual clock, a zero-length run reports an idle server, as
-//! an empty run of positive length does, and a zero-length fleet reports
-//! idle replicas.
+//! as on the virtual clock, a zero-length run reports an idle server in
+//! the simulator and on both clocks, as an empty run of positive length
+//! does, and a zero-length fleet reports idle replicas.
 
 use hercules::common::units::{Qps, SimDuration, SimTime};
 use hercules::fleet::{run_virtual_fleet, FleetConfig};
@@ -236,6 +236,11 @@ fn zero_length_runs_report_an_idle_server() {
         (
             "virtual clock, empty trace",
             zero.serve_trace(&[], Qps(0.0)).sim,
+        ),
+        (
+            "wall clock",
+            zero.serve_with(Qps(400.0), &zero.config().with_clock(ClockMode::wall()))
+                .sim,
         ),
     ];
     for (name, r) in runs {
