@@ -70,6 +70,72 @@ fn brute_force(lp: &LinearProgram, hi: i64) -> Option<f64> {
     }
 }
 
+/// Solves the square system `coeffs . x = rhs`, one equation per row, by
+/// Gauss-Jordan elimination with partial pivoting; `None` when singular.
+fn solve_square(rows: &[(&[f64], f64)]) -> Option<Vec<f64>> {
+    let n = rows.len();
+    let mut a: Vec<Vec<f64>> = rows
+        .iter()
+        .map(|&(coeffs, rhs)| coeffs.iter().copied().chain([rhs]).collect())
+        .collect();
+    for col in 0..n {
+        let p = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        if a[p][col].abs() < 1e-9 {
+            return None;
+        }
+        a.swap(col, p);
+        let pivot = a[col].clone();
+        for (r, row) in a.iter_mut().enumerate() {
+            if r != col {
+                let f = row[col] / pivot[col];
+                for (v, pv) in row[col..].iter_mut().zip(&pivot[col..]) {
+                    *v -= f * pv;
+                }
+            }
+        }
+    }
+    Some((0..n).map(|i| a[i][n] / a[i][i]).collect())
+}
+
+/// The optimum of `lp` by vertex enumeration, sharing no code with the
+/// simplex: every choice of `n` active rows among the constraints and the
+/// `x >= 0` bounds is solved as an equality system, and the cheapest
+/// feasible solution is kept. A feasible LP over `x >= 0` that is bounded
+/// below attains its optimum at such a vertex; `None` means no vertex is
+/// feasible.
+fn best_vertex(lp: &LinearProgram) -> Option<f64> {
+    let n = lp.num_vars();
+    let unit: Vec<Vec<f64>> = (0..n)
+        .map(|j| (0..n).map(|k| f64::from(u8::from(j == k))).collect())
+        .collect();
+    let planes: Vec<(&[f64], f64)> = lp
+        .constraints()
+        .iter()
+        .map(|c| (&c.coeffs[..], c.rhs))
+        .chain(unit.iter().map(|e| (&e[..], 0.0)))
+        .collect();
+    let m = planes.len();
+    let mut pick: Vec<usize> = (0..n).collect();
+    let mut best: Option<f64> = None;
+    loop {
+        let rows: Vec<_> = pick.iter().map(|&i| planes[i]).collect();
+        if let Some(x) = solve_square(&rows).filter(|x| lp.is_feasible(x, 1e-7)) {
+            let obj = lp.objective_at(&x);
+            if best.map_or(true, |b| obj < b) {
+                best = Some(obj);
+            }
+        }
+        // The next `n`-subset of the `m` planes, in lexicographic order.
+        let Some(i) = (0..n).rev().find(|&i| pick[i] < m - n + i) else {
+            return best;
+        };
+        pick[i] += 1;
+        for k in i + 1..n {
+            pick[k] = pick[k - 1] + 1;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -117,6 +183,32 @@ proptest! {
         prop_assert!((ip.objective - sx.objective).abs() <= 1e-4 * (1.0 + sx.objective.abs()),
             "ip {} vs simplex {}", ip.objective, sx.objective);
         prop_assert!(lp.is_feasible(&ip.x, 1e-5));
+    }
+
+    /// The simplex reaches the relaxation optimum that vertex enumeration
+    /// finds over two workloads on three server types (5 constraints and
+    /// 6 bounds, so 462 candidate vertices), at a feasible point, and
+    /// reports infeasibility exactly when no vertex is feasible.
+    #[test]
+    fn simplex_matches_vertex_enumeration(
+        q0 in prop::collection::vec(50.0f64..400.0, 3),
+        q1 in prop::collection::vec(50.0f64..400.0, 3),
+        p in prop::collection::vec(100.0f64..500.0, 3),
+        caps in prop::collection::vec(3u32..8, 3),
+        d0 in 100.0f64..500.0,
+        d1 in 100.0f64..500.0,
+    ) {
+        let lp = provisioning_lp(vec![q0, q1], p, caps, vec![d0, d1]);
+        let sx = solve_simplex(&lp);
+        match best_vertex(&lp) {
+            Some(best) => {
+                prop_assert_eq!(sx.status, LpStatus::Optimal);
+                prop_assert!((sx.objective - best).abs() <= 1e-6 * best.abs().max(1.0),
+                    "simplex {} vs best vertex {}", sx.objective, best);
+                prop_assert!(lp.is_feasible(&sx.x, 1e-6));
+            }
+            None => prop_assert_eq!(sx.status, LpStatus::Infeasible),
+        }
     }
 
     /// The ILP matches exhaustive search on tiny instances.
