@@ -11,9 +11,7 @@ use hercules_hw::nmp::{NmpConfig, NmpSimulator};
 use hercules_hw::server::ServerType;
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_sim::{simulate_cached, NmpLutCache, PlacementPlan, SimConfig};
-use hercules_solver::{
-    solve_ilp, solve_interior_point, solve_simplex, IlpOptions, LinearProgram, Relation,
-};
+use hercules_solver::{solve_ilp, solve_simplex, IlpOptions, LinearProgram, Relation};
 
 fn provisioning_lp() -> LinearProgram {
     // 3 workloads x 4 server types.
@@ -54,9 +52,6 @@ fn bench_solvers() {
     let lp = provisioning_lp();
     time_kernel("simplex_provisioning_12var", SAMPLES, || {
         solve_simplex(black_box(&lp))
-    });
-    time_kernel("interior_point_provisioning_12var", SAMPLES, || {
-        solve_interior_point(black_box(&lp))
     });
     time_kernel("bnb_ilp_provisioning_12var", SAMPLES, || {
         solve_ilp(black_box(&lp), &IlpOptions::default())

@@ -7,15 +7,12 @@
 //! - [`PriorityScheduler`]: §III-C's priority-aware refinement — contended
 //!   types go to the workload with the most to lose.
 //! - [`HerculesScheduler`]: the constrained-optimization provisioner of
-//!   Eq. (1)–(3), solved by interior point (+ rounding repair) or
-//!   branch-and-bound.
+//!   Eq. (1)–(3), solved to the integral optimum by branch and bound.
 
 use hercules_common::rng::SimRng;
 use hercules_hw::cost::colocation_derate;
 use hercules_hw::server::ServerType;
-use hercules_solver::{
-    solve_ilp, solve_interior_point, solve_simplex, IlpOptions, LinearProgram, LpStatus, Relation,
-};
+use hercules_solver::{solve_ilp, solve_simplex, IlpOptions, LinearProgram, LpStatus, Relation};
 
 use crate::cluster::{
     Allocation, ColocatedAllocation, ProvisionError, ProvisionRequest, Provisioner, SharedServer,
@@ -469,6 +466,13 @@ impl ColocationScheduler {
 }
 
 /// LP/ILP engine for [`HerculesScheduler`].
+///
+/// It has one variant. The paper solves the relaxation of Eq. (1)–(3) with
+/// an interior-point solver \[12\], whose fractional point must still be
+/// rounded to server counts; branch and bound returns the integral optimum
+/// itself, so a rounded relaxation can match it but never beat it. The
+/// enum stays so that callers, the repository benchmark among them, keep
+/// naming the solver they rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
     /// Warm-started branch and bound over the presolved simplex relaxation,
@@ -478,9 +482,6 @@ pub enum SolverChoice {
     /// at the cap the scheduler returns the best allocation found so far,
     /// which is never worse than the heuristic's.
     BranchAndBound,
-    /// Interior-point relaxation (the paper's solver \[12\]) with ceil
-    /// rounding and greedy repair/trim.
-    InteriorPointRounded,
 }
 
 /// Branch-and-bound nodes one provisioning call may explore. The largest
@@ -520,14 +521,14 @@ fn capacity_error(req: &ProvisionRequest<'_>) -> ProvisionError {
 /// target exceeds what the whole fleet could serve it alone; only a joint
 /// shortfall, where every workload fits on its own, names workload 0.
 #[derive(Debug)]
-pub struct HerculesScheduler {
-    solver: SolverChoice,
-}
+#[non_exhaustive]
+pub struct HerculesScheduler;
 
 impl HerculesScheduler {
-    /// Creates the scheduler with the chosen optimizer.
-    pub fn new(solver: SolverChoice) -> Self {
-        HerculesScheduler { solver }
+    /// Creates the scheduler. [`SolverChoice`] has one variant, so the
+    /// scheduler keeps nothing of it.
+    pub fn new(_solver: SolverChoice) -> Self {
+        HerculesScheduler
     }
 
     /// Builds the Eq. (1)–(3) program. Variables are the pairs `(h, m)`
@@ -740,51 +741,29 @@ impl Provisioner for HerculesScheduler {
 
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError> {
         let (lp, vars) = Self::build_lp(req)?;
-        match self.solver {
-            SolverChoice::BranchAndBound => {
-                // Seed branch and bound with the rounding heuristic: its
-                // allocation is the first incumbent, which prunes the tree
-                // from the root and is the answer if nothing beats it.
-                let relax = solve_simplex(&lp);
-                if relax.status == LpStatus::Infeasible {
-                    return Err(capacity_error(req));
-                }
-                let incumbent = if relax.status == LpStatus::Optimal {
-                    Self::round_and_repair(req, &relax.x, &vars)
-                        .ok()
-                        .map(|a| Self::point_of(&a, &vars))
-                } else {
-                    None
-                };
-                let opts = IlpOptions {
-                    max_nodes: NODE_CAP,
-                    incumbent,
-                };
-                let sol = solve_ilp(&lp, &opts);
-                match sol.status {
-                    LpStatus::Infeasible => Err(capacity_error(req)),
-                    _ if sol.x.is_empty() => Err(ProvisionError::SolverFailure),
-                    _ => Ok(Self::allocation_from(&sol.x, &vars)),
-                }
-            }
-            SolverChoice::InteriorPointRounded => {
-                let relax = solve_interior_point(&lp);
-                let relax = if relax.status == LpStatus::Optimal {
-                    relax
-                } else {
-                    // The paper's interior-point solver occasionally needs a
-                    // fallback on degenerate inputs; simplex is exact.
-                    let s = solve_simplex(&lp);
-                    if s.status != LpStatus::Optimal {
-                        return Err(match s.status {
-                            LpStatus::Infeasible => capacity_error(req),
-                            _ => ProvisionError::SolverFailure,
-                        });
-                    }
-                    s
-                };
-                Self::round_and_repair(req, &relax.x, &vars)
-            }
+        // Seed branch and bound with the rounding heuristic: its
+        // allocation is the first incumbent, which prunes the tree from
+        // the root and is the answer if nothing beats it.
+        let relax = solve_simplex(&lp);
+        if relax.status == LpStatus::Infeasible {
+            return Err(capacity_error(req));
+        }
+        let incumbent = if relax.status == LpStatus::Optimal {
+            Self::round_and_repair(req, &relax.x, &vars)
+                .ok()
+                .map(|a| Self::point_of(&a, &vars))
+        } else {
+            None
+        };
+        let opts = IlpOptions {
+            max_nodes: NODE_CAP,
+            incumbent,
+        };
+        let sol = solve_ilp(&lp, &opts);
+        match sol.status {
+            LpStatus::Infeasible => Err(capacity_error(req)),
+            _ if sol.x.is_empty() => Err(ProvisionError::SolverFailure),
+            _ => Ok(Self::allocation_from(&sol.x, &vars)),
         }
     }
 }
@@ -856,7 +835,6 @@ mod tests {
             Box::new(GreedyScheduler::new(2, RankMetric::QpsPerWatt)),
             Box::new(PriorityScheduler::new(RankMetric::QpsPerWatt)),
             Box::new(HerculesScheduler::new(SolverChoice::BranchAndBound)),
-            Box::new(HerculesScheduler::new(SolverChoice::InteriorPointRounded)),
         ];
         for p in policies.iter_mut() {
             let alloc = p
@@ -915,23 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn interior_point_matches_bnb_closely() {
-        let (fleet, table, workloads) = scenario();
-        let loads = [25_000.0, 18_000.0];
-        let req = request(&fleet, &table, &workloads, &loads);
-        let bnb = HerculesScheduler::new(SolverChoice::BranchAndBound)
-            .provision(&req)
-            .unwrap();
-        let ipm = HerculesScheduler::new(SolverChoice::InteriorPointRounded)
-            .provision(&req)
-            .unwrap();
-        let pb = bnb.provisioned_power(&table, &workloads).value();
-        let pi = ipm.provisioned_power(&table, &workloads).value();
-        assert!(pi >= pb - 1e-6, "rounded can't beat exact");
-        assert!(pi <= 1.10 * pb, "rounding within 10%: {pi} vs {pb}");
-    }
-
-    #[test]
     fn infeasible_loads_error() {
         let (fleet, table, workloads) = scenario();
         let loads = [1e9, 1e9];
@@ -955,32 +916,26 @@ mod tests {
             ((ModelKind::DlrmRmc2, ServerType::T2), entry(100.0, 250.0)),
         ]);
         let workloads = [ModelKind::DlrmRmc1, ModelKind::DlrmRmc2];
-        for solver in [
-            SolverChoice::BranchAndBound,
-            SolverChoice::InteriorPointRounded,
-        ] {
-            // RMC2 alone needs 50 servers of the 10.
-            let loads = [500.0, 5000.0];
-            let req = request(&fleet, &table, &workloads, &loads);
-            assert_eq!(
-                HerculesScheduler::new(solver).provision(&req).unwrap_err(),
-                ProvisionError::InsufficientCapacity {
-                    workload: ModelKind::DlrmRmc2
-                },
-                "{solver:?}"
-            );
-            // Each fits alone (6 and 5 servers), not both: a joint
-            // shortfall names workload 0.
-            let loads = [6000.0, 500.0];
-            let req = request(&fleet, &table, &workloads, &loads);
-            assert_eq!(
-                HerculesScheduler::new(solver).provision(&req).unwrap_err(),
-                ProvisionError::InsufficientCapacity {
-                    workload: ModelKind::DlrmRmc1
-                },
-                "{solver:?}"
-            );
-        }
+        let mut hercules = HerculesScheduler::new(SolverChoice::BranchAndBound);
+        // RMC2 alone needs 50 servers of the 10.
+        let loads = [500.0, 5000.0];
+        let req = request(&fleet, &table, &workloads, &loads);
+        assert_eq!(
+            hercules.provision(&req).unwrap_err(),
+            ProvisionError::InsufficientCapacity {
+                workload: ModelKind::DlrmRmc2
+            }
+        );
+        // Each fits alone (6 and 5 servers), not both: a joint shortfall
+        // names workload 0.
+        let loads = [6000.0, 500.0];
+        let req = request(&fleet, &table, &workloads, &loads);
+        assert_eq!(
+            hercules.provision(&req).unwrap_err(),
+            ProvisionError::InsufficientCapacity {
+                workload: ModelKind::DlrmRmc1
+            }
+        );
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! # hercules-solver
 //!
 //! From-scratch optimization solvers for Hercules cluster provisioning
-//! (paper Eq. (1)–(3)): a two-phase primal simplex, a primal-dual
-//! interior-point method (the paper's solver of choice, §V), and
-//! branch-and-bound for integral server counts. No external linear-algebra
-//! dependencies.
+//! (paper Eq. (1)–(3)): a two-phase primal simplex for the LP relaxation,
+//! and a branch and bound over it that re-optimizes each node from its
+//! parent's tableau by dual simplex and returns the integral optimum once
+//! its tree is exhausted. The paper solves the relaxation by interior
+//! point (§V); server counts must be integral, and branch and bound finds
+//! the best integral counts instead of rounding a relaxed point. No
+//! external linear-algebra dependencies.
 //!
 //! ```
 //! use hercules_solver::lp::{LinearProgram, Relation};
@@ -18,12 +21,9 @@
 //! ```
 
 pub mod ilp;
-pub mod interior;
 pub mod lp;
-pub mod matrix;
 pub mod simplex;
 
 pub use ilp::{solve_ilp, IlpOptions, IlpSolution};
-pub use interior::solve_interior_point;
 pub use lp::{LinearProgram, LpSolution, LpStatus, Relation};
 pub use simplex::solve_simplex;

@@ -1,5 +1,5 @@
-//! Linear-program description shared by the simplex and interior-point
-//! solvers.
+//! Linear-program description shared by the simplex and branch and
+//! bound.
 
 use std::fmt;
 
