@@ -607,15 +607,27 @@ impl SnapshotSink for StatusLine {
     }
 }
 
+/// Prints a sink's first failed write to stderr. A sink cannot fail the
+/// run it observes, and one line per snapshot would flood the stream.
+fn report_first_failure(failed: &mut bool, sink: &dyn std::fmt::Display, r: std::io::Result<()>) {
+    if let Err(e) = r {
+        if !std::mem::replace(failed, true) {
+            eprintln!("telemetry sink {sink}: {e}; later failures are not reported");
+        }
+    }
+}
+
 /// Streams one JSON object per snapshot, newline-delimited, to any writer.
+/// The first write that fails is reported on stderr.
 pub struct JsonLines<W: Write + Send> {
     w: W,
+    failed: bool,
 }
 
 impl<W: Write + Send> JsonLines<W> {
     /// A sink writing NDJSON snapshots to `w`.
     pub fn new(w: W) -> Self {
-        JsonLines { w }
+        JsonLines { w, failed: false }
     }
 }
 
@@ -629,11 +641,13 @@ impl JsonLines<std::io::BufWriter<std::fs::File>> {
 
 impl<W: Write + Send> SnapshotSink for JsonLines<W> {
     fn publish(&mut self, snap: &PlaneSnapshot) {
-        let _ = writeln!(self.w, "{}", snapshot_json(snap));
+        let written = writeln!(self.w, "{}", snapshot_json(snap));
+        report_first_failure(&mut self.failed, &"NDJSON stream", written);
     }
 
     fn finish(&mut self) {
-        let _ = self.w.flush();
+        let flushed = self.w.flush();
+        report_first_failure(&mut self.failed, &"NDJSON stream", flushed);
     }
 }
 
@@ -642,25 +656,41 @@ impl<W: Write + Send> SnapshotSink for JsonLines<W> {
 /// runtime never serves HTTP). Each exposition is written to a sibling
 /// file named for the target plus `.tmp`, which a collector reading
 /// `*.prom` skips, and renamed over the target, so a scrape reads one
-/// whole exposition, never a torn one.
+/// whole exposition, never a torn one. The first write that fails is
+/// reported on stderr.
 #[derive(Debug)]
 pub struct PrometheusFile {
     path: PathBuf,
+    failed: bool,
 }
 
 impl PrometheusFile {
-    /// A sink overwriting `path` with the latest exposition.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        PrometheusFile { path: path.into() }
+    /// A sink overwriting `path` with the latest exposition. It writes an
+    /// empty exposition there at once, so a path that cannot be written,
+    /// one in a missing directory say, fails here rather than mid-run.
+    pub fn create(path: impl Into<PathBuf>) -> std::io::Result<Self> {
+        let sink = PrometheusFile {
+            path: path.into(),
+            failed: false,
+        };
+        sink.replace("")?;
+        Ok(sink)
+    }
+
+    /// Writes `text` to the temporary sibling and renames it over the
+    /// target.
+    fn replace(&self, text: &str) -> std::io::Result<()> {
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, &self.path)
     }
 }
 
 impl SnapshotSink for PrometheusFile {
     fn publish(&mut self, snap: &PlaneSnapshot) {
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let _ = std::fs::write(&tmp, prometheus_text(snap))
-            .and_then(|()| std::fs::rename(&tmp, &self.path));
+        let written = self.replace(&prometheus_text(snap));
+        report_first_failure(&mut self.failed, &self.path.display(), written);
     }
 }
 
@@ -997,7 +1027,7 @@ mod tests {
         tick(&mut obs, 200, 250, 200, 3);
         let snaps = obs.into_history();
         let whole: Vec<String> = snaps.iter().map(prometheus_text).collect();
-        let mut sink = PrometheusFile::new(&path);
+        let mut sink = PrometheusFile::create(&path).unwrap();
         sink.publish(&snaps[0]);
         let (start, done) = (Barrier::new(2), AtomicBool::new(false));
         let reads = std::thread::scope(|scope| {
@@ -1025,6 +1055,40 @@ mod tests {
             .collect();
         assert_eq!(left, ["plane.prom"], "only the exposition is left");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sinks_fail_fast_on_a_missing_directory_and_flag_later_failures() {
+        let dir = std::env::temp_dir().join(format!("hercules_sinks_{}", std::process::id()));
+        let err = PrometheusFile::create(dir.join("plane.prom")).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        let err = JsonLines::create(dir.join("plane.ndjson")).err().unwrap();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        assert!(!dir.exists(), "a failed create leaves nothing behind");
+
+        // A directory that goes away mid-run: publishing neither panics
+        // nor stays silent.
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut sink = PrometheusFile::create(dir.join("plane.prom")).unwrap();
+        assert_eq!(std::fs::read_to_string(dir.join("plane.prom")).unwrap(), "");
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut obs = RuntimeObserver::every(SimDuration::from_millis(100));
+        tick(&mut obs, 100, 10, 8, 2);
+        sink.publish(&obs.history()[0]);
+        assert!(sink.failed);
+
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("broken"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = JsonLines::new(Broken);
+        sink.publish(&obs.history()[0]);
+        assert!(sink.failed);
     }
 
     #[test]

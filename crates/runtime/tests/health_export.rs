@@ -132,7 +132,7 @@ fn health_transitions_reach_every_exporter_within_one_tick() {
         let prom_seen = Arc::new(Mutex::new(Vec::new()));
         let mut obs = RuntimeObserver::every(SimDuration::from_millis(50))
             .with_sink(Box::new(JsonLines::new(ndjson.clone())))
-            .with_sink(Box::new(PrometheusFile::new(&prom_path)))
+            .with_sink(Box::new(PrometheusFile::create(&prom_path).unwrap()))
             .with_sink(Box::new(PromCapture {
                 path: prom_path.clone(),
                 seen: Arc::clone(&prom_seen),

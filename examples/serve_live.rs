@@ -32,7 +32,8 @@
 //! * `--metrics-out <path>` (or `HERCULES_METRICS_OUT`) streams one JSON
 //!   snapshot per interval to `path` (NDJSON), or — when the path ends in
 //!   `.prom` — rewrites it in Prometheus text exposition format each
-//!   interval (the textfile-collector pattern).
+//!   interval (the textfile-collector pattern). A path that cannot be
+//!   written, one in a missing directory say, panics before the run.
 //! * `--trace-out <path>` (or `HERCULES_TRACE_OUT`) enables sampled query
 //!   tracing (1-in-`HERCULES_TRACE_SAMPLE`, default 64) and writes the
 //!   collected spans as Chrome trace-event JSON after the run — load the
@@ -54,7 +55,7 @@ use hercules::model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules::runtime::{
     chrome_trace_json, AdmissionPolicy, ClockMode, DeadlinePolicy, FaultPlan, GatherMode,
     JsonLines, PinPolicy, PrometheusFile, RuntimeConfig, RuntimeObserver, RuntimeReport,
-    ServingRuntime, StatusLine, SupervisorPolicy, TraceConfig,
+    ServingRuntime, SnapshotSink, StatusLine, SupervisorPolicy, TraceConfig,
 };
 use hercules::sim::{NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
 
@@ -334,13 +335,13 @@ fn main() {
             obs = obs.with_sink(Box::new(StatusLine));
         }
         if let Some(path) = &metrics_out {
-            if path.ends_with(".prom") {
-                obs = obs.with_sink(Box::new(PrometheusFile::new(path)));
+            let sink: std::io::Result<Box<dyn SnapshotSink>> = if path.ends_with(".prom") {
+                PrometheusFile::create(path).map(|s| Box::new(s) as _)
             } else {
-                let sink = JsonLines::create(path)
-                    .unwrap_or_else(|e| panic!("cannot create metrics file {path:?}: {e}"));
-                obs = obs.with_sink(Box::new(sink));
-            }
+                JsonLines::create(path).map(|s| Box::new(s) as _)
+            };
+            let sink = sink.unwrap_or_else(|e| panic!("cannot create metrics file {path:?}: {e}"));
+            obs = obs.with_sink(sink);
         }
         let report = rt.serve_observed(offered, &mut obs);
         (report, Some(obs.history().len()))
