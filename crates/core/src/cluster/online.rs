@@ -79,9 +79,11 @@ impl ProvisionSource {
 pub struct IntervalOutcome {
     /// Interval start, seconds.
     pub t_secs: f64,
-    /// The allocation chosen (empty when provisioning failed).
+    /// The allocation chosen (when provisioning failed, the whole fleet,
+    /// booked to workload 0).
     pub allocation: Allocation,
-    /// Provisioned power of the allocation.
+    /// Provisioned power of the allocation (when provisioning failed, the
+    /// whole fleet's, see [`full_fleet_power`]).
     pub power_w: f64,
     /// Activated servers.
     pub activated: u32,
@@ -272,11 +274,10 @@ fn run_online_impl(
                 for (stype, cap) in fleet.iter() {
                     full.add(stype, 0, cap);
                 }
-                let power_w = full.provisioned_power(table, &workloads).value();
                 intervals.push(IntervalOutcome {
                     t_secs,
                     allocation: full,
-                    power_w,
+                    power_w: full_fleet_power(&fleet, table, &workloads),
                     activated: fleet.total(),
                     feasible: false,
                     error: Some(e),
@@ -288,6 +289,22 @@ fn run_online_impl(
         policy: policy.name(),
         intervals,
     }
+}
+
+/// The power an infeasible interval records: the whole `fleet` activated,
+/// each server priced at its most power-hungry profiled workload, so the
+/// figure agrees with the `fleet.total()` servers it reports.
+fn full_fleet_power(fleet: &Fleet, table: &EfficiencyTable, workloads: &[ModelKind]) -> f64 {
+    fleet
+        .iter()
+        .map(|(stype, cap)| {
+            let peak = workloads
+                .iter()
+                .filter_map(|&m| table.get(m, stype).map(|e| e.power.value()))
+                .fold(0.0, f64::max);
+            peak * cap as f64
+        })
+        .sum()
 }
 
 /// One interval of a co-located vs. dedicated provisioning comparison.
@@ -398,19 +415,7 @@ pub fn run_online_colocated(
     let r = over_provision.unwrap_or_else(|| estimate_over_provision(traces));
     let workloads: Vec<ModelKind> = traces.iter().map(|t| t.model).collect();
 
-    // Fallback budget for infeasible intervals: the whole fleet activated,
-    // each server priced at its most power-hungry profiled workload (so the
-    // power figure is consistent with the `fleet.total()` server count).
-    let full_fleet_power: f64 = fleet
-        .iter()
-        .map(|(stype, cap)| {
-            let peak = workloads
-                .iter()
-                .filter_map(|&m| table.get(m, stype).map(|e| e.power.value()))
-                .fold(0.0, f64::max);
-            peak * cap as f64
-        })
-        .sum();
+    let fallback_power = full_fleet_power(fleet, table, &workloads);
 
     let mut intervals = Vec::with_capacity(steps);
     for i in 0..steps {
@@ -430,7 +435,7 @@ pub fn run_online_colocated(
                     a.provisioned_power(table, &workloads).value(),
                     true,
                 ),
-                Err(_) => (fleet.total(), full_fleet_power, false),
+                Err(_) => (fleet.total(), fallback_power, false),
             };
         match scheduler.provision_colocated(&req) {
             Ok(allocation) => {
@@ -453,7 +458,7 @@ pub fn run_online_colocated(
                 allocation: ColocatedAllocation::new(),
                 colocated_servers: fleet.total(),
                 dedicated_servers,
-                colocated_power_w: full_fleet_power,
+                colocated_power_w: fallback_power,
                 dedicated_power_w,
                 feasible: false,
                 dedicated_feasible,
@@ -695,6 +700,41 @@ mod tests {
         assert!(report.max_servers_saved() >= 1);
         // Savings never go negative on feasible intervals for these loads.
         assert!(report.server_intervals_saved() > 0);
+    }
+
+    #[test]
+    fn infeasible_intervals_price_the_whole_fleet_alike() {
+        use crate::cluster::policies::ColocationScheduler;
+        // Workload 0 has no T7 entry: booking the whole fleet to it must
+        // not price the T7 at 0 W.
+        let mut fleet = Fleet::empty();
+        fleet.set(ServerType::T2, 1).set(ServerType::T7, 1);
+        let table = EfficiencyTable::from_entries([
+            ((ModelKind::DlrmRmc1, ServerType::T2), entry(1000.0, 250.0)),
+            ((ModelKind::DlrmRmc2, ServerType::T2), entry(700.0, 250.0)),
+            ((ModelKind::DlrmRmc2, ServerType::T7), entry(2100.0, 600.0)),
+        ]);
+        let flat = |model| WorkloadTrace {
+            model,
+            load: DiurnalPattern::service_a(Qps(1e6)).sample(1, 1440, 0.0, 1),
+        };
+        let tr = [flat(ModelKind::DlrmRmc1), flat(ModelKind::DlrmRmc2)];
+        let mut policy = HerculesScheduler::new(SolverChoice::BranchAndBound);
+        let report = run_online(&fleet, &table, &tr, &mut policy, Some(0.0));
+        let i = &report.intervals[0];
+        assert!(!i.feasible);
+        assert_eq!((i.activated, i.power_w), (2, 850.0));
+        let report = run_online_colocated(
+            &fleet,
+            &table,
+            &tr,
+            &ColocationScheduler::default(),
+            &mut policy,
+            Some(0.0),
+        );
+        let i = &report.intervals[0];
+        assert!(!i.dedicated_feasible);
+        assert_eq!((i.dedicated_servers, i.dedicated_power_w), (2, 850.0));
     }
 
     #[test]
