@@ -32,8 +32,8 @@ pub(crate) struct SyncQueue<T> {
     not_full: Condvar,
     capacity: usize,
     /// Lock-free mirror of the current depth, maintained under the lock:
-    /// observers read queue depth without contending on the mutex the
-    /// serving path uses.
+    /// the dispatcher and observers read queue depth without contending on
+    /// the mutex the serving path uses.
     depth: AtomicUsize,
 }
 
@@ -53,13 +53,9 @@ impl<T> SyncQueue<T> {
         }
     }
 
-    /// Current depth (racy by nature; used for admission estimates).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").items.len()
-    }
-
     /// Current depth without taking the lock (racy by nature; the
-    /// observer's queue-depth gauge).
+    /// dispatcher's admission estimate and the observer's queue-depth
+    /// gauge).
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
     }
@@ -177,7 +173,6 @@ mod tests {
     fn fifo_and_close_semantics() {
         let q = SyncQueue::new(8);
         assert!(q.try_push_all([1, 2, 3].into_iter()));
-        assert_eq!(q.len(), 3);
         assert_eq!(q.depth(), 3, "lock-free mirror tracks the depth");
         assert_eq!(q.pop_wait(), Some(1));
         assert_eq!(q.depth(), 2);
@@ -196,7 +191,7 @@ mod tests {
         let q = SyncQueue::new(4);
         assert!(q.try_push_all([1, 2, 3].into_iter()));
         assert!(!q.try_push_all([4, 5].into_iter()), "only one slot left");
-        assert_eq!(q.len(), 3, "failed push enqueued nothing");
+        assert_eq!(q.depth(), 3, "failed push enqueued nothing");
         assert!(q.try_push_all([4].into_iter()));
     }
 

@@ -301,23 +301,9 @@ impl<'a> VirtStepper<'a> {
         obs.tick(|plane| hooks.pipe.read_plane(plane, t, &counters, self.views()));
     }
 
-    /// Queries admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.server.hooks.dispatch.admission.admitted()
-    }
-
     /// Queries shed so far (admission + backpressure + forced).
     pub fn shed(&self) -> u64 {
         self.server.hooks.dispatch.admission.shed()
-    }
-
-    /// Queries admitted but not yet retired.
-    pub fn in_flight(&self) -> u64 {
-        self.server.hooks.pipe.table.in_flight()
-    }
-
-    pub fn suspect_workers(&self) -> u32 {
-        self.server.hooks.pipe.controls.suspect_count()
     }
 
     pub fn dead_workers(&self) -> u32 {

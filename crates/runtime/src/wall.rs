@@ -295,7 +295,7 @@ impl Wall<'_, '_> {
                     i as u32,
                     q.arrival,
                     q.size,
-                    ingress.len(),
+                    ingress.depth(),
                     |subs| ingress.try_push_all(subs),
                 );
             }

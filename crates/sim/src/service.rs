@@ -86,14 +86,9 @@ impl StageService {
     }
 
     /// Cost of one batch of `items` through this stage (quantized and
-    /// memoized).
-    pub fn cost(&self, items: u32) -> BatchCost {
-        (*self.cost_shared(items)).clone()
-    }
-
-    /// [`StageService::cost`] behind shared ownership: a cache hit clones
-    /// only the `Arc`, so the runtime's dispatch loop stays heap-allocation
-    /// free once every quantized batch size has been priced.
+    /// memoized), behind shared ownership: a cache hit clones only the
+    /// `Arc`, so the runtime's dispatch loop stays heap-allocation free
+    /// once every quantized batch size has been priced.
     pub fn cost_shared(&self, items: u32) -> Arc<BatchCost> {
         let q = quantize(items);
         if let Some(c) = self.cache.lock().expect("stage cache poisoned").get(&q) {
@@ -677,10 +672,10 @@ mod tests {
         )
         .unwrap();
         let svc = &t.front.unwrap().svc;
-        let a = svc.cost(100);
-        let b = svc.cost(128); // same quantization bucket
+        let a = svc.cost_shared(100);
+        let b = svc.cost_shared(128); // same quantization bucket
         assert_eq!(a.latency, b.latency);
-        let c = svc.cost(512);
+        let c = svc.cost_shared(512);
         assert!(c.latency > a.latency);
     }
 
@@ -705,7 +700,7 @@ mod tests {
         let model = fb.svc.cache_model().expect("cache plan built");
         assert!(model.overall_hit_rate() > 0.0);
         assert!(
-            fb.svc.cost(256).latency < fa.svc.cost(256).latency,
+            fb.svc.cost_shared(256).latency < fa.svc.cost_shared(256).latency,
             "hot-tier hits must shorten the sparse stage"
         );
     }

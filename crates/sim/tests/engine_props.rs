@@ -110,7 +110,7 @@ proptest! {
         let topo =
             hercules_sim::build_topology(&model, &server, &plan, &hercules_sim::NmpLutCache::new())
                 .unwrap();
-        let floor = topo.front.as_ref().unwrap().svc.cost(1).latency;
+        let floor = topo.front.as_ref().unwrap().svc.cost_shared(1).latency;
         prop_assert!(r.p50 >= floor, "p50 {} < floor {}", r.p50, floor);
     }
 
