@@ -83,7 +83,8 @@ pub struct IntervalOutcome {
     /// booked to workload 0).
     pub allocation: Allocation,
     /// Provisioned power of the allocation (when provisioning failed, the
-    /// whole fleet's, see [`full_fleet_power`]).
+    /// whole fleet's, each server priced at its most power-hungry profiled
+    /// workload).
     pub power_w: f64,
     /// Activated servers.
     pub activated: u32,
