@@ -105,7 +105,7 @@ fn solve_square(rows: &[(&[f64], f64)]) -> Option<Vec<f64>> {
 fn best_vertex(lp: &LinearProgram) -> Option<f64> {
     let n = lp.num_vars();
     let unit: Vec<Vec<f64>> = (0..n)
-        .map(|j| (0..n).map(|k| f64::from(u8::from(j == k))).collect())
+        .map(|j| (0..n).map(|k| if j == k { 1.0 } else { 0.0 }).collect())
         .collect();
     let planes: Vec<(&[f64], f64)> = lp
         .constraints()
