@@ -8,31 +8,21 @@ use hercules_sim::PlacementPlan;
 use crate::eval::{CachedEvaluator, Evaluation};
 use crate::search::SearchOutcome;
 
-/// DeepRecSys-style CPU scheduling: model-based with one inference thread
-/// per physical core (`m = cores`, `o = 1`), hill-climbing over the batch
-/// size only (`Psp(D)`).
-pub fn deeprecsys_search(ev: &mut CachedEvaluator, batch_levels: &[u32]) -> SearchOutcome {
-    let threads = ev.ctx().server.cpu.cores;
+/// Climbs a baseline's one-knob plan ladder in order, keeping the best plan:
+/// stops at the first plan that does not beat it, or that misses the SLA
+/// after a feasible one (DeepRecSys's hill climbing).
+fn climb(
+    ev: &mut CachedEvaluator,
+    ladder: impl IntoIterator<Item = PlacementPlan>,
+) -> SearchOutcome {
     let mut visited = Vec::new();
     let mut best: Option<Evaluation> = None;
-    for &batch in batch_levels {
-        let plan = PlacementPlan::CpuModel {
-            threads,
-            workers: 1,
-            batch,
-        };
+    for plan in ladder {
         visited.push(plan);
         match ev.evaluate(&plan) {
-            Some(e) => {
-                if best.as_ref().map_or(true, |b| e.qps > b.qps) {
-                    best = Some(e);
-                } else {
-                    // Hill climbing: stop at the first regression.
-                    break;
-                }
-            }
-            None if best.is_some() => break,
-            None => {}
+            Some(e) if best.as_ref().map_or(true, |b| e.qps > b.qps) => best = Some(e),
+            None if best.is_none() => {}
+            _ => break,
         }
     }
     SearchOutcome {
@@ -42,47 +32,39 @@ pub fn deeprecsys_search(ev: &mut CachedEvaluator, batch_levels: &[u32]) -> Sear
     }
 }
 
+/// DeepRecSys-style CPU scheduling: model-based with one inference thread
+/// per physical core (`m = cores`, `o = 1`), hill-climbing over the batch
+/// size only (`Psp(D)`).
+pub fn deeprecsys_search(ev: &mut CachedEvaluator, batch_levels: &[u32]) -> SearchOutcome {
+    let threads = ev.ctx().server.cpu.cores;
+    let ladder = batch_levels.iter().map(|&batch| PlacementPlan::CpuModel {
+        threads,
+        workers: 1,
+        batch,
+    });
+    climb(ev, ladder)
+}
+
 /// Baymax-style accelerator scheduling: model co-location only (no query
-/// fusion) — increase co-located instances while throughput improves.
+/// fusion) — increase co-located instances while throughput improves. A
+/// server without an accelerator gets an empty ladder.
 ///
 /// Production-scale models use a fixed host cold-sparse pool (the baseline
 /// did not explore that dimension).
 pub fn baymax_search(ev: &mut CachedEvaluator, max_colocated: u32) -> SearchOutcome {
-    let mut visited = Vec::new();
-    let mut best: Option<Evaluation> = None;
-    if !ev.ctx().server.has_gpu() {
-        return SearchOutcome {
-            best,
-            evaluations: ev.evaluations(),
-            visited,
-        };
-    }
     let host_threads = (ev.ctx().server.cpu.cores / 2).max(1);
-    for g in 1..=max_colocated {
-        let plan = PlacementPlan::GpuModel {
-            colocated: g,
-            fusion_limit: None,
-            host_sparse_threads: host_threads,
-            host_batch: 256,
-        };
-        visited.push(plan);
-        match ev.evaluate(&plan) {
-            Some(e) => {
-                if best.as_ref().map_or(true, |b| e.qps > b.qps) {
-                    best = Some(e);
-                } else {
-                    break;
-                }
-            }
-            None if best.is_some() => break,
-            None => {}
-        }
-    }
-    SearchOutcome {
-        best,
-        evaluations: ev.evaluations(),
-        visited,
-    }
+    let top = if ev.ctx().server.has_gpu() {
+        max_colocated
+    } else {
+        0
+    };
+    let ladder = (1..=top).map(|colocated| PlacementPlan::GpuModel {
+        colocated,
+        fusion_limit: None,
+        host_sparse_threads: host_threads,
+        host_batch: 256,
+    });
+    climb(ev, ladder)
 }
 
 /// The paper's combined baseline task scheduler: DeepRecSys on the CPU and

@@ -73,9 +73,10 @@ impl GradientOptions {
 ///
 /// When the start point itself cannot meet the SLA (common for heavy
 /// production models at minimal parallelism), the walk advances through
-/// infeasible territory — moving along candidate directions without a
-/// feasibility requirement — until the first feasible configuration is
-/// found, then climbs normally.
+/// infeasible territory — any feasible candidate counts as an improvement,
+/// and with none it steps to the first candidate move — until it reaches a
+/// feasible configuration, then climbs normally. At most 4096 infeasible
+/// steps are taken (the move lattice is finite).
 ///
 /// Each step's candidate moves are independent simulator runs, so they are
 /// batch-evaluated on up to `parallelism` threads
@@ -92,70 +93,36 @@ fn hill_walk<S: Clone>(
 ) -> Option<Evaluation> {
     let start_plan = plan_of(&start);
     visited.push(start_plan);
-    let mut cur_state = start;
-    let mut cur = match ev.evaluate(&start_plan) {
-        Some(e) => e,
-        None => {
-            // Advance through infeasible configurations: at each step take
-            // the first candidate move and probe all of them for a feasible
-            // point. Bounded by the (finite) move lattice.
-            let mut state = cur_state.clone();
-            let mut found: Option<(S, Evaluation)> = None;
-            for _ in 0..4096 {
-                let cands = moves(&state);
-                if cands.is_empty() {
-                    break;
-                }
-                let plans: Vec<PlacementPlan> = cands.iter().map(&plan_of).collect();
-                visited.extend(plans.iter().copied());
-                let evals = ev.evaluate_batch(&plans, parallelism);
-                for (cand, eval) in cands.iter().zip(evals) {
-                    if let Some(e) = eval {
-                        let better = match &found {
-                            None => true,
-                            Some((_, b)) => e.qps > b.qps,
-                        };
-                        if better {
-                            found = Some((cand.clone(), e));
-                        }
-                    }
-                }
-                if found.is_some() {
-                    break;
-                }
-                state = cands.into_iter().next().expect("non-empty");
-            }
-            let (s, e) = found?;
-            cur_state = s;
-            e
-        }
-    };
+    let mut cur = ev.evaluate(&start_plan);
+    let mut state = start;
+    let mut infeasible_steps = 0;
     loop {
-        let cands = moves(&cur_state);
+        let cands = moves(&state);
         let plans: Vec<PlacementPlan> = cands.iter().map(&plan_of).collect();
         visited.extend(plans.iter().copied());
         let evals = ev.evaluate_batch(&plans, parallelism);
-        let mut best_next: Option<(S, Evaluation)> = None;
-        for (cand, eval) in cands.into_iter().zip(evals) {
-            if let Some(e) = eval {
-                if e.qps > cur.qps {
-                    let better = match &best_next {
-                        None => true,
-                        Some((_, b)) => e.qps > b.qps,
-                    };
-                    if better {
-                        best_next = Some((cand, e));
-                    }
-                }
+        let mut best_next: Option<(&S, Evaluation)> = None;
+        for (cand, e) in cands.iter().zip(evals) {
+            let Some(e) = e else { continue };
+            // Beat the best candidate so far, else the current point; while
+            // the walk is infeasible there is no point to beat.
+            let bar = best_next.as_ref().map(|(_, b)| b).or(cur.as_ref());
+            if bar.map_or(true, |b| e.qps > b.qps) {
+                best_next = Some((cand, e));
             }
         }
-        match best_next {
-            Some((s, e)) => {
-                cur_state = s;
-                cur = e;
+        match (best_next, cands.first()) {
+            (Some((next, e)), _) => {
+                state = next.clone();
+                cur = Some(e);
             }
-            // All candidates regressed or were infeasible: convex peak.
-            None => return Some(cur),
+            // Every candidate regressed or was infeasible: convex peak.
+            _ if cur.is_some() => return cur,
+            (None, Some(first)) if infeasible_steps < 4096 => {
+                infeasible_steps += 1;
+                state = first.clone();
+            }
+            (None, _) => return None,
         }
     }
 }
