@@ -325,33 +325,51 @@ pub fn build_topology(
         .mem
         .nmp_ways
         .map(|_| luts.get_or_build(server.mem.total_ranks()));
+    // One constructor per pool kind: a host CPU pool, and the GPU stage.
+    let cpu_pool = |threads, graph, tables, workers, colocated_threads| FrontStage {
+        threads,
+        svc: StageService::new(
+            graph,
+            tables,
+            StageDevice::Cpu {
+                server: server.clone(),
+                workers,
+                colocated_threads,
+                nmp: nmp.clone(),
+            },
+        ),
+    };
+    let gpu_stage = |colocated, fusion_limit, bytes_per_item, graph, tables| BackStage::Gpu {
+        colocated,
+        fusion_limit,
+        bytes_per_item,
+        svc: StageService::new(
+            graph,
+            tables,
+            StageDevice::Gpu {
+                server: server.clone(),
+                colocated,
+            },
+        ),
+    };
 
     match *plan {
         PlacementPlan::CpuModel {
             threads,
             workers,
             batch,
-        } => {
-            let (graph, _) = fuse_elementwise(&model.graph);
-            Ok(Topology {
-                front: Some(FrontStage {
-                    threads,
-                    svc: StageService::new(
-                        graph,
-                        model.tables.clone(),
-                        StageDevice::Cpu {
-                            server: server.clone(),
-                            workers,
-                            colocated_threads: threads,
-                            nmp,
-                        },
-                    ),
-                }),
-                back: BackStage::None,
-                split_batch: Some(batch),
-                hot_hit_rate: 0.0,
-            })
-        }
+        } => Ok(Topology {
+            front: Some(cpu_pool(
+                threads,
+                fuse_elementwise(&model.graph).0,
+                model.tables.clone(),
+                workers,
+                threads,
+            )),
+            back: BackStage::None,
+            split_batch: Some(batch),
+            hot_hit_rate: 0.0,
+        }),
         PlacementPlan::CpuSdPipeline {
             sparse_threads,
             sparse_workers,
@@ -359,34 +377,26 @@ pub fn build_topology(
             batch,
         } => {
             let sd = sparse_dense(model);
-            let (dense, _) = fuse_elementwise(&sd.dense);
             let total_threads = sparse_threads + dense_threads;
+            let front = cpu_pool(
+                sparse_threads,
+                sd.sparse,
+                model.tables.clone(),
+                sparse_workers,
+                total_threads,
+            );
+            let dense = cpu_pool(
+                dense_threads,
+                fuse_elementwise(&sd.dense).0,
+                model.tables.clone(),
+                1,
+                total_threads,
+            );
             Ok(Topology {
-                front: Some(FrontStage {
-                    threads: sparse_threads,
-                    svc: StageService::new(
-                        sd.sparse,
-                        model.tables.clone(),
-                        StageDevice::Cpu {
-                            server: server.clone(),
-                            workers: sparse_workers,
-                            colocated_threads: total_threads,
-                            nmp: nmp.clone(),
-                        },
-                    ),
-                }),
+                front: Some(front),
                 back: BackStage::HostPool {
-                    threads: dense_threads,
-                    svc: StageService::new(
-                        dense,
-                        model.tables.clone(),
-                        StageDevice::Cpu {
-                            server: server.clone(),
-                            workers: 1,
-                            colocated_threads: total_threads,
-                            nmp,
-                        },
-                    ),
+                    threads: dense.threads,
+                    svc: dense.svc,
                 },
                 split_batch: Some(batch),
                 hot_hit_rate: 0.0,
@@ -402,76 +412,54 @@ pub fn build_topology(
             let fits_whole =
                 MemBytes::from_bytes(model.total_table_size().as_bytes() * colocated as u64)
                     <= gpu.memory;
+            if !fits_whole && host_sparse_threads == 0 {
+                return Err(PlanError::ZeroParameter);
+            }
+            let (graph, _) = fuse_elementwise(&model.graph);
             if fits_whole {
-                let (graph, _) = fuse_elementwise(&model.graph);
                 let bytes_per_item =
                     model.graph.loading_bytes_per_item(&model.tables) + model.dense_in as f64 * 4.0;
-                Ok(Topology {
+                return Ok(Topology {
                     front: None,
-                    back: BackStage::Gpu {
+                    back: gpu_stage(
                         colocated,
                         fusion_limit,
                         bytes_per_item,
-                        svc: StageService::new(
-                            graph,
-                            model.tables.clone(),
-                            StageDevice::Gpu {
-                                server: server.clone(),
-                                colocated,
-                            },
-                        ),
-                    },
+                        graph,
+                        model.tables.clone(),
+                    ),
                     split_batch: None,
                     hot_hit_rate: 1.0,
-                })
-            } else {
-                if host_sparse_threads == 0 {
-                    return Err(PlanError::ZeroParameter);
-                }
-                // Capacity budget per thread: memory / co-location, with 10%
-                // headroom for dense weights and activations (§IV-B).
-                let budget =
-                    MemBytes::from_bytes((gpu.memory.as_f64() * 0.9 / colocated as f64) as u64);
-                let hot = hot_partition(model, budget);
-                let hit = hot.overall_hit_rate;
+                });
+            }
+            // Capacity budget per thread: memory / co-location, with 10%
+            // headroom for dense weights and activations (§IV-B).
+            let budget =
+                MemBytes::from_bytes((gpu.memory.as_f64() * 0.9 / colocated as f64) as u64);
+            let hot = hot_partition(model, budget);
+            let hit = hot.overall_hit_rate;
+            let bytes_per_item = hot.loading_bytes_per_item + model.dense_in as f64 * 4.0;
+            Ok(Topology {
+                // Host pre-pools the cold share of the SparseNet.
+                front: Some(cpu_pool(
+                    host_sparse_threads,
+                    hot.gs_hot,
+                    scale_tables(&model.tables, 1.0 - hit),
+                    1,
+                    host_sparse_threads,
+                )),
                 // GPU runs Gs.hot + Gd: the full graph with gather traffic
                 // scaled to the hot share.
-                let (gpu_graph, _) = fuse_elementwise(&model.graph);
-                let gpu_tables = scale_tables(&model.tables, hit);
-                // Host pre-pools the cold share of the SparseNet.
-                let host_tables = scale_tables(&model.tables, 1.0 - hit);
-                let bytes_per_item = hot.loading_bytes_per_item + model.dense_in as f64 * 4.0;
-                Ok(Topology {
-                    front: Some(FrontStage {
-                        threads: host_sparse_threads,
-                        svc: StageService::new(
-                            hot.gs_hot.clone(),
-                            host_tables,
-                            StageDevice::Cpu {
-                                server: server.clone(),
-                                workers: 1,
-                                colocated_threads: host_sparse_threads,
-                                nmp,
-                            },
-                        ),
-                    }),
-                    back: BackStage::Gpu {
-                        colocated,
-                        fusion_limit,
-                        bytes_per_item,
-                        svc: StageService::new(
-                            gpu_graph,
-                            gpu_tables,
-                            StageDevice::Gpu {
-                                server: server.clone(),
-                                colocated,
-                            },
-                        ),
-                    },
-                    split_batch: Some(host_batch),
-                    hot_hit_rate: hit,
-                })
-            }
+                back: gpu_stage(
+                    colocated,
+                    fusion_limit,
+                    bytes_per_item,
+                    graph,
+                    scale_tables(&model.tables, hit),
+                ),
+                split_batch: Some(host_batch),
+                hot_hit_rate: hit,
+            })
         }
         PlacementPlan::HybridSdPipeline {
             sparse_threads,
@@ -481,35 +469,22 @@ pub fn build_topology(
             batch,
         } => {
             let sd = sparse_dense(model);
-            let (dense, _) = fuse_elementwise(&sd.dense);
             let bytes_per_item = sd.cut_bytes_per_item + model.dense_in as f64 * 4.0;
             Ok(Topology {
-                front: Some(FrontStage {
-                    threads: sparse_threads,
-                    svc: StageService::new(
-                        sd.sparse,
-                        model.tables.clone(),
-                        StageDevice::Cpu {
-                            server: server.clone(),
-                            workers: sparse_workers,
-                            colocated_threads: sparse_threads,
-                            nmp,
-                        },
-                    ),
-                }),
-                back: BackStage::Gpu {
-                    colocated: gpu_colocated,
+                front: Some(cpu_pool(
+                    sparse_threads,
+                    sd.sparse,
+                    model.tables.clone(),
+                    sparse_workers,
+                    sparse_threads,
+                )),
+                back: gpu_stage(
+                    gpu_colocated,
                     fusion_limit,
                     bytes_per_item,
-                    svc: StageService::new(
-                        dense,
-                        model.tables.clone(),
-                        StageDevice::Gpu {
-                            server: server.clone(),
-                            colocated: gpu_colocated,
-                        },
-                    ),
-                },
+                    fuse_elementwise(&sd.dense).0,
+                    model.tables.clone(),
+                ),
                 split_batch: Some(batch),
                 hot_hit_rate: 0.0,
             })
