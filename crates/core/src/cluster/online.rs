@@ -79,14 +79,14 @@ impl ProvisionSource {
 pub struct IntervalOutcome {
     /// Interval start, seconds.
     pub t_secs: f64,
-    /// The allocation chosen (when provisioning failed, the whole fleet,
-    /// booked to workload 0).
+    /// The allocation chosen. When provisioning failed, the whole fleet:
+    /// each server type booked to its most power-hungry profiled workload
+    /// (the lowest index on ties; workload 0 when none is profiled on that
+    /// type).
     pub allocation: Allocation,
-    /// Provisioned power of the allocation (when provisioning failed, the
-    /// whole fleet's, each server priced at its most power-hungry profiled
-    /// workload).
+    /// Provisioned power of the allocation.
     pub power_w: f64,
-    /// Activated servers.
+    /// Activated servers of the allocation.
     pub activated: u32,
     /// Whether the policy satisfied the loads this interval.
     pub feasible: bool,
@@ -232,6 +232,45 @@ fn run_online_impl(
     over_provision: Option<f64>,
     source: ProvisionSource,
 ) -> ClusterRunReport {
+    let (r, workloads) = check_traces(traces, over_provision);
+    let intervals = (0..traces[0].load.len())
+        .map(|i| {
+            let fleet = fleet_at(i);
+            let loads = loads_at(traces, source.index(i));
+            let req = ProvisionRequest {
+                fleet: &fleet,
+                table,
+                workloads: &workloads,
+                loads: &loads,
+                over_provision: r,
+            };
+            let (allocation, error) = match policy.provision(&req) {
+                Ok(allocation) => (allocation, None),
+                // Best effort: record the whole fleet as the fallback (the
+                // paper's experiments avoid this regime), and keep the
+                // structured failure reason alongside it.
+                Err(e) => (whole_fleet(&fleet, table, &workloads), Some(e)),
+            };
+            IntervalOutcome {
+                t_secs: traces[0].load.points()[i].0,
+                power_w: allocation.provisioned_power(table, &workloads).value(),
+                activated: allocation.activated_total(),
+                allocation,
+                feasible: error.is_none(),
+                error,
+            }
+        })
+        .collect();
+    ClusterRunReport {
+        policy: policy.name(),
+        intervals,
+    }
+}
+
+/// Checks that `traces` share one time grid, and returns the over-provision
+/// rate `R` (`over_provision`, or estimated from the traces) and the
+/// workloads in trace order.
+fn check_traces(traces: &[WorkloadTrace], over_provision: Option<f64>) -> (f64, Vec<ModelKind>) {
     assert!(!traces.is_empty(), "need at least one workload trace");
     let steps = traces[0].load.len();
     assert!(
@@ -239,73 +278,27 @@ fn run_online_impl(
         "traces must share a time grid"
     );
     let r = over_provision.unwrap_or_else(|| estimate_over_provision(traces));
-    let workloads: Vec<ModelKind> = traces.iter().map(|t| t.model).collect();
-
-    let mut intervals = Vec::with_capacity(steps);
-    for i in 0..steps {
-        let t_secs = traces[0].load.points()[i].0;
-        let j = source.index(i);
-        let loads: Vec<f64> = traces.iter().map(|t| t.load.points()[j].1).collect();
-        let fleet = fleet_at(i);
-        let req = ProvisionRequest {
-            fleet: &fleet,
-            table,
-            workloads: &workloads,
-            loads: &loads,
-            over_provision: r,
-        };
-        match policy.provision(&req) {
-            Ok(allocation) => {
-                let power_w = allocation.provisioned_power(table, &workloads).value();
-                let activated = allocation.activated_total();
-                intervals.push(IntervalOutcome {
-                    t_secs,
-                    allocation,
-                    power_w,
-                    activated,
-                    feasible: true,
-                    error: None,
-                });
-            }
-            Err(e) => {
-                // Best effort: record a fully-provisioned fleet as the
-                // fallback (the paper's experiments avoid this regime), and
-                // keep the structured failure reason alongside it.
-                let mut full = Allocation::new();
-                for (stype, cap) in fleet.iter() {
-                    full.add(stype, 0, cap);
-                }
-                intervals.push(IntervalOutcome {
-                    t_secs,
-                    allocation: full,
-                    power_w: full_fleet_power(&fleet, table, &workloads),
-                    activated: fleet.total(),
-                    feasible: false,
-                    error: Some(e),
-                });
-            }
-        }
-    }
-    ClusterRunReport {
-        policy: policy.name(),
-        intervals,
-    }
+    (r, traces.iter().map(|t| t.model).collect())
 }
 
-/// The power an infeasible interval records: the whole `fleet` activated,
-/// each server priced at its most power-hungry profiled workload, so the
-/// figure agrees with the `fleet.total()` servers it reports.
-fn full_fleet_power(fleet: &Fleet, table: &EfficiencyTable, workloads: &[ModelKind]) -> f64 {
-    fleet
-        .iter()
-        .map(|(stype, cap)| {
-            let peak = workloads
-                .iter()
-                .filter_map(|&m| table.get(m, stype).map(|e| e.power.value()))
-                .fold(0.0, f64::max);
-            peak * cap as f64
-        })
-        .sum()
+/// Every trace's load at grid point `j`.
+fn loads_at(traces: &[WorkloadTrace], j: usize) -> Vec<f64> {
+    traces.iter().map(|t| t.load.points()[j].1).collect()
+}
+
+/// The allocation an infeasible interval records: the whole `fleet`, each
+/// server type booked to its most power-hungry profiled workload (the
+/// lowest index on ties; workload 0 when none is profiled on that type), so
+/// its power and server count are the whole fleet's.
+fn whole_fleet(fleet: &Fleet, table: &EfficiencyTable, workloads: &[ModelKind]) -> Allocation {
+    let mut all = Allocation::new();
+    for (stype, cap) in fleet.iter() {
+        let power = |w: usize| table.get(workloads[w], stype).map(|e| e.power);
+        let hungriest =
+            (1..workloads.len()).fold(0, |b, w| if power(w) > power(b) { w } else { b });
+        all.add(stype, hungriest, cap);
+    }
+    all
 }
 
 /// One interval of a co-located vs. dedicated provisioning comparison.
@@ -391,7 +384,7 @@ impl ColocationRunReport {
 
 /// Runs the co-location policy over diurnal `traces`, side by side with a
 /// `dedicated` baseline policy, so consolidation savings can be reported
-/// per interval.
+/// per interval. The dedicated side is [`run_online`]'s run of that policy.
 ///
 /// `over_provision`: `None` estimates `R` from the traces, as
 /// [`run_online`] does.
@@ -407,68 +400,54 @@ pub fn run_online_colocated(
     dedicated: &mut dyn Provisioner,
     over_provision: Option<f64>,
 ) -> ColocationRunReport {
-    assert!(!traces.is_empty(), "need at least one workload trace");
-    let steps = traces[0].load.len();
-    assert!(
-        traces.iter().all(|t| t.load.len() == steps),
-        "traces must share a time grid"
-    );
-    let r = over_provision.unwrap_or_else(|| estimate_over_provision(traces));
-    let workloads: Vec<ModelKind> = traces.iter().map(|t| t.model).collect();
-
-    let fallback_power = full_fleet_power(fleet, table, &workloads);
-
-    let mut intervals = Vec::with_capacity(steps);
-    for i in 0..steps {
-        let t_secs = traces[0].load.points()[i].0;
-        let loads: Vec<f64> = traces.iter().map(|t| t.load.points()[i].1).collect();
-        let req = ProvisionRequest {
-            fleet,
-            table,
-            workloads: &workloads,
-            loads: &loads,
-            over_provision: r,
-        };
-        let (dedicated_servers, dedicated_power_w, dedicated_feasible) =
-            match dedicated.provision(&req) {
-                Ok(a) => (
-                    a.activated_total(),
-                    a.provisioned_power(table, &workloads).value(),
-                    true,
-                ),
-                Err(_) => (fleet.total(), fallback_power, false),
+    let (r, workloads) = check_traces(traces, over_provision);
+    let baseline = run_online(fleet, table, traces, dedicated, Some(r));
+    let fallback_power = whole_fleet(fleet, table, &workloads)
+        .provisioned_power(table, &workloads)
+        .value();
+    let intervals = baseline
+        .intervals
+        .iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let loads = loads_at(traces, i);
+            let req = ProvisionRequest {
+                fleet,
+                table,
+                workloads: &workloads,
+                loads: &loads,
+                over_provision: r,
             };
-        match scheduler.provision_colocated(&req) {
-            Ok(allocation) => {
-                let colocated_power_w = allocation.provisioned_power(table, &workloads).value();
-                let colocated_servers = allocation.activated_total();
-                intervals.push(ColocatedIntervalOutcome {
-                    t_secs,
-                    allocation,
-                    colocated_servers,
-                    dedicated_servers,
-                    colocated_power_w,
-                    dedicated_power_w,
-                    feasible: true,
-                    dedicated_feasible,
-                    error: None,
-                });
+            let (colocated_servers, colocated_power_w, allocation, error) =
+                match scheduler.provision_colocated(&req) {
+                    Ok(a) => (
+                        a.activated_total(),
+                        a.provisioned_power(table, &workloads).value(),
+                        a,
+                        None,
+                    ),
+                    Err(e) => (
+                        fleet.total(),
+                        fallback_power,
+                        ColocatedAllocation::new(),
+                        Some(e),
+                    ),
+                };
+            ColocatedIntervalOutcome {
+                t_secs: d.t_secs,
+                allocation,
+                colocated_servers,
+                dedicated_servers: d.activated,
+                colocated_power_w,
+                dedicated_power_w: d.power_w,
+                feasible: error.is_none(),
+                dedicated_feasible: d.feasible,
+                error,
             }
-            Err(e) => intervals.push(ColocatedIntervalOutcome {
-                t_secs,
-                allocation: ColocatedAllocation::new(),
-                colocated_servers: fleet.total(),
-                dedicated_servers,
-                colocated_power_w: fallback_power,
-                dedicated_power_w,
-                feasible: false,
-                dedicated_feasible,
-                error: Some(e),
-            }),
-        }
-    }
+        })
+        .collect();
     ColocationRunReport {
-        dedicated_policy: dedicated.name(),
+        dedicated_policy: baseline.policy,
         intervals,
     }
 }
@@ -725,6 +704,15 @@ mod tests {
         let i = &report.intervals[0];
         assert!(!i.feasible);
         assert_eq!((i.activated, i.power_w), (2, 850.0));
+        // The recorded allocation is the fleet it prices: each type booked
+        // to its hungriest profiled workload.
+        let workloads = [ModelKind::DlrmRmc1, ModelKind::DlrmRmc2];
+        assert_eq!(
+            i.allocation.provisioned_power(&table, &workloads).value(),
+            850.0
+        );
+        let by_type: u32 = report.activated_by_type(0).iter().map(|&(_, n)| n).sum();
+        assert_eq!(by_type, i.activated);
         let report = run_online_colocated(
             &fleet,
             &table,
