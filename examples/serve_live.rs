@@ -33,7 +33,8 @@
 //!   snapshot per interval to `path` (NDJSON), or — when the path ends in
 //!   `.prom` — rewrites it in Prometheus text exposition format each
 //!   interval (the textfile-collector pattern). A path that cannot be
-//!   written, one in a missing directory say, panics before the run.
+//!   written, one in a missing directory say, panics before anything is
+//!   printed or built.
 //! * `--trace-out <path>` (or `HERCULES_TRACE_OUT`) enables sampled query
 //!   tracing (1-in-`HERCULES_TRACE_SAMPLE`, default 64) and writes the
 //!   collected spans as Chrome trace-event JSON after the run — load the
@@ -260,6 +261,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Open the metrics sink before anything is printed or built, so an
+    // unwritable path fails first.
+    let metrics_sink = metrics_out.as_deref().map(|path| {
+        let sink: std::io::Result<Box<dyn SnapshotSink>> = if path.ends_with(".prom") {
+            PrometheusFile::create(path).map(|s| Box::new(s) as _)
+        } else {
+            JsonLines::create(path).map(|s| Box::new(s) as _)
+        };
+        sink.unwrap_or_else(|e| panic!("cannot create metrics file {path:?}: {e}"))
+    });
 
     // The quickstart scenario: RMC1 production on a T2 under the canonical
     // CPU plan, against its paper SLA.
@@ -328,19 +339,13 @@ fn main() {
     // prints status lines, `--metrics-out` streams them to a file. Both
     // share one observer (and one polling period) so the run pays a single
     // read-side thread regardless of sink count.
-    let (wall, snapshots) = if stats.is_some() || metrics_out.is_some() {
+    let (wall, snapshots) = if stats.is_some() || metrics_sink.is_some() {
         let period = SimDuration::from_secs_f64(stats.unwrap_or(1.0));
         let mut obs = RuntimeObserver::every(period);
         if stats.is_some() {
             obs = obs.with_sink(Box::new(StatusLine));
         }
-        if let Some(path) = &metrics_out {
-            let sink: std::io::Result<Box<dyn SnapshotSink>> = if path.ends_with(".prom") {
-                PrometheusFile::create(path).map(|s| Box::new(s) as _)
-            } else {
-                JsonLines::create(path).map(|s| Box::new(s) as _)
-            };
-            let sink = sink.unwrap_or_else(|e| panic!("cannot create metrics file {path:?}: {e}"));
+        if let Some(sink) = metrics_sink {
             obs = obs.with_sink(sink);
         }
         let report = rt.serve_observed(offered, &mut obs);
