@@ -52,11 +52,6 @@ impl Exponential {
         Exponential { lambda }
     }
 
-    /// Creates an exponential distribution with the given mean.
-    pub fn with_mean(mean: f64) -> Self {
-        Exponential::with_rate(1.0 / mean)
-    }
-
     /// The distribution mean, `1/lambda`.
     pub fn mean(&self) -> f64 {
         1.0 / self.lambda
@@ -216,7 +211,6 @@ pub struct Zipf {
     // where the hat provably lies under the pmf (Hörmann & Derflinger's
     // `s` constant).
     threshold: f64,
-    dividing_s: f64,
 }
 
 impl Zipf {
@@ -254,18 +248,7 @@ impl Zipf {
             h_x1,
             h_n,
             threshold,
-            dividing_s: s,
         }
-    }
-
-    /// The number of ranks.
-    pub fn support(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew exponent.
-    pub fn exponent(&self) -> f64 {
-        self.dividing_s
     }
 
     fn h(&self, x: f64) -> f64 {
@@ -506,7 +489,7 @@ mod tests {
     #[test]
     fn exponential_mean_converges() {
         let mut rng = SimRng::seed_from(10);
-        let d = Exponential::with_mean(2.0);
+        let d = Exponential::with_rate(0.5);
         let samples: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
         let m = mean_of(&samples);
         assert!((m - 2.0).abs() < 0.05, "mean {m} != 2.0");

@@ -201,15 +201,6 @@ fn profile_pair_in(
     })
 }
 
-/// Profiles one (model, server) pair.
-pub fn profile_pair(
-    model: ModelKind,
-    server: ServerType,
-    cfg: &ProfilerConfig,
-) -> Option<EfficiencyEntry> {
-    profile_pair_in(model, server, cfg, &Arc::new(NmpLutCache::new()))
-}
-
 /// Profiles every (model, server) pair, fanning the cells out over up to
 /// [`ProfilerConfig::parallelism`] scoped OS threads.
 ///
@@ -298,8 +289,10 @@ mod tests {
     fn profile_pair_produces_tuple() {
         let mut cfg = ProfilerConfig::quick();
         cfg.sla_override = Some(SlaSpec::p95(SimDuration::from_millis(50)));
-        let entry =
-            profile_pair(ModelKind::DlrmRmc1, ServerType::T2, &cfg).expect("RMC1 on T2 feasible");
+        let table = profile(&[ModelKind::DlrmRmc1], &[ServerType::T2], &cfg);
+        let entry = table
+            .get(ModelKind::DlrmRmc1, ServerType::T2)
+            .expect("RMC1 on T2 feasible");
         assert!(entry.qps.value() > 50.0);
         assert!(entry.power.value() > 50.0);
         assert!(entry.qps_per_watt() > 0.0);

@@ -26,11 +26,6 @@ pub struct CpuSpec {
 }
 
 impl CpuSpec {
-    /// Peak single-precision FLOP/s of the whole socket.
-    pub fn peak_flops(&self) -> f64 {
-        self.cores as f64 * self.freq_ghz * 1e9 * self.flops_per_cycle
-    }
-
     /// Peak FLOP/s of one core.
     pub fn core_peak_flops(&self) -> f64 {
         self.freq_ghz * 1e9 * self.flops_per_cycle
@@ -216,9 +211,8 @@ mod tests {
 
     #[test]
     fn peak_flops_sane() {
-        // CPU-T2: 20 x 2 GHz x 64 = 2.56 TFLOP/s peak.
-        assert!((CPU_T2.peak_flops() - 2.56e12).abs() < 1e9);
-        assert!(CPU_T1.peak_flops() < CPU_T2.peak_flops());
+        // CPU-T2: 2 GHz x 64 = 128 GFLOP/s per core.
+        assert!((CPU_T2.core_peak_flops() - 1.28e11).abs() < 1e6);
         assert!(CPU_T2.core_peak_flops() > CPU_T1.core_peak_flops());
     }
 

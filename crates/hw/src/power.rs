@@ -90,11 +90,6 @@ impl PowerModel {
         let a = activity.clamped();
         self.idle_power() + self.cpu_dyn * a.cpu + self.mem_dyn * a.mem + self.gpu_dyn * a.gpu
     }
-
-    /// Power at full load (≈ the sum of component TDPs, plus NMP logic).
-    pub fn full_load_power(&self) -> Watts {
-        self.power_at(Activity::PEAK)
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +101,7 @@ mod tests {
     fn idle_below_full_load() {
         for t in ServerType::ALL {
             let pm = PowerModel::new(&t.spec());
-            assert!(pm.idle_power() < pm.full_load_power(), "{t}");
+            assert!(pm.idle_power() < pm.power_at(Activity::PEAK), "{t}");
             assert!(pm.idle_power().value() > 0.0);
         }
     }
@@ -115,7 +110,8 @@ mod tests {
     fn full_load_near_total_tdp() {
         let spec = ServerType::T7.spec();
         let pm = PowerModel::new(&spec);
-        let full = pm.full_load_power().value();
+        // Full load is about the sum of component TDPs, plus NMP logic.
+        let full = pm.power_at(Activity::PEAK).value();
         let tdp = spec.total_tdp().value();
         assert!((full - tdp).abs() / tdp < 0.05, "full {full} vs tdp {tdp}");
     }

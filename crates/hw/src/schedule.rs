@@ -46,15 +46,6 @@ impl OpSchedule {
         let capacity = self.makespan.as_secs_f64() * self.workers as f64;
         (1.0 - self.busy.as_secs_f64() / capacity).max(0.0)
     }
-
-    /// Average number of busy workers over the makespan.
-    pub fn avg_parallelism(&self) -> f64 {
-        if self.makespan == SimDuration::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / self.makespan.as_secs_f64()
-        }
-    }
 }
 
 /// Greedily schedules `graph` onto `workers` parallel operator workers.
@@ -176,7 +167,6 @@ mod tests {
         let s = list_schedule(&g, 1, |_| SimDuration::from_micros(10));
         assert_eq!(s.makespan, SimDuration::from_micros(70)); // 7 ops x 10us
         assert!((s.idle_fraction()).abs() < 1e-9);
-        assert!((s.avg_parallelism() - 1.0).abs() < 1e-9);
     }
 
     #[test]

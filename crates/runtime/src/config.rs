@@ -32,11 +32,6 @@ impl ClockMode {
     pub fn wall() -> Self {
         ClockMode::Wall { time_scale: 1.0 }
     }
-
-    /// Whether this is the deterministic virtual clock.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, ClockMode::Virtual)
-    }
 }
 
 /// How the wall-clock front pool spends a sub-query's sparse (embedding
@@ -408,7 +403,7 @@ mod tests {
         assert_eq!(rt.duration, sim.duration);
         assert_eq!(rt.warmup_fraction, sim.warmup_fraction);
         assert_eq!(rt.seed, sim.seed);
-        assert!(rt.clock.is_virtual());
+        assert_eq!(rt.clock, ClockMode::Virtual);
         assert_eq!(rt.admission.budget, None);
         assert_eq!(rt.gather, GatherMode::Synthetic);
         assert_eq!(rt.affinity, PinPolicy::None);
@@ -483,7 +478,7 @@ mod tests {
             .with_batch(BatchPolicy {
                 max_delay: SimDuration::from_millis(1),
             });
-        assert!(!cfg.clock.is_virtual());
+        assert_ne!(cfg.clock, ClockMode::Virtual);
         assert_eq!(cfg.queue_depth, 1, "depth clamps to at least one");
         assert_eq!(cfg.batch.max_delay, SimDuration::from_millis(1));
     }

@@ -236,14 +236,6 @@ impl EmbeddingCacheShard {
     pub fn predicted_hit_rate(&self) -> f64 {
         self.predicted_hit_rate
     }
-
-    /// Total row slots across all table shards.
-    pub fn capacity_rows(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(|t| t.sets as u64 * CACHE_WAYS as u64)
-            .sum()
-    }
 }
 
 /// Per-worker scratch for [`EmbeddingArena::gather`]: the pooled-output
@@ -651,7 +643,6 @@ mod tests {
             "warmed hot tier too cold: {}",
             total.hit_rate()
         );
-        assert!(shard.capacity_rows() > 0);
         assert!(shard.predicted_hit_rate() > 0.0);
     }
 
@@ -704,7 +695,6 @@ mod tests {
             EmbeddingArena::build(&specs, MemBytes::from_mib(64), 7, &InitPlacement::Serial);
         let model = CacheModel::plan(CacheSpec::per_worker_mib(0), &specs);
         let mut shard = arena.cache_shard(&model);
-        assert_eq!(shard.capacity_rows(), 0);
         let mut scratch = GatherScratch::with_dim(arena.max_dim());
         let mut rng = SimRng::seed_from(1);
         let (out, stats) = arena.gather_cached(32, &mut rng, &mut scratch, &mut shard);

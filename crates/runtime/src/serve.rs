@@ -58,16 +58,6 @@ impl ServingRuntime {
         })
     }
 
-    /// The execution topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The server this runtime models.
-    pub fn server(&self) -> &ServerSpec {
-        &self.server
-    }
-
     /// The runtime configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.cfg

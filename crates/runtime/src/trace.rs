@@ -178,11 +178,6 @@ impl TraceRing {
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
-
-    /// Events lost to overwriting.
-    pub fn dropped(&self) -> u64 {
-        self.recorded - self.events.len() as u64
-    }
 }
 
 /// Renders events as Chrome trace-event JSON (the object form, with a
@@ -285,7 +280,6 @@ mod tests {
             r.push(ev(q));
         }
         assert_eq!(r.recorded(), 6);
-        assert_eq!(r.dropped(), 2);
         let qs: Vec<u32> = r.events_in_order().iter().map(|e| e.query).collect();
         assert_eq!(qs, vec![2, 3, 4, 5], "oldest overwritten, order kept");
         assert_eq!(r.events.capacity(), 4, "never grew");

@@ -61,16 +61,6 @@ impl QuerySizeDist {
         QuerySizeDist::new(120.0, 400.0, 10, 1000)
     }
 
-    /// A fixed-size distribution (useful for controlled experiments).
-    pub fn fixed(size: u32) -> Self {
-        assert!(size >= 1, "query size must be positive");
-        QuerySizeDist {
-            inner: LogNormal::new((size as f64).ln(), 0.0),
-            min: size,
-            max: size,
-        }
-    }
-
     /// Draws one query size.
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
         (self.inner.sample(rng).round() as i64).clamp(self.min as i64, self.max as i64) as u32
@@ -142,16 +132,6 @@ mod tests {
         assert!(p99 as f64 / p50 as f64 > 3.0, "p50 {p50}, p99 {p99}");
         let mean: f64 = sizes.iter().map(|&s| s as f64).sum::<f64>() / sizes.len() as f64;
         assert!((mean - 120.0).abs() < 15.0, "mean {mean}");
-    }
-
-    #[test]
-    fn fixed_distribution_is_constant() {
-        let d = QuerySizeDist::fixed(64);
-        let mut rng = SimRng::seed_from(1);
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut rng), 64);
-        }
-        assert_eq!(d.bounds(), (64, 64));
     }
 
     #[test]
