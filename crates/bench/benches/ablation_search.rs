@@ -1,6 +1,6 @@
-//! Ablation — search-cost and design-choice studies called out in
-//! DESIGN.md: gradient search vs. exhaustive sweep (evaluations and found
-//! QPS), the contribution of each parallelism dimension
+//! Ablation — search-cost and design-choice studies: gradient search vs.
+//! exhaustive sweep (evaluations and found QPS), the contribution of each
+//! parallelism dimension
 //! (Psp(D) -> Psp(M+D) -> Psp(M+D+O) -> +partitioning), and sensitivity to
 //! the over-provision rate R.
 

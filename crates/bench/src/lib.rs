@@ -4,7 +4,8 @@
 //! the paper, printing the same rows/series the paper reports. The
 //! simulator replaces the authors' testbed, so absolute numbers differ;
 //! the *shape* (who wins, by what factor, where crossovers fall) is the
-//! reproduction target — see `EXPERIMENTS.md`.
+//! reproduction target, and `tests/paper_claims.rs` asserts the headline
+//! ones.
 //!
 //! Fidelity control: set `HERCULES_BENCH_FAST=1` to cut search granularity
 //! further (useful on slow machines); output markers stay identical.

@@ -5,8 +5,9 @@
 //! calibrated roofline cost model, an operator-worker list scheduler, a
 //! component-level power model, and a cycle-level NMP DIMM simulator.
 //!
-//! The paper measures real systems; this crate is the documented synthetic
-//! substitute (see `DESIGN.md` §2). Calibration constants live in [`calib`].
+//! The paper measures real systems; this crate is the synthetic substitute
+//! the README's opening paragraph describes. Calibration constants live in
+//! [`calib`].
 //!
 //! ```
 //! use hercules_hw::server::ServerType;

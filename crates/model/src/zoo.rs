@@ -322,7 +322,7 @@ fn build_mt_wnd(scale: ModelScale) -> RecModel {
     const EMB_DIM: u32 = 32;
     const DENSE_IN: u32 = 50;
     // Table I lists 3–40M rows; we cap at 20M so the production model fits
-    // the 64 GB T1/T6 hosts of Table II (documented deviation, DESIGN.md).
+    // the 64 GB T1/T6 hosts of Table II (a deviation from Table I).
     let rows_of = |i: u32| match scale {
         ModelScale::Production => spread_rows(i, NUM_TABLES, (3_000_000, 20_000_000)),
         ModelScale::Small => 1_000_000,
@@ -382,8 +382,8 @@ fn build_din(scale: ModelScale, with_gru: bool) -> RecModel {
     const EMB_DIM: u32 = 64;
     const ATTN_HIDDEN: u32 = 36;
     // Table I lists up to 600M rows; we cap the user table at 200M so the
-    // production model fits the 64 GB T1/T6 hosts of Table II (documented
-    // deviation, DESIGN.md).
+    // production model fits the 64 GB T1/T6 hosts of Table II (a deviation
+    // from Table I).
     let (user_rows, item_rows, hist_rows) = match scale {
         ModelScale::Production => (200_000_000u64, 2_000_000u64, 2_000_000u64),
         ModelScale::Small => (1_000_000, 100_000, 100_000),

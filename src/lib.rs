@@ -1,8 +1,8 @@
 //! # Hercules
 //!
 //! Facade crate for the Hercules reproduction. Re-exports the public API of all
-//! subsystem crates. See the README for a tour and `DESIGN.md` for the mapping
-//! from the paper to modules.
+//! subsystem crates. See the README for a tour, and its crate map for which
+//! crate holds each part of the paper.
 pub use hercules_common as common;
 pub use hercules_core as core;
 pub use hercules_fleet as fleet;

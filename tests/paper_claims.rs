@@ -1,6 +1,6 @@
 //! Qualitative paper claims, asserted as integration tests: these are the
-//! "shape" results the reproduction must preserve (see EXPERIMENTS.md for
-//! the quantitative comparison).
+//! "shape" results the reproduction must preserve (the `hercules-bench`
+//! targets print the quantitative comparison, one table or figure each).
 
 use hercules::common::units::Qps;
 use hercules::core::eval::{CachedEvaluator, EvalContext};
