@@ -56,13 +56,24 @@ impl Exponential {
     pub fn mean(&self) -> f64 {
         1.0 / self.lambda
     }
+
+    /// A unit-rate draw, `-ln(u)`: [`scale`](Exponential::scale) maps it
+    /// to the draw at any rate that `sample` makes from the same `u`.
+    pub fn unit(rng: &mut SimRng) -> f64 {
+        -rng.uniform_pos().ln()
+    }
+
+    /// The draw at this rate that unit-rate draw `unit` stands for.
+    pub fn scale(&self, unit: f64) -> f64 {
+        unit / self.lambda
+    }
 }
 
 impl Distribution for Exponential {
     type Output = f64;
 
     fn sample(&self, rng: &mut SimRng) -> f64 {
-        -rng.uniform_pos().ln() / self.lambda
+        self.scale(Exponential::unit(rng))
     }
 }
 

@@ -8,6 +8,15 @@
 
 use std::ops::Range;
 
+/// The 1-based rank of the `p`-quantile among `n >= 1` sorted samples by
+/// nearest rank: `ceil(p * n)`, clamped to `1..=n`. As `n` grows it never
+/// falls and rises by at most one per sample (the rounded `p * n` is
+/// monotone in `n` and steps by `p <= 1`), so `n - nearest_rank(p, n)`
+/// never falls either.
+pub fn nearest_rank(p: f64, n: usize) -> usize {
+    ((p * n as f64).ceil() as usize).clamp(1, n)
+}
+
 /// Exact-quantile tracker: every sample is retained.
 #[derive(Debug, Clone)]
 pub struct PercentileTracker {
@@ -56,9 +65,7 @@ impl PercentileTracker {
                 .sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
             self.sorted = true;
         }
-        let n = self.samples.len();
-        let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-        Some(self.samples[idx])
+        Some(self.samples[nearest_rank(p, self.samples.len()) - 1])
     }
 
     /// Convenience: the 50th percentile.

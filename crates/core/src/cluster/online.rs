@@ -14,7 +14,8 @@ use hercules_workload::evolution::EvolutionSchedule;
 
 use crate::cluster::policies::ColocationScheduler;
 use crate::cluster::{
-    Allocation, ColocatedAllocation, ProvisionError, ProvisionRequest, Provisioner,
+    Allocation, ColocatedAllocation, ProvisionError, ProvisionRequest, Provisioner, SharedServer,
+    TenantShare,
 };
 use crate::profiler::EfficiencyTable;
 
@@ -301,12 +302,40 @@ fn whole_fleet(fleet: &Fleet, table: &EfficiencyTable, workloads: &[ModelKind]) 
     all
 }
 
+/// [`whole_fleet`] as a co-located allocation: every server dedicated to
+/// its booked workload at that workload's profiled rate, so it prices and
+/// counts as the whole fleet.
+fn whole_fleet_dedicated(
+    fleet: &Fleet,
+    table: &EfficiencyTable,
+    workloads: &[ModelKind],
+) -> ColocatedAllocation {
+    let mut servers = Vec::new();
+    for ((stype, workload), n) in whole_fleet(fleet, table, workloads).iter() {
+        let qps = table
+            .get(workloads[workload], stype)
+            .map_or(0.0, |e| e.qps.value());
+        let server = SharedServer {
+            stype,
+            tenants: vec![TenantShare {
+                workload,
+                share: 1.0,
+                qps,
+            }],
+        };
+        servers.extend(std::iter::repeat(server).take(n as usize));
+    }
+    ColocatedAllocation { servers }
+}
+
 /// One interval of a co-located vs. dedicated provisioning comparison.
 #[derive(Debug, Clone)]
 pub struct ColocatedIntervalOutcome {
     /// Interval start, seconds.
     pub t_secs: f64,
-    /// The multi-tenant allocation (empty when co-location failed).
+    /// The multi-tenant allocation; when co-location failed, the whole
+    /// fleet, each server dedicated to the workload [`run_online`] books
+    /// it to in an infeasible interval.
     pub allocation: ColocatedAllocation,
     /// Servers activated by the co-location policy.
     pub colocated_servers: u32,
@@ -402,9 +431,7 @@ pub fn run_online_colocated(
 ) -> ColocationRunReport {
     let (r, workloads) = check_traces(traces, over_provision);
     let baseline = run_online(fleet, table, traces, dedicated, Some(r));
-    let fallback_power = whole_fleet(fleet, table, &workloads)
-        .provisioned_power(table, &workloads)
-        .value();
+    let fallback = whole_fleet_dedicated(fleet, table, &workloads);
     let intervals = baseline
         .intervals
         .iter()
@@ -418,27 +445,16 @@ pub fn run_online_colocated(
                 loads: &loads,
                 over_provision: r,
             };
-            let (colocated_servers, colocated_power_w, allocation, error) =
-                match scheduler.provision_colocated(&req) {
-                    Ok(a) => (
-                        a.activated_total(),
-                        a.provisioned_power(table, &workloads).value(),
-                        a,
-                        None,
-                    ),
-                    Err(e) => (
-                        fleet.total(),
-                        fallback_power,
-                        ColocatedAllocation::new(),
-                        Some(e),
-                    ),
-                };
+            let (allocation, error) = match scheduler.provision_colocated(&req) {
+                Ok(a) => (a, None),
+                Err(e) => (fallback.clone(), Some(e)),
+            };
             ColocatedIntervalOutcome {
                 t_secs: d.t_secs,
+                colocated_servers: allocation.activated_total(),
+                colocated_power_w: allocation.provisioned_power(table, &workloads).value(),
                 allocation,
-                colocated_servers,
                 dedicated_servers: d.activated,
-                colocated_power_w,
                 dedicated_power_w: d.power_w,
                 feasible: error.is_none(),
                 dedicated_feasible: d.feasible,
@@ -724,6 +740,15 @@ mod tests {
         let i = &report.intervals[0];
         assert!(!i.dedicated_feasible);
         assert_eq!((i.dedicated_servers, i.dedicated_power_w), (2, 850.0));
+        // The co-located side falls back to the same fleet, and its
+        // allocation prices as it is recorded.
+        assert!(!i.feasible);
+        assert_eq!((i.colocated_servers, i.colocated_power_w), (2, 850.0));
+        assert_eq!(i.allocation.activated_total(), 2);
+        assert_eq!(
+            i.allocation.provisioned_power(&table, &workloads).value(),
+            850.0
+        );
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub(crate) struct Dispatcher {
 }
 
 /// A CPU stage's decision about one dequeued sub-query.
-pub(crate) struct CpuJob {
-    pub cost: Arc<BatchCost>,
+pub(crate) struct CpuJob<'a> {
+    pub cost: &'a BatchCost,
     /// When the sub-query left its queue.
     pub now: SimTime,
     pub wait: SimDuration,
@@ -81,13 +81,13 @@ pub(crate) struct CpuJob {
 }
 
 /// A fused GPU batch's modeled timing: its PCIe slot and its compute.
-pub(crate) struct GpuLaunch {
+pub(crate) struct GpuLaunch<'a> {
     pub items: u32,
     pub load_start: SimTime,
     pub load_dur: SimDuration,
     /// Compute, derated by any GPU fault active when the load ends.
     pub compute: SimDuration,
-    cost: Arc<BatchCost>,
+    cost: &'a BatchCost,
 }
 
 /// One pool as the observer and supervisor read it: per-worker telemetry
@@ -112,7 +112,7 @@ impl<'a> Pipeline<'a> {
             _ => topo.cpu_service(ingress),
         };
         let items = topo.split_batch.map_or(120, |b| b.clamp(1, 120));
-        let per_sub_s = svc.cost_shared(items).latency.as_secs_f64();
+        let per_sub_s = svc.cost(items).latency.as_secs_f64();
         let [front, back, gpu] = workers;
         let book = FaultBook::build(&cfg.faults, front, back, gpu);
         let supervised = cfg.supervisor.enabled;
@@ -260,11 +260,11 @@ impl<'a> Pipeline<'a> {
         sub: &Sub,
         now: SimTime,
         t: &mut WorkerTelemetry,
-    ) -> Option<CpuJob> {
+    ) -> Option<CpuJob<'a>> {
         if self.deadline_drop && self.expired(sub, now, t) {
             return None;
         }
-        let cost = self.topo.cpu_service(stage).cost_shared(sub.items);
+        let cost = self.topo.cpu_service(stage).cost(sub.items);
         let wait = now.saturating_since(sub.ready);
         self.table.add_queuing(sub, wait);
         let degrade =
@@ -272,7 +272,7 @@ impl<'a> Pipeline<'a> {
         let mut svc = cost.latency;
         if degrade {
             // L2: serve cache-hit rows only, priced through the oracle.
-            svc = degraded_latency(&cost, DEGRADED_KEEP);
+            svc = degraded_latency(cost, DEGRADED_KEEP);
             self.table.mark_degraded(sub);
         }
         let derate = if self.faulty {
@@ -314,14 +314,14 @@ impl<'a> Pipeline<'a> {
     pub fn cpu_end(
         &self,
         stage: StageKind,
-        job: &CpuJob,
+        job: &CpuJob<'_>,
         sub: &Sub,
         (start, end): (SimTime, SimTime),
         service: SimDuration,
         t: &mut WorkerTelemetry,
     ) {
         self.table.add_inference(sub, service);
-        t.record_cpu_measured(job.now, job.wait, sub.items, &job.cost, service);
+        t.record_cpu_measured(job.now, job.wait, sub.items, job.cost, service);
         if self.sampler.sampled(sub.query) {
             let kind = match stage {
                 StageKind::Front => SpanKind::Front,
@@ -343,7 +343,7 @@ impl<'a> Pipeline<'a> {
         items: u32,
         load_start: SimTime,
         t: &mut WorkerTelemetry,
-    ) -> GpuLaunch {
+    ) -> GpuLaunch<'a> {
         let BackStage::Gpu {
             svc,
             bytes_per_item,
@@ -355,7 +355,7 @@ impl<'a> Pipeline<'a> {
         let gpu = self.server.gpu.as_ref().expect("GPU stage on a GPU server");
         let load_dur = pcie_transfer_time(bytes_per_item * items as f64, gpu, 1);
         t.record_pcie(load_start, load_dur);
-        let cost = svc.cost_shared(items);
+        let cost = svc.cost(items);
         let mut compute = cost.latency;
         if self.faulty {
             let mult = self.book.gpu_mult(ctx, load_start + load_dur);
@@ -384,27 +384,21 @@ impl<'a> Pipeline<'a> {
     /// the head sub-query's wait ahead of the load.
     pub fn gpu_compute(
         &self,
-        launch: &GpuLaunch,
+        launch: &GpuLaunch<'_>,
         subs: &[Sub],
         now: SimTime,
         t: &mut WorkerTelemetry,
     ) {
         let head_ready = subs.first().map_or(launch.load_start, |s| s.ready);
         let wait = launch.load_start.saturating_since(head_ready);
-        t.record_gpu(
-            now,
-            wait,
-            launch.items,
-            &launch.cost,
-            self.topo.workers()[2],
-        );
+        t.record_gpu(now, wait, launch.items, launch.cost, self.topo.workers()[2]);
     }
 
     /// Completes the batch at `now`: attributes each sub-query's queue
     /// wait, load and derated compute to its query, then retires it.
     pub fn gpu_done(
         &self,
-        launch: &GpuLaunch,
+        launch: &GpuLaunch<'_>,
         subs: &[Sub],
         now: SimTime,
         t: &mut WorkerTelemetry,

@@ -25,7 +25,9 @@ use crate::serve::ServingRuntime;
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model,
+/// or [`PlanError::BadSearchRange`] for options
+/// [`find_knee`] rejects.
 pub fn max_qps_under_sla_live(
     model: &RecModel,
     server: &ServerSpec,
@@ -36,7 +38,7 @@ pub fn max_qps_under_sla_live(
     luts: &NmpLutCache,
 ) -> Result<Option<SlaSearchOutcome>, PlanError> {
     let rt = ServingRuntime::build(model, server.clone(), plan, *cfg, luts)?;
-    Ok(find_knee(
+    find_knee(
         sla,
         opts,
         cfg.duration,
@@ -47,7 +49,7 @@ pub fn max_qps_under_sla_live(
                 drain_margin,
                 ..*cfg
             };
-            rt.serve_with(rate, &run_cfg).sim
+            Some(rt.serve_with(rate, &run_cfg).sim)
         },
-    ))
+    )
 }

@@ -60,8 +60,8 @@ struct Virt<'a> {
     telem: [Vec<WorkerTelemetry>; 3],
 }
 
-impl Serve for Virt<'_> {
-    type Launch = GpuLaunch;
+impl<'a> Serve for Virt<'a> {
+    type Launch = GpuLaunch<'a>;
 
     #[inline]
     fn admit(
@@ -148,7 +148,7 @@ impl Serve for Virt<'_> {
         subs: &[Sub],
         items: u32,
         load_start: SimTime,
-    ) -> (SimDuration, GpuLaunch) {
+    ) -> (SimDuration, GpuLaunch<'a>) {
         let t = &mut self.telem[StageKind::Gpu.index()][ctx as usize];
         let launch = self.pipe.gpu_launch(ctx, subs, items, load_start, t);
         (launch.load_dur, launch)
@@ -160,7 +160,7 @@ impl Serve for Virt<'_> {
         ctx: u32,
         _: usize,
         subs: &[Sub],
-        launch: &mut GpuLaunch,
+        launch: &mut GpuLaunch<'a>,
         now: SimTime,
     ) -> SimDuration {
         let t = &mut self.telem[StageKind::Gpu.index()][ctx as usize];
@@ -169,7 +169,7 @@ impl Serve for Virt<'_> {
     }
 
     #[inline]
-    fn gpu_done(&mut self, ctx: u32, subs: &[Sub], launch: &GpuLaunch, now: SimTime) {
+    fn gpu_done(&mut self, ctx: u32, subs: &[Sub], launch: &GpuLaunch<'a>, now: SimTime) {
         let t = &mut self.telem[StageKind::Gpu.index()][ctx as usize];
         self.pipe.gpu_done(launch, subs, now, t);
     }

@@ -23,7 +23,7 @@
 //! enters the latency accounting.
 //!
 //! The per-batch path is allocation-free in steady state: service costs
-//! are Arc-shared from a pre-warmed memo cache, sub-query splitting
+//! are lent by reference from a pre-warmed memo, sub-query splitting
 //! iterates without collecting, dispatch queues pre-reserve their bound,
 //! and fused-batch buffers recycle through a freelist. Binaries that
 //! install [`CountingAlloc`](crate::telemetry::CountingAlloc) get the
@@ -416,7 +416,7 @@ impl Wall<'_, '_> {
     fn serve_cpu(
         &self,
         stage: StageKind,
-        job: &CpuJob,
+        job: &CpuJob<'_>,
         sub: &Sub,
         gatherer: Option<&mut Gatherer>,
         t: &mut WorkerTelemetry,
@@ -453,7 +453,7 @@ impl Wall<'_, '_> {
             Some(m) if !job.degrade => m.spec().cold_miss_penalty.mul_f64(misses as f64),
             _ => SimDuration::ZERO,
         };
-        let residual = degraded_latency(&job.cost, 0.0) + penalty;
+        let residual = degraded_latency(job.cost, 0.0) + penalty;
         self.clock.busy_wait(residual.mul_f64(job.derate));
         let done = self.clock.now();
         let service = done.saturating_since(start);
@@ -608,8 +608,8 @@ fn joined<'s, T>(
 
 /// Touches every batch size the run can dispatch through each stage's
 /// memoized cost oracle, so steady-state
-/// [`StageService::cost_shared`](hercules_sim::StageService::cost_shared)
-/// calls are pure cache hits (a cold miss mid-run would heap-allocate a
+/// [`StageService::cost`](hercules_sim::StageService::cost) calls are
+/// pure memo hits (a cold miss mid-run would price, and heap-allocate, a
 /// `BatchCost` on the serving path).
 fn prewarm_oracles(topo: &Topology, queries: &[Query]) {
     let mut sizes: Vec<u32> = Vec::new();
@@ -622,7 +622,7 @@ fn prewarm_oracles(topo: &Topology, queries: &[Query]) {
     }
     for &s in &sizes {
         if let Some(front) = &topo.front {
-            let _ = front.svc.cost_shared(s);
+            let _ = front.svc.cost(s);
         }
         match &topo.back {
             BackStage::HostPool { svc, .. }
@@ -631,7 +631,7 @@ fn prewarm_oracles(topo: &Topology, queries: &[Query]) {
                 fusion_limit: None,
                 ..
             } => {
-                let _ = svc.cost_shared(s);
+                let _ = svc.cost(s);
             }
             _ => {}
         }
@@ -646,9 +646,9 @@ fn prewarm_oracles(topo: &Topology, queries: &[Query]) {
         // quantization bucket warms them all.
         let mut items = 1u32;
         while items <= *limit {
-            let _ = svc.cost_shared(items);
+            let _ = svc.cost(items);
             items = items.saturating_add(32);
         }
-        let _ = svc.cost_shared(*limit);
+        let _ = svc.cost(*limit);
     }
 }

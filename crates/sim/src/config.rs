@@ -179,6 +179,11 @@ pub enum PlanError {
     /// one model fits the accelerator whole while another needs a host
     /// cold-sparse stage), which the shared-pool engine cannot serve.
     TenantShapeMismatch,
+    /// An offered arrival rate is non-positive or not finite.
+    BadRate,
+    /// A knee search's start or ceiling rate is non-positive or not
+    /// finite, or its ceiling lies below its start.
+    BadSearchRange,
 }
 
 impl fmt::Display for PlanError {
@@ -205,6 +210,11 @@ impl fmt::Display for PlanError {
             PlanError::TenantShapeMismatch => write!(
                 f,
                 "co-located tenants need structurally identical topologies"
+            ),
+            PlanError::BadRate => write!(f, "offered load must be positive and finite"),
+            PlanError::BadSearchRange => write!(
+                f,
+                "search start and ceiling must be positive and finite, the ceiling at least the start"
             ),
         }
     }
@@ -284,6 +294,23 @@ pub fn validate_plan(
     }
 
     Ok(())
+}
+
+fn positive_finite(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
+/// Checks that `rate` can drive an arrival stream: positive and finite.
+///
+/// # Errors
+///
+/// [`PlanError::BadRate`] otherwise.
+pub(crate) fn check_rate(rate: Qps) -> Result<(), PlanError> {
+    if positive_finite(rate.value()) {
+        Ok(())
+    } else {
+        Err(PlanError::BadRate)
+    }
 }
 
 /// SLA specification for latency-bounded throughput (the paper's
@@ -466,10 +493,7 @@ impl ColocationConfig {
             return Err(PlanError::NoTenants);
         }
         for (index, t) in self.tenants.iter().enumerate() {
-            let ok = t.share.is_finite()
-                && t.share > 0.0
-                && t.offered.value().is_finite()
-                && t.offered.value() > 0.0;
+            let ok = positive_finite(t.share) && check_rate(t.offered).is_ok();
             if !ok {
                 return Err(PlanError::BadTenant { index });
             }

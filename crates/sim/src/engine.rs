@@ -36,11 +36,12 @@ use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::power::{Activity, PowerModel};
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
-use hercules_workload::generator::QueryStream;
+use hercules_workload::generator::{QueryStream, UnitDraws};
+use hercules_workload::query::Query;
 
 use crate::colocation::{Interference, WeightedRr};
-use crate::config::{PlacementPlan, PlanError, RunWindow, SimConfig};
-use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
+use crate::config::{check_rate, PlacementPlan, PlanError, RunWindow, SimConfig, SlaSpec};
+use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport, Tail};
 use crate::service::{build_topology, BackStage, StageKind, Topology};
 
 /// Number of coarse accounting buckets used for peak-power estimation.
@@ -334,6 +335,14 @@ pub trait Serve {
     /// The batch finished computing at `now`: attributes and retires its
     /// sub-queries.
     fn gpu_done(&mut self, ctx: u32, subs: &[Sub], launch: &Self::Launch, now: SimTime);
+
+    /// Whether the run's outcome is already decided, so the loop stops:
+    /// asked after every arrival and event. The simulator's knee probes
+    /// settle once they certainly miss their SLA; no other run does.
+    #[inline]
+    fn settled(&self) -> bool {
+        false
+    }
 }
 
 /// A service event on the heap; arrivals are served beside it.
@@ -521,7 +530,8 @@ impl<'t, H: Serve> Server<'t, H> {
 
     /// Serves arrivals and events in time order — an arrival before an
     /// event at the same instant — while they lie strictly before `before`
-    /// and no later than the horizon.
+    /// and no later than the horizon, until the hooks have
+    /// [`settled`](Serve::settled).
     pub fn run(&mut self, before: SimTime) {
         loop {
             let due = self.events.heap.peek().map(|e| e.time);
@@ -542,6 +552,9 @@ impl<'t, H: Serve> Server<'t, H> {
             } else {
                 let entry = self.events.heap.pop().expect("peeked event");
                 self.handle(entry.ev, now);
+            }
+            if self.hooks.settled() {
+                break;
             }
         }
     }
@@ -721,6 +734,15 @@ fn stretch(d: SimDuration, factor: Option<f64>) -> SimDuration {
     }
 }
 
+/// A knee probe's early SLA verdict: measured completions over the target,
+/// and how many of them the run's tail tolerates.
+#[derive(Debug)]
+struct Verdict {
+    target: SimDuration,
+    allowed: u64,
+    over: u64,
+}
+
 /// A fused batch's timing: its PCIe slot and, once loaded, its compute.
 struct Fused {
     items: u32,
@@ -750,6 +772,8 @@ struct Des<'a> {
     front_idle_weighted: f64,
     front_busy_weight: f64,
     total_nmp_j: f64,
+    /// Set on a knee probe (one tenant only).
+    verdict: Option<Verdict>,
 }
 
 impl Des<'_> {
@@ -768,6 +792,10 @@ impl Des<'_> {
                 stats.completed += 1;
                 let lat_s = now.saturating_since(rec.arrival).as_secs_f64();
                 stats.latency.record(lat_s);
+                if let Some(v) = &mut self.verdict {
+                    // Converted as the report converts its tail.
+                    v.over += u64::from(SimDuration::from_secs_f64(lat_s) > v.target);
+                }
                 if let Some(agg) = &mut self.agg_latency {
                     agg.record(lat_s);
                 }
@@ -805,7 +833,7 @@ impl Serve for Des<'_> {
         sub: &Sub,
         now: SimTime,
     ) -> Option<SimTime> {
-        let cost = self.topos[tenant].cpu_service(stage).cost_shared(sub.items);
+        let cost = self.topos[tenant].cpu_service(stage).cost(sub.items);
         let factor = self.derate(tenant, now);
         let latency = stretch(cost.latency, factor);
         let busy_s = cost.busy_core_time.as_secs_f64();
@@ -876,7 +904,7 @@ impl Serve for Des<'_> {
         let BackStage::Gpu { svc, colocated, .. } = &self.topos[tenant].back else {
             unreachable!("loads only run with a GPU stage");
         };
-        let cost = svc.cost_shared(fused.items);
+        let cost = svc.cost(fused.items);
         let compute = stretch(cost.latency, self.derate(tenant, now));
         let b = self.buckets.index(now);
         self.buckets.gpu_s[b] += compute.as_secs_f64() * cost.gpu_util / *colocated as f64;
@@ -894,6 +922,15 @@ impl Serve for Des<'_> {
             self.complete_sub(sub, now);
         }
     }
+
+    /// Settled once more measured completions exceed the target than the
+    /// tail tolerates of the measured arrivals: that count only grows, and
+    /// fewer completions tolerate no more, so the run misses the SLA
+    /// however it would end.
+    #[inline]
+    fn settled(&self) -> bool {
+        self.verdict.as_ref().is_some_and(|v| v.over > v.allowed)
+    }
 }
 
 /// Server-wide quantities every report of one run shares.
@@ -910,11 +947,8 @@ fn report(st: &mut TenantStats, offered: Qps, in_flight: u64, shared: &Shared) -
     // The mean first: the quantiles sort the samples, which would change
     // the mean's summation order.
     let mean_latency = SimDuration::from_secs_f64(st.latency.mean());
-    let (p50, p95, p99) = (
-        to_dur(st.latency.p50()),
-        to_dur(st.latency.p95()),
-        to_dur(st.latency.p99()),
-    );
+    let mut tail = |t: Tail| to_dur(st.latency.quantile(t.quantile()));
+    let (p50, p95, p99) = (tail(Tail::P50), tail(Tail::P95), tail(Tail::P99));
     let per = |sum: f64| {
         if completed == 0 {
             SimDuration::ZERO
@@ -1039,7 +1073,26 @@ pub(crate) fn run(
     tenants: &[TenantRun<'_>],
     cfg: &SimConfig,
 ) -> ColocationReport {
+    // Per-tenant arrival streams (tenant 0's is the dedicated stream).
+    let horizon = cfg.window().horizon;
+    let streams = tenants.iter().enumerate().map(|(i, tenant)| {
+        QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(horizon)
+    });
+    serve(server, tenants, cfg, streams, None).expect("only a verdict stops a run early")
+}
+
+/// Serves `streams` (tenant `i`'s arrivals before the horizon, in time
+/// order) as [`run`] does. With `sla` (one tenant only), the run stops as
+/// soon as it certainly misses `sla`, and returns `None` then.
+fn serve<S: IntoIterator<Item = Query>>(
+    server: &ServerSpec,
+    tenants: &[TenantRun<'_>],
+    cfg: &SimConfig,
+    streams: impl IntoIterator<Item = S>,
+    sla: Option<&SlaSpec>,
+) -> Option<ColocationReport> {
     let n = tenants.len();
+    debug_assert!(sla.is_none() || n == 1, "a verdict judges one tenant");
     // Queries arriving past the window's end are served but not measured;
     // they could not complete before the horizon even when meeting the SLA.
     let window = cfg.window();
@@ -1055,14 +1108,13 @@ pub(crate) fn run(
         front_idle_weighted: 0.0,
         front_busy_weight: 0.0,
         total_nmp_j: 0.0,
+        verdict: None,
     };
-    // Per-tenant arrival streams (tenant 0's is the dedicated stream),
-    // indexed run-wide in tenant order.
+    // Arrivals are indexed run-wide in tenant order.
     let mut arrivals = Vec::new();
-    for (i, tenant) in tenants.iter().enumerate() {
+    for (i, stream) in streams.into_iter().enumerate() {
         let mut st = TenantStats::default();
-        for q in QueryStream::tenant(tenant.offered, cfg.seed, i as u32).take_until(window.horizon)
-        {
+        for q in stream {
             st.measured_arrivals += u64::from(window.measures(q.arrival));
             st.total_arrivals += 1;
             arrivals.push(Arrival {
@@ -1078,6 +1130,11 @@ pub(crate) fn run(
         }
         des.stats.push(st);
     }
+    des.verdict = sla.map(|sla| Verdict {
+        target: sla.target,
+        allowed: sla.misses_allowed(des.stats[0].measured_arrivals),
+        over: 0,
+    });
     // Simultaneous arrivals go in tenant order, then stream order (the
     // sort is stable); one tenant's stream is already in time order.
     arrivals.sort_by_key(|a| a.time);
@@ -1086,7 +1143,51 @@ pub(crate) fn run(
     let mut sim = Server::new(tenants[0].topo, &shares, window.horizon, des);
     sim.arrivals = arrivals.into();
     sim.run(SimTime::MAX);
-    sim.hooks.report(server, tenants, cfg)
+    if sim.hooks.settled() {
+        return None;
+    }
+    Some(sim.hooks.report(server, tenants, cfg))
+}
+
+/// One knee probe: [`simulate_with_topology`]'s run at `offered`, with its
+/// arrivals replayed from `draws` (the draws of `cfg.seed`), judged against
+/// `sla`. Returns the run's report when it meets `sla` and `None` when it
+/// misses.
+///
+/// The run stops once more of its measured completions exceed the target
+/// than [`SlaSpec::misses_allowed`] tolerates of its measured arrivals:
+/// past that bound it misses however it would end. A report it returns is
+/// therefore the whole run's, bit for bit.
+///
+/// # Errors
+///
+/// Returns [`PlanError::BadRate`] unless `offered` is positive and finite.
+///
+/// # Panics
+///
+/// Panics if `draws` come from another seed than `cfg.seed`.
+pub fn probe(
+    topo: &Topology,
+    server: &ServerSpec,
+    offered: Qps,
+    cfg: &SimConfig,
+    sla: &SlaSpec,
+    draws: &mut UnitDraws,
+) -> Result<Option<SimReport>, PlanError> {
+    check_rate(offered)?;
+    assert_eq!(
+        draws.seed(),
+        cfg.seed,
+        "a probe replays its own seed's draws"
+    );
+    let tenant = TenantRun {
+        topo,
+        offered,
+        share: 1.0,
+    };
+    let stream = draws.replay(offered, cfg.window().horizon);
+    let report = serve(server, &[tenant], cfg, [stream], Some(sla));
+    Ok(report.map(|r| r.aggregate).filter(|r| r.meets(sla)))
 }
 
 /// Simulates `model` served on `server` under `plan` at `offered` load.
@@ -1099,7 +1200,8 @@ pub(crate) fn run(
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model
+/// or `offered` is not a positive, finite rate.
 pub fn simulate(
     model: &RecModel,
     server: &ServerSpec,
@@ -1114,7 +1216,8 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model
+/// or `offered` is not a positive, finite rate.
 pub fn simulate_cached(
     model: &RecModel,
     server: &ServerSpec,
@@ -1129,12 +1232,17 @@ pub fn simulate_cached(
 
 /// Simulates a pre-built topology (lets searchers reuse cost caches across
 /// load levels): the event loop with one tenant.
+///
+/// # Errors
+///
+/// Returns [`PlanError::BadRate`] unless `offered` is positive and finite.
 pub fn simulate_with_topology(
     topo: &Topology,
     server: &ServerSpec,
     offered: Qps,
     cfg: &SimConfig,
 ) -> Result<SimReport, PlanError> {
+    check_rate(offered)?;
     let tenant = TenantRun {
         topo,
         offered,

@@ -44,12 +44,12 @@ pub use config::{
     ColocationConfig, PlacementPlan, PlanError, RunWindow, SimConfig, SlaSpec, TenantSpec,
 };
 pub use engine::{
-    simulate, simulate_cached, simulate_with_topology, split, split_iter, summarize_load, Buckets,
-    LoadSummary, Serve, Server, SplitIter, Sub, Subs, POWER_BUCKETS,
+    probe, simulate, simulate_cached, simulate_with_topology, split, split_iter, summarize_load,
+    Buckets, LoadSummary, Serve, Server, SplitIter, Sub, Subs, POWER_BUCKETS,
 };
 // Re-exported so evaluation layers can own a LUT cache without depending on
 // `hercules-hw` directly.
 pub use hercules_hw::nmp::NmpLutCache;
-pub use metrics::{ColocationReport, LatencyBreakdown, SimReport};
+pub use metrics::{ColocationReport, LatencyBreakdown, SimReport, Tail};
 pub use search::{find_knee, max_qps_under_sla, SearchOptions, SlaSearchOutcome};
 pub use service::{build_topology, BackStage, FrontStage, StageKind, StageService, Topology};

@@ -1,9 +1,61 @@
 //! Simulation metrics: latency-bounded throughput, tail latency, power, and
 //! breakdowns (the paper's measured quantities, §V).
 
+use hercules_common::stats::nearest_rank;
 use hercules_common::units::{Joules, Qps, SimDuration, Watts};
 
 use crate::config::SlaSpec;
+
+/// The tail quantiles a [`SimReport`] carries. An SLA's percentile is
+/// judged by the nearest of them ([`Tail::snap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tail {
+    /// The median, `SimReport::p50`.
+    P50,
+    /// `SimReport::p95`.
+    P95,
+    /// `SimReport::p99`.
+    P99,
+}
+
+impl Tail {
+    /// The reported tail `percentile` snaps to: the nearest of 0.5, 0.95
+    /// and 0.99.
+    pub fn snap(percentile: f64) -> Tail {
+        if percentile <= 0.725 {
+            Tail::P50
+        } else if percentile <= 0.97 {
+            Tail::P95
+        } else {
+            Tail::P99
+        }
+    }
+
+    /// The quantile this tail reads.
+    pub fn quantile(self) -> f64 {
+        match self {
+            Tail::P50 => 0.50,
+            Tail::P95 => 0.95,
+            Tail::P99 => 0.99,
+        }
+    }
+}
+
+impl SlaSpec {
+    /// How many of `measured` latency samples may exceed the target while
+    /// the snapped tail still meets it: the samples ranked above the
+    /// tail's nearest rank. It never falls as `measured` grows, so a run
+    /// with `measured` arrivals misses the SLA once more than this many of
+    /// its completions exceed the target, however many of the rest
+    /// complete.
+    pub fn misses_allowed(&self, measured: u64) -> u64 {
+        if measured == 0 {
+            return 0;
+        }
+        let q = Tail::snap(self.percentile).quantile();
+        measured - nearest_rank(q, measured as usize) as u64
+    }
+}
 
 /// Mean attribution of end-to-end latency across pipeline phases
 /// (paper Fig. 7: queuing / data loading / model inference).
@@ -82,14 +134,12 @@ pub struct SimReport {
 
 impl SimReport {
     /// The tail latency at `percentile` (supported: 0.5, 0.95, 0.99;
-    /// other values snap to the nearest of those).
+    /// other values snap to the nearest of those, [`Tail::snap`]).
     pub fn tail(&self, percentile: f64) -> SimDuration {
-        if percentile <= 0.725 {
-            self.p50
-        } else if percentile <= 0.97 {
-            self.p95
-        } else {
-            self.p99
+        match Tail::snap(percentile) {
+            Tail::P50 => self.p50,
+            Tail::P95 => self.p95,
+            Tail::P99 => self.p99,
         }
     }
 

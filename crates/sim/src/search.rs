@@ -10,9 +10,10 @@ use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
+use hercules_workload::generator::UnitDraws;
 
-use crate::config::{PlacementPlan, PlanError, SimConfig, SlaSpec};
-use crate::engine::simulate_with_topology;
+use crate::config::{check_rate, PlacementPlan, PlanError, SimConfig, SlaSpec};
+use crate::engine::probe;
 use crate::metrics::SimReport;
 use crate::service::build_topology;
 
@@ -34,9 +35,11 @@ pub struct SearchOptions {
     pub refine_iters: u32,
     /// Hard ceiling on probed rates.
     pub ceiling: Qps,
-    /// When set, each probe's simulated duration is shortened so roughly
-    /// this many queries are generated (bounded below by 400 ms and above
-    /// by the configured duration) — keeps high-rate probes cheap.
+    /// When set, each probe runs for as long as this many queries take to
+    /// arrive at its rate, clamped to [0.4 s, 900 s], in place of the
+    /// configured duration: a 64 QPS probe for 2500 queries runs 39 s,
+    /// and a probe above 6250 QPS runs 0.4 s. Tail percentiles are then
+    /// sampled about equally at every rate.
     pub target_queries: Option<u32>,
 }
 
@@ -56,14 +59,17 @@ impl Default for SearchOptions {
 /// The topology is built once against the caller-owned `luts` cache and
 /// reused across every probed rate, so searchers sharing a cache (e.g. all
 /// plans of one evaluation context, or all cells of a parallel profile) pay
-/// the NMP LUT sweep once per rank count.
+/// the NMP LUT sweep once per rank count. The seed's arrival stream is
+/// drawn once too ([`UnitDraws`]), and every probe replays it at its own
+/// rate and stops as soon as it certainly misses the SLA ([`probe`]).
 ///
 /// Returns `Ok(None)` when even the starting probe rate violates the SLA
 /// (the configuration cannot serve meaningful load within target).
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model,
+/// or [`PlanError::BadSearchRange`] for options [`find_knee`] rejects.
 pub fn max_qps_under_sla(
     model: &RecModel,
     server: &ServerSpec,
@@ -74,7 +80,8 @@ pub fn max_qps_under_sla(
     luts: &NmpLutCache,
 ) -> Result<Option<SlaSearchOutcome>, PlanError> {
     let topo = build_topology(model, server, plan, luts)?;
-    Ok(find_knee(
+    let mut draws = UnitDraws::paper(cfg.seed);
+    find_knee(
         sla,
         opts,
         cfg.duration,
@@ -85,9 +92,10 @@ pub fn max_qps_under_sla(
                 drain_margin,
                 ..*cfg
             };
-            simulate_with_topology(&topo, server, rate, &run_cfg).expect("topology built")
+            probe(&topo, server, rate, &run_cfg, sla, &mut draws)
+                .expect("find_knee probes positive, finite rates")
         },
-    ))
+    )
 }
 
 /// The knee finder behind every latency-bounded throughput search: a
@@ -95,84 +103,79 @@ pub fn max_qps_under_sla(
 /// `sla`, then `opts.refine_iters` bisection steps refine it.
 ///
 /// `measure(rate, duration, drain_margin)` probes one rate, by simulation
-/// or on a serving runtime. Each probe runs for `duration` (or, with
-/// `opts.target_queries`, long enough for about that many queries) and
-/// leaves at least two SLA targets of drain margin unmeasured.
+/// or on a serving runtime: it returns the probe's report, or `None` when
+/// the probe certainly misses `sla` (a report that misses counts the
+/// same). Each probe runs for `duration` (or, with `opts.target_queries`,
+/// long enough for about that many queries) and leaves at least two SLA
+/// targets of drain margin unmeasured.
 ///
-/// Returns `None` when even a whisper of load (`opts.start / 8`) violates
-/// the SLA.
+/// Returns `Ok(None)` when even a whisper of load (`opts.start / 8`)
+/// violates the SLA.
+///
+/// # Errors
+///
+/// Returns [`PlanError::BadSearchRange`] unless every probed rate, from
+/// `opts.start / 8` up to `opts.ceiling`, is positive and finite and the
+/// ceiling is at least the start.
 pub fn find_knee(
     sla: &SlaSpec,
     opts: &SearchOptions,
     duration: SimDuration,
     drain_margin: SimDuration,
-    mut measure: impl FnMut(Qps, SimDuration, SimDuration) -> SimReport,
-) -> Option<SlaSearchOutcome> {
+    mut measure: impl FnMut(Qps, SimDuration, SimDuration) -> Option<SimReport>,
+) -> Result<Option<SlaSearchOutcome>, PlanError> {
+    let whisper = Qps(opts.start.value() / 8.0);
+    let ceiling = opts.ceiling.value();
+    if check_rate(whisper).is_err() || !(ceiling.is_finite() && ceiling >= opts.start.value()) {
+        return Err(PlanError::BadSearchRange);
+    }
+    // The report at `rate` when it meets the SLA.
     let mut eval = |rate: Qps| {
-        // Size the run by query count, not wall time: low-rate probes
-        // stretch their horizon (they are cheap — few events), keeping
-        // tail-percentile estimates equally sampled at every rate.
+        // Size the run by query count, not wall time: every probe serves
+        // about the same number of arrivals, keeping tail-percentile
+        // estimates equally sampled at every rate.
         let duration = opts.target_queries.map_or(duration, |target| {
             SimDuration::from_secs_f64((target as f64 / rate.value()).clamp(0.4, 900.0))
         });
         // SLA-compliant queries arriving within ~2 targets of the horizon
         // could not drain in time; exclude them from measurement so low-rate
         // probes are not penalized for end-of-run truncation.
-        measure(rate, duration, drain_margin.max(sla.target * 2))
+        measure(rate, duration, drain_margin.max(sla.target * 2)).filter(|r| r.meets(sla))
     };
 
-    // Geometric ramp to bracket the knee.
-    let mut lo_rate = opts.start;
-    let mut lo_report = eval(lo_rate);
-    if !lo_report.meets(sla) {
-        // Try once more at a whisper of load before giving up: some heavy
-        // models legitimately serve only tens of QPS.
-        let tiny = Qps(opts.start.value() / 8.0);
-        let tiny_report = eval(tiny);
-        if !tiny_report.meets(sla) {
-            return None;
-        }
-        lo_rate = tiny;
-        lo_report = tiny_report;
-    }
-
-    let mut hi_rate = None;
-    let mut probe = Qps(lo_rate.value() * 2.0);
-    while probe.value() <= opts.ceiling.value() {
-        let r = eval(probe);
-        if r.meets(sla) {
-            lo_rate = probe;
-            lo_report = r;
-            probe = Qps(probe.value() * 2.0);
-        } else {
-            hi_rate = Some(probe);
+    // Geometric ramp to bracket the knee. Some heavy models legitimately
+    // serve only tens of QPS: before giving up, try a whisper of load.
+    let mut lo = match eval(opts.start) {
+        Some(report) => (opts.start, report),
+        None => match eval(whisper) {
+            Some(report) => (whisper, report),
+            None => return Ok(None),
+        },
+    };
+    let mut hi = None;
+    let mut rate = Qps(lo.0.value() * 2.0);
+    while rate.value() <= ceiling {
+        let Some(report) = eval(rate) else {
+            hi = Some(rate);
             break;
-        }
+        };
+        lo = (rate, report);
+        rate = Qps(rate.value() * 2.0);
     }
-    let Some(mut hi) = hi_rate else {
-        // Never violated up to the ceiling.
-        return Some(SlaSearchOutcome {
-            qps: lo_rate,
-            report: lo_report,
-        });
-    };
 
-    // Binary refinement.
-    for _ in 0..opts.refine_iters {
-        let mid = Qps((lo_rate.value() + hi.value()) / 2.0);
-        let r = eval(mid);
-        if r.meets(sla) {
-            lo_rate = mid;
-            lo_report = r;
-        } else {
-            hi = mid;
+    // Binary refinement, unless nothing up to the ceiling missed.
+    if let Some(mut hi) = hi {
+        for _ in 0..opts.refine_iters {
+            let mid = Qps((lo.0.value() + hi.value()) / 2.0);
+            match eval(mid) {
+                Some(report) => lo = (mid, report),
+                None => hi = mid,
+            }
         }
     }
 
-    Some(SlaSearchOutcome {
-        qps: lo_rate,
-        report: lo_report,
-    })
+    let (qps, report) = lo;
+    Ok(Some(SlaSearchOutcome { qps, report }))
 }
 
 #[cfg(test)]

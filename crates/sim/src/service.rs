@@ -10,8 +10,7 @@
 //! explicit caller-owned [`NmpLutCache`] — no process-global state, so
 //! parallel evaluations decide their own sharing.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use hercules_common::units::MemBytes;
 use hercules_hw::cost::{
@@ -24,6 +23,7 @@ use hercules_model::graph::Graph;
 use hercules_model::partition::{hot_partition, sparse_dense};
 use hercules_model::table::{EmbeddingTableSpec, PoolingSpec};
 use hercules_model::zoo::RecModel;
+use hercules_workload::query::QuerySizeDist;
 
 use crate::config::{validate_plan, PlacementPlan, PlanError};
 
@@ -31,8 +31,10 @@ use crate::config::{validate_plan, PlacementPlan, PlanError};
 /// cache, bounding the distinct cost computations per stage.
 const BATCH_QUANTUM: u32 = 32;
 
-fn quantize(items: u32) -> u32 {
-    items.div_ceil(BATCH_QUANTUM).max(1) * BATCH_QUANTUM
+/// The quanta a batch of `items` is priced as (at least one): the batch is
+/// priced at `quanta(items) * BATCH_QUANTUM` items.
+fn quanta(items: u32) -> u32 {
+    items.div_ceil(BATCH_QUANTUM).max(1)
 }
 
 /// Where a stage executes.
@@ -52,9 +54,14 @@ enum StageDevice {
 
 /// A memoized per-batch cost function for one pipeline stage.
 ///
-/// The memo table sits behind a [`Mutex`] (not a `RefCell`) so a built
-/// [`Topology`] is `Send + Sync`: parallel searchers can build and drive
-/// topologies from worker threads.
+/// The memo holds one lazily filled slot per batch quantum up to the
+/// largest batch the plan forms through the stage, so a lookup is an index
+/// and an atomic load, and a cost is lent out by reference for as long as
+/// the stage lives. The slots are [`OnceLock`]s, so a built [`Topology`]
+/// is `Send + Sync`: parallel searchers can build and drive topologies
+/// from worker threads. A larger batch (only a caller's own oversized
+/// query reaches one, through a stage that serves whole queries) is priced
+/// into an append-only list past the slots.
 #[derive(Debug)]
 pub struct StageService {
     graph: Graph,
@@ -63,11 +70,27 @@ pub struct StageService {
     /// Embedding-tier cache plan for CPU stages on cache-provisioned
     /// servers (`ServerSpec::cache`); `None` keeps costs cache-oblivious.
     cache_model: Option<CacheModel>,
-    cache: Mutex<HashMap<u32, Arc<BatchCost>>>,
+    /// Slot `i` holds the cost of `i + 1` quanta.
+    slots: Box<[OnceLock<BatchCost>]>,
+    overflow: OnceLock<Box<Overflow>>,
+}
+
+/// A cost priced past a stage's slots: one node of an append-only list.
+#[derive(Debug)]
+struct Overflow {
+    quanta: u32,
+    cost: BatchCost,
+    next: OnceLock<Box<Overflow>>,
 }
 
 impl StageService {
-    fn new(graph: Graph, tables: Vec<EmbeddingTableSpec>, device: StageDevice) -> Self {
+    /// A stage whose largest planned batch is `largest` items.
+    fn new(
+        graph: Graph,
+        tables: Vec<EmbeddingTableSpec>,
+        device: StageDevice,
+        largest: u32,
+    ) -> Self {
         // The hot tier lives with the gathering CPU workers; GPU stages
         // already model their own hot partition (Fig. 10a).
         let cache_model = match &device {
@@ -81,20 +104,45 @@ impl StageService {
             tables,
             device,
             cache_model,
-            cache: Mutex::new(HashMap::new()),
+            slots: (0..quanta(largest)).map(|_| OnceLock::new()).collect(),
+            overflow: OnceLock::new(),
         }
     }
 
-    /// Cost of one batch of `items` through this stage (quantized and
-    /// memoized), behind shared ownership: a cache hit clones only the
-    /// `Arc`, so the runtime's dispatch loop stays heap-allocation free
-    /// once every quantized batch size has been priced.
-    pub fn cost_shared(&self, items: u32) -> Arc<BatchCost> {
-        let q = quantize(items);
-        if let Some(c) = self.cache.lock().expect("stage cache poisoned").get(&q) {
-            return Arc::clone(c);
+    /// Cost of one batch of `items` through this stage, quantized and
+    /// memoized: once its quantum is priced, a lookup neither locks nor
+    /// allocates.
+    pub fn cost(&self, items: u32) -> &BatchCost {
+        let q = quanta(items);
+        match self.slots.get(q as usize - 1) {
+            Some(slot) => slot.get_or_init(|| self.price(q)),
+            None => self.overflow_cost(q),
         }
-        let cost = match &self.device {
+    }
+
+    /// Finds or appends `q` quanta's cost in the overflow list. Racing
+    /// appenders each fill one link; a loser walks on past the winner.
+    fn overflow_cost(&self, q: u32) -> &BatchCost {
+        let mut link = &self.overflow;
+        loop {
+            let node = link.get_or_init(|| {
+                Box::new(Overflow {
+                    quanta: q,
+                    cost: self.price(q),
+                    next: OnceLock::new(),
+                })
+            });
+            if node.quanta == q {
+                return &node.cost;
+            }
+            link = &node.next;
+        }
+    }
+
+    /// Prices a batch of `q` quanta with the roofline model.
+    fn price(&self, q: u32) -> BatchCost {
+        let batch = u64::from(q) * u64::from(BATCH_QUANTUM);
+        match &self.device {
             StageDevice::Cpu {
                 server,
                 workers,
@@ -108,7 +156,7 @@ impl StageService {
                     nmp: nmp.as_deref(),
                     cache: self.cache_model.as_ref(),
                 };
-                cpu_batch_cost(&self.graph, q as u64, &self.tables, &cfg)
+                cpu_batch_cost(&self.graph, batch, &self.tables, &cfg)
             }
             StageDevice::Gpu { server, colocated } => {
                 let gpu = server.gpu.as_ref().expect("gpu stage on gpu server");
@@ -116,15 +164,9 @@ impl StageService {
                     gpu,
                     colocated: *colocated,
                 };
-                gpu_batch_cost(&self.graph, q as u64, &self.tables, &cfg)
+                gpu_batch_cost(&self.graph, batch, &self.tables, &cfg)
             }
-        };
-        let cost = Arc::new(cost);
-        self.cache
-            .lock()
-            .expect("stage cache poisoned")
-            .insert(q, Arc::clone(&cost));
-        cost
+        }
     }
 
     /// The stage's graph (for inspection/tests).
@@ -325,8 +367,11 @@ pub fn build_topology(
         .mem
         .nmp_ways
         .map(|_| luts.get_or_build(server.mem.total_ranks()));
-    // One constructor per pool kind: a host CPU pool, and the GPU stage.
-    let cpu_pool = |threads, graph, tables, workers, colocated_threads| FrontStage {
+    // One constructor per pool kind: a host CPU pool, whose sub-queries
+    // are at most `batch` items, and the GPU stage, which fuses up to its
+    // limit but always takes a whole sub-query (or query, when `split` is
+    // `None`: the stream's largest).
+    let cpu_pool = |threads, graph, tables, workers, colocated_threads, batch| FrontStage {
         threads,
         svc: StageService::new(
             graph,
@@ -337,20 +382,33 @@ pub fn build_topology(
                 colocated_threads,
                 nmp: nmp.clone(),
             },
+            batch,
         ),
     };
-    let gpu_stage = |colocated, fusion_limit, bytes_per_item, graph, tables| BackStage::Gpu {
-        colocated,
-        fusion_limit,
-        bytes_per_item,
-        svc: StageService::new(
-            graph,
-            tables,
-            StageDevice::Gpu {
-                server: server.clone(),
-                colocated,
-            },
-        ),
+    let gpu_stage = |colocated,
+                     fusion_limit: Option<u32>,
+                     bytes_per_item,
+                     graph,
+                     tables,
+                     split: Option<u32>| {
+        let largest_query = QuerySizeDist::paper().bounds().1;
+        let largest = fusion_limit
+            .unwrap_or(0)
+            .max(split.unwrap_or(largest_query));
+        BackStage::Gpu {
+            colocated,
+            fusion_limit,
+            bytes_per_item,
+            svc: StageService::new(
+                graph,
+                tables,
+                StageDevice::Gpu {
+                    server: server.clone(),
+                    colocated,
+                },
+                largest,
+            ),
+        }
     };
 
     match *plan {
@@ -365,6 +423,7 @@ pub fn build_topology(
                 model.tables.clone(),
                 workers,
                 threads,
+                batch,
             )),
             back: BackStage::None,
             split_batch: Some(batch),
@@ -384,6 +443,7 @@ pub fn build_topology(
                 model.tables.clone(),
                 sparse_workers,
                 total_threads,
+                batch,
             );
             let dense = cpu_pool(
                 dense_threads,
@@ -391,6 +451,7 @@ pub fn build_topology(
                 model.tables.clone(),
                 1,
                 total_threads,
+                batch,
             );
             Ok(Topology {
                 front: Some(front),
@@ -427,6 +488,7 @@ pub fn build_topology(
                         bytes_per_item,
                         graph,
                         model.tables.clone(),
+                        None,
                     ),
                     split_batch: None,
                     hot_hit_rate: 1.0,
@@ -447,6 +509,7 @@ pub fn build_topology(
                     scale_tables(&model.tables, 1.0 - hit),
                     1,
                     host_sparse_threads,
+                    host_batch,
                 )),
                 // GPU runs Gs.hot + Gd: the full graph with gather traffic
                 // scaled to the hot share.
@@ -456,6 +519,7 @@ pub fn build_topology(
                     bytes_per_item,
                     graph,
                     scale_tables(&model.tables, hit),
+                    Some(host_batch),
                 ),
                 split_batch: Some(host_batch),
                 hot_hit_rate: hit,
@@ -477,6 +541,7 @@ pub fn build_topology(
                     model.tables.clone(),
                     sparse_workers,
                     sparse_threads,
+                    batch,
                 )),
                 back: gpu_stage(
                     gpu_colocated,
@@ -484,6 +549,7 @@ pub fn build_topology(
                     bytes_per_item,
                     fuse_elementwise(&sd.dense).0,
                     model.tables.clone(),
+                    Some(batch),
                 ),
                 split_batch: Some(batch),
                 hot_hit_rate: 0.0,
@@ -516,10 +582,12 @@ mod tests {
 
     #[test]
     fn quantization_bounds_cache() {
-        assert_eq!(quantize(1), 32);
-        assert_eq!(quantize(32), 32);
-        assert_eq!(quantize(33), 64);
-        assert_eq!(quantize(1000), 1024);
+        assert_eq!(quanta(0), 1);
+        assert_eq!(quanta(1), 1);
+        assert_eq!(quanta(32), 1);
+        assert_eq!(quanta(33), 2);
+        assert_eq!(quanta(1000), 32);
+        assert_eq!(quanta(u32::MAX), 1 << 27);
     }
 
     #[test]
@@ -647,11 +715,39 @@ mod tests {
         )
         .unwrap();
         let svc = &t.front.unwrap().svc;
-        let a = svc.cost_shared(100);
-        let b = svc.cost_shared(128); // same quantization bucket
+        let a = svc.cost(100);
+        let b = svc.cost(128); // same quantization bucket
         assert_eq!(a.latency, b.latency);
-        let c = svc.cost_shared(512);
+        let c = svc.cost(512);
         assert!(c.latency > a.latency);
+    }
+
+    #[test]
+    fn batches_past_the_slots_price_like_planned_ones() {
+        let m = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+        let server = ServerType::T2.spec();
+        let plan = |batch| PlacementPlan::CpuModel {
+            threads: 4,
+            workers: 1,
+            batch,
+        };
+        let small = build(&m, &server, &plan(64)).unwrap();
+        let large = build(&m, &server, &plan(2048)).unwrap();
+        let (small, large) = (&small.front.unwrap().svc, &large.front.unwrap().svc);
+        assert_eq!(small.slots.len(), 2);
+        for items in [1000, 65, 2048, 1000, 1500] {
+            assert_eq!(small.cost(items).per_op, large.cost(items).per_op);
+            assert_eq!(small.cost(items).latency, large.cost(items).latency);
+        }
+        // One overflow node per distinct quantum, lent out stably.
+        assert!(std::ptr::eq(small.cost(993), small.cost(1000)));
+        let mut nodes = 0;
+        let mut link = &small.overflow;
+        while let Some(node) = link.get() {
+            nodes += 1;
+            link = &node.next;
+        }
+        assert_eq!(nodes, 4, "quanta 32, 3, 64 and 47");
     }
 
     #[test]
@@ -675,7 +771,7 @@ mod tests {
         let model = fb.svc.cache_model().expect("cache plan built");
         assert!(model.overall_hit_rate() > 0.0);
         assert!(
-            fb.svc.cost_shared(256).latency < fa.svc.cost_shared(256).latency,
+            fb.svc.cost(256).latency < fa.svc.cost(256).latency,
             "hot-tier hits must shorten the sparse stage"
         );
     }

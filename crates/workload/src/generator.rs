@@ -1,73 +1,92 @@
 //! Query arrival generation: Poisson arrivals with heavy-tailed sizes
 //! (the paper's trace-driven load generator, Fig. 13).
 
-use hercules_common::dist::{Distribution, Exponential};
+use hercules_common::dist::Exponential;
 use hercules_common::rng::SimRng;
 use hercules_common::units::{Qps, SimDuration, SimTime};
 
 use crate::query::{Query, QueryId, QuerySizeDist};
 
-/// A Poisson arrival process over simulated time.
-///
-/// ```
-/// use hercules_workload::generator::PoissonArrivals;
-/// use hercules_common::units::Qps;
-///
-/// let mut arrivals = PoissonArrivals::new(Qps(1000.0), 42);
-/// let t1 = arrivals.next_arrival();
-/// let t2 = arrivals.next_arrival();
-/// assert!(t2 > t1);
-/// ```
+/// Arrival instants at one rate: each gap is the one a unit-rate
+/// exponential draw maps to at that rate.
 #[derive(Debug, Clone)]
-pub struct PoissonArrivals {
+struct Clock {
     gap: Exponential,
     now: SimTime,
-    rng: SimRng,
 }
 
-impl PoissonArrivals {
-    /// Creates a process with the given mean arrival rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not strictly positive.
-    pub fn new(rate: Qps, seed: u64) -> Self {
+impl Clock {
+    fn new(rate: Qps) -> Self {
         assert!(rate.value() > 0.0, "arrival rate must be positive");
-        PoissonArrivals {
+        Clock {
             gap: Exponential::with_rate(rate.value()),
             now: SimTime::ZERO,
-            rng: SimRng::seed_from(seed),
         }
     }
 
-    /// Advances to and returns the next arrival instant.
-    pub fn next_arrival(&mut self) -> SimTime {
-        let gap_s = self.gap.sample(&mut self.rng);
-        self.now += SimDuration::from_secs_f64(gap_s);
+    /// Advances by the gap unit-rate draw `unit` maps to.
+    fn advance(&mut self, unit: f64) -> SimTime {
+        self.now += SimDuration::from_secs_f64(self.gap.scale(unit));
         self.now
     }
 }
 
+/// What a query stream draws, free of its rate: each query's unit-rate
+/// gap and its size, from the seed's forked arrival and size generators.
+#[derive(Debug, Clone)]
+struct Draws {
+    gap_rng: SimRng,
+    size_rng: SimRng,
+    sizes: QuerySizeDist,
+}
+
+impl Draws {
+    fn new(sizes: QuerySizeDist, seed: u64) -> Self {
+        let mut root = SimRng::seed_from(seed);
+        let gap_rng = root.fork();
+        let size_rng = root.fork();
+        Draws {
+            gap_rng,
+            size_rng,
+            sizes,
+        }
+    }
+
+    /// The next query's unit-rate gap and size.
+    fn next(&mut self) -> (f64, u32) {
+        let unit = Exponential::unit(&mut self.gap_rng);
+        (unit, self.sizes.sample(&mut self.size_rng))
+    }
+}
+
 /// A stream of [`Query`]s: Poisson arrivals x size distribution.
+///
+/// ```
+/// use hercules_workload::generator::QueryStream;
+/// use hercules_common::units::Qps;
+///
+/// let mut stream = QueryStream::paper(Qps(1000.0), 42);
+/// let (a, b) = (stream.next_query(), stream.next_query());
+/// assert!(b.arrival > a.arrival);
+/// ```
 #[derive(Debug, Clone)]
 pub struct QueryStream {
-    arrivals: PoissonArrivals,
-    sizes: QuerySizeDist,
-    size_rng: SimRng,
+    clock: Clock,
+    draws: Draws,
     next_id: u64,
 }
 
 impl QueryStream {
     /// Creates a stream at `rate` queries/second with the given size
     /// distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rate is not strictly positive and finite.
     pub fn new(rate: Qps, sizes: QuerySizeDist, seed: u64) -> Self {
-        let mut root = SimRng::seed_from(seed);
-        let arrival_rng = root.fork();
-        let size_rng = root.fork();
         QueryStream {
-            arrivals: PoissonArrivals::new(rate, arrival_rng.seed()),
-            sizes,
-            size_rng,
+            clock: Clock::new(rate),
+            draws: Draws::new(sizes, seed),
             next_id: 0,
         }
     }
@@ -92,11 +111,10 @@ impl QueryStream {
 
     /// Generates the next query.
     pub fn next_query(&mut self) -> Query {
-        let arrival = self.arrivals.next_arrival();
-        let size = self.sizes.sample(&mut self.size_rng);
+        let (unit, size) = self.draws.next();
         let q = Query {
             id: QueryId(self.next_id),
-            arrival,
+            arrival: self.clock.advance(unit),
             size,
         };
         self.next_id += 1;
@@ -114,6 +132,61 @@ impl QueryStream {
             out.push(q);
         }
         out
+    }
+}
+
+/// One seed's paper-stream draws kept at unit rate: each query's gap
+/// `-ln(u)` and its size. A stream at rate `λ` draws the same `u` and
+/// size and gaps by `-ln(u) / λ`, so [`replay`](UnitDraws::replay) at any
+/// rate reproduces [`QueryStream::paper`] at that rate and seed bit for
+/// bit, and a search probing many rates of one seed draws its stream once.
+/// Draws are made as replays first reach them.
+#[derive(Debug, Clone)]
+pub struct UnitDraws {
+    seed: u64,
+    draws: Draws,
+    kept: Vec<(f64, u32)>,
+}
+
+impl UnitDraws {
+    /// The draws behind `QueryStream::paper(_, seed)`.
+    pub fn paper(seed: u64) -> Self {
+        UnitDraws {
+            seed,
+            draws: Draws::new(QuerySizeDist::paper(), seed),
+            kept: Vec::new(),
+        }
+    }
+
+    /// The seed the draws come from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The queries `QueryStream::paper(rate, seed).take_until(horizon)`
+    /// returns, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rate is not strictly positive and finite.
+    pub fn replay(&mut self, rate: Qps, horizon: SimTime) -> impl Iterator<Item = Query> + '_ {
+        let mut clock = Clock::new(rate);
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            if next == self.kept.len() {
+                self.kept.push(self.draws.next());
+            }
+            let (unit, size) = self.kept[next];
+            let arrival = clock.advance(unit);
+            (arrival < horizon).then(|| {
+                next += 1;
+                Query {
+                    id: QueryId(next as u64 - 1),
+                    arrival,
+                    size,
+                }
+            })
+        })
     }
 }
 
@@ -177,11 +250,11 @@ mod tests {
 
     #[test]
     fn gaps_look_exponential() {
-        let mut arr = PoissonArrivals::new(Qps(10_000.0), 5);
+        let mut s = QueryStream::paper(Qps(10_000.0), 5);
         let mut gaps = Vec::new();
         let mut last = SimTime::ZERO;
         for _ in 0..20_000 {
-            let t = arr.next_arrival();
+            let t = s.next_query().arrival;
             gaps.push((t - last).as_secs_f64());
             last = t;
         }

@@ -20,5 +20,5 @@ pub mod generator;
 pub mod query;
 
 pub use diurnal::DiurnalPattern;
-pub use generator::{PoissonArrivals, QueryStream};
+pub use generator::{QueryStream, UnitDraws};
 pub use query::{PoolingDist, Query, QueryId, QuerySizeDist};

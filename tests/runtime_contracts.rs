@@ -6,14 +6,21 @@
 //! derated compute is charged to the queries it delays on the wall clock
 //! as on the virtual clock, a zero-length run reports an idle server in
 //! the simulator and on both clocks, as an empty run of positive length
-//! does, and a zero-length fleet reports idle replicas.
+//! does, and a zero-length fleet reports idle replicas. The simulator and
+//! both knee searches reject malformed rates with a `PlanError` instead of
+//! panicking or returning the start rate as a knee.
 
 use hercules::common::units::{Qps, SimDuration, SimTime};
 use hercules::fleet::{run_virtual_fleet, FleetConfig};
 use hercules::hw::server::ServerType;
 use hercules::model::zoo::{ModelKind, ModelScale, RecModel};
-use hercules::runtime::{ClockMode, FaultPlan, RuntimeConfig, ServingRuntime};
-use hercules::sim::{simulate, NmpLutCache, PlacementPlan, SimConfig, SimReport};
+use hercules::runtime::{
+    max_qps_under_sla_live, ClockMode, FaultPlan, RuntimeConfig, ServingRuntime,
+};
+use hercules::sim::{
+    build_topology, max_qps_under_sla, simulate, simulate_cached, simulate_with_topology,
+    NmpLutCache, PlacementPlan, PlanError, SearchOptions, SimConfig, SimReport, SlaSpec,
+};
 use hercules::workload::query::{Query, QueryId};
 
 fn runtime(
@@ -279,5 +286,76 @@ fn zero_length_fleet_reports_idle_replicas() {
     for rep in &r.replicas {
         assert_eq!(load(&rep.report.sim), bare, "replica {}", rep.index);
         assert_eq!(rep.snapshots.len(), 1, "replica {}", rep.index);
+    }
+}
+
+#[test]
+fn malformed_offered_rates_are_plan_errors() {
+    let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+    let server = ServerType::T2.spec();
+    let plan = PlacementPlan::CpuModel {
+        threads: 10,
+        workers: 2,
+        batch: 256,
+    };
+    let cfg = SimConfig::quick(1);
+    let luts = NmpLutCache::new();
+    let topo = build_topology(&model, &server, &plan, &luts).expect("feasible plan");
+    for rate in [0.0, -5.0, f64::NAN, f64::INFINITY].map(Qps) {
+        let runs = [
+            simulate(&model, &server, &plan, rate, &cfg),
+            simulate_cached(&model, &server, &plan, rate, &cfg, &luts),
+            simulate_with_topology(&topo, &server, rate, &cfg),
+        ];
+        for r in runs {
+            assert_eq!(r.map(|_| ()), Err(PlanError::BadRate), "offered {rate}");
+        }
+    }
+}
+
+#[test]
+fn malformed_search_ranges_are_plan_errors_on_both_searches() {
+    let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+    let server = ServerType::T2.spec();
+    let plan = PlacementPlan::CpuModel {
+        threads: 10,
+        workers: 2,
+        batch: 256,
+    };
+    let sla = SlaSpec::p95(model.default_sla());
+    let cfg = SimConfig::quick(1);
+    let luts = NmpLutCache::new();
+    let ranges = [
+        (0.0, 1e6),
+        (-1.0, 1e6),
+        (f64::NAN, 1e6),
+        (64.0, f64::NAN),
+        (64.0, 0.0),
+        (64.0, 32.0),
+        (64.0, f64::INFINITY),
+    ];
+    for (start, ceiling) in ranges {
+        let opts = SearchOptions {
+            start: Qps(start),
+            ceiling: Qps(ceiling),
+            ..SearchOptions::default()
+        };
+        let simulated = max_qps_under_sla(&model, &server, &plan, &sla, &cfg, &opts, &luts);
+        let live = max_qps_under_sla_live(
+            &model,
+            &server,
+            &plan,
+            &sla,
+            &RuntimeConfig::from_sim(&cfg),
+            &opts,
+            &luts,
+        );
+        for r in [simulated, live] {
+            assert_eq!(
+                r.map(|_| ()),
+                Err(PlanError::BadSearchRange),
+                "start {start}, ceiling {ceiling}"
+            );
+        }
     }
 }
