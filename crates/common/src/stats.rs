@@ -184,12 +184,19 @@ impl LatencyHistogram {
 
     /// Records one observation (seconds). Never allocates.
     pub fn record(&mut self, x: f64) {
+        self.record_bucket(x);
+    }
+
+    /// [`record`](Self::record), returning the index of the bucket the
+    /// observation landed in (into [`counts`](Self::counts)).
+    pub fn record_bucket(&mut self, x: f64) -> usize {
         let idx = self.bucket(x);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
+        idx
     }
 
     /// Merges another histogram into this one.

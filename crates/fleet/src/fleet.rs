@@ -1,22 +1,25 @@
 //! The deterministic virtual fleet: an epoch-driven control loop over N
 //! stepped serving-runtime replicas.
 //!
-//! Each control epoch the router injects the epoch's arrivals into their
-//! shard owners, advances every live replica's virtual clock to the epoch
-//! boundary and snapshots its telemetry, applies health-based failover
-//! (drain a replica whose supervisor reports dead workers or sustained L2+
-//! degrade, re-route its shards), and lets the autoscaler trade replicas
-//! against windowed shed and queue-wait tails. Replicas share nothing
-//! inside an epoch, so they step on parallel threads, one per available
-//! core; routing, failover and scaling run serially between epochs.
+//! Each control epoch the router appends the epoch's arrivals to their
+//! shard owners' inboxes; every live replica then, in one parallel step,
+//! injects its inbox, advances its virtual clock to the epoch boundary and
+//! snapshots its telemetry; then the control thread applies health-based
+//! failover (drain a replica whose supervisor reports dead workers or
+//! sustained L2+ degrade, re-route its shards) and lets the autoscaler
+//! trade replicas against windowed shed and queue-wait tails. Replicas
+//! share nothing inside an epoch, so they step on one crew of threads, one
+//! per available core and the control thread among them, that lives for
+//! the whole replay (`common::par::with_crew`); routing, its counts,
+//! failover and scaling run on the control thread between epochs.
 //! Everything is a pure function of the inputs: two runs of the same fleet
-//! are bitwise identical whatever the thread count, and a single-replica
+//! are bitwise identical whatever the crew size, and a single-replica
 //! fleet reproduces the bare runtime's report bit for bit
 //! (`tests/fleet_props.rs`).
 
 use std::num::NonZeroUsize;
 
-use hercules_common::par::parallel_map_mut;
+use hercules_common::par::with_crew;
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::cost::CacheModel;
 use hercules_runtime::{
@@ -144,15 +147,37 @@ impl FleetReport {
     }
 }
 
-/// Per-replica live state inside the control loop.
+/// Per-replica live state inside the control loop, boxed so that a crew
+/// round moves a pointer, not the stepper.
 struct Slot<'a> {
     stepper: VirtStepper<'a>,
     obs: RuntimeObserver,
+    /// This epoch's arrivals, in arrival order: the router appends, the
+    /// step injects.
+    inbox: Vec<Query>,
+    /// The boundary the next step serves up to.
+    until: SimTime,
     routed: u64,
     prev_shed: u64,
     unhealthy: u32,
     draining: bool,
     activated_at: u64,
+}
+
+impl Slot<'_> {
+    /// One epoch of this replica, on whichever crew thread claims it:
+    /// injects the inbox, serves up to the boundary, and snapshots there,
+    /// except at the horizon, where `finish` takes the last snapshot.
+    fn step(&mut self) {
+        self.routed += self.inbox.len() as u64;
+        for q in self.inbox.drain(..) {
+            self.stepper.inject(q);
+        }
+        self.stepper.step_until(self.until);
+        if self.until < self.stepper.horizon() {
+            self.stepper.observe(&mut self.obs, self.until);
+        }
+    }
 }
 
 /// Spins up replica `i`'s stepper at boundary `now` (late activations
@@ -161,7 +186,7 @@ struct Slot<'a> {
 fn activate<'a>(
     pool: &'a [ServingRuntime],
     epoch: SimDuration,
-    slots: &mut [Option<Slot<'a>>],
+    slots: &mut [Option<Box<Slot<'a>>>],
     i: usize,
     now: SimTime,
     epoch_no: u64,
@@ -175,19 +200,21 @@ fn activate<'a>(
     let ends = horizon.div_ceil(e).saturating_sub(1);
     let mut obs = RuntimeObserver::every(epoch);
     obs.reserve(ends.saturating_sub(now.as_nanos() / e) as usize + 1);
-    slots[i] = Some(Slot {
+    slots[i] = Some(Box::new(Slot {
         stepper,
         obs,
+        inbox: Vec::new(),
+        until: now,
         routed: 0,
         prev_shed: 0,
         unhealthy: 0,
         draining: false,
         activated_at: epoch_no,
-    });
+    }));
 }
 
 /// Indices of replicas currently accepting traffic.
-fn active_list(slots: &[Option<Slot<'_>>]) -> Vec<usize> {
+fn active_list(slots: &[Option<Box<Slot<'_>>>]) -> Vec<usize> {
     slots
         .iter()
         .enumerate()
@@ -216,6 +243,20 @@ pub fn run_virtual_fleet(
     queries: &[Query],
     offered: Qps,
 ) -> FleetReport {
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    replay(pool, cache, cfg, queries, offered, threads)
+}
+
+/// [`run_virtual_fleet`] with its replicas stepped on a crew of `crew`
+/// threads (at most one per replica); the report does not depend on it.
+fn replay(
+    pool: &[ServingRuntime],
+    cache: Option<&CacheModel>,
+    cfg: &FleetConfig,
+    queries: &[Query],
+    offered: Qps,
+    crew: usize,
+) -> FleetReport {
     assert!(!pool.is_empty(), "fleet needs at least one replica");
     assert!(
         cfg.epoch > SimDuration::ZERO,
@@ -240,10 +281,8 @@ pub fn run_virtual_fleet(
         "fleet arrivals must be non-decreasing and lie within the horizon, with at least one item"
     );
 
-    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-
     let mut map = ShardMap::place(cache, cfg.shards, cfg.initial_replicas);
-    let mut slots: Vec<Option<Slot<'_>>> = pool.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<Box<Slot<'_>>>> = pool.iter().map(|_| None).collect();
     for i in 0..cfg.initial_replicas {
         activate(pool, cfg.epoch, &mut slots, i, SimTime::ZERO, 0);
     }
@@ -256,75 +295,69 @@ pub fn run_virtual_fleet(
     let (mut scale_outs, mut scale_ins, mut drained) = (0u32, 0u32, 0u32);
     let mut peak_active = cfg.initial_replicas;
 
-    let mut qi = 0usize;
-    let mut t = SimTime::ZERO;
-    let mut epoch_no = 0u64;
-    while t < horizon {
-        let end = (t + cfg.epoch).min(horizon);
-        let last = end == horizon;
+    let step = |slot: &mut Box<Slot<'_>>| slot.step();
+    with_crew(crew.min(pool.len()), step, |crew| {
+        let mut qi = 0usize;
+        let mut t = SimTime::ZERO;
+        let mut epoch_no = 0u64;
+        while t < horizon {
+            let end = (t + cfg.epoch).min(horizon);
+            let last = end == horizon;
 
-        // Deferred shard migrations whose warm-up elapsed.
-        let due_now: Vec<usize> = pending_moves
-            .iter()
-            .filter(|&&(due, _)| due <= epoch_no)
-            .map(|&(_, to)| to)
-            .collect();
-        pending_moves.retain(|&(due, _)| due > epoch_no);
-        for to in due_now {
-            let active = active_list(&slots);
-            if active.contains(&to) {
-                map.rebalance_into(to, &active);
+            // Deferred shard migrations whose warm-up elapsed.
+            let due_now: Vec<usize> = pending_moves
+                .iter()
+                .filter(|&&(due, _)| due <= epoch_no)
+                .map(|&(_, to)| to)
+                .collect();
+            pending_moves.retain(|&(due, _)| due > epoch_no);
+            for to in due_now {
+                let active = active_list(&slots);
+                if active.contains(&to) {
+                    map.rebalance_into(to, &active);
+                }
             }
-        }
 
-        // Route this epoch's arrivals (the final epoch includes queries
-        // landing exactly on the horizon, as the bare runtime does).
-        while qi < queries.len()
-            && (queries[qi].arrival < end || (last && queries[qi].arrival <= end))
-        {
-            let q = queries[qi];
-            qi += 1;
-            let shard = shard_of(q.id, map.shards());
-            let owner = map.owner(shard);
-            let deliverable = slots[owner].as_ref().is_some_and(|s| !s.draining);
-            if !deliverable {
-                router_dropped += 1;
-                continue;
-            }
-            routed += 1;
-            if map.moved(shard) {
-                rerouted += 1;
-            }
-            let slot = slots[owner].as_mut().expect("deliverable slot");
-            slot.routed += 1;
-            slot.stepper.inject(q);
-        }
-
-        // Advance every live replica (draining ones keep finishing their
-        // in-flight work), each on whichever thread claims it.
-        let mut live: Vec<&mut Slot<'_>> = slots.iter_mut().flatten().collect();
-        parallel_map_mut(&mut live, threads, |slot| {
-            slot.stepper.step_until(end);
-            if !last {
-                slot.stepper.observe(&mut slot.obs, end);
-            }
-        });
-
-        // Health-based failover: drain replicas whose control plane
-        // reports dead workers or sustained L2+ degrade.
-        if cfg.failover {
-            for i in 0..slots.len() {
-                let drain_now = match slots[i].as_mut() {
+            // Route this epoch's arrivals into their owners' inboxes (the
+            // final epoch includes queries landing exactly on the horizon,
+            // as the bare runtime does).
+            while qi < queries.len()
+                && (queries[qi].arrival < end || (last && queries[qi].arrival <= end))
+            {
+                let q = queries[qi];
+                qi += 1;
+                let shard = shard_of(q.id, map.shards());
+                match slots[map.owner(shard)].as_deref_mut() {
                     Some(slot) if !slot.draining => {
-                        let sick =
-                            slot.stepper.dead_workers() > 0 || slot.stepper.degrade_level() >= 2;
-                        slot.unhealthy = if sick { slot.unhealthy + 1 } else { 0 };
-                        slot.unhealthy >= cfg.drain_after.max(1)
+                        routed += 1;
+                        rerouted += u64::from(map.moved(shard));
+                        slot.inbox.push(q);
                     }
-                    _ => false,
-                };
-                if drain_now {
-                    slots[i].as_mut().expect("checked above").draining = true;
+                    _ => router_dropped += 1,
+                }
+            }
+
+            // Every live replica (draining ones keep finishing their
+            // in-flight work) injects its inbox and steps to the boundary,
+            // on whichever crew thread claims it.
+            for slot in slots.iter_mut().flatten() {
+                slot.until = end;
+            }
+            crew.round(&mut slots);
+
+            // Health-based failover: drain replicas whose control plane
+            // reports dead workers or sustained L2+ degrade.
+            if cfg.failover {
+                for i in 0..slots.len() {
+                    let Some(slot) = slots[i].as_deref_mut().filter(|s| !s.draining) else {
+                        continue;
+                    };
+                    let sick = slot.stepper.dead_workers() > 0 || slot.stepper.degrade_level() >= 2;
+                    slot.unhealthy = if sick { slot.unhealthy + 1 } else { 0 };
+                    if slot.unhealthy < cfg.drain_after.max(1) {
+                        continue;
+                    }
+                    slot.draining = true;
                     drained += 1;
                     let mut active = active_list(&slots);
                     if active.is_empty() {
@@ -340,62 +373,67 @@ pub fn run_virtual_fleet(
                     }
                 }
             }
-        }
 
-        // Telemetry-driven scaling.
-        if let Some(scaler) = scaler.as_mut() {
-            let active = active_list(&slots);
-            let mut shed_window = 0u64;
-            let mut wait_p99: Option<f64> = None;
-            for &i in &active {
-                let slot = slots[i].as_mut().expect("active slot");
-                let shed_now = slot.stepper.shed();
-                shed_window += shed_now - slot.prev_shed;
-                slot.prev_shed = shed_now;
-                let tail = slot.obs.history().last().and_then(|s| {
-                    s.stages
-                        .iter()
-                        .filter_map(|g| g.queue_wait_p99)
-                        .fold(None, |a: Option<f64>, w| Some(a.map_or(w, |a| a.max(w))))
-                });
-                wait_p99 = match (wait_p99, tail) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let standby = slots.iter().filter(|s| s.is_none()).count();
-            match scaler.step(shed_window, wait_p99, active.len(), standby) {
-                ScaleDecision::Out => {
-                    if let Some(spare) = slots.iter().position(Option::is_none) {
-                        activate(pool, cfg.epoch, &mut slots, spare, end, epoch_no);
-                        scale_outs += 1;
-                        let due = epoch_no + scaler.policy().migration_cost_epochs as u64;
-                        pending_moves.push((due, spare));
-                    }
+            // Telemetry-driven scaling.
+            if let Some(scaler) = scaler.as_mut() {
+                let (mut active, mut shed_window) = (0usize, 0u64);
+                let mut wait_p99: Option<f64> = None;
+                for slot in slots.iter_mut().flatten().filter(|s| !s.draining) {
+                    active += 1;
+                    let shed_now = slot.stepper.shed();
+                    shed_window += shed_now - slot.prev_shed;
+                    slot.prev_shed = shed_now;
+                    let tail = slot.obs.history().last().and_then(|s| {
+                        s.stages
+                            .iter()
+                            .filter_map(|g| g.queue_wait_p99)
+                            .fold(None, |a: Option<f64>, w| Some(a.map_or(w, |a| a.max(w))))
+                    });
+                    wait_p99 = match (wait_p99, tail) {
+                        (Some(a), Some(b)) => Some(a.max(b)),
+                        (a, b) => a.or(b),
+                    };
                 }
-                ScaleDecision::In => {
-                    // Retire the most recently activated replica (ties to
-                    // the highest index): the cheapest to migrate away.
-                    let victim = active
-                        .iter()
-                        .copied()
-                        .max_by_key(|&i| (slots[i].as_ref().expect("active slot").activated_at, i))
-                        .expect("scale-in requires an active replica");
-                    slots[victim].as_mut().expect("active slot").draining = true;
-                    scale_ins += 1;
-                    let remaining = active_list(&slots);
-                    if !remaining.is_empty() {
-                        map.reassign(victim, &remaining);
+                let standby = slots.iter().filter(|s| s.is_none()).count();
+                match scaler.step(shed_window, wait_p99, active, standby) {
+                    ScaleDecision::Out => {
+                        if let Some(spare) = slots.iter().position(Option::is_none) {
+                            activate(pool, cfg.epoch, &mut slots, spare, end, epoch_no);
+                            scale_outs += 1;
+                            let due = epoch_no + scaler.policy().migration_cost_epochs as u64;
+                            pending_moves.push((due, spare));
+                        }
                     }
+                    ScaleDecision::In => {
+                        // Retire the most recently activated replica (ties
+                        // to the highest index): the cheapest to migrate
+                        // away. The scaler retires only while two are
+                        // active, so there is one.
+                        let victim = slots
+                            .iter_mut()
+                            .enumerate()
+                            .filter_map(|(i, s)| Some((i, s.as_deref_mut()?)))
+                            .filter(|(_, s)| !s.draining)
+                            .max_by_key(|(i, s)| (s.activated_at, *i));
+                        if let Some((victim, slot)) = victim {
+                            slot.draining = true;
+                            scale_ins += 1;
+                            let remaining = active_list(&slots);
+                            if !remaining.is_empty() {
+                                map.reassign(victim, &remaining);
+                            }
+                        }
+                    }
+                    ScaleDecision::Hold => {}
                 }
-                ScaleDecision::Hold => {}
             }
-        }
 
-        peak_active = peak_active.max(active_list(&slots).len());
-        t = end;
-        epoch_no += 1;
-    }
+            let active = slots.iter().flatten().filter(|s| !s.draining).count();
+            peak_active = peak_active.max(active);
+            t = end;
+            epoch_no += 1;
+        }
+    });
 
     let replicas: Vec<ReplicaReport> = slots
         .into_iter()
@@ -408,7 +446,7 @@ pub fn run_virtual_fleet(
                 routed: slot_routed,
                 draining,
                 ..
-            } = slot;
+            } = *slot;
             let share = if routed > 0 {
                 Qps(offered.value() * (slot_routed as f64 / routed as f64))
             } else {
@@ -436,5 +474,106 @@ pub fn run_virtual_fleet(
         drained,
         peak_active,
         replicas,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::autoscale::AutoscalerPolicy;
+    use hercules_hw::server::ServerType;
+    use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
+    use hercules_runtime::{
+        AdmissionPolicy, DeadlinePolicy, FaultPlan, RuntimeConfig, StageKind, SupervisorPolicy,
+    };
+    use hercules_sim::{NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
+    use hercules_workload::generator::QueryStream;
+    use hercules_workload::query::QueryId;
+
+    /// `phases` of (milliseconds, QPS) back to back, one seeded stream each.
+    fn phased_trace(phases: &[(u64, f64)], seed: u64) -> Vec<Query> {
+        let mut out: Vec<Query> = Vec::new();
+        let mut start = SimTime::ZERO;
+        for (k, &(ms, qps)) in phases.iter().enumerate() {
+            let len = SimDuration::from_millis(ms);
+            let mut stream = QueryStream::paper(Qps(qps), seed + k as u64);
+            for q in stream.take_until(SimTime::ZERO + len) {
+                out.push(Query {
+                    id: QueryId(out.len() as u64),
+                    arrival: start + (q.arrival - SimTime::ZERO),
+                    size: q.size,
+                });
+            }
+            start += len;
+        }
+        out
+    }
+
+    /// A fleet whose first replica hangs while the load rises past what
+    /// two replicas serve and falls back: it drains the hung replica (the
+    /// only one supervised, so overload alone drains none), scales out and
+    /// scales back in, and every crew size reports it alike.
+    #[test]
+    fn reports_do_not_depend_on_the_crew_size() {
+        let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+        let sla = model.default_sla();
+        let duration = SimDuration::from_millis(2000);
+        let healthy = RuntimeConfig::from_sim(&SimConfig {
+            duration,
+            warmup_fraction: 0.15,
+            drain_margin: SimDuration::ZERO,
+            seed: 41,
+        })
+        .with_admission(AdmissionPolicy::for_sla(&SlaSpec::p99(sla), 1.0))
+        .with_deadline(DeadlinePolicy::track(sla));
+        let (at, span) = (SimTime::ZERO + duration.mul_f64(0.2), duration.mul_f64(0.5));
+        let hung = healthy
+            .with_faults(
+                FaultPlan::none()
+                    .with_stall(StageKind::Front, 0, at, span)
+                    .with_stall(StageKind::Front, 1, at, span),
+            )
+            .with_supervisor(SupervisorPolicy::active(SimDuration::from_millis(2)));
+        let plan = PlacementPlan::CpuModel {
+            threads: 2,
+            workers: 2,
+            batch: 256,
+        };
+        let luts = NmpLutCache::new();
+        let pool: Vec<ServingRuntime> = (0..4)
+            .map(|i| {
+                let c = if i == 0 { hung } else { healthy };
+                ServingRuntime::build(&model, ServerType::T2.spec(), &plan, c, &luts)
+                    .expect("a small RMC1 plan on a T2 is feasible")
+            })
+            .collect();
+        let trace = phased_trace(&[(800, 2000.0), (1200, 100.0)], 41);
+        let offered = Qps(trace.len() as f64 / duration.as_secs_f64());
+        let cfg = FleetConfig {
+            epoch: SimDuration::from_millis(50),
+            shards: 64,
+            initial_replicas: 2,
+            autoscaler: Some(AutoscalerPolicy {
+                max_replicas: 4,
+                wait_in_s: sla.as_secs_f64() / 2.0,
+                ..AutoscalerPolicy::default()
+            }),
+            failover: true,
+            drain_after: 1,
+        };
+        let serial = replay(&pool, None, &cfg, &trace, offered, 1);
+        assert!(serial.conserves());
+        assert!(
+            serial.drained > 0 && serial.scale_outs > 0 && serial.scale_ins > 0,
+            "the fleet drains ({}), scales out ({}) and scales in ({})",
+            serial.drained,
+            serial.scale_outs,
+            serial.scale_ins
+        );
+        let serial = format!("{serial:?}");
+        for crew in [2, 3, pool.len() + 2] {
+            let report = replay(&pool, None, &cfg, &trace, offered, crew);
+            assert!(format!("{report:?}") == serial, "a crew of {crew}");
+        }
     }
 }

@@ -118,6 +118,10 @@ pub struct NmpEstimate {
 /// Models each rank's banks and internal data bus: an access occupies a bank
 /// for activate+read+precharge and the rank bus for its bursts; accesses are
 /// striped round-robin over ranks then banks (embedding rows hash uniformly).
+/// Access `i` goes to rank `i % ranks` and bank `(i / ranks) % banks`, so the
+/// `k`-th access of every rank lands on bank `k % banks`: every rank replays
+/// the same bank sequence from the same idle state, and one rank's
+/// chain of bank and bus state stands for them all.
 #[derive(Debug, Clone)]
 pub struct NmpSimulator {
     config: NmpConfig,
@@ -138,45 +142,86 @@ impl NmpSimulator {
     /// reduced on-DIMM (only the pooled result crosses the channel, which is
     /// accounted by the cost model, not here).
     pub fn gather_reduce(&self, accesses: u64, row_bytes: u32) -> NmpEstimate {
+        self.estimate(
+            &mut RankChain::new(&self.config.timing, row_bytes),
+            accesses,
+            row_bytes,
+        )
+    }
+
+    /// The estimate for `accesses` gathers, advancing `chain` (built for
+    /// `row_bytes`-wide rows, and no further along than this count's
+    /// busiest rank) to it. Rank 0 serves the most accesses, `ceil(accesses
+    /// / ranks)`, and its bus frees last: its bus-free time is the gather's
+    /// latency.
+    fn estimate(&self, chain: &mut RankChain, accesses: u64, row_bytes: u32) -> NmpEstimate {
+        let latency_ns = chain.serve(accesses.div_ceil(u64::from(self.config.ranks)));
         let t = &self.config.timing;
-        let ranks = self.config.ranks as usize;
-        let banks = t.banks_per_rank as usize;
-
-        let bursts = row_bytes.div_ceil(t.burst_bytes).max(1) as f64;
-        let burst_ns = bursts * (t.burst_cycles + t.bus_gap_cycles) as f64 * t.tck_ns;
-        let hit_lat_ns = t.cl as f64 * t.tck_ns;
-        let miss_lat_ns = (t.trp + t.trcd + t.cl) as f64 * t.tck_ns;
-        // Expected access latency with the configured row-miss rate.
-        let access_lat_ns = t.row_miss_rate * miss_lat_ns + (1.0 - t.row_miss_rate) * hit_lat_ns;
-        let precharge_ns = t.trp as f64 * t.tck_ns;
-
-        // Per-rank state: bank ready times and data-bus ready time.
-        let mut bank_free = vec![vec![0.0f64; banks]; ranks];
-        let mut bus_free = vec![0.0f64; ranks];
-
-        for i in 0..accesses {
-            let r = (i as usize) % ranks;
-            let b = ((i as usize) / ranks) % banks;
-            // The access starts when its bank is free; data return additionally
-            // waits for the rank data bus.
-            let start = bank_free[r][b];
-            let data_start = (start + access_lat_ns).max(bus_free[r]);
-            let done = data_start + burst_ns;
-            bus_free[r] = done;
-            bank_free[r][b] = done + precharge_ns;
-        }
-
-        let latency_ns = bus_free.iter().cloned().fold(0.0f64, f64::max);
-
         let e = &self.config.energy;
-        let per_access_nj =
-            t.row_miss_rate * e.activate_nj + bursts * e.read_burst_nj + e.nmp_logic_nj;
+        let per_access_nj = t.row_miss_rate * e.activate_nj
+            + bursts(t, row_bytes) * e.read_burst_nj
+            + e.nmp_logic_nj;
         let energy_j = accesses as f64 * per_access_nj * 1e-9;
 
         NmpEstimate {
             latency: SimDuration::from_nanos(latency_ns.round() as u64),
             energy: Joules(energy_j),
         }
+    }
+}
+
+/// Bursts one `row_bytes`-wide row takes.
+fn bursts(t: &DdrTiming, row_bytes: u32) -> f64 {
+    row_bytes.div_ceil(t.burst_bytes).max(1) as f64
+}
+
+/// One rank's banks and data bus, serving its accesses in order.
+#[derive(Debug)]
+struct RankChain {
+    /// When each bank is next free, in ns.
+    bank_free: Vec<f64>,
+    /// When the data bus is next free, in ns.
+    bus_free: f64,
+    /// Accesses served so far.
+    served: u64,
+    /// A burst train's bus occupancy, in ns.
+    burst_ns: f64,
+    /// Expected access latency at the configured row-miss rate, in ns.
+    access_lat_ns: f64,
+    precharge_ns: f64,
+}
+
+impl RankChain {
+    /// An idle rank serving `row_bytes`-wide rows.
+    fn new(t: &DdrTiming, row_bytes: u32) -> Self {
+        let hit_lat_ns = t.cl as f64 * t.tck_ns;
+        let miss_lat_ns = (t.trp + t.trcd + t.cl) as f64 * t.tck_ns;
+        RankChain {
+            bank_free: vec![0.0; t.banks_per_rank as usize],
+            bus_free: 0.0,
+            served: 0,
+            burst_ns: bursts(t, row_bytes) * (t.burst_cycles + t.bus_gap_cycles) as f64 * t.tck_ns,
+            access_lat_ns: t.row_miss_rate * miss_lat_ns + (1.0 - t.row_miss_rate) * hit_lat_ns,
+            precharge_ns: t.trp as f64 * t.tck_ns,
+        }
+    }
+
+    /// Serves accesses until `n` are served and returns when the data bus
+    /// frees after the last.
+    fn serve(&mut self, n: u64) -> f64 {
+        let banks = self.bank_free.len() as u64;
+        while self.served < n {
+            let b = (self.served % banks) as usize;
+            // The access starts when its bank is free; data return
+            // additionally waits for the rank data bus.
+            let start = self.bank_free[b];
+            let data_start = (start + self.access_lat_ns).max(self.bus_free);
+            let done = data_start + self.burst_ns;
+            self.bus_free = done;
+            self.bank_free[b] = done + self.precharge_ns;
+            self.served += 1;
+        }
+        self.bus_free
     }
 }
 
@@ -192,7 +237,8 @@ pub struct NmpLut {
 
 impl NmpLut {
     /// Builds a LUT for `row_bytes`-wide rows by sweeping a log-spaced grid
-    /// of access counts on the cycle-level simulator.
+    /// of access counts on the cycle-level simulator: one sweep of one
+    /// rank's chain, read off at each grid point.
     ///
     /// # Panics
     ///
@@ -200,12 +246,12 @@ impl NmpLut {
     pub fn build(config: &NmpConfig, row_bytes: u32) -> NmpLut {
         assert!(row_bytes > 0, "rows must have bytes");
         let sim = NmpSimulator::new(config.clone());
-        let mut points = Vec::new();
-        let mut a: u64 = 1;
-        while a <= 4_194_304 {
-            points.push((a, sim.gather_reduce(a, row_bytes)));
-            a *= 2;
-        }
+        let mut chain = RankChain::new(&config.timing, row_bytes);
+        let grid = std::iter::successors(Some(1u64), |a| Some(a * 2));
+        let points = grid
+            .take_while(|&a| a <= 4_194_304)
+            .map(|a| (a, sim.estimate(&mut chain, a, row_bytes)))
+            .collect();
         NmpLut {
             ranks: config.ranks,
             row_bytes,
@@ -363,6 +409,98 @@ impl NmpLutCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The simulator as first written: every rank's banks and bus, each
+    /// access served in order.
+    fn all_ranks(config: &NmpConfig, accesses: u64, row_bytes: u32) -> NmpEstimate {
+        let t = &config.timing;
+        let ranks = config.ranks as usize;
+        let banks = t.banks_per_rank as usize;
+
+        let bursts = row_bytes.div_ceil(t.burst_bytes).max(1) as f64;
+        let burst_ns = bursts * (t.burst_cycles + t.bus_gap_cycles) as f64 * t.tck_ns;
+        let hit_lat_ns = t.cl as f64 * t.tck_ns;
+        let miss_lat_ns = (t.trp + t.trcd + t.cl) as f64 * t.tck_ns;
+        let access_lat_ns = t.row_miss_rate * miss_lat_ns + (1.0 - t.row_miss_rate) * hit_lat_ns;
+        let precharge_ns = t.trp as f64 * t.tck_ns;
+
+        let mut bank_free = vec![vec![0.0f64; banks]; ranks];
+        let mut bus_free = vec![0.0f64; ranks];
+        for i in 0..accesses {
+            let r = (i as usize) % ranks;
+            let b = ((i as usize) / ranks) % banks;
+            let start = bank_free[r][b];
+            let data_start = (start + access_lat_ns).max(bus_free[r]);
+            let done = data_start + burst_ns;
+            bus_free[r] = done;
+            bank_free[r][b] = done + precharge_ns;
+        }
+        let latency_ns = bus_free.iter().cloned().fold(0.0f64, f64::max);
+
+        let e = &config.energy;
+        let per_access_nj =
+            t.row_miss_rate * e.activate_nj + bursts * e.read_burst_nj + e.nmp_logic_nj;
+        NmpEstimate {
+            latency: SimDuration::from_nanos(latency_ns.round() as u64),
+            energy: Joules(accesses as f64 * per_access_nj * 1e-9),
+        }
+    }
+
+    fn same_bits(a: NmpEstimate, b: NmpEstimate) -> bool {
+        a.latency == b.latency && a.energy.value().to_bits() == b.energy.value().to_bits()
+    }
+
+    #[test]
+    fn one_rank_chain_matches_every_rank_bit_for_bit() {
+        // Grid points up to 2^12 and counts between them, around the rank
+        // count and past a whole bank cycle.
+        let grid = (0..=12).map(|k| 1u64 << k);
+        let between = [
+            0u64, 3, 5, 7, 15, 17, 31, 33, 100, 257, 1000, 1500, 3000, 5001,
+        ];
+        let counts: Vec<u64> = grid.chain(between).collect();
+        for ranks in 1..=32 {
+            let config = NmpConfig::with_ranks(ranks);
+            let sim = NmpSimulator::new(config.clone());
+            for row_bytes in NmpLutSet::STANDARD_WIDTHS.into_iter().chain([100]) {
+                let near = [
+                    ranks as u64 - 1,
+                    ranks as u64,
+                    ranks as u64 + 1,
+                    16 * ranks as u64 + 1,
+                ];
+                for &a in counts.iter().chain(&near) {
+                    let (got, want) = (
+                        sim.gather_reduce(a, row_bytes),
+                        all_ranks(&config, a, row_bytes),
+                    );
+                    assert!(
+                        same_bits(got, want),
+                        "ranks {ranks}, {row_bytes} B, {a} accesses: {got:?} vs {want:?}"
+                    );
+                }
+                // The LUT's one sweep, at its grid points up to 2^12.
+                let lut = NmpLut::build(&config, row_bytes);
+                for &(a, got) in lut.points.iter().take(13) {
+                    let want = all_ranks(&config, a, row_bytes);
+                    assert!(
+                        same_bits(got, want),
+                        "LUT: ranks {ranks}, {row_bytes} B, {a} accesses"
+                    );
+                }
+            }
+        }
+        // Every grid point of the sweep, at a few rank counts.
+        for ranks in [1, 3, 8] {
+            let config = NmpConfig::with_ranks(ranks);
+            let lut = NmpLut::build(&config, 128);
+            assert_eq!(lut.points.len(), 23);
+            for &(a, got) in &lut.points {
+                let want = all_ranks(&config, a, 128);
+                assert!(same_bits(got, want), "LUT: ranks {ranks}, {a} accesses");
+            }
+        }
+    }
 
     #[test]
     fn more_ranks_cut_latency() {

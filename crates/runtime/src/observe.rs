@@ -11,11 +11,16 @@
 //! virtual instants). The window becomes a [`PlaneSnapshot`] of interval
 //! rates and tail quantiles; the observer keeps the history and fans each
 //! snapshot out to its sinks: a human status line, a JSON stream, a
-//! Prometheus text file. A tick's cost follows the buckets the histograms
-//! occupy, not the layout's 1025, and after the first it allocates only
-//! the snapshot's stage list. Everything here runs off the serving path;
-//! the only cost workers pay is the one release-publish per batch on the
-//! write side (`telemetry::TelemetrySlot`).
+//! Prometheus text file. A tick's cost follows the histogram buckets it
+//! must visit, not the layout's 1025: on the virtual clock, the buckets
+//! recorded into since its last tick, which each worker marks in a
+//! `Touched` bitmap per histogram and the tick takes; the supervisor's
+//! reads, on their own cadence, and the wall clock's seqlock reads scan
+//! the span of buckets the workers occupy. After the first a tick
+//! allocates only the snapshot's stage list. Everything here runs off the
+//! serving path; the only cost workers pay is a bit set per record and,
+//! on the wall clock, the one release-publish per batch on the write side
+//! (`telemetry::TelemetrySlot`).
 //!
 //! The exporters are dependency-free by design: the Prometheus text
 //! exposition format and the snapshot JSON are fixed, flat schemas, so the
@@ -43,12 +48,20 @@ pub(crate) trait Counts {
     /// A range of buckets outside which every count is zero, and the
     /// counts' total.
     fn extent(&self) -> (Range<usize>, u64);
+    /// The counts' total.
+    fn total(&self) -> u64 {
+        self.extent().1
+    }
 }
 
 impl Counts for LatencyHistogram {
     /// The buckets the observations occupy, without a pass over them.
     fn extent(&self) -> (Range<usize>, u64) {
         (self.occupied(), self.count())
+    }
+
+    fn total(&self) -> u64 {
+        self.count()
     }
 
     fn counts(&self) -> &[u64] {
@@ -83,12 +96,91 @@ pub(crate) trait WorkerView {
     fn last_beat(&self) -> SimTime;
 }
 
+/// Words in a [`Touched`] bitmap: one bit for each of
+/// [`LatencyHistogram::default_latency`]'s 1025 buckets.
+const TOUCHED_WORDS: usize = 17;
+
+/// The buckets of one histogram, in [`LatencyHistogram::default_latency`]'s
+/// layout, recorded into since the bits were last taken: bit `i % 64` of
+/// word `i / 64` stands for bucket `i`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Touched([u64; TOUCHED_WORDS]);
+
+impl Touched {
+    /// Marks bucket `i`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Adds `other`'s buckets to these and clears them there.
+    fn take_from(&mut self, other: &mut Touched) {
+        for (mine, theirs) in self.0.iter_mut().zip(&mut other.0) {
+            *mine |= std::mem::take(theirs);
+        }
+    }
+
+    /// These buckets and `other`'s.
+    fn union(mut self, other: &Touched) -> Touched {
+        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+            *mine |= theirs;
+        }
+        self
+    }
+
+    /// Calls `f` on each marked bucket, ascending.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// The smallest range covering the marked buckets (empty when none is).
+    fn span(&self) -> Range<usize> {
+        let words = &self.0;
+        match (
+            words.iter().position(|&w| w != 0),
+            words.iter().rposition(|&w| w != 0),
+        ) {
+            (Some(f), Some(l)) => {
+                f * 64 + words[f].trailing_zeros() as usize
+                    ..l * 64 + 64 - words[l].leading_zeros() as usize
+            }
+            _ => 0..0,
+        }
+    }
+}
+
+/// [`Touched`] bits for the two histograms the observer windows: a
+/// virtual-clock worker's own, set as it records, or a pool's, the union
+/// of its workers' that an observer tick takes off them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct TouchedHists {
+    /// Queue-wait buckets.
+    pub queue_wait: Touched,
+    /// End-to-end latency buckets.
+    pub e2e: Touched,
+}
+
+impl TouchedHists {
+    /// Moves `worker`'s bits into these, clearing them there.
+    pub(crate) fn take_from(&mut self, worker: &mut TouchedHists) {
+        self.queue_wait.take_from(&mut worker.queue_wait);
+        self.e2e.take_from(&mut worker.e2e);
+    }
+}
+
 /// One histogram summed over a stage's workers at the last boundary read,
 /// in [`LatencyHistogram::default_latency`]'s layout, and its window since
 /// the boundary before. The sum is brought up to date in place, bucket by
-/// bucket over only the buckets the workers occupy, so a read costs what
-/// the window spans, not the layout's 1025 buckets, and allocates nothing
-/// after the first.
+/// bucket over only the buckets the workers occupy, or, given the
+/// [`Touched`] bits since the last read, over only the buckets recorded
+/// into since then; so a read costs what the window spans or holds, not
+/// the layout's 1025 buckets, and allocates nothing after the first.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HistSum {
     counts: Vec<u64>,
@@ -121,19 +213,28 @@ impl HistSum {
     /// `hist`) and records the window since the last sum: one pass over the
     /// buckets either occupies sums each bucket, differences it against
     /// the last sum, stores it, and feeds the quantile scan, whose total is
-    /// known up front. The differencing routine behind every windowed
-    /// quantile, on both clocks.
+    /// known up front. With `touched`, the buckets recorded into since the
+    /// last sum, the pass visits only those: every other bucket's window is
+    /// empty. The differencing routine behind every windowed quantile, on
+    /// both clocks.
     pub(crate) fn advance<P, H: Counts + ?Sized>(
         &mut self,
         parts: &[P],
         hist: impl Fn(&P) -> &H,
         layout: &LatencyHistogram,
+        touched: Option<&Touched>,
     ) {
         let (mut span, mut total) = (self.span.clone(), 0);
-        for p in parts {
-            let (s, t) = hist(p).extent();
-            span = hull(&span, &s);
-            total += t;
+        if let Some(bits) = touched {
+            // The bits name every bucket that moved: no extrema to read.
+            span = hull(&span, &bits.span());
+            total = parts.iter().map(|p| hist(p).total()).sum();
+        } else {
+            for p in parts {
+                let (s, t) = hist(p).extent();
+                span = hull(&span, &s);
+                total += t;
+            }
         }
         if total == self.total {
             // Counts only grow, so an unchanged total is an unchanged sum.
@@ -143,10 +244,15 @@ impl HistSum {
         let last = self.counts.len() - 1;
         let overflow_before = self.counts[last];
         let mut scan = WindowQuantiles::new(layout, total - self.total, [0.50, 0.99]);
-        for i in span.clone() {
+        let counts = &mut self.counts;
+        let visit = |i: usize| {
             let now: u64 = parts.iter().map(|p| hist(p).counts()[i]).sum();
-            scan.push(i, now - self.counts[i]);
-            self.counts[i] = now;
+            scan.push(i, now - counts[i]);
+            counts[i] = now;
+        };
+        match touched {
+            Some(bits) => bits.for_each(visit),
+            None => span.clone().for_each(visit),
         }
         self.quantiles = scan.finish();
         self.overflow = self.counts[last] - overflow_before;
@@ -232,7 +338,10 @@ pub(crate) struct PlaneState {
 impl PlaneState {
     /// Reads the boundary at `t` in place: each non-empty pool's workers
     /// (`pools` in [`StageKind`] order) summed, with every window since the
-    /// last read, and the admission counters. The control-plane gauges are
+    /// last read, and the admission counters. Given `touched`, each pool's
+    /// histogram buckets recorded into since this state's last read (in
+    /// the same order), the histogram windows visit only those; without,
+    /// they scan the span the workers occupy. The control-plane gauges are
     /// the caller's to set.
     pub(crate) fn advance<W: WorkerView>(
         &mut self,
@@ -240,6 +349,7 @@ impl PlaneState {
         admitted: u64,
         shed: u64,
         pools: [PoolView<'_, W>; 3],
+        touched: Option<&[TouchedHists; 3]>,
     ) {
         let live = StageKind::ALL
             .into_iter()
@@ -271,12 +381,17 @@ impl PlaneState {
             }
             s.window = now.since(&s.counters);
             s.counters = now;
-            s.queue_wait.advance(workers, W::queue_wait, &self.layout);
-            s.e2e.advance(workers, W::e2e, &self.layout);
+            let bits = touched.map(|t| &t[s.stage.index()]);
+            let layout = &self.layout;
+            s.queue_wait
+                .advance(workers, W::queue_wait, layout, bits.map(|b| &b.queue_wait));
+            s.e2e.advance(workers, W::e2e, layout, bits.map(|b| &b.e2e));
             s.queue_depth = depth;
         }
         if self.stages.len() > 1 {
-            self.e2e.advance(&self.stages, |s| &s.e2e, &self.layout);
+            let bits = touched.map(|t| t.iter().fold(Touched::default(), |u, b| u.union(&b.e2e)));
+            self.e2e
+                .advance(&self.stages, |s| &s.e2e, &self.layout, bits.as_ref());
         }
         self.interval = t.saturating_since(self.t);
         self.admitted_window = admitted - self.admitted;
@@ -945,6 +1060,7 @@ mod tests {
                 completed + shed,
                 shed,
                 [(&front, 7), (none, 0), (none, 0)],
+                None,
             )
         });
     }
@@ -966,6 +1082,101 @@ mod tests {
         assert_eq!(h[1].stages[0].queue_depth, 7);
         assert!(h[1].e2e_p99.is_some());
         assert!(h[1].stages[0].utilization > 0.0);
+    }
+
+    /// Feeds random record streams into one front worker, then into two
+    /// front workers and a back worker, and reads every tick both ways: the
+    /// span scan and the touched-bucket visit must give the same windowed
+    /// quantiles and overflow counts and the same cumulative sums. Windows
+    /// may be empty, and latencies reach both the bottom bucket and the
+    /// overflow bucket.
+    #[test]
+    fn touched_ticks_match_span_scans() {
+        use crate::stage::QueryPhases;
+        use crate::telemetry::WorkerTelemetry;
+        use hercules_common::rng::SimRng;
+        use hercules_common::units::Joules;
+        use hercules_hw::cost::BatchCost;
+
+        assert!(LatencyHistogram::default_latency().counts().len() <= 64 * TOUCHED_WORDS);
+        let phases = QueryPhases {
+            queuing_s: 0.0,
+            loading_s: 0.0,
+            inference_s: 0.0,
+        };
+        let cost = BatchCost {
+            latency: SimDuration::from_micros(100),
+            busy_core_time: SimDuration::from_micros(100),
+            idle_fraction: 0.0,
+            channel_bytes: 0.0,
+            nmp_energy: Joules(0.0),
+            gpu_busy: SimDuration::ZERO,
+            gpu_util: 0.0,
+            per_op: Vec::new(),
+        };
+        let run = SimDuration::from_secs(1);
+        for (fronts, backs, seed) in [(1u32, 0u32, 3u64), (2, 1, 4)] {
+            let mut rng = SimRng::seed_from(seed);
+            let mut pools: [Vec<WorkerTelemetry>; 2] = [
+                (0..fronts)
+                    .map(|w| WorkerTelemetry::new(StageKind::Front, w, run))
+                    .collect(),
+                (0..backs)
+                    .map(|w| WorkerTelemetry::new(StageKind::Back, w, run))
+                    .collect(),
+            ];
+            let mut span = RuntimeObserver::every(SimDuration::from_millis(10));
+            let mut touched = RuntimeObserver::every(SimDuration::from_millis(10));
+            let (mut records, mut empty) = (0u64, 0);
+            for tick in 1..=80u64 {
+                let n = if rng.uniform() < 0.25 {
+                    0
+                } else {
+                    rng.index(40)
+                };
+                empty += u32::from(n == 0);
+                for _ in 0..n {
+                    let p = usize::from(backs > 0 && rng.uniform() < 0.4);
+                    let w = rng.index(pools[p].len());
+                    // 1e-8 s to 1e6 s: under the first bucket's edge up to
+                    // past the last one's.
+                    let secs = 10f64.powf(rng.uniform() * 14.0 - 8.0);
+                    let d = SimDuration::from_secs_f64(secs);
+                    let worker = &mut pools[p][w];
+                    if rng.uniform() < 0.5 {
+                        worker.record_completion(d, &phases, true, false, true);
+                    } else {
+                        worker.record_cpu(SimTime::ZERO, d, 32, &cost);
+                    }
+                    records += 1;
+                }
+                let mut bits = [TouchedHists::default(); 3];
+                for (b, pool) in bits.iter_mut().zip(pools.iter_mut()) {
+                    for w in pool {
+                        b.take_from(&mut w.touched);
+                    }
+                }
+                let t = SimTime::from_millis(10 * tick);
+                let views = [(&pools[0][..], 0), (&pools[1][..], 0), (&[][..], 0)];
+                span.tick(|plane| plane.advance(t, records, 0, views, None));
+                touched.tick(|plane| plane.advance(t, records, 0, views, Some(&bits)));
+            }
+            assert!(empty > 0, "some windows are empty");
+            let last = &span.history()[79];
+            assert!(last.cum_latency_overflow > 0, "some latencies overflow");
+            assert_eq!(
+                format!("{:?}", span.history()),
+                format!("{:?}", touched.history()),
+                "{fronts} front and {backs} back workers"
+            );
+            let (a, b) = (&span.plane, &touched.plane);
+            let hists = |p: &PlaneState| -> Vec<(Vec<u64>, u64)> {
+                let stages = p.stages.iter().flat_map(|s| [&s.queue_wait, &s.e2e]);
+                let sums = stages.chain((p.stages.len() > 1).then_some(&p.e2e));
+                sums.map(|h| (h.counts.clone(), h.total)).collect()
+            };
+            assert_eq!(hists(a), hists(b), "cumulative sums");
+        }
     }
 
     #[test]

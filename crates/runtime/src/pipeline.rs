@@ -26,7 +26,7 @@ use hercules_workload::query::Query;
 use crate::admission::{AdmissionController, AdmissionCounters};
 use crate::config::RuntimeConfig;
 use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor, DEGRADED_KEEP};
-use crate::observe::{PlaneState, WorkerView};
+use crate::observe::{PlaneState, TouchedHists, WorkerView};
 use crate::report::{assemble, RunTotals, RuntimeReport, WallTotals};
 use crate::stage::{QueryTable, FLAG_DEGRADED, FLAG_EXPIRED};
 use crate::telemetry::WorkerTelemetry;
@@ -438,15 +438,18 @@ impl<'a> Pipeline<'a> {
     /// Brings `plane`, the observer's or supervisor's state, up to the
     /// boundary at `t`: each non-empty pool's summed telemetry (`pools` in
     /// [`StageKind`] order) and queue depth with their windows since its
-    /// last read, the admission counters, and the control plane.
+    /// last read, the admission counters, and the control plane. `touched`
+    /// names each pool's histogram buckets recorded into since `plane`'s
+    /// last read, when the caller took them (`PlaneState::advance`).
     pub fn read_plane<W: WorkerView>(
         &self,
         plane: &mut PlaneState,
         t: SimTime,
         counters: &AdmissionCounters,
         pools: [PoolView<'_, W>; 3],
+        touched: Option<&[TouchedHists; 3]>,
     ) {
-        plane.advance(t, counters.admitted(), counters.shed(), pools);
+        plane.advance(t, counters.admitted(), counters.shed(), pools, touched);
         plane.suspect_workers = self.controls.suspect_count();
         plane.dead_workers = self.controls.dead_count();
         plane.degrade_level = self.controls.level();
@@ -464,7 +467,9 @@ impl<'a> Pipeline<'a> {
         let beats =
             |(workers, _): PoolView<'_, W>| workers.iter().map(W::last_beat).collect::<Vec<_>>();
         let (front, back) = (beats(pools[0]), beats(pools[1]));
-        self.read_plane(&mut sup.plane, t, counters, pools);
+        // The supervisor reads on its own cadence, so it scans the span:
+        // the touched bits are the observer's.
+        self.read_plane(&mut sup.plane, t, counters, pools, None);
         sup.tick(&front, &back, t);
     }
 

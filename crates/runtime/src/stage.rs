@@ -76,6 +76,11 @@ impl QueryTable {
         }
     }
 
+    /// Makes room for `additional` more injected queries.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+    }
+
     /// Appends one slot for a query injected after construction (the
     /// stepped executor feeds arrivals incrementally instead of upfront).
     /// Returns the new query's index.

@@ -24,7 +24,7 @@ use hercules_hw::cost::BatchCost;
 use hercules_sim::Buckets;
 pub use hercules_sim::StageKind;
 
-use crate::observe::WorkerView;
+use crate::observe::{TouchedHists, WorkerView};
 use crate::stage::QueryPhases;
 use crate::trace::{stage_tid, SpanKind, TraceEvent, TraceRing};
 
@@ -44,6 +44,9 @@ pub struct WorkerTelemetry {
     /// End-to-end latency of queries this worker retired (measurement
     /// window only).
     pub e2e: LatencyHistogram,
+    /// The `queue_wait` and `e2e` buckets recorded into since the
+    /// virtual clock's observer last took them.
+    pub(crate) touched: TouchedHists,
     /// Whether this worker died (injected or contained panic).
     pub failed: bool,
     /// Last heartbeat this worker published (dispatch-time liveness).
@@ -67,6 +70,7 @@ impl WorkerTelemetry {
             queue_wait: LatencyHistogram::default_latency(),
             service: LatencyHistogram::default_latency(),
             e2e: LatencyHistogram::default_latency(),
+            touched: TouchedHists::default(),
             failed: false,
             last_beat: SimTime::ZERO,
             buckets: Buckets::new(duration),
@@ -181,7 +185,8 @@ impl WorkerTelemetry {
         self.counters.batches += 1;
         self.counters.items += u64::from(items);
         self.counters.busy_ns += service.as_nanos();
-        self.queue_wait.record(wait.as_secs_f64());
+        let i = self.queue_wait.record_bucket(wait.as_secs_f64());
+        self.touched.queue_wait.set(i);
         self.service.record(service.as_secs_f64());
         self.buckets.index(start)
     }
@@ -213,7 +218,8 @@ impl WorkerTelemetry {
             c.sum_queuing += phases.queuing_s;
             c.sum_loading += phases.loading_s;
             c.sum_inference += phases.inference_s;
-            self.e2e.record(latency.as_secs_f64());
+            let i = self.e2e.record_bucket(latency.as_secs_f64());
+            self.touched.e2e.set(i);
         }
     }
 

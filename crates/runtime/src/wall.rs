@@ -541,7 +541,7 @@ impl Wall<'_, '_> {
         let snaps = self.read_slots();
         obs.tick(|plane| {
             self.pipe
-                .read_plane(plane, t, &self.counters, self.views(&snaps))
+                .read_plane(plane, t, &self.counters, self.views(&snaps), None)
         });
     }
 
