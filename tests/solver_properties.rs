@@ -1,10 +1,18 @@
 //! Property-based tests on the optimization stack: on randomized
 //! provisioning-shaped instances, the simplex must reach the optimum that
-//! vertex enumeration finds, and branch and bound the one that brute force
-//! over integral points finds.
+//! vertex enumeration finds, branch and bound the one that brute force
+//! over integral points finds, and the Hercules scheduler must never do
+//! worse than the priority scheduler.
 
 use proptest::prelude::*;
 
+use hercules::common::units::{Qps, Watts};
+use hercules::core::cluster::policies::{HerculesScheduler, PriorityScheduler, SolverChoice};
+use hercules::core::cluster::{Allocation, ProvisionRequest, Provisioner};
+use hercules::core::profiler::{EfficiencyEntry, EfficiencyTable, RankMetric};
+use hercules::hw::server::{Fleet, ServerType};
+use hercules::model::zoo::ModelKind;
+use hercules::sim::PlacementPlan;
 use hercules::solver::{solve_ilp, solve_simplex, IlpOptions, LinearProgram, LpStatus, Relation};
 
 /// Builds a random feasible, bounded provisioning LP:
@@ -240,5 +248,84 @@ proptest! {
             }
             None => prop_assert_eq!(ilp.status, LpStatus::Infeasible),
         }
+    }
+}
+
+/// The workloads and server types a random provisioning request draws
+/// from, in order.
+const MODELS: [ModelKind; 4] = [
+    ModelKind::DlrmRmc1,
+    ModelKind::DlrmRmc2,
+    ModelKind::DlrmRmc3,
+    ModelKind::MtWnd,
+];
+const TYPES: [ServerType; 5] = [
+    ServerType::T2,
+    ServerType::T3,
+    ServerType::T6,
+    ServerType::T7,
+    ServerType::T8,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whenever the priority scheduler meets a request, the Hercules
+    /// scheduler meets it too, within the fleet, at no more power. Each
+    /// (workload, type) cell is profiled with probability 0.8, and a type
+    /// may be absent from the fleet.
+    #[test]
+    fn hercules_never_loses_to_the_priority_scheduler(
+        workloads in 2usize..5,
+        types in 3usize..6,
+        qps in prop::collection::vec(50.0f64..2000.0, 20),
+        power in prop::collection::vec(80.0f64..600.0, 20),
+        profiled in prop::collection::vec(0.0f64..1.0, 20),
+        caps in prop::collection::vec(0u32..12, 5),
+        loads in prop::collection::vec(0.0f64..8000.0, 4),
+        over_provision in 0.0f64..0.2,
+    ) {
+        let models = &MODELS[..workloads];
+        let mut fleet = Fleet::empty();
+        for (&stype, &cap) in TYPES[..types].iter().zip(&caps) {
+            fleet.set(stype, cap);
+        }
+        let mut table = EfficiencyTable::new();
+        for (w, &model) in models.iter().enumerate() {
+            for (t, &stype) in TYPES[..types].iter().enumerate() {
+                let k = w * TYPES.len() + t;
+                let entry = EfficiencyEntry {
+                    qps: Qps(qps[k]),
+                    power: Watts(power[k]),
+                    plan: PlacementPlan::CpuModel {
+                        threads: 1,
+                        workers: 1,
+                        batch: 64,
+                    },
+                };
+                table.insert(model, stype, (profiled[k] < 0.8).then_some(entry));
+            }
+        }
+        let req = ProvisionRequest {
+            fleet: &fleet,
+            table: &table,
+            workloads: models,
+            loads: &loads[..workloads],
+            over_provision,
+        };
+        let Ok(priority) = PriorityScheduler::new(RankMetric::QpsPerWatt).provision(&req) else {
+            return Ok(());
+        };
+        let hercules = HerculesScheduler::new(SolverChoice::BranchAndBound).provision(&req);
+        prop_assert!(hercules.is_ok(), "priority met the request, Hercules: {hercules:?}");
+        let hercules = hercules.unwrap();
+        prop_assert!(hercules.satisfies(&req), "{hercules:?}");
+        let watts = |a: &Allocation| a.provisioned_power(&table, models).value();
+        prop_assert!(
+            watts(&hercules) <= watts(&priority) * (1.0 + 1e-9),
+            "Hercules {} W above priority {} W",
+            watts(&hercules),
+            watts(&priority)
+        );
     }
 }
