@@ -7,12 +7,13 @@
 //! - [`PriorityScheduler`]: §III-C's priority-aware refinement — contended
 //!   types go to the workload with the most to lose.
 //! - [`HerculesScheduler`]: the constrained-optimization provisioner of
-//!   Eq. (1)–(3), solved to the integral optimum by branch and bound.
+//!   Eq. (1)–(3), solved to the integral optimum by branch and bound
+//!   warm-started from the priority-aware allocation.
 
 use hercules_common::rng::SimRng;
 use hercules_hw::cost::colocation_derate;
 use hercules_hw::server::ServerType;
-use hercules_solver::{solve_ilp, solve_simplex, IlpOptions, LinearProgram, LpStatus, Relation};
+use hercules_solver::{solve_ilp, IlpOptions, LinearProgram, LpStatus, Relation};
 
 use crate::cluster::{
     Allocation, ColocatedAllocation, ProvisionError, ProvisionRequest, Provisioner, SharedServer,
@@ -475,19 +476,19 @@ impl ColocationScheduler {
 /// naming the solver they rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Warm-started branch and bound over the presolved simplex relaxation,
-    /// seeded with the rounding heuristic's allocation. The result is the
-    /// exact integral optimum whenever the tree is exhausted, which every
-    /// Day-D2 interval of the paper's setup does well inside the node cap;
-    /// at the cap the scheduler returns the best allocation found so far,
-    /// which is never worse than the heuristic's.
+    /// Branch and bound over the presolved simplex relaxation, warm-started
+    /// from the [`PriorityScheduler`]'s allocation. The result is the exact
+    /// integral optimum whenever the tree is exhausted, which every Day-D2
+    /// interval of the paper's setup does well inside the node cap; at the
+    /// cap the scheduler returns the best allocation found so far, which
+    /// never provisions more power than the priority scheduler's.
     BranchAndBound,
 }
 
 /// Branch-and-bound nodes one provisioning call may explore. The largest
-/// Day-D2 tree of the paper's setup needs about 24k nodes. Programs of its
-/// size take 2–5 µs per node on a 2-vCPU x86-64 host, so the cap stops a
-/// pathological call after about half a second.
+/// Day-D2 tree of the paper's setup needs about 38k nodes (seeds 1–60).
+/// Programs of its size take 2–5 µs per node on a 2-vCPU x86-64 host, so
+/// the cap stops a pathological call after about half a second.
 const NODE_CAP: usize = 100_000;
 
 /// The error for a program with no feasible allocation: it names the first
@@ -515,6 +516,12 @@ fn capacity_error(req: &ProvisionRequest<'_>) -> ProvisionError {
 
 /// The Hercules provisioner: minimizes total provisioned power subject to
 /// per-workload load satisfaction and per-type capacity (Eq. 1–3).
+///
+/// Branch and bound starts from §III-C's priority allocation
+/// ([`PriorityScheduler`] ranking by QPS per watt) as its incumbent. So
+/// wherever the priority scheduler meets the loads, Hercules meets them at
+/// no more power, even when the node cap stops the search, and among tied
+/// optima it keeps the priority allocation unless a node beats it.
 ///
 /// When no allocation meets every target, provisioning fails with
 /// [`ProvisionError::InsufficientCapacity`] naming the first workload whose
@@ -608,130 +615,6 @@ impl HerculesScheduler {
         }
         alloc
     }
-
-    /// Turns a fractional relaxation into a feasible integral allocation:
-    /// floor the relaxation (clamping to capacity), greedily fill remaining
-    /// deficits with the most power-efficient available types, then trim
-    /// overshoot.
-    fn round_and_repair(
-        req: &ProvisionRequest<'_>,
-        x: &[f64],
-        vars: &[(ServerType, usize)],
-    ) -> Result<Allocation, ProvisionError> {
-        let mut counts: Vec<u32> = x.iter().map(|&v| v.max(0.0).floor() as u32).collect();
-
-        let build = |counts: &[u32]| {
-            let mut a = Allocation::new();
-            for (j, &(s, w)) in vars.iter().enumerate() {
-                a.add(s, w, counts[j]);
-            }
-            a
-        };
-
-        // Flooring cannot exceed capacity unless the relaxation itself did
-        // (it can, marginally, through solver tolerance): clamp per type.
-        for (stype, cap) in req.fleet.iter() {
-            loop {
-                let used: u32 = vars
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(s, _))| s == stype)
-                    .map(|(j, _)| counts[j])
-                    .sum();
-                if used <= cap {
-                    break;
-                }
-                let j = vars
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, &(s, _))| s == stype && counts[j] > 0)
-                    .map(|(j, _)| j)
-                    .next()
-                    .expect("used > 0 implies a positive count");
-                counts[j] -= 1;
-            }
-        }
-
-        // Greedy fill: cover each workload's remaining deficit with the
-        // lowest watts-per-QPS available type.
-        for (w, &model) in req.workloads.iter().enumerate() {
-            loop {
-                let alloc = build(&counts);
-                let short = req.target(w) - alloc.served_qps(req.table, req.workloads, w);
-                if short <= 1e-9 {
-                    break;
-                }
-                let mut best: Option<(usize, f64)> = None;
-                for (j, &(s, wj)) in vars.iter().enumerate() {
-                    if wj != w {
-                        continue;
-                    }
-                    let used = alloc.activated_of_type(s);
-                    if used >= req.fleet.count(s) {
-                        continue;
-                    }
-                    let e = req.table.get(model, s).expect("feasible pair");
-                    let watts_per_qps = e.power.value() / e.qps.value().max(1e-9);
-                    if best.as_ref().map_or(true, |&(_, b)| watts_per_qps < b) {
-                        best = Some((j, watts_per_qps));
-                    }
-                }
-                match best {
-                    Some((j, _)) => counts[j] += 1,
-                    None => return Err(capacity_error(req)),
-                }
-            }
-        }
-
-        // Trim: drop any server whose removal keeps its workload satisfied
-        // (undo ceil overshoot), most power-hungry first.
-        let mut order: Vec<usize> = (0..vars.len()).collect();
-        order.sort_by(|&a, &b| {
-            let pa = req
-                .table
-                .get(req.workloads[vars[a].1], vars[a].0)
-                .expect("feasible")
-                .power;
-            let pb = req
-                .table
-                .get(req.workloads[vars[b].1], vars[b].0)
-                .expect("feasible")
-                .power;
-            pb.partial_cmp(&pa).expect("finite power")
-        });
-        loop {
-            let alloc = build(&counts);
-            let mut trimmed = false;
-            for &j in &order {
-                if counts[j] == 0 {
-                    continue;
-                }
-                let (s, w) = vars[j];
-                let qps = req
-                    .table
-                    .get(req.workloads[w], s)
-                    .expect("feasible pair")
-                    .qps
-                    .value();
-                let slack = alloc.served_qps(req.table, req.workloads, w) - req.target(w);
-                if slack - qps >= -1e-9 {
-                    counts[j] -= 1;
-                    trimmed = true;
-                    break;
-                }
-            }
-            if !trimmed {
-                break;
-            }
-        }
-
-        let alloc = build(&counts);
-        if alloc.satisfies(req) {
-            Ok(alloc)
-        } else {
-            Err(capacity_error(req))
-        }
-    }
 }
 
 impl Provisioner for HerculesScheduler {
@@ -741,20 +624,13 @@ impl Provisioner for HerculesScheduler {
 
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError> {
         let (lp, vars) = Self::build_lp(req)?;
-        // Seed branch and bound with the rounding heuristic: its
-        // allocation is the first incumbent, which prunes the tree from
-        // the root and is the answer if nothing beats it.
-        let relax = solve_simplex(&lp);
-        if relax.status == LpStatus::Infeasible {
-            return Err(capacity_error(req));
-        }
-        let incumbent = if relax.status == LpStatus::Optimal {
-            Self::round_and_repair(req, &relax.x, &vars)
-                .ok()
-                .map(|a| Self::point_of(&a, &vars))
-        } else {
-            None
-        };
+        // Seed branch and bound with §III-C's priority allocation: it is
+        // the first incumbent, which prunes the tree from the root and is
+        // the answer if nothing beats it.
+        let incumbent = PriorityScheduler::new(RankMetric::QpsPerWatt)
+            .provision(req)
+            .ok()
+            .map(|a| Self::point_of(&a, &vars));
         let opts = IlpOptions {
             max_nodes: NODE_CAP,
             incumbent,
