@@ -1,21 +1,20 @@
 //! Scoped-thread parallelism with deterministic, index-addressed results.
 //!
-//! The two concurrency primitives the evaluation layers and the fleet need.
-//! [`parallel_map`] applies a function to every item of a slice on up to
+//! One concurrency primitive serves the evaluation layers and the fleet.
+//! [`with_crew`] keeps a crew of threads, the calling thread among them,
+//! alive across many rounds: each [`Crew::round`] lends the crew owned
+//! items, hands each to exactly one thread, and has every item back in its
+//! place before it returns (the fleet's replicas, one round per control
+//! epoch, so no epoch pays for spawning threads). [`parallel_map`] is one
+//! such round over a slice: it applies a function to every item on up to
 //! `workers` OS threads and returns the results **in input order**,
 //! independent of scheduling (the profiler's table sweep, the evaluator's
-//! candidate batches). [`with_crew`] keeps a crew of threads, the calling
-//! thread among them, alive across many rounds: each [`Crew::round`] lends
-//! the crew owned items, hands each to exactly one thread, and has every
-//! item back in its place before it returns (the fleet's replicas, one
-//! round per control epoch, so no epoch pays for spawning threads). Callers
-//! rely on that ordering, and on each item being worked by one thread at a
-//! time, for bitwise-identical parallel-vs-serial behavior. A panic on any
-//! thread reaches the caller.
+//! candidate batches). Callers rely on that ordering, and on each item
+//! being worked by one thread at a time, for bitwise-identical
+//! parallel-vs-serial behavior. A panic on any thread reaches the caller.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -24,13 +23,13 @@ use std::time::{Duration, Instant};
 /// input order.
 ///
 /// `workers` is clamped to `[1, items.len()]`; at 1 (or for a single item)
-/// this is a plain serial map with no threads spawned. Workers pull the
-/// next index off a shared counter and write an index-addressed slot, so
-/// results never depend on which worker ran what, or when.
+/// no thread is spawned. The map is one [`Crew::round`] over slots that
+/// each pair an item with its result, so results never depend on which
+/// thread ran what, or when.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the scope joins its threads).
+/// Propagates a panic from `f`.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -38,19 +37,15 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = workers.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    claim_each(items.len(), workers, |i| {
-        *slots[i].lock().expect("parallel_map slot poisoned") = Some(f(&items[i]));
-    });
+    let mut slots: Vec<Option<(&T, Option<R>)>> =
+        items.iter().map(|item| Some((item, None))).collect();
+    let job = |(item, out): &mut (&T, Option<R>)| *out = Some(f(item));
+    with_crew(workers, job, |crew| crew.round(&mut slots));
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .expect("parallel_map slot poisoned")
-                .expect("worker filled every slot")
+            slot.and_then(|(_, out)| out)
+                .expect("the round worked every slot")
         })
         .collect()
 }
@@ -220,31 +215,10 @@ fn claim<T>(work: &Mutex<Vec<T>>) -> Option<T> {
     work.lock().unwrap_or_else(PoisonError::into_inner).pop()
 }
 
-/// Runs `job(i)` once for every `i` in `0..n` on `workers` threads, the
-/// calling thread among them: each pulls the next index off a shared
-/// counter until none is left.
-fn claim_each(n: usize, workers: usize, job: impl Fn(usize) + Sync) {
-    let next = AtomicUsize::new(0);
-    // Relaxed: the counter only hands out indices; what a job writes
-    // reaches the caller through its slot's mutex and the scope's join.
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        job(i);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(work);
-        }
-        work();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order() {
