@@ -173,12 +173,18 @@ pub fn run_online(
     policy: &mut dyn Provisioner,
     over_provision: Option<f64>,
 ) -> ClusterRunReport {
-    run_online_with_fleet(|_| fleet.clone(), table, traces, policy, over_provision)
+    run_online_sourced(
+        fleet,
+        table,
+        traces,
+        policy,
+        over_provision,
+        ProvisionSource::Offered,
+    )
 }
 
 /// Like [`run_online`], but provisioning against the chosen load signal
-/// ([`ProvisionSource::Offered`] reproduces [`run_online`] bit for bit;
-/// `tests/provision_source.rs` pins that).
+/// ([`run_online`] is this with [`ProvisionSource::Offered`]).
 ///
 /// # Panics
 ///
@@ -191,55 +197,12 @@ pub fn run_online_sourced(
     over_provision: Option<f64>,
     source: ProvisionSource,
 ) -> ClusterRunReport {
-    run_online_impl(
-        |_| fleet.clone(),
-        table,
-        traces,
-        policy,
-        over_provision,
-        source,
-    )
-}
-
-/// Like [`run_online`], but the available fleet may change per interval —
-/// the failure-injection hook (rack loss, maintenance drains, capacity
-/// arriving mid-day). `fleet_at(i)` returns the fleet for interval `i`.
-///
-/// # Panics
-///
-/// Panics if traces are empty or their time grids disagree.
-pub fn run_online_with_fleet(
-    fleet_at: impl Fn(usize) -> Fleet,
-    table: &EfficiencyTable,
-    traces: &[WorkloadTrace],
-    policy: &mut dyn Provisioner,
-    over_provision: Option<f64>,
-) -> ClusterRunReport {
-    run_online_impl(
-        fleet_at,
-        table,
-        traces,
-        policy,
-        over_provision,
-        ProvisionSource::Offered,
-    )
-}
-
-fn run_online_impl(
-    fleet_at: impl Fn(usize) -> Fleet,
-    table: &EfficiencyTable,
-    traces: &[WorkloadTrace],
-    policy: &mut dyn Provisioner,
-    over_provision: Option<f64>,
-    source: ProvisionSource,
-) -> ClusterRunReport {
     let (r, workloads) = check_traces(traces, over_provision);
     let intervals = (0..traces[0].load.len())
         .map(|i| {
-            let fleet = fleet_at(i);
             let loads = loads_at(traces, source.index(i));
             let req = ProvisionRequest {
-                fleet: &fleet,
+                fleet,
                 table,
                 workloads: &workloads,
                 loads: &loads,
@@ -250,7 +213,7 @@ fn run_online_impl(
                 // Best effort: record the whole fleet as the fallback (the
                 // paper's experiments avoid this regime), and keep the
                 // structured failure reason alongside it.
-                Err(e) => (whole_fleet(&fleet, table, &workloads), Some(e)),
+                Err(e) => (whole_fleet(fleet, table, &workloads), Some(e)),
             };
             IntervalOutcome {
                 t_secs: traces[0].load.points()[i].0,
@@ -599,21 +562,16 @@ mod tests {
     #[test]
     fn failure_injection_mid_day() {
         // Lose every NMP server for the middle third of the day: the
-        // scheduler must fall back to CPU servers (more power) and recover
-        // when capacity returns.
+        // scheduler must fall back to CPU servers (more power). Intervals
+        // are provisioned independently, so those intervals provision as
+        // they do in a day on the outage fleet.
         let table = table();
         let tr = traces();
         let steps = tr[0].load.len();
-        let fleet_at = |i: usize| {
-            let mut f = Fleet::empty();
-            f.set(ServerType::T2, 100);
-            if !(steps / 3..2 * steps / 3).contains(&i) {
-                f.set(ServerType::T3, 15);
-            }
-            f
-        };
+        let mut outage = Fleet::empty();
+        outage.set(ServerType::T2, 100);
         let mut policy = HerculesScheduler::new(SolverChoice::BranchAndBound);
-        let report = run_online_with_fleet(fleet_at, &table, &tr, &mut policy, Some(0.05));
+        let report = run_online(&outage, &table, &tr, &mut policy, Some(0.05));
         assert_eq!(
             report.infeasible_intervals(),
             0,

@@ -76,12 +76,6 @@ impl CacheSpec {
             cold_miss_penalty: SimDuration::ZERO,
         }
     }
-
-    /// Sets the per-missed-row cold-tier penalty.
-    pub fn with_cold_miss_penalty(mut self, penalty: SimDuration) -> Self {
-        self.cold_miss_penalty = penalty;
-        self
-    }
 }
 
 /// The capacity plan for one table's hot shard.
@@ -885,7 +879,10 @@ mod tests {
         let server = t2();
         let m = rmc1();
         let base = CacheSpec::per_worker_mib(16);
-        let slow = base.with_cold_miss_penalty(SimDuration::from_micros(1));
+        let slow = CacheSpec {
+            cold_miss_penalty: SimDuration::from_micros(1),
+            ..base
+        };
         let fast_plan = CacheModel::plan(base, &m.tables);
         let slow_plan = CacheModel::plan(slow, &m.tables);
         let cfg = |plan| CpuExecConfig {
@@ -900,10 +897,11 @@ mod tests {
         assert!(b.latency > a.latency, "cold-tier penalty must cost time");
 
         // A saturating cache makes the penalty irrelevant: no misses.
-        let huge = CacheModel::plan(
-            CacheSpec::per_worker_mib(1 << 14).with_cold_miss_penalty(SimDuration::from_millis(1)),
-            &m.tables,
-        );
+        let huge = CacheSpec {
+            cold_miss_penalty: SimDuration::from_millis(1),
+            ..CacheSpec::per_worker_mib(1 << 14)
+        };
+        let huge = CacheModel::plan(huge, &m.tables);
         let c = cpu_batch_cost(&m.graph, 256, &m.tables, &cfg(&huge));
         assert!(c.latency < a.latency);
     }
