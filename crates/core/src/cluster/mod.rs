@@ -34,6 +34,30 @@ impl ProvisionRequest<'_> {
     pub fn target(&self, w: usize) -> f64 {
         self.loads[w] * (1.0 + self.over_provision)
     }
+
+    /// Checks that every load and the over-provision rate are finite and
+    /// non-negative. Every scheduler runs this first.
+    ///
+    /// # Errors
+    ///
+    /// [`ProvisionError::BadLoad`] names the first workload whose load is
+    /// negative or not finite; otherwise [`ProvisionError::BadOverProvision`]
+    /// when `R` is.
+    pub fn check(&self) -> Result<(), ProvisionError> {
+        let valid = |v: f64| v.is_finite() && v >= 0.0;
+        if let Some((_, &workload)) = self
+            .loads
+            .iter()
+            .zip(self.workloads)
+            .find(|&(&load, _)| !valid(load))
+        {
+            return Err(ProvisionError::BadLoad { workload });
+        }
+        if !valid(self.over_provision) {
+            return Err(ProvisionError::BadOverProvision);
+        }
+        Ok(())
+    }
 }
 
 /// Why provisioning failed.
@@ -57,6 +81,13 @@ pub enum ProvisionError {
     },
     /// The optimizer failed to produce a solution.
     SolverFailure,
+    /// A workload's load is negative or not finite.
+    BadLoad {
+        /// The workload with the malformed load.
+        workload: ModelKind,
+    },
+    /// The over-provision rate `R` is negative or not finite.
+    BadOverProvision,
 }
 
 impl fmt::Display for ProvisionError {
@@ -72,6 +103,12 @@ impl fmt::Display for ProvisionError {
                 write!(f, "SLA of {workload} infeasible even on a dedicated server")
             }
             ProvisionError::SolverFailure => write!(f, "provisioning optimizer failed"),
+            ProvisionError::BadLoad { workload } => {
+                write!(f, "load of {workload} is negative or not finite")
+            }
+            ProvisionError::BadOverProvision => {
+                write!(f, "over-provision rate is negative or not finite")
+            }
         }
     }
 }
@@ -295,7 +332,8 @@ pub trait Provisioner {
     ///
     /// # Errors
     ///
-    /// Returns [`ProvisionError`] when the loads cannot be satisfied.
+    /// Returns [`ProvisionError`] when the request is malformed
+    /// ([`ProvisionRequest::check`]) or its loads cannot be satisfied.
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError>;
 }
 

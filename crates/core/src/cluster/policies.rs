@@ -9,6 +9,9 @@
 //! - [`HerculesScheduler`]: the constrained-optimization provisioner of
 //!   Eq. (1)–(3), solved to the integral optimum by branch and bound
 //!   warm-started from the priority-aware allocation.
+//!
+//! Every scheduler first rejects a malformed request
+//! ([`ProvisionRequest::check`]).
 
 use hercules_common::rng::SimRng;
 use hercules_hw::cost::colocation_derate;
@@ -77,6 +80,7 @@ impl Provisioner for NhScheduler {
     }
 
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError> {
+        req.check()?;
         let mut pool = CapacityPool::new(req);
         let mut alloc = Allocation::new();
         for (w, &model) in req.workloads.iter().enumerate() {
@@ -139,6 +143,7 @@ impl Provisioner for GreedyScheduler {
     }
 
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError> {
+        req.check()?;
         let mut pool = CapacityPool::new(req);
         let mut alloc = Allocation::new();
         loop {
@@ -189,6 +194,7 @@ impl Provisioner for PriorityScheduler {
     }
 
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError> {
+        req.check()?;
         let mut pool = CapacityPool::new(req);
         let mut alloc = Allocation::new();
         loop {
@@ -316,6 +322,7 @@ impl ColocationScheduler {
     ///
     /// # Errors
     ///
+    /// The errors of [`ProvisionRequest::check`] for a malformed request,
     /// [`ProvisionError::SlaInfeasible`] when a workload's headroom is below
     /// 1.0 (it cannot meet its SLA even dedicated),
     /// [`ProvisionError::NoServerFor`] when the table has no entry for a
@@ -325,6 +332,7 @@ impl ColocationScheduler {
         &self,
         req: &ProvisionRequest<'_>,
     ) -> Result<ColocatedAllocation, ProvisionError> {
+        req.check()?;
         for (w, &model) in req.workloads.iter().enumerate() {
             if self.opts.headroom(w) < 1.0 {
                 return Err(ProvisionError::SlaInfeasible { workload: model });
@@ -623,6 +631,7 @@ impl Provisioner for HerculesScheduler {
     }
 
     fn provision(&mut self, req: &ProvisionRequest<'_>) -> Result<Allocation, ProvisionError> {
+        req.check()?;
         let (lp, vars) = Self::build_lp(req)?;
         // Seed branch and bound with §III-C's priority allocation: it is
         // the first incumbent, which prunes the tree from the root and is

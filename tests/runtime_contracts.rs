@@ -8,11 +8,19 @@
 //! the simulator and on both clocks, as an empty run of positive length
 //! does, and a zero-length fleet reports idle replicas. The simulator and
 //! both knee searches reject malformed rates with a `PlanError` instead of
-//! panicking or returning the start rate as a knee.
+//! panicking or returning the start rate as a knee, and every provisioning
+//! scheduler rejects a malformed load or over-provision rate with a
+//! `ProvisionError` instead of panicking or booking the workload nothing.
 
-use hercules::common::units::{Qps, SimDuration, SimTime};
+use hercules::common::units::{Qps, SimDuration, SimTime, Watts};
+use hercules::core::cluster::policies::{
+    ColocationScheduler, GreedyScheduler, HerculesScheduler, NhScheduler, PriorityScheduler,
+    SolverChoice,
+};
+use hercules::core::cluster::{ProvisionError, ProvisionRequest, Provisioner};
+use hercules::core::profiler::{EfficiencyEntry, EfficiencyTable, RankMetric};
 use hercules::fleet::{run_virtual_fleet, FleetConfig};
-use hercules::hw::server::ServerType;
+use hercules::hw::server::{Fleet, ServerType};
 use hercules::model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules::runtime::{
     max_qps_under_sla_live, ClockMode, FaultPlan, RuntimeConfig, ServingRuntime,
@@ -357,5 +365,68 @@ fn malformed_search_ranges_are_plan_errors_on_both_searches() {
                 "start {start}, ceiling {ceiling}"
             );
         }
+    }
+}
+
+#[test]
+fn malformed_provision_requests_are_errors() {
+    let mut fleet = Fleet::empty();
+    fleet.set(ServerType::T2, 20).set(ServerType::T3, 5);
+    let entry = |qps: f64, power: f64| EfficiencyEntry {
+        qps: Qps(qps),
+        power: Watts(power),
+        plan: PlacementPlan::CpuModel {
+            threads: 1,
+            workers: 1,
+            batch: 64,
+        },
+    };
+    let table = EfficiencyTable::from_entries([
+        ((ModelKind::DlrmRmc1, ServerType::T2), entry(1000.0, 250.0)),
+        ((ModelKind::DlrmRmc1, ServerType::T3), entry(1960.0, 280.0)),
+        ((ModelKind::DlrmRmc2, ServerType::T2), entry(700.0, 250.0)),
+        ((ModelKind::DlrmRmc2, ServerType::T3), entry(1600.0, 280.0)),
+    ]);
+    let workloads = [ModelKind::DlrmRmc1, ModelKind::DlrmRmc2];
+    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0];
+    // A bad load, on the second workload, whatever R is; then a bad R.
+    let mut cases: Vec<(f64, f64, ProvisionError)> = Vec::new();
+    for load in bad {
+        for r in [0.0, f64::NAN, -2.0] {
+            let err = ProvisionError::BadLoad {
+                workload: ModelKind::DlrmRmc2,
+            };
+            cases.push((load, r, err));
+        }
+    }
+    for r in bad {
+        cases.push((1500.0, r, ProvisionError::BadOverProvision));
+    }
+    for (load, r, want) in cases {
+        let loads = [2000.0, load];
+        let req = ProvisionRequest {
+            fleet: &fleet,
+            table: &table,
+            workloads: &workloads,
+            loads: &loads,
+            over_provision: r,
+        };
+        let schedulers: [&mut dyn Provisioner; 4] = [
+            &mut NhScheduler::new(1),
+            &mut GreedyScheduler::new(1, RankMetric::QpsPerWatt),
+            &mut PriorityScheduler::new(RankMetric::QpsPerWatt),
+            &mut HerculesScheduler::new(SolverChoice::BranchAndBound),
+        ];
+        for policy in schedulers {
+            let got = policy.provision(&req);
+            assert_eq!(
+                got,
+                Err(want.clone()),
+                "{} at load {load}, R {r}",
+                policy.name()
+            );
+        }
+        let colocated = ColocationScheduler::default().provision_colocated(&req);
+        assert_eq!(colocated, Err(want), "co-location at load {load}, R {r}");
     }
 }
