@@ -489,7 +489,8 @@ pub enum SolverChoice {
     /// integral optimum whenever the tree is exhausted, which every Day-D2
     /// interval of the paper's setup does well inside the node cap; at the
     /// cap the scheduler returns the best allocation found so far, which
-    /// never provisions more power than the priority scheduler's.
+    /// never provisions more power than the priority scheduler's wherever
+    /// that one meets the loads.
     BranchAndBound,
 }
 

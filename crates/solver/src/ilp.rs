@@ -47,11 +47,11 @@ const DUAL_MAX_ITERS: usize = 1_000;
 pub struct IlpOptions {
     /// Maximum branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// A known integral point (e.g. from a rounding heuristic). If it is
-    /// feasible for the program it starts as the incumbent: nodes whose
-    /// relaxation cannot beat it are pruned at once, and if no node beats
-    /// it, it is the point returned, with [`LpStatus::Optimal`] once the
-    /// tree is exhausted. A point that fails the check is ignored.
+    /// A known integral point. If it is feasible for the program it starts
+    /// as the incumbent: nodes whose relaxation cannot beat it are pruned at
+    /// once, and if no node beats it, it is the point returned, with
+    /// [`LpStatus::Optimal`] once the tree is exhausted. A point that fails
+    /// the check is ignored.
     pub incumbent: Option<Vec<f64>>,
 }
 
