@@ -13,7 +13,8 @@
 //! insertion-ordered event heap (arrivals first on ties), each pool's
 //! per-tenant queues with the share-weighted deficit round-robin picker
 //! (`crate::colocation`) and its free workers, the batcher's flush
-//! deadline, the serialized PCIe link and the in-flight fused batches.
+//! deadline, the serialized PCIe link and the in-flight fused batches
+//! (one slot per busy GPU context: a finished batch's slot is reused).
 //! Every serving decision — admission, service time, deadline drops,
 //! retirement, GPU load and compute attribution, the batching delay, which
 //! worker serves — is asked of its [`Serve`] hooks. The simulator's hooks
@@ -476,7 +477,10 @@ pub struct Server<'t, H: Serve> {
     /// Deadline of the armed flush event, if any (one per distinct head).
     flush_armed: Option<SimTime>,
     pcie_free: SimTime,
+    /// Fused batches by handle; a handle in `free_batches` is finished and
+    /// its slot (with its sub-query buffer) is reused by the next launch.
     batches: Vec<Batch<H::Launch>>,
+    free_batches: Vec<u32>,
 }
 
 impl<'t, H: Serve> Server<'t, H> {
@@ -507,6 +511,7 @@ impl<'t, H: Serve> Server<'t, H> {
             flush_armed: None,
             pcie_free: SimTime::ZERO,
             batches: Vec::new(),
+            free_batches: Vec::new(),
         }
     }
 
@@ -630,7 +635,11 @@ impl<'t, H: Serve> Server<'t, H> {
                 }
             }
             let ctx = pool.free.pop().expect("non-empty");
-            let mut subs = Vec::new();
+            let slot = self.free_batches.pop();
+            let mut subs = slot.map_or_else(Vec::new, |b| {
+                std::mem::take(&mut self.batches[b as usize].subs)
+            });
+            subs.clear();
             let mut items = 0u32;
             // Fusion off: one sub-query per launch.
             let limit = fusion_limit.unwrap_or(0);
@@ -646,12 +655,21 @@ impl<'t, H: Serve> Server<'t, H> {
             let load_start = now.max(self.pcie_free);
             let (load, launch) = self.hooks.gpu_launch(ctx, t, &subs, items, load_start);
             self.pcie_free = load_start + load;
-            let batch = self.batches.len() as u32;
-            self.batches.push(Batch {
+            let b = Batch {
                 tenant: t,
                 subs,
                 launch,
-            });
+            };
+            let batch = match slot {
+                Some(batch) => {
+                    self.batches[batch as usize] = b;
+                    batch
+                }
+                None => {
+                    self.batches.push(b);
+                    self.batches.len() as u32 - 1
+                }
+            };
             self.events.push(self.pcie_free, Ev::Load { ctx, batch });
         }
     }
@@ -685,9 +703,9 @@ impl<'t, H: Serve> Server<'t, H> {
             }
             Ev::Gpu { ctx, batch } => {
                 self.pools[StageKind::Gpu.index()].free.push(ctx);
-                let b = &mut self.batches[batch as usize];
-                let subs = std::mem::take(&mut b.subs);
-                self.hooks.gpu_done(ctx, &subs, &b.launch, now);
+                let b = &self.batches[batch as usize];
+                self.hooks.gpu_done(ctx, &b.subs, &b.launch, now);
+                self.free_batches.push(batch);
                 self.launch_gpu(now);
             }
         }
@@ -1395,6 +1413,51 @@ mod tests {
             a.completed,
             b.completed
         );
+    }
+
+    #[test]
+    fn gpu_batches_reuse_one_slot_per_context() {
+        let server = ServerType::T7.spec();
+        let m = RecModel::build(ModelKind::DlrmRmc3, ModelScale::Small);
+        let plan = PlacementPlan::GpuModel {
+            colocated: 3,
+            fusion_limit: None,
+            host_sparse_threads: 0,
+            host_batch: 256,
+        };
+        let topo = build_topology(&m, &server, &plan, &NmpLutCache::new()).unwrap();
+        let cfg = quick();
+        let window = cfg.window();
+        let queries = QueryStream::paper(Qps(2_000.0), cfg.seed).take_until(window.horizon);
+        let des = Des {
+            topos: vec![&topo],
+            gpu: server.gpu.as_ref(),
+            window,
+            queries: queries
+                .iter()
+                .map(|q| QueryRec {
+                    arrival: q.arrival,
+                    ..QueryRec::default()
+                })
+                .collect(),
+            interference: None,
+            stats: vec![TenantStats::default()],
+            agg_latency: None,
+            buckets: Buckets::new(cfg.duration),
+            front_idle_weighted: 0.0,
+            front_busy_weight: 0.0,
+            total_nmp_j: 0.0,
+            verdict: None,
+        };
+        let mut sim = Server::new(&topo, &[1.0], window.horizon, des);
+        for (i, q) in queries.iter().enumerate() {
+            sim.inject(i as u32, q.arrival, q.size);
+        }
+        sim.run(SimTime::MAX);
+        // Fusion off launches one batch per sub-query.
+        let launched = sim.hooks.stats[0].completed_total;
+        assert!(launched > 1_000, "{launched} batches");
+        assert!(sim.batches.len() <= topo.workers()[StageKind::Gpu.index()] as usize);
     }
 
     #[test]
