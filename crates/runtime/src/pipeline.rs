@@ -65,6 +65,14 @@ pub(crate) struct Dispatcher {
     measured: u64,
 }
 
+impl Dispatcher {
+    /// Arrivals dispatched so far, admitted or shed: the queries with ids
+    /// below it have left the loop's arrival queue.
+    pub fn arrivals(&self) -> u64 {
+        self.arrivals
+    }
+}
+
 /// A CPU stage's decision about one dequeued sub-query.
 pub(crate) struct CpuJob<'a> {
     pub cost: &'a BatchCost,

@@ -14,7 +14,10 @@
 //! zero batching delay, a run agrees with the simulator's to the
 //! nanosecond (`tests/runtime_props.rs`). A whole-trace run injects every
 //! arrival into a [`VirtStepper`] and finishes it; the fleet steps one
-//! epoch at a time.
+//! epoch at a time. After each step the stepper releases the query-table
+//! slots of the queries it has dispatched and fully retired, up to the
+//! first one still in flight (`stage::QueryTable::release`), so a stepped
+//! replica holds only the queries it is serving, not its whole day.
 
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::server::ServerSpec;
@@ -207,14 +210,7 @@ const _: fn() = || {
 
 impl<'a> VirtStepper<'a> {
     pub(crate) fn new(topo: &'a Topology, server: &'a ServerSpec, cfg: &'a RuntimeConfig) -> Self {
-        let mut pipe = Pipeline::new(topo, server, cfg, &[]);
-        // The fleet builds a stepper on its control thread and steps it on
-        // any crew thread. A growing buffer stays in the malloc arena of
-        // its first allocation, so allocating the query table, a replica's
-        // largest buffer, here keeps every replica's in one arena:
-        // fleet-day's peak RSS read 3.4% lower than with the first
-        // allocation left to the first injection.
-        pipe.table.reserve(16);
+        let pipe = Pipeline::new(topo, server, cfg, &[]);
         let telem = StageKind::ALL.map(|stage| {
             let n = topo.workers()[stage.index()];
             (0..n).map(|w| pipe.telemetry(stage, w)).collect()
@@ -253,9 +249,13 @@ impl<'a> VirtStepper<'a> {
 
     /// Serves every pending arrival and event strictly before `t`, firing
     /// supervision boundaries in time order. Events past the horizon stay
-    /// queued (no run serves them).
+    /// queued (no run serves them). Then releases the query-table slots of
+    /// the dispatched queries that have fully retired, up to the first one
+    /// still in flight, so a replica keeps only the queries it is serving.
     pub fn step_until(&mut self, t: SimTime) {
         self.serve(Some(t), &mut None);
+        let Virt { pipe, dispatch, .. } = &mut self.server.hooks;
+        pipe.table.release(dispatch.arrivals());
     }
 
     /// Serves arrivals and events in time order (all of them, or those
@@ -267,8 +267,12 @@ impl<'a> VirtStepper<'a> {
     fn serve(&mut self, until: Option<SimTime>, obs: &mut Option<&mut RuntimeObserver>) {
         let end = until.unwrap_or(SimTime::MAX).min(self.horizon());
         loop {
-            let ob = self.obs_boundary.filter(|b| *b < end);
-            let sb = self.sup_boundary.filter(|b| *b < end);
+            let ob = obs.as_ref().and(self.obs_boundary).filter(|b| *b < end);
+            let sb = self
+                .sup
+                .as_ref()
+                .and(self.sup_boundary)
+                .filter(|b| *b < end);
             let Some(b) = ob.into_iter().chain(sb).min() else {
                 break;
             };
@@ -276,14 +280,10 @@ impl<'a> VirtStepper<'a> {
             if until.is_none() && !self.server.pending() {
                 return;
             }
-            if ob == Some(b) {
-                let o = obs
-                    .as_deref_mut()
-                    .expect("observer boundaries need an observer");
+            if let Some(o) = obs.as_deref_mut().filter(|_| ob == Some(b)) {
                 self.observe(o, b);
                 self.obs_boundary = Some(b + o.period());
-            } else {
-                let mut sup = self.sup.take().expect("boundary implies a supervisor");
+            } else if let Some(mut sup) = self.sup.take() {
                 let hooks = &self.server.hooks;
                 let counters = hooks.dispatch.admission.counters();
                 hooks.pipe.supervise(&mut sup, b, &counters, self.views());
@@ -361,5 +361,68 @@ impl<'a> VirtStepper<'a> {
         } = self.server.hooks;
         let workers = telem.into_iter().flatten().collect();
         pipe.report(dispatch, offered, workers, WallTotals::default())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{AdmissionPolicy, DeadlinePolicy};
+    use hercules_hw::server::ServerType;
+    use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
+    use hercules_sim::{build_topology, NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
+    use hercules_workload::generator::QueryStream;
+
+    /// A stepped replay releases every retired query it may: at each epoch
+    /// boundary the table starts at a query still in flight or not yet
+    /// dispatched, and the report is the whole-trace run's. The load runs
+    /// near the plan's knee, so the admission budget sheds some queries.
+    #[test]
+    fn stepped_replay_keeps_only_live_queries() {
+        let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+        let server = ServerType::T2.spec();
+        let plan = PlacementPlan::CpuModel {
+            threads: 10,
+            workers: 2,
+            batch: 256,
+        };
+        let topo = build_topology(&model, &server, &plan, &NmpLutCache::new()).unwrap();
+        let sla = model.default_sla();
+        let cfg = RuntimeConfig::from_sim(&SimConfig {
+            duration: SimDuration::from_secs(50),
+            seed: 29,
+            ..SimConfig::default()
+        })
+        .with_deadline(DeadlinePolicy::track(sla))
+        .with_admission(AdmissionPolicy::for_sla(&SlaSpec::p99(sla), 1.0));
+        let offered = Qps(2400.0);
+        let queries = QueryStream::paper(offered, 29).take_until(cfg.window().horizon);
+        let injected = queries.len();
+        assert!(injected >= 100_000, "{injected} queries");
+
+        let mut stepper = VirtStepper::new(&topo, &server, &cfg);
+        let (horizon, epoch) = (stepper.horizon(), SimDuration::from_millis(50));
+        let mut arrivals = queries.iter().peekable();
+        let mut now = SimTime::ZERO;
+        while now < horizon {
+            now = (now + epoch).min(horizon);
+            while let Some(q) = arrivals.next_if(|q| q.arrival < now || now == horizon) {
+                stepper.inject(*q);
+            }
+            stepper.step_until(now);
+            let Virt { pipe, dispatch, .. } = &stepper.server.hooks;
+            let (first, len) = pipe.table.window();
+            assert!(
+                len == 0
+                    || u64::from(first) >= dispatch.arrivals()
+                    || pipe.table.outstanding(first),
+                "query {first} was released late at {now}"
+            );
+        }
+        let (_, len) = stepper.server.hooks.pipe.table.window();
+        assert!(len * 100 < injected, "{len} of {injected} slots held");
+        let stepped = stepper.finish(offered, None);
+        let whole = run_trace(&topo, &server, &cfg, &queries, offered, None);
+        assert_eq!(format!("{stepped:?}"), format!("{whole:?}"));
     }
 }
