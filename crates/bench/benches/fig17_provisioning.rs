@@ -9,7 +9,7 @@ use hercules_bench::{banner, bench_profile, f, TableWriter};
 use hercules_common::units::Qps;
 use hercules_core::cluster::online::{evolution_traces, run_online, ClusterRunReport};
 use hercules_core::cluster::policies::{
-    GreedyScheduler, HerculesScheduler, NhScheduler, SolverChoice,
+    GreedyScheduler, HerculesScheduler, NhScheduler, PriorityScheduler, SolverChoice,
 };
 use hercules_core::cluster::Provisioner;
 use hercules_core::profiler::{EfficiencyTable, RankMetric, Searcher};
@@ -32,9 +32,14 @@ fn scaled_peak(table: &EfficiencyTable, fleet: &Fleet, shares: &[(ModelKind, f64
             loads: &loads,
             over_provision: 0.05,
         };
-        HerculesScheduler::new(SolverChoice::BranchAndBound)
+        // Branch and bound starts from the priority allocation, so a load
+        // the priority scheduler meets, Hercules meets too: ask it first.
+        PriorityScheduler::new(RankMetric::QpsPerWatt)
             .provision(&req)
             .is_ok()
+            || HerculesScheduler::new(SolverChoice::BranchAndBound)
+                .provision(&req)
+                .is_ok()
     };
     let mut hi = 1_000.0;
     while feasible(hi * 2.0) && hi < 1e9 {
