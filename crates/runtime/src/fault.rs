@@ -757,6 +757,110 @@ mod tests {
         );
     }
 
+    /// A seeded plan of 1–8 events of all five kinds. Worker targets reach
+    /// past every pool size, worker faults may aim at the GPU stage,
+    /// windows overlap, and factors fall below 1 as well as above.
+    fn random_plan(s: &mut u64) -> FaultPlan {
+        let mut draw = |bound: u64| splitmix64(s) % bound;
+        let mut plan = FaultPlan::none();
+        for _ in 0..=draw(8) {
+            let stage = StageKind::ALL[draw(3) as usize];
+            let worker = draw(7) as u32;
+            let at = SimTime::from_millis(draw(101));
+            let len = SimDuration::from_millis(draw(61));
+            let factor = 0.5 + draw(1 << 20) as f64 / (1 << 20) as f64 * 4.5;
+            plan = match draw(5) {
+                0 => plan.with_stall(stage, worker, at, len),
+                1 => plan.with_slow_core(stage, worker, factor),
+                2 => plan.with_gather_spike(at, at + len, factor),
+                3 => plan.with_gpu_fault(worker, at, at + len, factor),
+                _ => plan.with_panic(stage, worker, at),
+            };
+        }
+        plan
+    }
+
+    /// Counts, over `plan`'s events against `pools`, the cases the digest
+    /// pin must cover: a worker target past its pool, a worker fault aimed
+    /// at the GPU stage, a factor below 1, and pairs of overlapping stalls,
+    /// of panics and of slow cores aimed at one worker.
+    fn cases(plan: &FaultPlan, pools: [u32; 3], seen: &mut [u32; 6]) {
+        let aim = |spec: &FaultSpec| match *spec {
+            FaultSpec::Stall {
+                stage,
+                worker,
+                at,
+                duration,
+            } => Some((0usize, stage, worker, at, at + duration)),
+            FaultSpec::SlowCore { stage, worker, .. } => {
+                Some((1, stage, worker, SimTime::ZERO, SimTime::MAX))
+            }
+            FaultSpec::Panic { stage, worker, .. } => {
+                Some((2, stage, worker, SimTime::ZERO, SimTime::MAX))
+            }
+            _ => None,
+        };
+        let events: Vec<FaultSpec> = plan.events().copied().collect();
+        for (i, spec) in events.iter().enumerate() {
+            if let FaultSpec::SlowCore { factor, .. }
+            | FaultSpec::GatherSpike { factor, .. }
+            | FaultSpec::GpuFault { factor, .. } = *spec
+            {
+                seen[2] += u32::from(factor < 1.0);
+            }
+            let Some((kind, stage, worker, from, until)) = aim(spec) else {
+                continue;
+            };
+            seen[0] += u32::from(worker >= pools[stage.index()]);
+            seen[1] += u32::from(stage == StageKind::Gpu);
+            for other in &events[i + 1..] {
+                if let Some((k, s, w, f, u)) = aim(other) {
+                    let overlap = f < until && from < u;
+                    seen[3 + kind] += u32::from((k, s, w) == (kind, stage, worker) && overlap);
+                }
+            }
+        }
+    }
+
+    /// FNV-1a of `word`'s bytes, continuing from `h`.
+    fn fnv1a(h: u64, word: u64) -> u64 {
+        word.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// Pins every fault query the executors make, on 1000 seeded plans,
+    /// each against seeded pool sizes (front 0–4, back 0–3, GPU 0–3): every
+    /// worker's service multiplier, stall end and panic time, and every GPU
+    /// context's compute multiplier, at 5 ms steps to 110 ms, digested as
+    /// `f64` bits and nanoseconds (`u64::MAX` for none).
+    #[test]
+    fn fault_queries_match_their_pinned_digest() {
+        let (mut s, mut h, mut seen) = (0x5EED_FA17u64, 0xcbf2_9ce4_8422_2325u64, [0u32; 6]);
+        let nanos = |t: Option<SimTime>| t.map_or(u64::MAX, SimTime::as_nanos);
+        for _ in 0..1000 {
+            let plan = random_plan(&mut s);
+            let pools = [5, 4, 4].map(|n| (splitmix64(&mut s) % n) as u32);
+            cases(&plan, pools, &mut seen);
+            let book = FaultBook::build(&plan, pools[0], pools[1], pools[2]);
+            for step in 0..=22 {
+                let now = SimTime::from_millis(5 * step);
+                for stage in StageKind::ALL {
+                    for w in 0..pools[stage.index()] {
+                        h = fnv1a(h, book.service_mult(stage, w, now).to_bits());
+                        h = fnv1a(h, nanos(book.stall_end(stage, w, now)));
+                        h = fnv1a(h, nanos(book.panic_at(stage, w)));
+                    }
+                }
+                for ctx in 0..pools[2] {
+                    h = fnv1a(h, book.gpu_mult(ctx, now).to_bits());
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "uncovered case: {seen:?}");
+        assert_eq!(h, 0x148D_B652_A0F2_C5AE, "{seen:?}");
+    }
+
     #[test]
     fn scenarios_are_reproducible_and_named() {
         let d = SimDuration::from_secs(2);
