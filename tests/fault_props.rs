@@ -13,7 +13,9 @@
 //!    virtual-clock fault runs are bit-equal.
 //! 4. **Supervised recovery** — stalled workers are routed around
 //!    (wall-clock work redistribution) and worker panics are contained
-//!    at the pool boundary instead of aborting the run.
+//!    at the pool boundary instead of aborting the run; under
+//!    `stall+slowcore` supervision at least doubles the unprotected
+//!    goodput (`fig_faults`' acceptance bound).
 
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::server::ServerType;
@@ -206,6 +208,40 @@ fn supervised_virtual_run_routes_around_stalls() {
         "supervision must not hurt goodput: {} < {}",
         supervised.goodput.value(),
         unprotected.goodput.value()
+    );
+}
+
+/// `fig_faults`' acceptance bound: under the seeded `stall+slowcore`
+/// scenario, which stalls one worker of a two-worker front pool and
+/// derates the other, supervision at least doubles the unprotected
+/// goodput at 800 QPS.
+#[test]
+fn supervised_goodput_at_least_doubles_unprotected() {
+    let sim = sim_cfg(7, SimDuration::from_secs(2));
+    let faults = FaultPlan::scenario("stall+slowcore", sim.seed, sim.duration).expect("known");
+    let budget = rmc1().default_sla();
+    let base = RuntimeConfig::from_sim(&sim).with_faults(faults);
+    let plan = PlacementPlan::CpuModel {
+        threads: 2,
+        workers: 2,
+        batch: 256,
+    };
+    let serve = |cfg| {
+        let luts = NmpLutCache::new();
+        ServingRuntime::build(&rmc1(), ServerType::T2.spec(), &plan, cfg, &luts)
+            .expect("two-worker plan is feasible")
+            .serve(Qps(800.0))
+    };
+    let unprotected = serve(base.with_deadline(DeadlinePolicy::track(budget)));
+    let supervised = serve(
+        base.with_deadline(DeadlinePolicy::enforce(budget))
+            .with_supervisor(SupervisorPolicy::active(SimDuration::from_millis(2))),
+    );
+    assert!(unprotected.conserves() && supervised.conserves());
+    let (u, s) = (unprotected.goodput.value(), supervised.goodput.value());
+    assert!(
+        s >= 2.0 * u,
+        "supervised goodput {s:.1} QPS is under twice the unprotected {u:.1} QPS"
     );
 }
 
