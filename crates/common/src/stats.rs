@@ -6,8 +6,6 @@
 //! [`WindowQuantiles`] reads the quantiles of a window of them), and
 //! [`TimeSeries`] holds load and power curves.
 
-use std::ops::Range;
-
 /// The 1-based rank of the `p`-quantile among `n >= 1` sorted samples by
 /// nearest rank: `ceil(p * n)`, clamped to `1..=n`. As `n` grows it never
 /// falls and rises by at most one per sample (the rounded `p * n` is
@@ -332,23 +330,6 @@ impl LatencyHistogram {
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// A range of buckets outside which every count is zero: from the
-    /// smallest observation's bucket to the largest's, widened by one
-    /// bucket each side so that float rounding in the bucket index cannot
-    /// strand a count outside it. Empty when nothing was recorded. The
-    /// extrema only spread as observations arrive, so a live histogram's
-    /// range only widens. (A NaN observation lands in bucket 0 without
-    /// moving the extrema, so it may fall outside; latencies are never
-    /// NaN.)
-    pub fn occupied(&self) -> Range<usize> {
-        if self.total == 0 {
-            return 0..0;
-        }
-        let lo = self.bucket(self.min).saturating_sub(1);
-        let hi = (self.bucket(self.max) + 2).min(self.counts.len());
-        lo..hi
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -365,8 +346,8 @@ impl Default for LatencyHistogram {
 /// histogram's counts. Its caller knows the window's total up front (the
 /// difference of the two reads' observation counts), so it feeds each
 /// bucket's windowed count in bucket order through [`push`](Self::push)
-/// and every quantile falls out of the one pass; buckets outside the
-/// window's occupied span need not be fed at all. Deltas carry no
+/// and every quantile falls out of the one pass; buckets whose windowed
+/// count is zero need not be fed at all. Deltas carry no
 /// min/max, so each result is its bucket's geometric midpoint unclamped,
 /// and overflow-bucket ranks resolve to the overflow bucket's lower edge (a
 /// deliberate under-estimate: the true tenant is only known to be at or
@@ -587,7 +568,7 @@ mod tests {
             window_only.record(x);
         }
         let ps = [0.0, 0.5, 0.9, 0.99, 1.0];
-        let via_delta = window(&cum, cum.counts(), &first, cum.occupied(), ps);
+        let via_delta = window(&cum, cum.counts(), &first, ps);
         for (p, got) in ps.into_iter().zip(via_delta) {
             let got = got.unwrap();
             let direct = window_only.quantile(p).unwrap();
@@ -600,35 +581,35 @@ mod tests {
         }
         // Empty delta: no quantile.
         let zeros = vec![0u64; first.len()];
-        assert_eq!(window(&cum, &zeros, &zeros, 0..zeros.len(), [0.99]), [None]);
+        assert_eq!(window(&cum, &zeros, &zeros, [0.99]), [None]);
         // Overflow-bucket ranks resolve to the overflow lower edge.
         let mut top = vec![0u64; first.len()];
         *top.last_mut().unwrap() = 1;
-        let [v] = window(&cum, &top, &zeros, 0..top.len(), [1.0]);
+        let [v] = window(&cum, &top, &zeros, [1.0]);
         let v = v.unwrap();
         assert!((999.0..1001.0).contains(&v), "overflow edge, got {v}");
     }
 
-    /// The window `cur - prev` fed to a scan over `span` only.
+    /// The window `cur - prev` fed to a scan, skipping its empty buckets.
     fn window<const N: usize>(
         layout: &LatencyHistogram,
         cur: &[u64],
         prev: &[u64],
-        span: Range<usize>,
         ps: [f64; N],
     ) -> [Option<f64>; N] {
         let total = cur.iter().sum::<u64>() - prev.iter().sum::<u64>();
         let mut scan = WindowQuantiles::new(layout, total, ps);
-        for i in span {
-            scan.push(i, cur[i] - prev[i]);
+        for (i, (c, p)) in cur.iter().zip(prev).enumerate() {
+            if c > p {
+                scan.push(i, c - p);
+            }
         }
         scan.finish()
     }
 
     #[test]
-    fn occupied_span_windows_match_full_scans_bit_for_bit() {
+    fn sparse_windows_match_full_scans_bit_for_bit() {
         let mut h = LatencyHistogram::default_latency();
-        assert!(h.occupied().is_empty());
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut prev = vec![0u64; h.counts().len()];
         let mut prev_total = 0;
@@ -642,13 +623,10 @@ mod tests {
                 let u = (rng >> 11) as f64 / (1u64 << 53) as f64;
                 h.record(1e-7 * 1e11f64.powf(u));
             }
-            let span = h.occupied();
-            assert!(h.counts()[..span.start].iter().all(|&c| c == 0));
-            assert!(h.counts()[span.end..].iter().all(|&c| c == 0));
             let delta: Vec<u64> = h.counts().iter().zip(&prev).map(|(a, b)| a - b).collect();
             assert_eq!(h.count() - prev_total, delta.iter().sum::<u64>());
             let ps = [0.5, 0.99];
-            let got = window(&h, h.counts(), &prev, span, ps);
+            let got = window(&h, h.counts(), &prev, ps);
             let want = ps.map(|p| full_scan(&h, &delta, p));
             assert_eq!(
                 got.map(|v| v.map(f64::to_bits)),

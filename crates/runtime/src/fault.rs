@@ -7,7 +7,10 @@
 //! plan: the wall clock realizes faults as real sleeps and derated
 //! busy-waits, the virtual clock as identical deterministic events, so
 //! every fault scenario is bitwise-reproducible and property-testable.
-//! [`FaultPlan::none`] (the default) injects nothing and leaves both
+//! The executors ask the plan itself, against the run's pool sizes, for a
+//! worker's service multiplier, stall end and panic time and a GPU
+//! context's compute multiplier: a query scans its at most
+//! [`MAX_FAULTS`] events. [`FaultPlan::none`] (the default) injects nothing and leaves both
 //! clocks bit-identical to a fault-free build: the executors gate every
 //! fault branch on the plan being non-empty, adding no heap events, no
 //! sequence numbers, and no RNG draws to the default path.
@@ -16,11 +19,12 @@
 //!
 //! * Workers publish heartbeats through their
 //!   [`TelemetrySlot`](crate::telemetry::TelemetrySlot)s. A supervisor
-//!   consuming windowed plane state declares workers whose beat has gone
-//!   stale (with work queued behind them) *suspect* and removes them from
-//!   virtual-clock dispatch so siblings absorb their queue share; wall
-//!   workers that detect their own stall re-enqueue the sub-query in hand
-//!   (a bounded retry budget) before sleeping the stall out.
+//!   reading the pools' heartbeats and queue depths declares workers whose
+//!   beat has gone stale (with work queued behind them) *suspect* and
+//!   removes them from virtual-clock dispatch so siblings absorb their
+//!   queue share; wall workers that detect their own stall re-enqueue the
+//!   sub-query in hand (a bounded retry budget) before sleeping the stall
+//!   out.
 //! * Under sustained ingress distress the supervisor walks the
 //!   degradation ladder: **L1** tighten the dynamic batcher's max delay,
 //!   **L2** degraded gathers (serve cache-hit rows only, skip the
@@ -36,10 +40,12 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use hercules_common::rng::splitmix64;
+use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{SimDuration, SimTime};
 use hercules_hw::cost::BatchCost;
 
-use crate::observe::PlaneState;
+use crate::observe::{HistSum, WorkerView};
+use crate::pipeline::PoolView;
 use crate::telemetry::StageKind;
 
 /// Maximum events one plan can hold. The fixed bound keeps [`FaultPlan`]
@@ -247,175 +253,107 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------------
-// FaultBook: the executors' query-friendly view of a plan.
+// The executors' queries, answered by the plan against a run's pool sizes.
 
-#[derive(Debug, Clone)]
-struct WorkerFaults {
-    /// Whole-run service-time multiplier (slow-core derates, folded).
-    derate: f64,
-    /// Stall windows `[start, end)`, insertion order.
-    stalls: Vec<(SimTime, SimTime)>,
-    /// Time of the injected panic, if any.
-    dead_at: Option<SimTime>,
-}
-
-impl WorkerFaults {
-    fn healthy() -> Self {
-        WorkerFaults {
-            derate: 1.0,
-            stalls: Vec::new(),
-            dead_at: None,
-        }
-    }
-}
-
-/// A [`FaultPlan`] resolved against concrete pool sizes: per-worker
-/// derates, stall windows, and death times, plus plane-wide spike and GPU
-/// windows. Built once per run; every query method is allocation-free.
-#[derive(Debug)]
-pub(crate) struct FaultBook {
-    front: Vec<WorkerFaults>,
-    back: Vec<WorkerFaults>,
-    spikes: Vec<(SimTime, SimTime, f64)>,
-    gpu_windows: Vec<(u32, SimTime, SimTime, f64)>,
-    empty: bool,
-}
-
-impl FaultBook {
-    pub fn build(plan: &FaultPlan, front_n: u32, back_n: u32, gpu_n: u32) -> Self {
-        let mut book = FaultBook {
-            front: (0..front_n).map(|_| WorkerFaults::healthy()).collect(),
-            back: (0..back_n).map(|_| WorkerFaults::healthy()).collect(),
-            spikes: Vec::new(),
-            gpu_windows: Vec::new(),
-            empty: plan.is_empty(),
-        };
-        for spec in plan.events() {
-            match *spec {
-                FaultSpec::Stall {
-                    stage,
-                    worker,
-                    at,
-                    duration,
-                } => {
-                    if let Some(wf) = book.worker_mut(stage, worker) {
-                        wf.stalls.push((at, at + duration));
-                    }
-                }
-                FaultSpec::SlowCore {
-                    stage,
-                    worker,
-                    factor,
-                } => {
-                    if let Some(wf) = book.worker_mut(stage, worker) {
-                        wf.derate *= factor.max(1.0);
-                    }
-                }
-                FaultSpec::GatherSpike {
-                    from,
-                    until,
-                    factor,
-                } => {
-                    book.spikes.push((from, until, factor.max(1.0)));
-                }
-                FaultSpec::GpuFault {
-                    ctx,
-                    from,
-                    until,
-                    factor,
-                } => {
-                    if gpu_n > 0 {
-                        book.gpu_windows
-                            .push((ctx % gpu_n, from, until, factor.max(1.0)));
-                    }
-                }
-                FaultSpec::Panic { stage, worker, at } => {
-                    if let Some(wf) = book.worker_mut(stage, worker) {
-                        wf.dead_at = Some(wf.dead_at.map_or(at, |t| t.min(at)));
-                    }
-                }
-            }
-        }
-        book
-    }
-
-    fn worker_mut(&mut self, stage: StageKind, worker: u32) -> Option<&mut WorkerFaults> {
-        let pool = match stage {
-            StageKind::Front => &mut self.front,
-            StageKind::Back => &mut self.back,
-            StageKind::Gpu => return None,
-        };
-        let n = pool.len();
-        if n == 0 {
-            None
-        } else {
-            Some(&mut pool[worker as usize % n])
-        }
-    }
-
-    fn worker(&self, stage: StageKind, worker: u32) -> Option<&WorkerFaults> {
-        let pool = match stage {
-            StageKind::Front => &self.front,
-            StageKind::Back => &self.back,
-            StageKind::Gpu => return None,
-        };
-        pool.get(worker as usize)
-    }
-
-    /// Whether the book came from an empty plan.
-    pub fn is_empty(&self) -> bool {
-        self.empty
-    }
-
+impl FaultPlan {
     /// Service-time multiplier for a batch dispatched on `(stage, worker)`
-    /// at `now`: the worker's derate times any active gather spike (front
-    /// pool only).
-    pub fn service_mult(&self, stage: StageKind, worker: u32, now: SimTime) -> f64 {
-        let mut m = self.worker(stage, worker).map_or(1.0, |f| f.derate);
-        if stage == StageKind::Front {
-            for &(from, until, factor) in &self.spikes {
-                if now >= from && now < until {
-                    m *= factor;
-                }
-            }
-        }
-        m
+    /// at `now`, in pools of `pools` workers ([`StageKind`] order): the
+    /// worker's slow-core factors, then every active gather spike's (front
+    /// pool only), each in plan order and at least 1.
+    pub(crate) fn service_mult(
+        &self,
+        pools: [u32; 3],
+        stage: StageKind,
+        worker: u32,
+        now: SimTime,
+    ) -> f64 {
+        let slow = self.events().filter_map(|spec| match *spec {
+            FaultSpec::SlowCore {
+                stage: s,
+                worker: w,
+                factor,
+            } if lands(pools, (s, w), stage, worker) => Some(factor),
+            _ => None,
+        });
+        let spikes = self.events().filter_map(|spec| match *spec {
+            FaultSpec::GatherSpike {
+                from,
+                until,
+                factor,
+            } if stage == StageKind::Front && now >= from && now < until => Some(factor),
+            _ => None,
+        });
+        slow.chain(spikes).fold(1.0, |m, f| m * f.max(1.0))
     }
 
     /// Compute-time multiplier for a batch launched on GPU context `ctx`
-    /// at `now`.
-    pub fn gpu_mult(&self, ctx: u32, now: SimTime) -> f64 {
-        let mut m = 1.0;
-        for &(c, from, until, factor) in &self.gpu_windows {
-            if c == ctx && now >= from && now < until {
-                m *= factor;
+    /// at `now`: every active GPU fault's factor aimed at it (wrapped into
+    /// the pool by modulo), in plan order and at least 1.
+    pub(crate) fn gpu_mult(&self, pools: [u32; 3], ctx: u32, now: SimTime) -> f64 {
+        let n = pools[StageKind::Gpu.index()];
+        self.events()
+            .filter_map(|spec| match *spec {
+                FaultSpec::GpuFault {
+                    ctx: c,
+                    from,
+                    until,
+                    factor,
+                } if n > 0 && c % n == ctx && now >= from && now < until => Some(factor),
+                _ => None,
+            })
+            .fold(1.0, |m, f| m * f.max(1.0))
+    }
+
+    /// When `(stage, worker)` is inside a stall window at `now`, the end of
+    /// the first such window in plan order.
+    pub(crate) fn stall_end(
+        &self,
+        pools: [u32; 3],
+        stage: StageKind,
+        worker: u32,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        self.events().find_map(|spec| match *spec {
+            FaultSpec::Stall {
+                stage: s,
+                worker: w,
+                at,
+                duration,
+            } if lands(pools, (s, w), stage, worker) && now >= at && now < at + duration => {
+                Some(at + duration)
             }
-        }
-        m
+            _ => None,
+        })
     }
 
-    /// When `(stage, worker)` is inside a stall window at `now`, the
-    /// window's end.
-    pub fn stall_end(&self, stage: StageKind, worker: u32, now: SimTime) -> Option<SimTime> {
-        self.worker(stage, worker)?
-            .stalls
-            .iter()
-            .find(|&&(s, e)| now >= s && now < e)
-            .map(|&(_, e)| e)
+    /// The earliest injected panic time for `(stage, worker)`, if any. The
+    /// virtual clock retires the worker once it passes; wall workers
+    /// capture their own and `panic!` when the clock crosses it.
+    pub(crate) fn panic_at(
+        &self,
+        pools: [u32; 3],
+        stage: StageKind,
+        worker: u32,
+    ) -> Option<SimTime> {
+        self.events()
+            .filter_map(|spec| match *spec {
+                FaultSpec::Panic {
+                    stage: s,
+                    worker: w,
+                    at,
+                } if lands(pools, (s, w), stage, worker) => Some(at),
+                _ => None,
+            })
+            .min()
     }
+}
 
-    /// Whether `(stage, worker)`'s injected panic has fired by `now`.
-    pub fn dead(&self, stage: StageKind, worker: u32, now: SimTime) -> bool {
-        self.worker(stage, worker)
-            .and_then(|f| f.dead_at)
-            .is_some_and(|at| now >= at)
-    }
-
-    /// The injected panic time for `(stage, worker)`, if scheduled (wall
-    /// workers capture their own and `panic!` when the clock crosses it).
-    pub fn panic_at(&self, stage: StageKind, worker: u32) -> Option<SimTime> {
-        self.worker(stage, worker)?.dead_at
-    }
+/// Whether a worker fault aimed at `target` lands on `worker` of `stage`,
+/// in pools of `pools` workers: worker faults hit the front and back pools
+/// only, and a worker index past its pool wraps into it by modulo.
+fn lands(pools: [u32; 3], target: (StageKind, u32), stage: StageKind, worker: u32) -> bool {
+    let n = pools[stage.index()];
+    target.0 == stage && stage != StageKind::Gpu && n > 0 && target.1 % n == worker
 }
 
 // ---------------------------------------------------------------------------
@@ -527,11 +465,11 @@ const RECOVER_AFTER: u32 = 4;
 /// The dynamic-batching max delay L1 tightens to.
 const TIGHT_MAX_DELAY: SimDuration = SimDuration::from_micros(50);
 
-/// Consumes windowed plane state plus per-worker heartbeats and drives
-/// [`RuntimeControls`]: escalates/recovers the degradation ladder on
-/// sustained ingress distress, and marks stalled workers suspect so
-/// dispatch routes around them. Runs on the supervisor thread (wall
-/// clock) or inline at exact boundaries (virtual clock).
+/// Windows the ingress pool's queue wait, reads every pool's depth and
+/// heartbeats, and drives [`RuntimeControls`]: escalates/recovers the
+/// degradation ladder on sustained ingress distress, and marks stalled
+/// workers suspect so dispatch routes around them. Runs on the supervisor
+/// thread (wall clock) or inline at exact boundaries (virtual clock).
 #[derive(Debug)]
 pub(crate) struct Supervisor {
     /// Ingress distress threshold (the policy's `distress_wait`).
@@ -542,9 +480,12 @@ pub(crate) struct Supervisor {
     per_sub_s: f64,
     /// The configured batch delay, restored when the ladder steps below L1.
     base_delay: SimDuration,
-    /// The plane at the last supervision boundary, and its window since
-    /// the one before.
-    pub plane: PlaneState,
+    /// The pool arrivals enter.
+    ingress: StageKind,
+    /// The ingress pool's queue-wait histograms summed at the last
+    /// boundary, and their window since the one before.
+    queue_wait: HistSum,
+    layout: LatencyHistogram,
     hot: u32,
     calm: u32,
 }
@@ -555,23 +496,30 @@ impl Supervisor {
         controls: Arc<RuntimeControls>,
         per_sub_s: f64,
         base_delay: SimDuration,
+        ingress: StageKind,
     ) -> Self {
+        let layout = LatencyHistogram::default_latency();
         Supervisor {
             distress_wait,
             controls,
             per_sub_s,
             base_delay,
-            plane: PlaneState::default(),
+            ingress,
+            queue_wait: HistSum::new(&layout),
+            layout,
             hot: 0,
             calm: 0,
         }
     }
 
-    /// One supervision boundary, once [`plane`](Self::plane) holds it:
-    /// update the ladder from ingress distress, then re-derive worker
-    /// health from heartbeats.
-    pub fn tick(&mut self, front_beats: &[SimTime], back_beats: &[SimTime], now: SimTime) {
-        if self.ingress_distressed() {
+    /// One supervision boundary at `now` over `pools` (in [`StageKind`]
+    /// order): update the ladder from ingress distress, then re-derive
+    /// worker health from heartbeats.
+    pub fn tick<W: WorkerView>(&mut self, pools: [PoolView<'_, W>; 3], now: SimTime) {
+        let (workers, depth) = pools[self.ingress.index()];
+        self.queue_wait
+            .advance(workers, W::queue_wait, &self.layout, None);
+        if self.ingress_distressed(workers.len(), depth) {
             self.calm = 0;
             self.hot += 1;
             if self.hot >= ESCALATE_AFTER {
@@ -586,29 +534,21 @@ impl Supervisor {
                 self.apply(self.controls.level().saturating_sub(1));
             }
         }
-        let depth = |kind: StageKind| {
-            self.plane
-                .stages
-                .iter()
-                .find(|s| s.stage == kind)
-                .map_or(0, |s| s.queue_depth)
-        };
-        let (front, back) = (depth(StageKind::Front), depth(StageKind::Back));
-        self.health(StageKind::Front, front_beats, front, now);
-        self.health(StageKind::Back, back_beats, back, now);
+        for stage in [StageKind::Front, StageKind::Back] {
+            let (workers, depth) = pools[stage.index()];
+            self.health(stage, workers, depth, now);
+        }
     }
 
-    /// Distress = the ingress stage's windowed p99 queue wait exceeds the
-    /// threshold, or its current backlog would take longer than the
-    /// threshold to drain at the modeled service rate.
-    fn ingress_distressed(&self) -> bool {
-        let Some(ingress) = self.plane.stages.first() else {
-            return false;
-        };
+    /// Distress = the ingress pool's windowed p99 queue wait exceeds the
+    /// threshold, or its current backlog of `depth` sub-queries would take
+    /// its `workers` longer than the threshold to drain at the modeled
+    /// service rate.
+    fn ingress_distressed(&self, workers: usize, depth: usize) -> bool {
         let limit = self.distress_wait.as_secs_f64();
-        let [_, p99] = ingress.queue_wait.quantiles();
+        let [_, p99] = self.queue_wait.quantiles();
         let p99_hot = p99.is_some_and(|v| v > limit);
-        let backlog_s = ingress.queue_depth as f64 * self.per_sub_s / ingress.workers.max(1) as f64;
+        let backlog_s = depth as f64 * self.per_sub_s / workers.max(1) as f64;
         p99_hot || backlog_s > limit
     }
 
@@ -626,27 +566,23 @@ impl Supervisor {
     /// behind their pool — suspect; clears the mark once they beat again.
     /// Always leaves at least one live worker unmarked so a universally
     /// stale pool (e.g. a cold start) cannot wedge dispatch.
-    fn health(&self, stage: StageKind, beats: &[SimTime], backlog: usize, now: SimTime) {
-        if beats.is_empty() {
+    fn health<W: WorkerView>(&self, stage: StageKind, workers: &[W], backlog: usize, now: SimTime) {
+        if workers.is_empty() {
             return;
         }
         let stale = |beat: SimTime| now.saturating_since(beat) > HEARTBEAT_TIMEOUT;
+        let beats = workers.iter().map(W::last_beat).enumerate();
         let live = beats
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| !self.controls.is_dead(stage, w as u32));
-        let all_stale = live.clone().all(|(_, b)| stale(*b));
-        let freshest = live
             .clone()
-            .max_by_key(|&(_, b)| *b)
-            .map(|(w, _)| w)
-            .unwrap_or(0);
-        for (w, beat) in beats.iter().enumerate() {
+            .filter(|&(w, _)| !self.controls.is_dead(stage, w as u32));
+        let all_stale = live.clone().all(|(_, b)| stale(b));
+        let freshest = live.max_by_key(|&(_, b)| b).map(|(w, _)| w).unwrap_or(0);
+        for (w, beat) in beats {
             if self.controls.is_dead(stage, w as u32) {
                 continue;
             }
             let spare = all_stale && w == freshest;
-            if stale(*beat) && backlog > 0 && !spare {
+            if stale(beat) && backlog > 0 && !spare {
                 self.controls.mark_suspect(stage, w as u32);
             } else {
                 self.controls.clear_suspect(stage, w as u32);
@@ -695,17 +631,16 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
         assert_eq!(plan.events().count(), 0);
-        let book = FaultBook::build(&plan, 4, 2, 1);
-        assert!(book.is_empty());
+        let pools = [4, 2, 1];
         assert_eq!(
-            book.service_mult(StageKind::Front, 0, SimTime::from_millis(10)),
+            plan.service_mult(pools, StageKind::Front, 0, SimTime::from_millis(10)),
             1.0
         );
         assert_eq!(
-            book.stall_end(StageKind::Front, 0, SimTime::from_millis(10)),
+            plan.stall_end(pools, StageKind::Front, 0, SimTime::from_millis(10)),
             None
         );
-        assert!(!book.dead(StageKind::Front, 0, SimTime::MAX));
+        assert_eq!(plan.panic_at(pools, StageKind::Front, 0), None);
     }
 
     #[test]
@@ -721,38 +656,42 @@ mod tests {
             .with_gather_spike(SimTime::from_millis(10), SimTime::from_millis(20), 2.0)
             .with_gpu_fault(0, SimTime::from_millis(30), SimTime::from_millis(40), 4.0)
             .with_panic(StageKind::Back, 0, SimTime::from_millis(200));
-        let book = FaultBook::build(&plan, 2, 1, 1);
-        assert!(!book.is_empty());
+        let pools = [2, 1, 1];
+        let dead = |stage, worker, now| {
+            plan.panic_at(pools, stage, worker)
+                .is_some_and(|at| now >= at)
+        };
+        assert!(!plan.is_empty());
         // Stall clamped onto front worker 1, active only inside the window.
         assert_eq!(
-            book.stall_end(StageKind::Front, 1, SimTime::from_millis(120)),
+            plan.stall_end(pools, StageKind::Front, 1, SimTime::from_millis(120)),
             Some(SimTime::from_millis(150))
         );
         assert_eq!(
-            book.stall_end(StageKind::Front, 1, SimTime::from_millis(160)),
+            plan.stall_end(pools, StageKind::Front, 1, SimTime::from_millis(160)),
             None
         );
         // Derate on worker 0, spike multiplies front service inside its window.
         assert_eq!(
-            book.service_mult(StageKind::Front, 0, SimTime::from_millis(15)),
+            plan.service_mult(pools, StageKind::Front, 0, SimTime::from_millis(15)),
             6.0
         );
         assert_eq!(
-            book.service_mult(StageKind::Front, 0, SimTime::from_millis(25)),
+            plan.service_mult(pools, StageKind::Front, 0, SimTime::from_millis(25)),
             3.0
         );
         assert_eq!(
-            book.service_mult(StageKind::Front, 1, SimTime::from_millis(25)),
+            plan.service_mult(pools, StageKind::Front, 1, SimTime::from_millis(25)),
             1.0
         );
         // GPU window.
-        assert_eq!(book.gpu_mult(0, SimTime::from_millis(35)), 4.0);
-        assert_eq!(book.gpu_mult(0, SimTime::from_millis(45)), 1.0);
+        assert_eq!(plan.gpu_mult(pools, 0, SimTime::from_millis(35)), 4.0);
+        assert_eq!(plan.gpu_mult(pools, 0, SimTime::from_millis(45)), 1.0);
         // Panic: dead only after `at`.
-        assert!(!book.dead(StageKind::Back, 0, SimTime::from_millis(199)));
-        assert!(book.dead(StageKind::Back, 0, SimTime::from_millis(200)));
+        assert!(!dead(StageKind::Back, 0, SimTime::from_millis(199)));
+        assert!(dead(StageKind::Back, 0, SimTime::from_millis(200)));
         assert_eq!(
-            book.panic_at(StageKind::Back, 0),
+            plan.panic_at(pools, StageKind::Back, 0),
             Some(SimTime::from_millis(200))
         );
     }
@@ -842,18 +781,17 @@ mod tests {
             let plan = random_plan(&mut s);
             let pools = [5, 4, 4].map(|n| (splitmix64(&mut s) % n) as u32);
             cases(&plan, pools, &mut seen);
-            let book = FaultBook::build(&plan, pools[0], pools[1], pools[2]);
             for step in 0..=22 {
                 let now = SimTime::from_millis(5 * step);
                 for stage in StageKind::ALL {
                     for w in 0..pools[stage.index()] {
-                        h = fnv1a(h, book.service_mult(stage, w, now).to_bits());
-                        h = fnv1a(h, nanos(book.stall_end(stage, w, now)));
-                        h = fnv1a(h, nanos(book.panic_at(stage, w)));
+                        h = fnv1a(h, plan.service_mult(pools, stage, w, now).to_bits());
+                        h = fnv1a(h, nanos(plan.stall_end(pools, stage, w, now)));
+                        h = fnv1a(h, nanos(plan.panic_at(pools, stage, w)));
                     }
                 }
                 for ctx in 0..pools[2] {
-                    h = fnv1a(h, book.gpu_mult(ctx, now).to_bits());
+                    h = fnv1a(h, plan.gpu_mult(pools, ctx, now).to_bits());
                 }
             }
         }

@@ -12,12 +12,11 @@
 //! rates and tail quantiles; the observer keeps the history and fans each
 //! snapshot out to its sinks: a human status line, a JSON stream, a
 //! Prometheus text file. A tick's cost follows the histogram buckets it
-//! must visit, not the layout's 1025: on the virtual clock, the buckets
-//! recorded into since its last tick, which each worker marks in a
-//! `Touched` bitmap per histogram and the tick takes; the supervisor's
-//! reads, on their own cadence, and the wall clock's seqlock reads scan
-//! the span of buckets the workers occupy. After the first a tick
-//! allocates only the snapshot's stage list. Everything here runs off the
+//! must visit: on the virtual clock, the buckets recorded into since its
+//! last tick, which each worker marks in a `Touched` bitmap per histogram
+//! and the tick takes; on the wall clock, whose seqlock reads carry no
+//! such bits, all 1025 of the layout. After the first a tick allocates
+//! only the snapshot's stage list. Everything here runs off the
 //! serving path; the only cost workers pay is a bit set per record and,
 //! on the wall clock, the one release-publish per batch on the write side
 //! (`telemetry::TelemetrySlot`).
@@ -31,7 +30,6 @@
 //! the tables, so a new series is one row.
 
 use std::io::Write;
-use std::ops::Range;
 use std::path::PathBuf;
 
 use hercules_common::stats::{LatencyHistogram, WindowQuantiles};
@@ -45,21 +43,11 @@ use crate::telemetry::{Counters, StageKind};
 pub(crate) trait Counts {
     /// The counts, overflow bucket last.
     fn counts(&self) -> &[u64];
-    /// A range of buckets outside which every count is zero, and the
-    /// counts' total.
-    fn extent(&self) -> (Range<usize>, u64);
     /// The counts' total.
-    fn total(&self) -> u64 {
-        self.extent().1
-    }
+    fn total(&self) -> u64;
 }
 
 impl Counts for LatencyHistogram {
-    /// The buckets the observations occupy, without a pass over them.
-    fn extent(&self) -> (Range<usize>, u64) {
-        (self.occupied(), self.count())
-    }
-
     fn total(&self) -> u64 {
         self.count()
     }
@@ -70,9 +58,8 @@ impl Counts for LatencyHistogram {
 }
 
 impl Counts for [u64] {
-    /// Every bucket (a bare count vector carries no extrema).
-    fn extent(&self) -> (Range<usize>, u64) {
-        (0..self.len(), self.iter().sum())
+    fn total(&self) -> u64 {
+        self.iter().sum()
     }
 
     fn counts(&self) -> &[u64] {
@@ -138,21 +125,6 @@ impl Touched {
             }
         }
     }
-
-    /// The smallest range covering the marked buckets (empty when none is).
-    fn span(&self) -> Range<usize> {
-        let words = &self.0;
-        match (
-            words.iter().position(|&w| w != 0),
-            words.iter().rposition(|&w| w != 0),
-        ) {
-            (Some(f), Some(l)) => {
-                f * 64 + words[f].trailing_zeros() as usize
-                    ..l * 64 + 64 - words[l].leading_zeros() as usize
-            }
-            _ => 0..0,
-        }
-    }
 }
 
 /// [`Touched`] bits for the two histograms the observer windows: a
@@ -174,17 +146,16 @@ impl TouchedHists {
     }
 }
 
-/// One histogram summed over a stage's workers at the last boundary read,
+/// One histogram summed over a pool's workers at the last boundary read,
 /// in [`LatencyHistogram::default_latency`]'s layout, and its window since
 /// the boundary before. The sum is brought up to date in place, bucket by
-/// bucket over only the buckets the workers occupy, or, given the
-/// [`Touched`] bits since the last read, over only the buckets recorded
-/// into since then; so a read costs what the window spans or holds, not
-/// the layout's 1025 buckets, and allocates nothing after the first.
+/// bucket: given the [`Touched`] bits since the last read, over only the
+/// buckets recorded into since then, so a virtual-clock observer tick
+/// costs what its window holds, not the layout's 1025 buckets; without
+/// them, over every bucket. A read allocates nothing after the first.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HistSum {
     counts: Vec<u64>,
-    span: Range<usize>,
     total: u64,
     quantiles: [Option<f64>; 2],
     overflow: u64,
@@ -192,7 +163,7 @@ pub(crate) struct HistSum {
 
 impl HistSum {
     /// An all-zero sum in `layout`'s bucket layout.
-    fn new(layout: &LatencyHistogram) -> Self {
+    pub(crate) fn new(layout: &LatencyHistogram) -> Self {
         HistSum {
             counts: vec![0; LatencyHistogram::counts(layout).len()],
             ..HistSum::default()
@@ -211,12 +182,12 @@ impl HistSum {
 
     /// Brings the sum up to `parts`' current histograms (each read through
     /// `hist`) and records the window since the last sum: one pass over the
-    /// buckets either occupies sums each bucket, differences it against
-    /// the last sum, stores it, and feeds the quantile scan, whose total is
-    /// known up front. With `touched`, the buckets recorded into since the
-    /// last sum, the pass visits only those: every other bucket's window is
-    /// empty. The differencing routine behind every windowed quantile, on
-    /// both clocks.
+    /// buckets sums each bucket, differences it against the last sum,
+    /// stores it, and feeds the quantile scan, whose total is known up
+    /// front. With `touched`, the buckets recorded into since the last sum,
+    /// the pass visits only those: every other bucket's window is empty.
+    /// Without, it visits every bucket. The differencing routine behind
+    /// every windowed quantile, on both clocks.
     pub(crate) fn advance<P, H: Counts + ?Sized>(
         &mut self,
         parts: &[P],
@@ -224,18 +195,7 @@ impl HistSum {
         layout: &LatencyHistogram,
         touched: Option<&Touched>,
     ) {
-        let (mut span, mut total) = (self.span.clone(), 0);
-        if let Some(bits) = touched {
-            // The bits name every bucket that moved: no extrema to read.
-            span = hull(&span, &bits.span());
-            total = parts.iter().map(|p| hist(p).total()).sum();
-        } else {
-            for p in parts {
-                let (s, t) = hist(p).extent();
-                span = hull(&span, &s);
-                total += t;
-            }
-        }
+        let total = parts.iter().map(|p| hist(p).total()).sum();
         if total == self.total {
             // Counts only grow, so an unchanged total is an unchanged sum.
             (self.quantiles, self.overflow) = ([None; 2], 0);
@@ -252,31 +212,21 @@ impl HistSum {
         };
         match touched {
             Some(bits) => bits.for_each(visit),
-            None => span.clone().for_each(visit),
+            None => (0..=last).for_each(visit),
         }
         self.quantiles = scan.finish();
         self.overflow = self.counts[last] - overflow_before;
-        self.span = span;
         self.total = total;
     }
 }
 
 impl Counts for HistSum {
-    fn extent(&self) -> (Range<usize>, u64) {
-        (self.span.clone(), self.total)
+    fn total(&self) -> u64 {
+        self.total
     }
 
     fn counts(&self) -> &[u64] {
         &self.counts
-    }
-}
-
-/// The smallest range covering both (an empty range covers nothing).
-fn hull(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
-    match (a.is_empty(), b.is_empty()) {
-        (true, _) => b.clone(),
-        (_, true) => a.clone(),
-        _ => a.start.min(b.start)..a.end.max(b.end),
     }
 }
 
@@ -341,8 +291,8 @@ impl PlaneState {
     /// last read, and the admission counters. Given `touched`, each pool's
     /// histogram buckets recorded into since this state's last read (in
     /// the same order), the histogram windows visit only those; without,
-    /// they scan the span the workers occupy. The control-plane gauges are
-    /// the caller's to set.
+    /// they visit every bucket. The control-plane gauges are the caller's
+    /// to set.
     pub(crate) fn advance<W: WorkerView>(
         &mut self,
         t: SimTime,
@@ -1086,12 +1036,12 @@ mod tests {
 
     /// Feeds random record streams into one front worker, then into two
     /// front workers and a back worker, and reads every tick both ways: the
-    /// span scan and the touched-bucket visit must give the same windowed
+    /// full scan and the touched-bucket visit must give the same windowed
     /// quantiles and overflow counts and the same cumulative sums. Windows
     /// may be empty, and latencies reach both the bottom bucket and the
     /// overflow bucket.
     #[test]
-    fn touched_ticks_match_span_scans() {
+    fn touched_ticks_match_full_scans() {
         use crate::stage::QueryPhases;
         use crate::telemetry::WorkerTelemetry;
         use hercules_common::rng::SimRng;
@@ -1125,7 +1075,7 @@ mod tests {
                     .map(|w| WorkerTelemetry::new(StageKind::Back, w, run))
                     .collect(),
             ];
-            let mut span = RuntimeObserver::every(SimDuration::from_millis(10));
+            let mut full = RuntimeObserver::every(SimDuration::from_millis(10));
             let mut touched = RuntimeObserver::every(SimDuration::from_millis(10));
             let (mut records, mut empty) = (0u64, 0);
             for tick in 1..=80u64 {
@@ -1158,18 +1108,18 @@ mod tests {
                 }
                 let t = SimTime::from_millis(10 * tick);
                 let views = [(&pools[0][..], 0), (&pools[1][..], 0), (&[][..], 0)];
-                span.tick(|plane| plane.advance(t, records, 0, views, None));
+                full.tick(|plane| plane.advance(t, records, 0, views, None));
                 touched.tick(|plane| plane.advance(t, records, 0, views, Some(&bits)));
             }
             assert!(empty > 0, "some windows are empty");
-            let last = &span.history()[79];
+            let last = &full.history()[79];
             assert!(last.cum_latency_overflow > 0, "some latencies overflow");
             assert_eq!(
-                format!("{:?}", span.history()),
+                format!("{:?}", full.history()),
                 format!("{:?}", touched.history()),
                 "{fronts} front and {backs} back workers"
             );
-            let (a, b) = (&span.plane, &touched.plane);
+            let (a, b) = (&full.plane, &touched.plane);
             let hists = |p: &PlaneState| -> Vec<(Vec<u64>, u64)> {
                 let stages = p.stages.iter().flat_map(|s| [&s.queue_wait, &s.e2e]);
                 let sums = stages.chain((p.stages.len() > 1).then_some(&p.e2e));

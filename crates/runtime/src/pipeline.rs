@@ -5,8 +5,8 @@
 //! dequeued sub-query has expired, what a CPU stage charges for a
 //! sub-query (oracle cost, the ladder's degraded gathers, injected
 //! derates), how a fused GPU batch is priced and attributed, how a
-//! retiring query is classified, what the observer and supervisor see, and
-//! how the report's totals are formed. [`Pipeline`] makes all of them.
+//! retiring query is classified, what the observer sees, and how the
+//! report's totals are formed. [`Pipeline`] makes all of them.
 //! The virtual clock (`sim::engine`'s event loop, with this pipeline as
 //! its hooks: [`virt`](crate::virt)) and the wall thread pools
 //! ([`wall`](crate::wall)) decide only *when*: they own the clock, the
@@ -25,7 +25,7 @@ use hercules_workload::query::Query;
 
 use crate::admission::{AdmissionController, AdmissionCounters};
 use crate::config::RuntimeConfig;
-use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor, DEGRADED_KEEP};
+use crate::fault::{degraded_latency, RuntimeControls, Supervisor, DEGRADED_KEEP};
 use crate::observe::{PlaneState, TouchedHists, WorkerView};
 use crate::report::{assemble, RunTotals, RuntimeReport, WallTotals};
 use crate::stage::{QueryTable, FLAG_DEGRADED, FLAG_EXPIRED};
@@ -40,7 +40,9 @@ pub(crate) struct Pipeline<'a> {
     pub cfg: &'a RuntimeConfig,
     pub window: RunWindow,
     pub table: QueryTable,
-    pub book: FaultBook,
+    /// Workers in each pool, in [`StageKind`] order: what the fault plan's
+    /// worker targets wrap into.
+    pub pools: [u32; 3],
     pub controls: Arc<RuntimeControls>,
     pub sampler: TraceSampler,
     // `faulty`, `supervised` and `deadline_drop` gate every fault branch.
@@ -50,10 +52,9 @@ pub(crate) struct Pipeline<'a> {
     pub faulty: bool,
     pub supervised: bool,
     deadline_drop: bool,
-    /// The ingress pool's per-sub service estimate and parallelism (the
-    /// admission controller's and supervisor's queue-delay model).
+    /// The ingress pool's per-sub service estimate (the admission
+    /// controller's and supervisor's queue-delay model).
     per_sub_s: f64,
-    parallelism: u32,
 }
 
 /// The dispatcher's state: admission, the admit-span ring, and the
@@ -111,7 +112,6 @@ impl<'a> Pipeline<'a> {
         cfg: &'a RuntimeConfig,
         queries: &[Query],
     ) -> Self {
-        let workers = topo.workers();
         // The ingress pool's per-sub service estimate, at a typical sub
         // size: the mean paper query (120 items) capped by the split batch.
         let ingress = topo.ingress();
@@ -121,8 +121,6 @@ impl<'a> Pipeline<'a> {
         };
         let items = topo.split_batch.map_or(120, |b| b.clamp(1, 120));
         let per_sub_s = svc.cost(items).latency.as_secs_f64();
-        let [front, back, gpu] = workers;
-        let book = FaultBook::build(&cfg.faults, front, back, gpu);
         let supervised = cfg.supervisor.enabled;
         Pipeline {
             topo,
@@ -130,14 +128,13 @@ impl<'a> Pipeline<'a> {
             cfg,
             window: cfg.window(),
             table: QueryTable::new(queries),
-            faulty: !book.is_empty() || supervised,
-            book,
+            pools: topo.workers(),
+            faulty: !cfg.faults.is_empty() || supervised,
             controls: RuntimeControls::new(cfg.batch.max_delay),
             sampler: TraceSampler::new(cfg.seed, cfg.trace.sample_one_in),
             supervised,
             deadline_drop: cfg.deadline.drop_expired && cfg.deadline.budget.is_some(),
             per_sub_s,
-            parallelism: workers[ingress.index()],
         }
     }
 
@@ -157,7 +154,7 @@ impl<'a> Pipeline<'a> {
             admission: AdmissionController::new(
                 &self.cfg.admission,
                 self.per_sub_s,
-                self.parallelism,
+                self.pools[self.topo.ingress().index()],
             ),
             ring: self
                 .cfg
@@ -177,6 +174,7 @@ impl<'a> Pipeline<'a> {
                 Arc::clone(&self.controls),
                 self.per_sub_s,
                 self.cfg.batch.max_delay,
+                self.topo.ingress(),
             )
         })
     }
@@ -284,7 +282,7 @@ impl<'a> Pipeline<'a> {
             self.table.mark_degraded(sub);
         }
         let derate = if self.faulty {
-            self.book.service_mult(stage, worker, now)
+            self.cfg.faults.service_mult(self.pools, stage, worker, now)
         } else {
             1.0
         };
@@ -366,7 +364,10 @@ impl<'a> Pipeline<'a> {
         let cost = svc.cost(items);
         let mut compute = cost.latency;
         if self.faulty {
-            let mult = self.book.gpu_mult(ctx, load_start + load_dur);
+            let mult = self
+                .cfg
+                .faults
+                .gpu_mult(self.pools, ctx, load_start + load_dur);
             if mult != 1.0 {
                 compute = compute.mul_f64(mult);
             }
@@ -399,7 +400,7 @@ impl<'a> Pipeline<'a> {
     ) {
         let head_ready = subs.first().map_or(launch.load_start, |s| s.ready);
         let wait = launch.load_start.saturating_since(head_ready);
-        t.record_gpu(now, wait, launch.items, launch.cost, self.topo.workers()[2]);
+        t.record_gpu(now, wait, launch.items, launch.cost, self.pools[2]);
     }
 
     /// Completes the batch at `now`: attributes each sub-query's queue
@@ -443,12 +444,12 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Brings `plane`, the observer's or supervisor's state, up to the
-    /// boundary at `t`: each non-empty pool's summed telemetry (`pools` in
-    /// [`StageKind`] order) and queue depth with their windows since its
-    /// last read, the admission counters, and the control plane. `touched`
-    /// names each pool's histogram buckets recorded into since `plane`'s
-    /// last read, when the caller took them (`PlaneState::advance`).
+    /// Brings the observer's `plane` up to the boundary at `t`: each
+    /// non-empty pool's summed telemetry (`pools` in [`StageKind`] order)
+    /// and queue depth with their windows since its last read, the
+    /// admission counters, and the control plane. `touched` names each
+    /// pool's histogram buckets recorded into since `plane`'s last read,
+    /// when the caller took them (`PlaneState::advance`).
     pub fn read_plane<W: WorkerView>(
         &self,
         plane: &mut PlaneState,
@@ -461,24 +462,6 @@ impl<'a> Pipeline<'a> {
         plane.suspect_workers = self.controls.suspect_count();
         plane.dead_workers = self.controls.dead_count();
         plane.degrade_level = self.controls.level();
-    }
-
-    /// One supervision boundary at `t`: the supervisor reads the plane and
-    /// every CPU worker's last heartbeat.
-    pub fn supervise<W: WorkerView>(
-        &self,
-        sup: &mut Supervisor,
-        t: SimTime,
-        counters: &AdmissionCounters,
-        pools: [PoolView<'_, W>; 3],
-    ) {
-        let beats =
-            |(workers, _): PoolView<'_, W>| workers.iter().map(W::last_beat).collect::<Vec<_>>();
-        let (front, back) = (beats(pools[0]), beats(pools[1]));
-        // The supervisor reads on its own cadence, so it scans the span:
-        // the touched bits are the observer's.
-        self.read_plane(&mut sup.plane, t, counters, pools, None);
-        sup.tick(&front, &back, t);
     }
 
     /// Folds the run into its report: `workers` in pool-then-index order,

@@ -93,7 +93,8 @@ impl<'a> Serve for Virt<'a> {
         let mut i = 0;
         while i < free.len() {
             let w = free[i];
-            if pipe.book.dead(stage, w, now) {
+            let panic_at = pipe.cfg.faults.panic_at(pipe.pools, stage, w);
+            if panic_at.is_some_and(|at| now >= at) {
                 free.swap_remove(i);
                 pipe.controls.mark_dead(stage, w);
                 self.telem[stage.index()][w as usize].failed = true;
@@ -121,7 +122,9 @@ impl<'a> Serve for Virt<'a> {
         let job = pipe.cpu_begin(stage, worker, sub, now, t)?;
         // A dispatch into a stall window is trapped behind the frozen
         // worker: service begins when the stall ends.
-        let stall = pipe.faulty.then(|| pipe.book.stall_end(stage, worker, now));
+        let stall = pipe
+            .faulty
+            .then(|| pipe.cfg.faults.stall_end(pipe.pools, stage, worker, now));
         let start = stall.flatten().unwrap_or(now);
         let end = start + job.svc;
         pipe.cpu_end(stage, &job, sub, (start, end), job.svc, t);
@@ -284,9 +287,7 @@ impl<'a> VirtStepper<'a> {
                 self.observe(o, b);
                 self.obs_boundary = Some(b + o.period());
             } else if let Some(mut sup) = self.sup.take() {
-                let hooks = &self.server.hooks;
-                let counters = hooks.dispatch.admission.counters();
-                hooks.pipe.supervise(&mut sup, b, &counters, self.views());
+                sup.tick(self.views(), b);
                 self.sup_boundary = Some(b + SUPERVISOR_PERIOD);
                 self.sup = Some(sup);
             }

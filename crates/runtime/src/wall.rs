@@ -354,7 +354,7 @@ impl Wall<'_, '_> {
             cache: self.cache_model.map(|m| arena.cache_shard(m)),
         });
         let (pipe, queue) = (self.pipe, &self.queues[stage.index()]);
-        let panic_at = pipe.book.panic_at(stage, w);
+        let panic_at = pipe.cfg.faults.panic_at(pipe.pools, stage, w);
         let served = catch_unwind(AssertUnwindSafe(|| {
             while let Some(sub) = queue.pop_wait() {
                 let sample = t.counters.batches >= HOT_WARMUP;
@@ -366,7 +366,7 @@ impl Wall<'_, '_> {
                 }
                 if let Some(end) = pipe
                     .faulty
-                    .then(|| pipe.book.stall_end(stage, w, now))
+                    .then(|| pipe.cfg.faults.stall_end(pipe.pools, stage, w, now))
                     .flatten()
                 {
                     // Stalled: hand the sub back to the pool (bounded by the
@@ -573,8 +573,7 @@ impl Wall<'_, '_> {
         while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
             let now = self.clock.now();
             let snaps = self.read_slots();
-            self.pipe
-                .supervise(&mut sup, now, &self.counters, self.views(&snaps));
+            sup.tick(self.views(&snaps), now);
             next += SUPERVISOR_PERIOD;
         }
     }
