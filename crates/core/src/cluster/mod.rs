@@ -73,12 +73,6 @@ pub enum ProvisionError {
         /// The stranded workload.
         workload: ModelKind,
     },
-    /// The workload's SLA headroom cannot be met at all — not even a
-    /// dedicated server keeps its tail within target (headroom below 1.0).
-    SlaInfeasible {
-        /// The workload whose SLA cannot be honored.
-        workload: ModelKind,
-    },
     /// The optimizer failed to produce a solution.
     SolverFailure,
     /// A workload's load is negative or not finite.
@@ -98,9 +92,6 @@ impl fmt::Display for ProvisionError {
             }
             ProvisionError::NoServerFor { workload } => {
                 write!(f, "no server type can serve {workload}")
-            }
-            ProvisionError::SlaInfeasible { workload } => {
-                write!(f, "SLA of {workload} infeasible even on a dedicated server")
             }
             ProvisionError::SolverFailure => write!(f, "provisioning optimizer failed"),
             ProvisionError::BadLoad { workload } => {

@@ -236,66 +236,31 @@ impl Provisioner for PriorityScheduler {
     }
 }
 
-/// Controls for the co-location bin-packer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColocationOptions {
-    /// Hard cap on tenants sharing one server.
-    pub max_tenants_per_server: u32,
-    /// Tolerated tail-latency inflation at the profiled operating point: a
-    /// tenant may join a `k`-tenant server only while
-    /// `colocation_derate(k, 1.0) <= headroom` (the packer plans against
-    /// worst-case memory intensity). Below 1.0 the SLA is infeasible even
-    /// dedicated.
-    pub sla_headroom: f64,
-    /// Per-workload overrides of `sla_headroom`, index-aligned with the
-    /// request's workload list (missing indices use the global value).
-    pub per_workload_headroom: Vec<f64>,
-    /// Server ranking metric used when picking types.
-    pub metric: RankMetric,
-}
+/// Most tenants one shared server takes.
+const MAX_TENANTS_PER_SERVER: u32 = 4;
 
-impl Default for ColocationOptions {
-    fn default() -> Self {
-        ColocationOptions {
-            max_tenants_per_server: 4,
-            sla_headroom: 1.25,
-            per_workload_headroom: Vec::new(),
-            metric: RankMetric::QpsPerWatt,
-        }
-    }
-}
-
-impl ColocationOptions {
-    fn headroom(&self, w: usize) -> f64 {
-        self.per_workload_headroom
-            .get(w)
-            .copied()
-            .unwrap_or(self.sla_headroom)
-    }
-}
+/// Tolerated tail-latency inflation at the profiled operating point: a
+/// tenant may join a `k`-tenant server only while
+/// `colocation_derate(k, 1.0) <= SLA_HEADROOM` (the packer plans against
+/// worst-case memory intensity).
+const SLA_HEADROOM: f64 = 1.25;
 
 /// The co-location-aware allocation policy: greedy bin-packing of tenant
-/// shares onto shared servers.
+/// shares onto shared servers, each workload's server types ranked by
+/// QPS per watt.
 ///
 /// Full dedicated servers are provisioned first (a tenant that fills a
 /// whole server gains nothing from sharing), then the per-workload
 /// remainders — the stranded capacity of dedicated provisioning — are
 /// packed onto shared servers, largest first. A remainder joins an open
-/// server only if every tenant on it (including the newcomer) tolerates the
-/// higher interference derating under its SLA headroom and the derated
+/// server only while the worst-case interference derating at the server's
+/// new tenant count stays within a 1.25× tail inflation and the derated
 /// shares still fit; otherwise it falls back to a dedicated server.
 #[derive(Debug, Clone, Default)]
-pub struct ColocationScheduler {
-    /// Packing controls.
-    pub opts: ColocationOptions,
-}
+#[non_exhaustive]
+pub struct ColocationScheduler;
 
 impl ColocationScheduler {
-    /// Creates the scheduler with the given options.
-    pub fn new(opts: ColocationOptions) -> Self {
-        ColocationScheduler { opts }
-    }
-
     /// Best-ranked server type for `model` with capacity left in `pool`.
     fn best_available(
         &self,
@@ -304,7 +269,7 @@ impl ColocationScheduler {
         w: usize,
     ) -> Result<(ServerType, f64), ProvisionError> {
         let model = req.workloads[w];
-        let ranked = req.table.ranked_servers(model, self.opts.metric);
+        let ranked = req.table.ranked_servers(model, RankMetric::QpsPerWatt);
         if ranked.is_empty() {
             return Err(ProvisionError::NoServerFor { workload: model });
         }
@@ -323,8 +288,6 @@ impl ColocationScheduler {
     /// # Errors
     ///
     /// The errors of [`ProvisionRequest::check`] for a malformed request,
-    /// [`ProvisionError::SlaInfeasible`] when a workload's headroom is below
-    /// 1.0 (it cannot meet its SLA even dedicated),
     /// [`ProvisionError::NoServerFor`] when the table has no entry for a
     /// workload, and [`ProvisionError::InsufficientCapacity`] when the fleet
     /// runs out of servers.
@@ -333,11 +296,12 @@ impl ColocationScheduler {
         req: &ProvisionRequest<'_>,
     ) -> Result<ColocatedAllocation, ProvisionError> {
         req.check()?;
-        for (w, &model) in req.workloads.iter().enumerate() {
-            if self.opts.headroom(w) < 1.0 {
-                return Err(ProvisionError::SlaInfeasible { workload: model });
-            }
-            if req.table.ranked_servers(model, self.opts.metric).is_empty() {
+        for &model in req.workloads {
+            if req
+                .table
+                .ranked_servers(model, RankMetric::QpsPerWatt)
+                .is_empty()
+            {
                 return Err(ProvisionError::NoServerFor { workload: model });
             }
         }
@@ -379,7 +343,7 @@ impl ColocationScheduler {
             let mut placed = false;
             for bin in bins.iter_mut() {
                 let k_new = bin.tenant_count() + 1;
-                if k_new > self.opts.max_tenants_per_server {
+                if k_new > MAX_TENANTS_PER_SERVER {
                     continue;
                 }
                 // Plan against the worst case (co-runners saturating the
@@ -387,15 +351,7 @@ impl ColocationScheduler {
                 // intensity ahead of time, and an optimistic bound would
                 // let a newcomer break an incumbent's SLA under load.
                 let derate = colocation_derate(k_new, 1.0);
-                // Every tenant on the server must tolerate the higher
-                // interference level — else the newcomer would break an
-                // incumbent's SLA.
-                if derate > self.opts.headroom(w)
-                    || bin
-                        .tenants
-                        .iter()
-                        .any(|t| derate > self.opts.headroom(t.workload))
-                {
+                if derate > SLA_HEADROOM {
                     continue;
                 }
                 let Some(e) = req.table.get(model, bin.stype) else {
@@ -438,7 +394,7 @@ impl ColocationScheduler {
             // be smaller than the one Pass 1 sized the remainder against,
             // so keep buying full dedicated servers until the rest fits a
             // single one; the final slice opens a bin future remainders may
-            // join (or, for an SLA-tight tenant, it stays dedicated).
+            // join.
             let mut demand = demand;
             loop {
                 let (stype, qps) = self.best_available(req, &pool, w)?;
@@ -884,31 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn colocation_respects_sla_tight_tenant() {
-        // Workload 0 tolerates no interference (headroom 1.0 < derate(2)):
-        // it must never share a server, while workload 1 still may.
-        let (fleet, table, workloads) = scenario();
-        let loads = [500.0, 400.0];
-        let req = request(&fleet, &table, &workloads, &loads);
-        let opts = ColocationOptions {
-            per_workload_headroom: vec![1.0, 1.25],
-            ..ColocationOptions::default()
-        };
-        let alloc = ColocationScheduler::new(opts)
-            .provision_colocated(&req)
-            .unwrap();
-        assert!(alloc.satisfies(&req));
-        for s in &alloc.servers {
-            if s.tenants.iter().any(|t| t.workload == 0) {
-                assert!(
-                    s.is_dedicated(),
-                    "SLA-tight workload 0 must stay dedicated: {s:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn colocation_remainder_larger_than_fallback_type_buys_full_servers() {
         // Pass 1 sizes workload 0's remainder against T2 (its best type),
         // but workload 1 drains the last T2, so Pass 2 must fall back to
@@ -934,26 +865,6 @@ mod tests {
                 "oversubscribed server: {s:?}"
             );
         }
-    }
-
-    #[test]
-    fn colocation_headroom_below_one_is_sla_infeasible() {
-        let (fleet, table, workloads) = scenario();
-        let loads = [100.0, 100.0];
-        let req = request(&fleet, &table, &workloads, &loads);
-        let opts = ColocationOptions {
-            sla_headroom: 0.9,
-            ..ColocationOptions::default()
-        };
-        let err = ColocationScheduler::new(opts)
-            .provision_colocated(&req)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ProvisionError::SlaInfeasible {
-                workload: workloads[0]
-            }
-        );
     }
 
     #[test]

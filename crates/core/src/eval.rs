@@ -54,9 +54,6 @@ pub struct EvalContext {
     pub server: ServerSpec,
     /// SLA latency constraint.
     pub sla: SlaSpec,
-    /// Optional provisioned-power ceiling (the online-serving constraint;
-    /// offline profiling leaves it `None`).
-    pub power_cap: Option<Watts>,
     /// Simulation controls.
     pub sim: SimConfig,
     /// Rate-search controls.
@@ -68,14 +65,12 @@ pub struct EvalContext {
 }
 
 impl EvalContext {
-    /// A context with default fidelity, no power cap, and a private LUT
-    /// cache.
+    /// A context with default fidelity and a private LUT cache.
     pub fn new(model: RecModel, server: ServerSpec, sla: SlaSpec) -> Self {
         EvalContext {
             model,
             server,
             sla,
-            power_cap: None,
             sim: SimConfig::default(),
             search: SearchOptions::default(),
             nmp_luts: Arc::new(NmpLutCache::new()),
@@ -114,25 +109,19 @@ pub fn evaluate_plan(ctx: &EvalContext, plan: &PlacementPlan) -> Option<Evaluati
         &ctx.nmp_luts,
     )
     .ok()??;
-    let power = outcome.report.peak_power;
-    if let Some(cap) = ctx.power_cap {
-        if power > cap {
-            return None;
-        }
-    }
     Some(Evaluation {
         plan: *plan,
         qps: outcome.qps,
-        power,
+        power: outcome.report.peak_power,
         report: outcome.report,
     })
 }
 
 /// A memoizing evaluator over [`PlacementPlan`]s.
 ///
-/// Infeasible plans (structurally invalid, SLA-unreachable, or over the
-/// power cap) evaluate to `None`; results are cached so a search revisiting
-/// a configuration pays nothing.
+/// Infeasible plans (structurally invalid or SLA-unreachable) evaluate to
+/// `None`; results are cached so a search revisiting a configuration pays
+/// nothing.
 pub struct CachedEvaluator {
     ctx: EvalContext,
     cache: HashMap<PlacementPlan, Option<Evaluation>>,
@@ -246,19 +235,6 @@ mod tests {
         let plan = PlacementPlan::CpuModel {
             threads: 40,
             workers: 1,
-            batch: 256,
-        };
-        assert!(ev.evaluate(&plan).is_none());
-    }
-
-    #[test]
-    fn power_cap_rejects() {
-        let mut ctx = quick_ctx();
-        ctx.power_cap = Some(Watts(1.0)); // nothing runs under 1 W
-        let mut ev = CachedEvaluator::new(ctx);
-        let plan = PlacementPlan::CpuModel {
-            threads: 10,
-            workers: 2,
             batch: 256,
         };
         assert!(ev.evaluate(&plan).is_none());

@@ -39,8 +39,8 @@ pub use cluster::online::{
     run_online, run_online_colocated, ClusterRunReport, ColocationRunReport, WorkloadTrace,
 };
 pub use cluster::policies::{
-    ColocationOptions, ColocationScheduler, GreedyScheduler, HerculesScheduler, NhScheduler,
-    PriorityScheduler, SolverChoice,
+    ColocationScheduler, GreedyScheduler, HerculesScheduler, NhScheduler, PriorityScheduler,
+    SolverChoice,
 };
 pub use cluster::{
     Allocation, ColocatedAllocation, ProvisionError, ProvisionRequest, Provisioner, SharedServer,
