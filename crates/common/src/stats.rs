@@ -5,6 +5,13 @@
 //! [`LatencyHistogram`] keeps mergeable log-bucket counts (and
 //! [`WindowQuantiles`] reads the quantiles of a window of them), and
 //! [`TimeSeries`] holds load and power curves.
+//!
+//! A histogram buckets a sample by table lookup, not by logarithm: each
+//! layout's bucket thresholds and midpoints are computed once per process,
+//! from the logarithmic bucket formula, and shared by every histogram of
+//! the layout, so recording costs two loads and a compare.
+
+use std::sync::{Mutex, PoisonError};
 
 /// The 1-based rank of the `p`-quantile among `n >= 1` sorted samples by
 /// nearest rank: `ceil(p * n)`, clamped to `1..=n`. As `n` grows it never
@@ -118,6 +125,14 @@ impl Default for PercentileTracker {
 /// latency range (500 ns – 1000 s, 1024 buckets) keeps that error under
 /// ~2.1%.
 ///
+/// A sample's bucket is defined by `floor(ln(x / lo) / ln(ratio))`, but
+/// recording evaluates no logarithm: every histogram of a layout shares
+/// one bucket table, built once per process, which holds the smallest
+/// float that formula puts in each bucket. Recording finds the sample's
+/// first candidate bucket from its exponent and top mantissa bits and
+/// compares it against the next bucket's threshold, landing where the
+/// formula would.
+///
 /// ```
 /// use hercules_common::stats::LatencyHistogram;
 /// let mut a = LatencyHistogram::default_latency();
@@ -130,11 +145,8 @@ impl Default for PercentileTracker {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    lo: f64,
-    /// Precomputed `1 / ln(ratio)` so the record path is one `ln` + one
-    /// multiply.
-    inv_ln_ratio: f64,
-    ratio: f64,
+    /// The layout's bucket thresholds and representatives.
+    table: &'static BucketTable,
     counts: Vec<u64>,
     total: u64,
     sum: f64,
@@ -144,7 +156,9 @@ pub struct LatencyHistogram {
 
 impl LatencyHistogram {
     /// Creates a histogram with `buckets` geometric buckets spanning
-    /// `[lo, hi)` plus one overflow bucket.
+    /// `[lo, hi)` plus one overflow bucket. The layout's bucket table is
+    /// built by the first histogram of the layout in the process and
+    /// shared by the rest.
     ///
     /// # Panics
     ///
@@ -152,11 +166,8 @@ impl LatencyHistogram {
     pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
         assert!(lo > 0.0 && hi > lo, "invalid histogram range [{lo}, {hi})");
         assert!(buckets > 0, "need at least one bucket");
-        let ratio = (hi / lo).powf(1.0 / buckets as f64);
         LatencyHistogram {
-            lo,
-            inv_ln_ratio: 1.0 / ratio.ln(),
-            ratio,
+            table: BucketTable::shared(lo, hi, buckets),
             counts: vec![0; buckets + 1],
             total: 0,
             sum: 0.0,
@@ -171,15 +182,6 @@ impl LatencyHistogram {
         LatencyHistogram::new(5e-7, 1e3, 1024)
     }
 
-    /// The bucket an observation of `x` lands in.
-    fn bucket(&self, x: f64) -> usize {
-        if x < self.lo {
-            0
-        } else {
-            (((x / self.lo).ln() * self.inv_ln_ratio) as usize).min(self.counts.len() - 1)
-        }
-    }
-
     /// Records one observation (seconds). Never allocates.
     pub fn record(&mut self, x: f64) {
         self.record_bucket(x);
@@ -188,7 +190,7 @@ impl LatencyHistogram {
     /// [`record`](Self::record), returning the index of the bucket the
     /// observation landed in (into [`counts`](Self::counts)).
     pub fn record_bucket(&mut self, x: f64) -> usize {
-        let idx = self.bucket(x);
+        let idx = self.table.bucket(x);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += x;
@@ -210,8 +212,8 @@ impl LatencyHistogram {
     /// bucket counts.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         assert!(
-            self.lo.to_bits() == other.lo.to_bits()
-                && self.ratio.to_bits() == other.ratio.to_bits()
+            self.table.lo.to_bits() == other.table.lo.to_bits()
+                && self.table.ratio.to_bits() == other.table.ratio.to_bits()
                 && self.counts.len() == other.counts.len(),
             "cannot merge histograms with different bucket layouts"
         );
@@ -274,13 +276,12 @@ impl LatencyHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let edge_lo = self.lo * self.ratio.powi(i as i32);
                 // Geometric midpoint of the bucket, exact for the overflow
                 // bucket (whose only tenant bound is the observed max).
                 let mid = if i + 1 == self.counts.len() {
                     self.max
                 } else {
-                    edge_lo * self.ratio.sqrt()
+                    self.table.mids[i]
                 };
                 return Some(mid.clamp(self.min, self.max));
             }
@@ -306,7 +307,7 @@ impl LatencyHistogram {
     /// The relative bucket width: a quantile is within a factor of `ratio`
     /// of the exact order statistic.
     pub fn resolution(&self) -> f64 {
-        self.ratio
+        self.table.ratio
     }
 
     /// Observations at or beyond the histogram's upper edge, clamped into
@@ -336,6 +337,180 @@ impl Default for LatencyHistogram {
     /// [`LatencyHistogram::default_latency`].
     fn default() -> Self {
         LatencyHistogram::default_latency()
+    }
+}
+
+/// Sub-intervals per binade in a [`BucketTable`]'s first-bucket index, as
+/// a power of two: a positive float's index key is its exponent and top
+/// `SUB_BITS` mantissa bits. At 2^7 a sub-interval's largest value is at
+/// most 0.8% above its smallest, inside the default layout's 2.1% bucket
+/// ratio, so at most one threshold falls inside a sub-interval.
+const SUB_BITS: u32 = 7;
+
+/// The right shift that leaves a float's index key.
+const KEY_SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - SUB_BITS;
+
+/// The index key of `x`: its bits shifted right by [`KEY_SHIFT`] as a
+/// signed word, so negative floats have negative keys and positive floats'
+/// keys ascend with them.
+fn key(x: f64) -> i64 {
+    x.to_bits() as i64 >> KEY_SHIFT
+}
+
+/// The bucket `floor(ln(x / lo) * inv_ln_ratio)` of a layout starting at
+/// `lo`, clamped to the overflow bucket `last`, with values below `lo` and
+/// NaN in bucket 0: the definition a [`BucketTable`] is built from.
+fn ln_bucket(x: f64, lo: f64, inv_ln_ratio: f64, last: usize) -> usize {
+    if x < lo {
+        0
+    } else {
+        (((x / lo).ln() * inv_ln_ratio) as usize).min(last)
+    }
+}
+
+/// The lookup tables of one histogram layout `(lo, hi, buckets)`, built
+/// once per process by the first [`LatencyHistogram`] of the layout and
+/// shared by every later one.
+///
+/// A sample's bucket is the number of thresholds at or below it. The
+/// first-bucket index narrows that count to the sample's sub-interval,
+/// which in the default layout holds at most one threshold, so one compare
+/// against the next threshold finishes; a layout denser than the index
+/// steps through the few its sub-interval holds.
+struct BucketTable {
+    lo: f64,
+    hi: f64,
+    ratio: f64,
+    /// `thresholds[i]` for `1 <= i <= buckets`: the smallest float that
+    /// [`ln_bucket`] puts in bucket `i` or above (NaN when no float does).
+    /// Entry 0 is unused, and the last entry is NaN, which no sample
+    /// reaches, so every step stops at the overflow bucket.
+    thresholds: Box<[f64]>,
+    /// The index key of `lo`.
+    base: i64,
+    /// `first[j]`: the bucket of the smallest float whose key is
+    /// `base + j`. Entry 0 also stands for every float below `lo`'s
+    /// sub-interval, and the last entry for every float past the top
+    /// threshold's sub-interval.
+    first: Box<[u32]>,
+    /// `mids[i]`: bucket `i`'s geometric midpoint, `lo * ratio.powi(i) *
+    /// ratio.sqrt()`, and for the overflow bucket its lower edge,
+    /// `lo * ratio.powi(buckets)`.
+    mids: Box<[f64]>,
+}
+
+impl BucketTable {
+    /// The table of layout `(lo, hi, buckets)`, built on the first request
+    /// for it in this process and shared by every later one.
+    fn shared(lo: f64, hi: f64, buckets: usize) -> &'static BucketTable {
+        static TABLES: Mutex<Vec<&'static BucketTable>> = Mutex::new(Vec::new());
+        // A panic while building leaves the list as it was, so a poisoned
+        // list is still whole.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        let layout = (lo.to_bits(), hi.to_bits(), buckets);
+        if let Some(&table) = tables
+            .iter()
+            .find(|t| (t.lo.to_bits(), t.hi.to_bits(), t.mids.len() - 1) == layout)
+        {
+            return table;
+        }
+        let table = Box::leak(Box::new(BucketTable::build(lo, hi, buckets)));
+        tables.push(table);
+        table
+    }
+
+    fn build(lo: f64, hi: f64, buckets: usize) -> BucketTable {
+        let ratio = (hi / lo).powf(1.0 / buckets as f64);
+        let inv_ln_ratio = 1.0 / ratio.ln();
+        let bucket = |bits: u64| ln_bucket(f64::from_bits(bits), lo, inv_ln_ratio, buckets);
+        // +inf reaches the overflow bucket unless the ratio itself
+        // overflows; no float reaches a bucket past +inf's.
+        let inf = f64::INFINITY.to_bits();
+        let reach = bucket(inf);
+        // Bisect over the bit patterns of the non-negative floats, which
+        // order like the floats, keeping `bucket(below) < i <= bucket(at)`.
+        let mut below = 0.0f64.to_bits();
+        let thresholds: Box<[f64]> = (0..buckets + 2)
+            .map(|i| {
+                if i == 0 || i > reach {
+                    return f64::NAN;
+                }
+                let mut at = inf;
+                while at - below > 1 {
+                    let mid = below + (at - below) / 2;
+                    if bucket(mid) >= i {
+                        at = mid;
+                    } else {
+                        below = mid;
+                    }
+                }
+                f64::from_bits(at)
+            })
+            .collect();
+        let base = key(lo);
+        let top = if reach == 0 {
+            base
+        } else {
+            key(thresholds[reach])
+        };
+        let mut b = 0;
+        let first = (base..=top + 1)
+            .map(|k| {
+                if k > base {
+                    let start = f64::from_bits((k << KEY_SHIFT) as u64);
+                    while b < buckets && thresholds[b + 1] <= start {
+                        b += 1;
+                    }
+                }
+                u32::try_from(b).expect("a layout has fewer than 2^32 buckets")
+            })
+            .collect();
+        let mids = (0..=buckets)
+            .map(|i| {
+                let edge_lo = lo * ratio.powi(i as i32);
+                if i == buckets {
+                    edge_lo
+                } else {
+                    edge_lo * ratio.sqrt()
+                }
+            })
+            .collect();
+        BucketTable {
+            lo,
+            hi,
+            ratio,
+            thresholds,
+            base,
+            first,
+            mids,
+        }
+    }
+
+    /// The bucket [`ln_bucket`] puts `x` in, by two loads and a compare.
+    #[inline]
+    fn bucket(&self, x: f64) -> usize {
+        if x.is_nan() {
+            return 0;
+        }
+        let j = (key(x) - self.base).clamp(0, self.first.len() as i64 - 1);
+        let mut b = self.first[j as usize] as usize;
+        b += usize::from(x >= self.thresholds[b + 1]);
+        // Only a layout denser than the index has a second threshold in
+        // one sub-interval.
+        while x >= self.thresholds[b + 1] {
+            b += 1;
+        }
+        b
+    }
+}
+
+impl std::fmt::Debug for BucketTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BucketTable")
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .field("buckets", &(self.mids.len() - 1))
+            .finish_non_exhaustive()
     }
 }
 
@@ -388,13 +563,7 @@ impl<'h, const N: usize> WindowQuantiles<'h, N> {
     pub fn push(&mut self, i: usize, count: u64) {
         self.seen += count;
         while self.next < N && self.seen >= self.ranks[self.next] {
-            let l = self.layout;
-            let edge_lo = l.lo * l.ratio.powi(i as i32);
-            self.out[self.next] = Some(if i + 1 == l.counts.len() {
-                edge_lo
-            } else {
-                edge_lo * l.ratio.sqrt()
-            });
+            self.out[self.next] = Some(self.layout.table.mids[i]);
             self.next += 1;
         }
     }
@@ -534,6 +703,16 @@ mod tests {
         assert_eq!(ab.quantile(1.0), Some(50.0));
     }
 
+    #[test]
+    fn a_layout_whose_ratio_overflows_buckets_like_the_formula() {
+        // `hi / lo` overflows, so the formula's ratio is infinite and it
+        // puts every sample in bucket 0; the table reaches no bucket past.
+        let mut h = LatencyHistogram::new(1e-300, 1e300, 10);
+        for x in [1e-300, 1.0, 1e300, f64::MAX, f64::INFINITY] {
+            assert_eq!(h.record_bucket(x), 0, "x = {x:e}");
+        }
+    }
+
     /// The nearest-rank quantile of a full count vector, bucket by bucket
     /// from the first: the reference a windowed read must reproduce.
     fn full_scan(layout: &LatencyHistogram, counts: &[u64], p: f64) -> Option<f64> {
@@ -544,11 +723,12 @@ mod tests {
             seen += c;
             total > 0 && seen >= rank
         })?;
-        let edge_lo = layout.lo * layout.ratio.powi(i as i32);
+        let (lo, ratio) = (layout.table.lo, layout.table.ratio);
+        let edge_lo = lo * ratio.powi(i as i32);
         Some(if i + 1 == counts.len() {
             edge_lo
         } else {
-            edge_lo * layout.ratio.sqrt()
+            edge_lo * ratio.sqrt()
         })
     }
 

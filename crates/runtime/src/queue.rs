@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard};
 use std::time::Instant;
 
 #[derive(Debug)]
@@ -53,6 +53,17 @@ impl<T> SyncQueue<T> {
         }
     }
 
+    /// Locks the ring. A mutex is poisoned only by a panic while it is
+    /// held, and no critical section of this queue can panic: each compares
+    /// lengths, moves items into a ring whose capacity was reserved up
+    /// front (after checking that they fit) or out of it, sets `closed` and
+    /// stores the depth mirror. The items come from the runtime's own
+    /// iterators (a query's split, one batch), which only move them. So the
+    /// `expect` never fires.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().expect("queue poisoned")
+    }
+
     /// Current depth without taking the lock (racy by nature; the
     /// dispatcher's admission estimate and the observer's queue-depth
     /// gauge).
@@ -64,7 +75,7 @@ impl<T> SyncQueue<T> {
     /// the remaining capacity cannot hold the whole batch (ingress
     /// backpressure) or the queue is closed.
     pub fn try_push_all(&self, items: impl ExactSizeIterator<Item = T>) -> bool {
-        let mut g = self.inner.lock().expect("queue poisoned");
+        let mut g = self.lock();
         if g.closed || g.items.len() + items.len() > self.capacity {
             return false;
         }
@@ -78,9 +89,9 @@ impl<T> SyncQueue<T> {
     /// Pushes one item, blocking while the queue is full. Returns `false`
     /// (dropping the item) only if the queue closed while waiting.
     pub fn push_wait(&self, item: T) -> bool {
-        let mut g = self.inner.lock().expect("queue poisoned");
+        let mut g = self.lock();
         while g.items.len() >= self.capacity && !g.closed {
-            g = self.not_full.wait(g).expect("queue poisoned");
+            g = relocked(self.not_full.wait(g));
         }
         if g.closed {
             return false;
@@ -96,7 +107,7 @@ impl<T> SyncQueue<T> {
     /// Used by the GPU-batch buffer freelist, where an empty freelist just
     /// means "allocate a fresh buffer".
     pub fn try_pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().expect("queue poisoned");
+        let mut g = self.lock();
         let item = g.items.pop_front();
         if item.is_some() {
             self.depth.store(g.items.len(), Ordering::Relaxed);
@@ -109,7 +120,7 @@ impl<T> SyncQueue<T> {
     /// Pops the next item, blocking until one arrives; `None` once the
     /// queue is closed *and* drained.
     pub fn pop_wait(&self) -> Option<T> {
-        let mut g = self.inner.lock().expect("queue poisoned");
+        let mut g = self.lock();
         loop {
             if let Some(item) = g.items.pop_front() {
                 self.depth.store(g.items.len(), Ordering::Relaxed);
@@ -120,14 +131,14 @@ impl<T> SyncQueue<T> {
             if g.closed {
                 return None;
             }
-            g = self.not_empty.wait(g).expect("queue poisoned");
+            g = relocked(self.not_empty.wait(g));
         }
     }
 
     /// Pops the next item, waiting at most until `deadline` (the dynamic
     /// batcher's fill-or-flush wait).
     pub fn pop_deadline(&self, deadline: Instant) -> PopResult<T> {
-        let mut g = self.inner.lock().expect("queue poisoned");
+        let mut g = self.lock();
         loop {
             if let Some(item) = g.items.pop_front() {
                 self.depth.store(g.items.len(), Ordering::Relaxed);
@@ -145,10 +156,7 @@ impl<T> SyncQueue<T> {
             else {
                 return PopResult::TimedOut;
             };
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(g, wait)
-                .expect("queue poisoned");
+            let (guard, timeout) = relocked(self.not_empty.wait_timeout(g, wait));
             g = guard;
             if timeout.timed_out() && g.items.is_empty() && !g.closed {
                 return PopResult::TimedOut;
@@ -158,10 +166,18 @@ impl<T> SyncQueue<T> {
 
     /// Closes the queue: producers fail fast, consumers drain then stop.
     pub fn close(&self) {
-        self.inner.lock().expect("queue poisoned").closed = true;
+        self.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
+}
+
+/// What a condvar wait on a queue's lock returns once it has the lock back:
+/// the guard (and, for a timed wait, whether it timed out). The wait
+/// re-locks the mutex [`SyncQueue::lock`] takes, which no critical section
+/// poisons, so the `expect` never fires.
+fn relocked<G>(woken: LockResult<G>) -> G {
+    woken.expect("queue poisoned")
 }
 
 #[cfg(test)]

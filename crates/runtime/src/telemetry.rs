@@ -556,28 +556,50 @@ impl TelemetrySlot {
     /// sequence number. Wait-free for the writer; the reader may allocate
     /// (it runs on the observer thread, off the serving path).
     pub fn read(&self) -> WorkerSnap {
+        self.consistent(|| WorkerSnap {
+            counters: Counters::from_words(
+                self.counters.each_ref().map(|c| c.load(Ordering::Relaxed)),
+            ),
+            queue_wait: self
+                .queue_wait
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
+            e2e: self.e2e.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            last_beat: self.last_beat(),
+        })
+    }
+
+    /// Reader side: copies only the queue-wait bucket counts into `into`
+    /// (which must hold [`hist_len`](Self::hist_len) buckets), under the
+    /// same protocol as [`read`](Self::read), allocating nothing.
+    pub(crate) fn read_queue_wait(&self, into: &mut [u64]) {
+        self.consistent(|| {
+            for (dst, src) in into.iter_mut().zip(&*self.queue_wait) {
+                *dst = src.load(Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Buckets in each of the slot's histograms.
+    pub(crate) fn hist_len(&self) -> usize {
+        self.queue_wait.len()
+    }
+
+    /// Runs `copy` until the sequence number reads the same even value
+    /// before and after it, so what it copied comes from one write window.
+    fn consistent<T>(&self, mut copy: impl FnMut() -> T) -> T {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 1 {
                 std::hint::spin_loop();
                 continue;
             }
-            let snap = WorkerSnap {
-                counters: Counters::from_words(
-                    self.counters.each_ref().map(|c| c.load(Ordering::Relaxed)),
-                ),
-                queue_wait: self
-                    .queue_wait
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .collect(),
-                e2e: self.e2e.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                last_beat: self.last_beat(),
-            };
+            let out = copy();
             // Order the data loads before the re-check.
             fence(Ordering::Acquire);
             if self.seq.load(Ordering::Relaxed) == s1 {
-                return snap;
+                return out;
             }
         }
     }
@@ -788,6 +810,10 @@ mod tests {
         );
         t.publish();
         let second = slot.read();
+        // The supervisor's partial read copies the same queue waits.
+        let mut queue_wait = vec![u64::MAX; slot.hist_len()];
+        slot.read_queue_wait(&mut queue_wait);
+        assert_eq!(queue_wait, second.queue_wait);
         let delta = second.counters.since(&first.counters);
         assert_eq!(delta.batches, 1);
         assert_eq!(delta.items, 64);

@@ -568,11 +568,30 @@ impl Wall<'_, '_> {
         true
     }
 
+    /// Ticks `sup` at every supervision boundary until the run stops. The
+    /// supervisor reads only the ingress pool's queue waits and the
+    /// workers' heartbeats, so a boundary reads just those, into snapshots
+    /// sized before the first one: it allocates nothing.
     fn supervise(&self, mut sup: Supervisor) {
+        let ingress = self.pipe.topo.ingress().index();
+        let mut snaps = self
+            .slots
+            .each_ref()
+            .map(|pool| vec![WorkerSnap::default(); pool.len()]);
+        for (slot, snap) in self.slots[ingress].iter().zip(&mut snaps[ingress]) {
+            snap.queue_wait = vec![0; slot.hist_len()];
+        }
         let mut next = SimTime::ZERO + SUPERVISOR_PERIOD;
         while !self.stop.load(Ordering::Acquire) && self.sleep_until(next) {
             let now = self.clock.now();
-            let snaps = self.read_slots();
+            for (i, (slots, snaps)) in self.slots.iter().zip(&mut snaps).enumerate() {
+                for (slot, snap) in slots.iter().zip(snaps) {
+                    if i == ingress {
+                        slot.read_queue_wait(&mut snap.queue_wait);
+                    }
+                    snap.last_beat = slot.last_beat();
+                }
+            }
             sup.tick(self.views(&snaps), now);
             next += SUPERVISOR_PERIOD;
         }

@@ -8,8 +8,11 @@
 //! per-query path (cloning a `BatchCost`, growing a queue, collecting
 //! split sizes) fails here with the exact count. The observer tick is
 //! fenced the same way: after its first, a tick allocates only the
-//! snapshot's stage list (and the history's growth, unless pre-sized).
+//! snapshot's stage list (and the history's growth, unless pre-sized). So
+//! are the latency histograms' bucket tables: built once per layout per
+//! process, by the layout's first histogram, never while recording.
 
+use hercules_common::stats::LatencyHistogram;
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::server::ServerType;
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
@@ -153,4 +156,32 @@ fn observer_tick_allocates_only_its_snapshot() {
         growing.iter().all(|&n| n == 1 || n == 2) && grew <= 8,
         "a tick allocates its stage list, plus a history growth on {grew} ticks: {growing:?}"
     );
+}
+
+#[test]
+fn histogram_tables_are_built_once_per_layout() {
+    // A layout no other test builds, so this thread builds its table.
+    let new = || LatencyHistogram::new(3e-7, 700.0, 999);
+    let before = thread_allocs();
+    let first = new();
+    let built = thread_allocs() - before;
+    assert!(
+        built > 1,
+        "the layout's first histogram builds its table: {built} allocations"
+    );
+    for _ in 0..3 {
+        let before = thread_allocs();
+        let mut later = new();
+        assert_eq!(
+            thread_allocs() - before,
+            1,
+            "a later histogram of the layout allocates its counts alone"
+        );
+        let before = thread_allocs();
+        for i in 0..10_000 {
+            later.record(1e-6 * f64::from(i));
+        }
+        assert_eq!(thread_allocs() - before, 0, "recording allocates nothing");
+        later.merge(&first);
+    }
 }

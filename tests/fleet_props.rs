@@ -17,18 +17,28 @@
 //!    and fleet goodput is >= 2x the no-failover fleet.
 //! 6. Histories sized once — each replica's snapshot history holds one
 //!    snapshot per boundary it saw and carries no spare capacity.
+//! 7. The planner provisions what the fleet measures — `fig_fleet`'s
+//!    cross-validation: `core::cluster`'s static plan for a diurnal peak
+//!    lies within one server of the smallest fleet that met the day's
+//!    demand.
 
-use hercules_common::units::{Qps, SimDuration, SimTime};
+use hercules_common::units::{Qps, SimDuration, SimTime, Watts};
+use hercules_core::cluster::online::{run_online, WorkloadTrace};
+use hercules_core::cluster::policies::SolverChoice;
+use hercules_core::profiler::{EfficiencyEntry, EfficiencyTable};
+use hercules_core::HerculesScheduler;
 use hercules_fleet::{run_virtual_fleet, AutoscalerPolicy, FleetConfig, ScaleDecision};
-use hercules_hw::server::ServerType;
+use hercules_hw::cost::{CacheModel, CacheSpec};
+use hercules_hw::server::{Fleet, ServerType};
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_runtime::{
     AdmissionPolicy, DeadlinePolicy, FaultPlan, RuntimeConfig, ServingRuntime, StageKind,
     SupervisorPolicy,
 };
 use hercules_sim::{NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
+use hercules_workload::diurnal::DiurnalPattern;
 use hercules_workload::generator::QueryStream;
-use hercules_workload::query::Query;
+use hercules_workload::query::{Query, QueryId};
 
 fn quickstart_runtime(cfg: RuntimeConfig) -> ServingRuntime {
     let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
@@ -394,5 +404,94 @@ fn failover_recovers_from_worker_panic() {
          {:.1} vs {:.1} ({ratio:.2}x)",
         with.goodput().value(),
         without.goodput().value()
+    );
+}
+
+/// One service-A day compressed into `duration`, as `fig_fleet` builds it:
+/// 24 piecewise-constant "hours", each an independent seeded Poisson
+/// segment at that hour's diurnal rate, ids renumbered globally.
+fn diurnal_trace(peak: Qps, duration: SimDuration, seed: u64) -> Vec<Query> {
+    let pattern = DiurnalPattern::service_a(peak);
+    let seg = duration.mul_f64(1.0 / 24.0);
+    let mut out = Vec::new();
+    for h in 0..24u64 {
+        let start = duration.mul_f64(h as f64 / 24.0);
+        let rate = pattern.load_at_hours(h as f64 + 0.5);
+        for q in QueryStream::paper(rate, seed.wrapping_add(h)).take_until(SimTime::ZERO + seg) {
+            out.push(Query {
+                id: QueryId(out.len() as u64),
+                arrival: q.arrival + start,
+                size: q.size,
+            });
+        }
+    }
+    // Segment boundaries can disagree by a rounding nanosecond; the router
+    // requires non-decreasing arrivals.
+    out.sort_by_key(|q| (q.arrival, q.id.0));
+    out
+}
+
+/// `fig_fleet`'s planner cross-validation at the bench's own setup (seed
+/// 7, a 2000 ms compressed day, a pool of 4, a 2000 QPS peak, the small
+/// plan on RMC1 production): the replica's best goodput over a rate
+/// ladder becomes its efficiency entry, `core::cluster` provisions the
+/// peak from it, and the smallest swept fleet that completes 90% of the
+/// day's mean demand on time lies within one server of that plan.
+#[test]
+fn planner_provisions_what_the_fleet_measures() {
+    const SEED: u64 = 7;
+    const POOL: usize = 4;
+    let (duration, peak) = (SimDuration::from_millis(2000), Qps(2000.0));
+    let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+    let track = base_cfg(2000, SEED).with_deadline(DeadlinePolicy::track(model.default_sla()));
+    let trace = diurnal_trace(peak, duration, SEED);
+    let offered = Qps(trace.len() as f64 / duration.as_secs_f64());
+    let cache = CacheModel::plan(CacheSpec::per_worker_mib(64), &model.tables);
+    let measured = (1..=POOL)
+        .find(|&n| {
+            let pool: Vec<ServingRuntime> = (0..n).map(|_| small_runtime(track)).collect();
+            let cfg = FleetConfig {
+                epoch: SimDuration::from_millis(50),
+                initial_replicas: n,
+                ..FleetConfig::default()
+            };
+            let report = run_virtual_fleet(&pool, Some(&cache), &cfg, &trace, offered);
+            assert!(report.conserves(), "fleet of {n}: conservation law");
+            report.goodput().value() >= 0.90 * offered.value()
+        })
+        .expect("some swept fleet meets the diurnal demand");
+
+    let capacity = [600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0]
+        .into_iter()
+        .map(|rate| small_runtime(track).serve(Qps(rate)).goodput.value())
+        .fold(0.0, f64::max);
+    let plan = PlacementPlan::CpuModel {
+        threads: 2,
+        workers: 2,
+        batch: 256,
+    };
+    let table = EfficiencyTable::from_entries([(
+        (ModelKind::DlrmRmc1, ServerType::T2),
+        EfficiencyEntry {
+            qps: Qps(capacity),
+            power: Watts(250.0),
+            plan,
+        },
+    )]);
+    let mut fleet = Fleet::empty();
+    fleet.set(ServerType::T2, 2 * POOL as u32);
+    let peak_load = [WorkloadTrace {
+        model: ModelKind::DlrmRmc1,
+        load: [(0.0, peak.value())].into_iter().collect(),
+    }];
+    let mut solver = HerculesScheduler::new(SolverChoice::BranchAndBound);
+    let static_plan = run_online(&fleet, &table, &peak_load, &mut solver, None);
+    assert!(static_plan.intervals[0].feasible, "the static plan solves");
+    let planned = static_plan.intervals[0].activated as usize;
+    assert!(
+        measured.abs_diff(planned) <= 1,
+        "replica capacity {capacity:.0} QPS: the planner provisions {planned} T2s for the \
+         {:.0} QPS peak, but the smallest fleet meeting 90% of the mean demand is {measured}",
+        peak.value()
     );
 }
